@@ -19,7 +19,6 @@ three combined standard errors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,9 +27,8 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .geometry import Body, body_measures, contains, product
 from .mc import (
-    EstimateWithError,
     RngStream,
-    _chunk_layout,
+    _run_chunks,
     _simplex_volumes,
     estimate_moment,
     sample_boundary_uniform,
@@ -174,26 +172,9 @@ def _boundary_moment(lifted: Body, n: int, k: int, samples: int, seed: int, thre
         )
         pts = pts.reshape(size, n, dim)
         flat = flat.reshape(size, n)
-        values = _simplex_volumes(pts) ** k
-        return (
-            float(values.sum()),
-            float((values * values).sum()),
-            int(flat.all(axis=1).sum()),
-        )
+        return _simplex_volumes(pts) ** k, int(flat.all(axis=1).sum())
 
-    sizes = _chunk_layout(samples)
-    jobs = list(enumerate(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda job: worker(*job), jobs))
-    else:
-        partials = [worker(idx, size) for idx, size in jobs]
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
-    all_flat = sum(p[2] for p in partials)
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / max(samples - 1, 1)
-    est = EstimateWithError(mean, math.sqrt(var / samples), samples, seed)
+    est, all_flat = _run_chunks(worker, samples, seed, threads)
     return est, all_flat / samples
 
 

@@ -2,17 +2,21 @@
 
 Sampling is vectorized with numpy and driven by counter-based Philox
 streams: a run with ``samples`` trials is split into fixed chunks of
-2**16 trials, chunk i drawing from ``Philox(key=(seed, i))``.  Chunk
-results are combined in chunk-index order, so estimates are bit-identical
-for a given (seed, samples, configuration) regardless of how many worker
-threads execute the chunks.
+2**16 trials, chunk i drawing from ``Philox(key=(seed, i))``.  Each chunk
+reduces to its (count, mean, M2) statistics, which are merged with Chan's
+pairwise update in chunk-index order, so estimates are bit-identical for
+a given (seed, samples, configuration) whatever the number of worker
+threads executing the chunks.
 
 Estimators cover the catalog bodies of :mod:`simplexmoments.geometry`:
 uniform interior sampling (simplices by normalized exponential spacings,
 balls by direction times U^(1/d), half-balls by reflection, prisms by
 base sample plus uniform height) and boundary-uniform sampling of prisms
 over planar polytopes (faces picked with area weights).  Simplex volumes
-come from the Gram determinant, so ambient dimension is arbitrary.
+come from one kernel, elementwise over the batch: modified Gram-Schmidt
+on the edge vectors, whose squared residual norms multiply to the Gram
+determinant, so ambient dimension is arbitrary.  Its numpy calls release
+the interpreter lock, which lets worker threads run chunks in parallel.
 """
 
 from __future__ import annotations
@@ -87,7 +91,12 @@ def _sample_interior(body: Body, gen: np.random.Generator, m: int) -> np.ndarray
     kind = body.kind
     if kind in ("simplex", "T2", "T3"):
         spacings = gen.standard_exponential((m, d + 1))
-        return spacings[:, :d] / spacings.sum(axis=1, keepdims=True)
+        # column by column: faster than a row reduction, and it adds in the
+        # same order as numpy's row sum of up to 7 terms
+        total = spacings[:, 0] + spacings[:, 1]
+        for j in range(2, d + 1):
+            total += spacings[:, j]
+        return spacings[:, :d] / total[:, None]
     if kind == "cube":
         return gen.random((m, d))
     if kind in ("ball", "halfball"):
@@ -193,25 +202,50 @@ def sample_boundary_uniform(
 
 
 def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
-    """(n-1)-volumes of simplices given as an (m, n, d) vertex array."""
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    gram = edges @ edges.transpose(0, 2, 1)
-    dets = np.linalg.det(gram)
-    np.maximum(dets, 0.0, out=dets)
+    """(n-1)-volumes of simplices given as an (m, n, d) vertex array.
+
+    Modified Gram-Schmidt on the edges p_j - p_0, elementwise over the m
+    simplices: each edge loses its projections onto the earlier residuals
+    u_i, with coefficient (r . u_i) / (u_i . u_i), and the squared residual
+    norms multiply to the Gram determinant.  A zero residual divides by 1
+    instead, so degenerate simplices (a repeated vertex gives coefficient
+    exactly 1) have volume exactly 0.
+    """
     n = pts.shape[1]
-    return np.sqrt(dets) / math.factorial(n - 1)
+    gram = np.ones(pts.shape[0])
+    residuals = []
+    for j in range(1, n):
+        r = pts[:, j, :] - pts[:, 0, :]
+        for u, uu in residuals:
+            r -= (np.einsum("md,md->m", r, u) / uu)[:, None] * u
+        rr = np.einsum("md,md->m", r, r)
+        gram *= rr
+        residuals.append((r, np.where(rr > 0.0, rr, 1.0)))
+    return np.sqrt(gram) / math.factorial(n - 1)
 
 
-def _combine_chunks(partials, samples: int, seed: int) -> EstimateWithError:
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
-    mean = total / samples
-    if samples > 1:
-        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-        std_error = math.sqrt(var / samples)
-    else:
-        std_error = float("inf")
-    return EstimateWithError(mean, std_error, samples, seed)
+def _chunk_stats(values: np.ndarray):
+    """(count, mean, M2) of one chunk's trial values."""
+    mean = float(values.mean())
+    centered = values - mean
+    return values.size, mean, float(np.dot(centered, centered))
+
+
+def _combine_chunks(stats, seed: int) -> EstimateWithError:
+    """Merge per-chunk (count, mean, M2) with Chan's pairwise update.
+
+    The merge runs in chunk-index order, so the result does not depend on
+    which thread produced which chunk.
+    """
+    count, mean, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in stats:
+        total = count + n_b
+        delta = mean_b - mean
+        mean += delta * (n_b / total)
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
+    std_error = math.sqrt(m2 / (count - 1) / count) if count > 1 else float("inf")
+    return EstimateWithError(mean, std_error, count, seed)
 
 
 def _chunk_layout(samples: int):
@@ -223,14 +257,24 @@ def _chunk_layout(samples: int):
 
 
 def _run_chunks(worker, samples: int, seed: int, threads: int):
-    sizes = _chunk_layout(samples)
-    indexed = list(enumerate(sizes))
+    """Run ``worker(chunk_index, size) -> (values, tally)`` over the chunks.
+
+    Returns the estimate of the mean of ``values`` and the sum of the
+    integer tallies; chunk statistics are taken in the worker threads.
+    """
+
+    def run(job):
+        values, tally = worker(*job)
+        return _chunk_stats(values), tally
+
+    jobs = list(enumerate(_chunk_layout(samples)))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda job: worker(*job), indexed))
+            partials = list(pool.map(run, jobs))
     else:
-        partials = [worker(idx, size) for idx, size in indexed]
-    return _combine_chunks(partials, samples, seed)
+        partials = [run(job) for job in jobs]
+    estimate = _combine_chunks([p[0] for p in partials], seed)
+    return estimate, sum(p[1] for p in partials)
 
 
 def _check_common(body: Body, n: int, samples: int, low_n: int) -> None:
@@ -280,10 +324,9 @@ def estimate_moment(
         if anchor is not None:
             fixed_col = np.broadcast_to(anchor, (size, 1, body.dim))
             pts = np.concatenate([fixed_col, pts], axis=1)
-        values = _simplex_volumes(pts) ** k
-        return float(values.sum()), float((values * values).sum())
+        return _simplex_volumes(pts) ** k, 0
 
-    return _run_chunks(worker, samples, seed, threads)
+    return _run_chunks(worker, samples, seed, threads)[0]
 
 
 def estimate_surface_moment(
@@ -310,6 +353,6 @@ def estimate_surface_moment(
         for skip in range(n):
             keep = [j for j in range(n) if j != skip]
             totals += _simplex_volumes(pts[:, keep, :])
-        return float(totals.sum()), float((totals * totals).sum())
+        return totals, 0
 
-    return _run_chunks(worker, samples, seed, threads)
+    return _run_chunks(worker, samples, seed, threads)[0]

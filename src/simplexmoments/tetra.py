@@ -301,16 +301,7 @@ def _capacity_limit(case: str) -> int:
     return FREE_KMAX_LIMIT if case == CASE_FREE else FIXED_KMAX_LIMIT
 
 
-def even_moment(case: str, k: int, limit: Optional[int] = None) -> Fraction:
-    """Exact E V^(2k) for the requested case.
-
-    ``limit`` overrides the per-case capacity guard (FREE_KMAX_LIMIT or
-    FIXED_KMAX_LIMIT); orders beyond it raise CapacityError with a cost
-    estimate instead of silently running for hours.
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise UsageError("moment half-order k must be a nonnegative integer")
-    case = _normalize_case(case)
+def _check_capacity(case: str, k: int, limit: Optional[int]) -> None:
     cap = _capacity_limit(case) if limit is None else limit
     if k > cap:
         patterns = math.comb(k + 5, 5)
@@ -326,6 +317,19 @@ def even_moment(case: str, k: int, limit: Optional[int] = None) -> Fraction:
                 ", times the coupled-integral boxes" if case == CASE_FREE else "",
             )
         )
+
+
+def even_moment(case: str, k: int, limit: Optional[int] = None) -> Fraction:
+    """Exact E V^(2k) for the requested case.
+
+    ``limit`` overrides the per-case capacity guard (FREE_KMAX_LIMIT or
+    FIXED_KMAX_LIMIT); orders beyond it raise CapacityError with a cost
+    estimate instead of silently running for hours.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise UsageError("moment half-order k must be a nonnegative integer")
+    case = _normalize_case(case)
+    _check_capacity(case, k, limit)
     if k == 0:
         return Fraction(1)
     if case == CASE_FIXED:
@@ -469,11 +473,14 @@ def moment_table(
         raise UsageError("k_max must be a nonnegative integer")
     case = _normalize_case(case)
     known = _load_checkpoint(checkpoint, case) if checkpoint else {}
-    for k in range(k_max + 1):
-        if k not in known:
-            known[k] = even_moment(case, k, limit=limit)
-            if checkpoint:
-                _write_checkpoint(checkpoint, case, known)
+    missing = [k for k in range(k_max + 1) if k not in known]
+    if missing:
+        # refuse before computing anything; checkpointed orders may exceed it
+        _check_capacity(case, missing[-1], limit)
+    for k in missing:
+        known[k] = even_moment(case, k, limit=limit)
+        if checkpoint:
+            _write_checkpoint(checkpoint, case, known)
     entries = tuple((k, known[k]) for k in range(k_max + 1))
     table = MomentTable(case, k_max, entries)
     table.check()

@@ -180,6 +180,21 @@ class TestBoundarySweep:
         assert abs(row["flat_weight_exact"] - expected) < 1e-12
         assert row["flat_weight_consistent"]
 
+    def test_thread_count_bit_identity(self):
+        one, two, four = (
+            boundary_convergence_sweep(
+                triangle_T2(),
+                3,
+                1,
+                [F(1, 2), F(1, 8)],
+                samples=2 * 65536 + 321,
+                seed=3027,
+                threads=threads,
+            )
+            for threads in (1, 2, 4)
+        )
+        assert one == two == four
+
     def test_huge_eps_rarely_flat(self):
         result = boundary_convergence_sweep(
             triangle_T2(),

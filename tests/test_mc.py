@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo samplers and moment estimators."""
 
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,6 +31,9 @@ from simplexmoments.mc import (
     CHUNK_SIZE,
     EstimateWithError,
     RngStream,
+    _chunk_stats,
+    _combine_chunks,
+    _simplex_volumes,
     estimate_moment,
     estimate_surface_moment,
     sample_boundary_uniform,
@@ -93,6 +98,16 @@ class TestSampleUniform:
         for row in pts[:50]:
             assert contains(body, tuple(map(float, row)), tol=1e-12)
 
+    def test_simplex_points_match_row_sum_normalization(self):
+        # reference: the row-sum form the sampler replaced, for <= 7 columns
+        for d in range(1, 7):
+            for m in (1, 5, 777, CHUNK_SIZE):
+                stream = RngStream(109 + d, m)
+                spacings = stream.generator().standard_exponential((m, d + 1))
+                expected = spacings[:, :d] / spacings.sum(axis=1, keepdims=True)
+                got = sample_uniform(standard_simplex(d), stream, size=m)
+                assert np.array_equal(got, expected)
+
     def test_single_point_shape(self):
         pt = sample_uniform(cube(3), RngStream(23))
         assert pt.shape == (3,)
@@ -143,6 +158,98 @@ class TestSampleBoundaryUniform:
             sample_boundary_uniform(product(ball(2), 1), RngStream(1), size=4)
         with pytest.raises(UsageError):
             sample_boundary_uniform(product(cube(1), 1), RngStream(1), size=4)
+
+
+def exact_gram(points):
+    """Exact Gram determinant of the edges p_j - p_0, and its Hadamard bound."""
+    edges = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    rows = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
+    hadamard = math.prod(rows[i][i] for i in range(len(rows)))
+    det = F(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return F(0), hadamard
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det, hadamard
+
+
+class TestSimplexVolumes:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_exact_gram_determinant(self, n):
+        rnd = random.Random(n)
+        for d in range(n - 1, 7):
+            # dyadic coordinates, so the float input is the rational input
+            pts = [
+                [[F(rnd.randint(-2**20, 2**20), 2**16) for _ in range(d)] for _ in range(n)]
+                for _ in range(40)
+            ]
+            got = _simplex_volumes(np.array(pts, dtype=float))
+            checked = 0
+            for row, vol in zip(pts, got):
+                det, hadamard = exact_gram(row)
+                if det < hadamard / 100:
+                    continue  # ill-conditioned
+                exact = math.sqrt(det) / math.factorial(n - 1)
+                assert abs(vol - exact) <= 1e-9 * exact
+                checked += 1
+            assert checked >= 10
+
+    def test_degenerate_simplices_are_exactly_zero(self):
+        gen = RngStream(107).generator()
+        for n in (2, 3, 4, 5):
+            for i, j in itertools.combinations(range(n), 2):
+                pts = gen.random((500, n, 4))
+                pts[:, j] = pts[:, i]
+                assert np.all(_simplex_volumes(pts) == 0)
+            same = np.broadcast_to(gen.random(4), (50, n, 4)).copy()
+            assert np.all(_simplex_volumes(same) == 0)
+
+
+class TestChunkMerge:
+    def test_stable_near_1e8(self):
+        gen = RngStream(113).generator()
+        values = 1e8 + 1e-3 * gen.standard_normal(6 * 1000 + 37)
+        chunks = [values[i : i + 1000] for i in range(0, values.size, 1000)]
+        est = _combine_chunks([_chunk_stats(c) for c in chunks], seed=0)
+        expected = np.std(values, ddof=1) / math.sqrt(values.size)
+        assert est.samples == values.size
+        assert abs(est.std_error - expected) <= 1e-6 * expected
+        assert abs(est.mean - math.fsum(values) / values.size) <= 1e-7
+
+    def test_single_sample_has_no_error_estimate(self):
+        est = _combine_chunks([_chunk_stats(np.array([0.25]))], seed=0)
+        assert est.mean == 0.25
+        assert est.std_error == float("inf")
+
+
+THREAD_CASES = {
+    "pinned n=3": lambda threads: estimate_moment(
+        tetrahedron_T3(), 3, 1, fixed=(1 / 3, 1 / 3, 1 / 3),
+        samples=2 * CHUNK_SIZE + 321, seed=127, threads=threads,
+    ),
+    "n=2": lambda threads: estimate_moment(
+        tetrahedron_T3(), 2, 1, samples=2 * CHUNK_SIZE + 321, seed=131, threads=threads
+    ),
+    "n=4": lambda threads: estimate_moment(
+        tetrahedron_T3(), 4, 2, samples=2 * CHUNK_SIZE + 321, seed=137, threads=threads
+    ),
+    "surface": lambda threads: estimate_surface_moment(
+        tetrahedron_T3(), 3, samples=2 * CHUNK_SIZE + 321, seed=139, threads=threads
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(THREAD_CASES))
+def test_thread_count_bit_identity(case):
+    one, two, four = (THREAD_CASES[case](threads) for threads in (1, 2, 4))
+    assert one == two == four
 
 
 class TestEstimateMoment:

@@ -249,6 +249,24 @@ def test_moment_table_checkpoint_resume(tmp_path, monkeypatch):
     assert [item["k"] for item in data["entries"]] == [0, 1, 2, 3]
 
 
+def test_moment_table_refuses_before_any_work(tmp_path, monkeypatch):
+    import simplexmoments.tetra as tetra_mod
+
+    path = str(tmp_path / "free.json")
+    moment_table(CASE_FREE, 2, checkpoint=path)
+
+    def forbidden(case, k, limit=None):
+        raise AssertionError("even_moment called for k=%d" % k)
+
+    monkeypatch.setattr(tetra_mod, "even_moment", forbidden)
+    with pytest.raises(CapacityError):
+        moment_table("free", 10)
+    # checkpointed orders above the limit are fine; a missing one is not
+    assert moment_table(CASE_FREE, 2, checkpoint=path, limit=1).value(2) == FREE_MOMENTS[1]
+    with pytest.raises(CapacityError):
+        moment_table(CASE_FREE, 3, checkpoint=path, limit=1)
+
+
 def test_moment_table_checkpoint_case_mismatch(tmp_path):
     path = str(tmp_path / "table.json")
     moment_table(CASE_FREE, 1, checkpoint=path)
