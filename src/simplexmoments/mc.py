@@ -228,7 +228,9 @@ def _chunk_stats(values: np.ndarray):
     """(count, mean, M2) of one chunk's trial values."""
     mean = float(values.mean())
     centered = values - mean
-    return values.size, mean, float(np.dot(centered, centered))
+    # not np.dot: BLAS would start its own threads, which contend with the
+    # chunk threads for the CPUs and hold memory
+    return values.size, mean, float(np.einsum("m,m->", centered, centered))
 
 
 def _combine_chunks(stats, seed: int) -> EstimateWithError:
