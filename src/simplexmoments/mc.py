@@ -321,8 +321,9 @@ def estimate_moment(
 
     def worker(chunk_index: int, size: int):
         gen = RngStream(seed, chunk_index).generator()
-        flat = _sample_interior(body, gen, size * n_random)
-        pts = flat.reshape(size, n_random, body.dim)
+        # one name throughout, so the sample is freed once the pinned copy exists
+        pts = _sample_interior(body, gen, size * n_random)
+        pts = pts.reshape(size, n_random, body.dim)
         if anchor is not None:
             fixed_col = np.broadcast_to(anchor, (size, 1, body.dim))
             pts = np.concatenate([fixed_col, pts], axis=1)
