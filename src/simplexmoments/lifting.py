@@ -19,10 +19,7 @@ three combined standard errors.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import DomainError, UsageError
 from .geometry import Body, body_measures, contains, product

@@ -17,6 +17,7 @@ from simplexmoments.chords import (
 from simplexmoments.errors import DomainError, UsageError
 from simplexmoments.geometry import (
     Body,
+    _gram_det_exact,
     ball,
     boundary_residual,
     contains,
@@ -160,26 +161,6 @@ class TestSampleBoundaryUniform:
             sample_boundary_uniform(product(cube(1), 1), RngStream(1), size=4)
 
 
-def exact_gram(points):
-    """Exact Gram determinant of the edges p_j - p_0, and its Hadamard bound."""
-    edges = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    rows = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
-    hadamard = math.prod(rows[i][i] for i in range(len(rows)))
-    det = F(1)
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            return F(0), hadamard
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, len(rows)):
-            factor = rows[r][col] / rows[col][col]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det, hadamard
-
-
 class TestSimplexVolumes:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_exact_gram_determinant(self, n):
@@ -193,7 +174,10 @@ class TestSimplexVolumes:
             got = _simplex_volumes(np.array(pts, dtype=float))
             checked = 0
             for row, vol in zip(pts, got):
-                det, hadamard = exact_gram(row)
+                det = _gram_det_exact(row)
+                hadamard = math.prod(
+                    sum((a - b) ** 2 for a, b in zip(p, row[0])) for p in row[1:]
+                )
                 if det < hadamard / 100:
                     continue  # ill-conditioned
                 exact = math.sqrt(det) / math.factorial(n - 1)
