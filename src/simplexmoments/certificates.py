@@ -10,9 +10,10 @@ proves the one-sided inequality rigorously with Sturm sequences, and
 assembles the bound values.
 
 The headline application: for triangles with vertices drawn uniformly from
-a regular tetrahedron, a degree-7 lower bound for the unconstrained mean
-area and a degree-15 upper bound for the mean area with one vertex pinned
-at the centroid straddle the pivot value 23471/500000 = 0.046942.  That
+the tetrahedron T3 = conv{0, e1, e2, e3}, a degree-7 lower bound for the
+unconstrained mean area and a degree-15 upper bound for the mean area with
+one vertex pinned at (1/3, 1/3, 1/3), the centroid of the facet
+x + y + z = 1, straddle the pivot value 23471/500000 = 0.046942.  That
 proves the pinned mean is strictly smaller than the unpinned one, a fact
 the exactly computable even moments cannot settle on their own.  The whole
 chain (moments, interpolation, Sturm check, comparison) is exact rational
@@ -31,6 +32,7 @@ from .exact import (
     NonnegResult,
     UniPoly,
     _as_fraction,
+    _solve_fraction_free,
     format_rational,
     parse_rational,
     sturm_nonneg_on_interval,
@@ -61,9 +63,11 @@ __all__ = [
 # the value separating the two certified bounds
 PIVOT = Fraction(23471, 500000)
 
-# areas of triangles in the unit-edge regular tetrahedron lie in
-# [0, sqrt(3)/2]; with a vertex pinned at the centroid, in [0, sqrt(3)/6].
-# The Sturm checks run on [0, B'] for a rational B' >= sqrt(B).
+# B bounds the squared area of triangles with vertices in
+# T3 = conv{0, e1, e2, e3}: areas lie in [0, sqrt(3)/2], reached by the facet
+# e1 e2 e3; with a vertex pinned at the facet centroid (1/3, 1/3, 1/3), in
+# [0, sqrt(3)/6].  The Sturm checks run on [0, B'] for a rational
+# B' >= sqrt(B).
 FREE_B = Fraction(3, 4)
 FREE_BPRIME = Fraction(13, 15)
 FIXED_B = Fraction(1, 12)
@@ -163,37 +167,6 @@ def hermite_interpolate(single_nodes: Sequence, double_nodes: Sequence) -> UniPo
         rhs.append(Fraction(1, 2 * t))
     coeffs = _solve_fraction_free(rows, rhs)
     return UniPoly(coeffs)
-
-
-def _solve_fraction_free(rows, rhs):
-    """Exact solve of a square rational system via Bareiss elimination."""
-    n = len(rows)
-    aug = []
-    for row, b in zip(rows, rhs):
-        den = 1
-        for v in list(row) + [b]:
-            v = _as_fraction(v)
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        aug.append([int(_as_fraction(v) * den) for v in list(row) + [b]])
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if aug[r][k]), None)
-        if piv is None:
-            raise UsageError("interpolation system is singular")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    xs = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        total = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            total -= aug[i][j] * xs[j]
-        xs[i] = total / aug[i][i]
-    return xs
 
 
 def error_polynomial(poly: UniPoly, side: str) -> UniPoly:
@@ -301,7 +274,7 @@ def upper_area_certificate(fixed_table) -> Certificate:
 
 
 def verify_counterexample(free_table, fixed_table) -> dict:
-    """Mechanically confirm that pinning at the centroid shrinks the mean.
+    """Mechanically confirm that pinning at the facet centroid shrinks the mean.
 
     Produces a report with (a) the exact second moments, where the pinned
     case is smaller, (b) a verified lower bound for the unpinned mean that

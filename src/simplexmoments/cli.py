@@ -69,7 +69,7 @@ from .geometry import ball, cube, halfball, standard_simplex, tetrahedron_T3, tr
 from .lifting import boundary_convergence_sweep, interior_convergence_sweep
 from .lp import node_search, rationalize
 from .mc import RNG_ALGORITHM, estimate_moment
-from .tetra import MomentTable, moment_table
+from .tetra import MomentTable, _normalize_case, moment_table
 
 __all__ = ["RunManifest", "main", "build_parser"]
 
@@ -266,12 +266,10 @@ def _parse_nodes(text: str) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
     return tuple(singles), tuple(doubles)
 
 
-def _case_key(case: str) -> str:
-    if case == "free":
-        return "free"
-    if case in ("fixed", "fixed-centroid"):
-        return "fixed-centroid"
-    raise UsageError("case must be 'free' or 'fixed', got %r" % case)
+def _check_samples(samples: int) -> None:
+    # one sample has an infinite standard error, which JSON cannot carry
+    if samples < 2:
+        raise UsageError("--samples must be at least 2, got %d" % samples)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +302,7 @@ def _obtain_table(
     as a checkpoint, so existing entries are reused and new ones appended.
     Without either, the table is computed from scratch in memory.
     """
-    key = _case_key(case)
+    key = _normalize_case(case)
     if table_file:
         table = _read_table_file(table_file, ctx)
         if table.case != key:
@@ -387,7 +385,7 @@ _CASE_GRIDS = {
 
 
 def _cmd_nodes(args, ctx: _RunContext) -> dict:
-    key = _case_key(args.case)
+    key = _normalize_case(args.case)
     interval_end, sense = _CASE_GRIDS[key]
     table = _obtain_table(key, args.degree, args.tables, ctx)
     found = node_search(table, args.degree, args.grid, interval_end, sense)
@@ -428,7 +426,7 @@ def _cmd_certify(args, ctx: _RunContext) -> dict:
         raise UsageError("--side must be 'lower' or 'upper'")
     case, singles, doubles, interval_b, bprime = _SIDE_DEFAULTS[args.side]
     if args.case:
-        case = _case_key(args.case)
+        case = _normalize_case(args.case)
     if args.nodes:
         singles, doubles = _parse_nodes(args.nodes)
     if args.interval_b:
@@ -502,6 +500,7 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
 
 
 def _cmd_mc(args, ctx: _RunContext) -> dict:
+    _check_samples(args.samples)
     body = _parse_body(args.body)
     fixed = _parse_point(args.fixed) if args.fixed else None
     ctx.seeds.append(args.seed)
@@ -544,6 +543,7 @@ def _sweep_row_json(row: dict) -> dict:
 
 
 def _cmd_lift_sweep(args, ctx: _RunContext) -> dict:
+    _check_samples(args.samples)
     body = _parse_body(args.body)
     eps_list = _parse_eps_list(args.eps)
     reference = _parse_fraction(args.reference) if args.reference else None
@@ -734,6 +734,7 @@ def _reproduce_counterexample(free: MomentTable, fixed: MomentTable) -> dict:
 
 
 def _cmd_reproduce(args, ctx: _RunContext) -> dict:
+    _check_samples(args.samples)
     ctx.seeds.append(args.seed)
     checks = [_reproduce_chords(), _reproduce_ratio_law()]
     tables_check, free5, fixed5 = _reproduce_tables(args, ctx)
@@ -744,7 +745,7 @@ def _cmd_reproduce(args, ctx: _RunContext) -> dict:
         if args.grid >= 200:
             print(
                 "note: the full level solves two exact rational LPs on a "
-                "%d-point grid; expect a few minutes" % args.grid,
+                "%d-point grid; at 200 points they take about 30 s" % args.grid,
                 file=sys.stderr,
             )
         free7 = _obtain_table("free", 7, args.tables, ctx)
@@ -918,7 +919,7 @@ def _emit(report: dict, args) -> None:
     if getattr(args, "format", "json") == "csv":
         text = _sweep_csv(report)
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Sequence
 
+from .errors import UsageError
+
 __all__ = [
     "format_rational",
     "parse_rational",
@@ -504,6 +506,41 @@ def uni_eval(p: UniPoly, x) -> Fraction:
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# exact linear systems
+# ---------------------------------------------------------------------------
+
+def _solve_fraction_free(rows, rhs) -> list[Fraction]:
+    """Exact solve of a square rational system via Bareiss elimination."""
+    n = len(rows)
+    aug = []
+    for row, b in zip(rows, rhs):
+        den = 1
+        for v in list(row) + [b]:
+            v = _as_fraction(v)
+            den = den * v.denominator // _int_gcd(den, v.denominator)
+        aug.append([int(_as_fraction(v) * den) for v in list(row) + [b]])
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if aug[r][k]), None)
+        if piv is None:
+            raise UsageError("linear system is singular")
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
+            aug[i][k] = 0
+        prev = aug[k][k]
+    xs = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        total = Fraction(aug[i][n])
+        for j in range(i + 1, n):
+            total -= aug[i][j] * xs[j]
+        xs[i] = total / aug[i][i]
+    return xs
 
 
 # ---------------------------------------------------------------------------

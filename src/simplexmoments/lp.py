@@ -1,297 +1,38 @@
-"""Exact-rational linear programming for square-root node searches.
+"""Exact grid node search for one-sided polynomial bounds of sqrt.
 
-A dense two-phase simplex method over Fraction arithmetic.  All variables
-are free (unbounded sign) and are split internally into differences of two
-nonnegative variables; pivoting follows Bland's rule, so termination is
-guaranteed even on degenerate vertices.  There is no feasibility tolerance
-anywhere: a returned optimum satisfies every constraint exactly, and each
-optimal solve also carries an exactly verified dual certificate.
+Given an exact even-moment table (mu_0, mu_2, ..., mu_2d) for a random area
+V, the best polynomial p(x) = sum a_i x^i with p(t^2) <= t on a rational
+grid of t-values maximizes sum a_i mu_2i (a lower bound for E V); the
+reverse inequality minimized gives an upper bound.  The grid t-values where
+the optimal polynomial touches the constraint are candidates for
+interpolation nodes; adjacent active grid points are merged, since the true
+tangency lies between them.
 
-The main client is the node-search program: given an exact even-moment
-table (mu_0, mu_2, ..., mu_2n) for a random area V, the best polynomial
-p(x) = sum a_i x^i with p(t^2) <= t on a rational grid of t-values
-maximizes sum a_i mu_2i (a lower bound for E V); the reverse inequality
-minimized gives an upper bound.  The grid t-values where the optimal
-polynomial touches the constraint are candidates for interpolation nodes;
-adjacent active grid points are merged, since the true tangency lies
-between them.
+The program is solved on its dual side, a discrete moment problem with only
+d+1 equality rows: over weights y_l >= 0 on the grid points x_l = t_l^2,
+
+    minimize (lower) or maximize (upper)  sum_l t_l y_l
+    subject to  sum_l y_l x_l^i = mu_2i  for i = 0..d.
+
+A dense two-phase simplex over Fraction arithmetic solves it; Bland's rule
+guarantees termination even on degenerate vertices.  The optimal basis is
+the support of a principal representation of the moments (Karlin & Studden,
+Tchebycheff Systems, 1966), and the polynomial with p(x_b) = t_b on those
+d+1 grid points, one Vandermonde solve, is the primal optimum.  There is no
+tolerance anywhere: every optimum is certified exactly by dual feasibility,
+the bound inequality at every grid point, and equal objectives, which by
+weak duality prove both sides optimal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from .errors import CapacityError, UsageError, VerificationError
-from .exact import _as_fraction
+from .exact import UniPoly, _as_fraction, _solve_fraction_free
 
-__all__ = [
-    "LinearProgram",
-    "LPSolution",
-    "solve_simplex",
-    "node_search",
-    "rationalize",
-]
-
-LESS_EQUAL = "<="
-GREATER_EQUAL = ">="
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """max or min of objective . x subject to inequality rows, x free."""
-
-    sense: str
-    objective: Tuple[Fraction, ...]
-    rows: Tuple[Tuple[Tuple[Fraction, ...], str, Fraction], ...]
-
-    @classmethod
-    def build(cls, sense, objective, rows) -> "LinearProgram":
-        if sense not in ("max", "min"):
-            raise UsageError("sense must be 'max' or 'min'")
-        obj = tuple(_as_fraction(c) for c in objective)
-        if not obj:
-            raise UsageError("objective must have at least one variable")
-        packed = []
-        for coeffs, rel, rhs in rows:
-            coeffs = tuple(_as_fraction(c) for c in coeffs)
-            if len(coeffs) != len(obj):
-                raise UsageError("constraint row length does not match objective")
-            if rel not in (LESS_EQUAL, GREATER_EQUAL):
-                raise UsageError("relation must be '<=' or '>='")
-            packed.append((coeffs, rel, _as_fraction(rhs)))
-        if not packed:
-            raise UsageError("at least one constraint is required")
-        return cls(sense, obj, tuple(packed))
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    """Outcome of an exact simplex solve.
-
-    ``status`` is "optimal", "infeasible" or "unbounded".  For optimal
-    solves, ``values`` are the exact variable values, ``active_rows`` lists
-    the constraints holding with equality, and ``duals`` is the exactly
-    verified dual vector (one multiplier per original row).
-    """
-
-    status: str
-    values: Tuple[Fraction, ...] = ()
-    objective: Optional[Fraction] = None
-    active_rows: Tuple[int, ...] = ()
-    duals: Tuple[Fraction, ...] = ()
-
-
-def _pivot(tableau: List[List[Fraction]], basis: List[int], row: int, col: int):
-    piv = tableau[row][col]
-    inv = 1 / piv
-    tableau[row] = [v * inv for v in tableau[row]]
-    prow = tableau[row]
-    for r, line in enumerate(tableau):
-        if r == row:
-            continue
-        factor = line[col]
-        if factor:
-            tableau[r] = [a - factor * b for a, b in zip(line, prow)]
-    basis[row] = col
-
-
-def solve_simplex(lp: LinearProgram) -> LPSolution:
-    """Exact optimum of the given linear program.
-
-    Two-phase dense simplex: artificial variables clear any rows that lack
-    a natural slack basis, then the real objective is optimized.  The
-    returned dual vector is checked exactly (complementary objective match
-    and dual feasibility) before the solution is handed back.
-    """
-    n = len(lp.objective)
-    m = len(lp.rows)
-    maximize = lp.sense == "max"
-    obj = list(lp.objective if maximize else tuple(-c for c in lp.objective))
-
-    # normalize rows to nonnegative right-hand sides, remembering flips
-    rows = []
-    flips = []
-    for coeffs, rel, rhs in lp.rows:
-        if rhs < 0:
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
-            rel = GREATER_EQUAL if rel == LESS_EQUAL else LESS_EQUAL
-            flips.append(-1)
-        else:
-            flips.append(1)
-        rows.append((coeffs, rel, rhs))
-
-    nsplit = 2 * n
-    nslack = m
-    art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel == GREATER_EQUAL]
-    nart = len(art_rows)
-    ncols = nsplit + nslack + nart
-    art_col = {}
-    for pos, i in enumerate(art_rows):
-        art_col[i] = nsplit + nslack + pos
-
-    tableau: List[List[Fraction]] = []
-    basis: List[int] = []
-    zero = Fraction(0)
-    one = Fraction(1)
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        line = [zero] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            line[2 * j] = c
-            line[2 * j + 1] = -c
-        line[nsplit + i] = one if rel == LESS_EQUAL else -one
-        if rel == GREATER_EQUAL:
-            line[art_col[i]] = one
-            basis.append(art_col[i])
-        else:
-            basis.append(nsplit + i)
-        line[-1] = rhs
-        tableau.append(line)
-
-    # phase 1: drive the artificial variables to zero
-    if nart:
-        cost = [zero] * (ncols + 1)
-        for i in art_rows:
-            # maximize -(sum of artificials); price out the basic artificials
-            for j in range(ncols + 1):
-                cost[j] += tableau[i][j]
-        for i in art_rows:
-            cost[art_col[i]] = zero
-        status = _run_bland(tableau, basis, cost, ncols)
-        if status != "optimal" or cost[-1] != 0:
-            return LPSolution(status="infeasible")
-        # pivot any zero-level artificials out of the basis
-        for i in range(m):
-            if basis[i] >= nsplit + nslack:
-                for j in range(nsplit + nslack):
-                    if tableau[i][j]:
-                        _pivot(tableau, basis, i, j)
-                        break
-
-    # phase 2: the real objective on the structural and slack columns;
-    # a redundant zero row may keep an artificial basic at level zero,
-    # which is harmless since all its remaining entries vanish
-    ncols2 = nsplit + nslack
-    cost = [zero] * (ncols2 + 1)
-    for j in range(n):
-        cost[2 * j] = obj[j]
-        cost[2 * j + 1] = -obj[j]
-    # price out the current basis
-    for i in range(m):
-        b = basis[i]
-        if b < ncols2 and cost[b]:
-            factor = cost[b]
-            for j in range(ncols2):
-                cost[j] -= factor * tableau[i][j]
-            cost[-1] -= factor * tableau[i][-1]
-    trimmed = [line[: ncols2 + 1] for line in tableau]
-    for i in range(m):
-        trimmed[i][-1] = tableau[i][-1]
-    status = _run_bland(trimmed, basis, cost, ncols2)
-    if status == "unbounded":
-        return LPSolution(status="unbounded")
-
-    values_split = [zero] * ncols2
-    for i, b in enumerate(basis):
-        if b < ncols2:
-            values_split[b] = trimmed[i][-1]
-    xs = tuple(values_split[2 * j] - values_split[2 * j + 1] for j in range(n))
-    objective = sum(c * x for c, x in zip(lp.objective, xs))
-
-    active = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        lhs = sum(c * x for c, x in zip(coeffs, xs))
-        if rel == LESS_EQUAL:
-            if lhs > rhs:
-                raise VerificationError("primal violation in row %d" % i)
-        else:
-            if lhs < rhs:
-                raise VerificationError("primal violation in row %d" % i)
-        if lhs == rhs:
-            active.append(i)
-
-    # duals: the reduced cost sitting on each slack column, mapped back
-    # through the row normalizations
-    duals = []
-    for i in range(m):
-        red = -cost[nsplit + i]
-        if rows[i][1] == GREATER_EQUAL:
-            red = -red
-        if not maximize:
-            red = -red
-        duals.append(flips[i] * red)
-    _verify_duality(lp, objective, tuple(duals))
-    return LPSolution(
-        status="optimal",
-        values=xs,
-        objective=objective,
-        active_rows=tuple(active),
-        duals=tuple(duals),
-    )
-
-
-def _run_bland(tableau, basis, cost, ncols) -> str:
-    m = len(tableau)
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if cost[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        _pivot(tableau, basis, leave, enter)
-        factor = cost[enter]
-        prow = tableau[leave]
-        for j in range(len(cost)):
-            cost[j] -= factor * prow[j]
-
-
-def _verify_duality(lp: LinearProgram, objective: Fraction, duals) -> None:
-    """Exact strong-duality check; raises VerificationError on failure.
-
-    For a maximization with free primal variables the dual must satisfy
-    A^T y = c exactly, y_i >= 0 on '<=' rows and y_i <= 0 on '>=' rows,
-    with b . y equal to the primal objective.  Minimization flips the
-    sign conditions.
-    """
-    n = len(lp.objective)
-    maximize = lp.sense == "max"
-    for j in range(n):
-        lhs = sum(row[0][j] * y for row, y in zip(lp.rows, duals))
-        if lhs != lp.objective[j]:
-            raise VerificationError("dual equality fails on variable %d" % j)
-    for (coeffs, rel, rhs), y in zip(lp.rows, duals):
-        if maximize:
-            ok = y >= 0 if rel == LESS_EQUAL else y <= 0
-        else:
-            ok = y <= 0 if rel == LESS_EQUAL else y >= 0
-        if not ok:
-            raise VerificationError("dual sign condition fails")
-    total = sum(rhs * y for (_, _, rhs), y in zip(lp.rows, duals))
-    if total != objective:
-        raise VerificationError("dual objective does not match primal optimum")
-
-
-# ---------------------------------------------------------------------------
-# node search
+__all__ = ["node_search", "rationalize"]
 
 
 def rationalize(x, max_den: int) -> Fraction:
@@ -299,6 +40,106 @@ def rationalize(x, max_den: int) -> Fraction:
     if not isinstance(max_den, int) or max_den < 1:
         raise UsageError("max_den must be a positive integer")
     return Fraction(x).limit_denominator(max_den)
+
+
+def _pivot(lines, basis, row: int, col: int) -> None:
+    """Make column ``col`` basic in tableau row ``row``.
+
+    ``lines`` holds the tableau rows followed by the reduced-cost row; each
+    ends in its right-hand side.
+    """
+    prow = lines[row]
+    inv = 1 / prow[col]
+    prow[:] = [v * inv for v in prow]
+    for line in lines:
+        factor = line[col]
+        if line is not prow and factor:
+            line[:] = [a - factor * b if b else a for a, b in zip(line, prow)]
+    basis[row] = col
+
+
+def _bland(tableau, basis, cost) -> None:
+    """Simplex steps by Bland's rule until no reduced cost is positive."""
+    lines = tableau + [cost]
+    while True:
+        enter = next((j for j in range(len(cost) - 1) if cost[j] > 0), None)
+        if enter is None:
+            return
+        leave, best = None, None
+        for i, row in enumerate(tableau):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            # phase 1 is bounded by zero, phase 2 by weak duality against
+            # the always feasible primal (a = 0 or a = (end, 0, ...))
+            raise VerificationError("the moment program has an unbounded ray")
+        _pivot(lines, basis, leave, enter)
+
+
+def _solve_moment_program(grid, moments, sense: str):
+    """Optimal basis and weights on the grid, or None if no weights fit."""
+    npts = len(grid)
+    tableau = []
+    column = [Fraction(1)] * npts
+    for mu in moments:
+        tableau.append(column + [mu])
+        column = [c * t * t for c, t in zip(column, grid)]
+    basis = list(range(npts, npts + len(moments)))  # artificials
+    # phase 1: maximize minus the sum of the artificials
+    cost = [sum(col) for col in zip(*tableau)]
+    _bland(tableau, basis, cost)
+    if cost[-1]:
+        return None
+    for i, b in enumerate(basis):
+        if b >= npts:  # an artificial left basic at level zero
+            col = next((j for j in range(npts) if tableau[i][j]), None)
+            if col is None:
+                raise VerificationError(
+                    "%d grid points cannot determine a degree-%d bound polynomial"
+                    % (npts, len(moments) - 1)
+                )
+            _pivot(tableau, basis, i, col)
+    # phase 2: minimize (lower) or maximize (upper) sum_l t_l y_l
+    sign = -1 if sense == "lower" else 1
+    cost = [sign * t for t in grid] + [Fraction(0)]
+    for row, b in zip(tableau, basis):
+        factor = cost[b]
+        cost = [c - factor * v for c, v in zip(cost, row)]
+    _bland(tableau, basis, cost)
+    weights = [Fraction(0)] * npts
+    for row, b in zip(tableau, basis):
+        weights[b] = row[-1]
+    return basis, weights
+
+
+def _check_certificate(grid, moments, sense: str, coefficients, weights) -> List[int]:
+    """Exact optimality proof of a polynomial bound and its dual weights.
+
+    Raises VerificationError unless the weights are nonnegative and
+    reproduce every moment exactly, p(t_l^2) <= t_l ("lower") or >= t_l
+    ("upper") at every grid point, and sum_i a_i mu_2i equals
+    sum_l t_l y_l.  Returns the grid indices where p(t_l^2) = t_l.
+    """
+    support = [(t, y) for t, y in zip(grid, weights) if y]
+    if len(weights) != len(grid) or any(y < 0 for y in weights):
+        raise VerificationError("dual weights are not a nonnegative grid measure")
+    for i, mu in enumerate(moments):
+        if sum((y * t ** (2 * i) for t, y in support), Fraction(0)) != mu:
+            raise VerificationError("dual weights miss moment mu_%d" % (2 * i))
+    poly = UniPoly(coefficients)
+    active = []
+    for l, t in enumerate(grid):
+        value = poly(t * t)
+        if value == t:
+            active.append(l)
+        elif (value > t) == (sense == "lower"):
+            raise VerificationError("bound polynomial fails at grid point t=%s" % t)
+    primal = sum((a * mu for a, mu in zip(coefficients, moments)), Fraction(0))
+    if primal != sum((t * y for t, y in support), Fraction(0)):
+        raise VerificationError("primal and dual objectives differ")
+    return active
 
 
 def node_search(table, degree: int, grid_size: int, interval_end, sense: str) -> dict:
@@ -313,7 +154,8 @@ def node_search(table, degree: int, grid_size: int, interval_end, sense: str) ->
     with the moments mu_2i taken from ``table``.  Returns the exact
     objective, the solved coefficient vector, and candidate interpolation
     nodes: grid t-values with an active constraint, adjacent actives merged
-    to their midpoint, the structural t = 0 point excluded.
+    to their midpoint, the structural t = 0 point excluded.  The status is
+    "unbounded" when no polynomial bound has a finite optimum.
     """
     if sense not in ("lower", "upper"):
         raise UsageError("sense must be 'lower' or 'upper'")
@@ -329,25 +171,19 @@ def node_search(table, degree: int, grid_size: int, interval_end, sense: str) ->
             "moment table reaches k=%d but the degree-%d program needs "
             "moments through order %d" % (table.k_max, degree, 2 * degree)
         )
-    objective = tuple(table.value(i) for i in range(degree + 1))
-    rel = LESS_EQUAL if sense == "lower" else GREATER_EQUAL
-    rows = []
-    grid = []
-    for l in range(grid_size + 1):
-        t = Fraction(l) * end / grid_size
-        grid.append(t)
-        x = t * t
-        coeffs = []
-        power = Fraction(1)
-        for _ in range(degree + 1):
-            coeffs.append(power)
-            power *= x
-        rows.append((tuple(coeffs), rel, t))
-    lp = LinearProgram.build("max" if sense == "lower" else "min", objective, rows)
-    sol = solve_simplex(lp)
-    if sol.status != "optimal":
-        return {"status": sol.status, "objective": None, "candidate_nodes": []}
-    active = [i for i in sol.active_rows if i != 0]
+    moments = [table.value(i) for i in range(degree + 1)]
+    grid = [Fraction(l) * end / grid_size for l in range(grid_size + 1)]
+    solved = _solve_moment_program(grid, moments, sense)
+    if solved is None:
+        return {"status": "unbounded", "objective": None, "candidate_nodes": []}
+    basis, weights = solved
+    coefficients = tuple(
+        _solve_fraction_free(
+            [[grid[l] ** (2 * i) for i in range(len(moments))] for l in basis],
+            [grid[l] for l in basis],
+        )
+    )
+    active = [l for l in _check_certificate(grid, moments, sense, coefficients, weights) if l]
     candidates = []
     run: List[int] = []
     for idx in active:
@@ -361,8 +197,8 @@ def node_search(table, degree: int, grid_size: int, interval_end, sense: str) ->
         candidates.append(sum(grid[i] for i in run) / len(run))
     return {
         "status": "optimal",
-        "objective": sol.objective,
-        "coefficients": sol.values,
+        "objective": sum((a * mu for a, mu in zip(coefficients, moments)), Fraction(0)),
+        "coefficients": coefficients,
         "candidate_nodes": candidates,
         "active_grid_indices": tuple(active),
     }

@@ -421,7 +421,7 @@ class MomentTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentTable":
-        case = _normalize_case(data["case"])
+        case = _normalize_case(data.get("case", ""))
         entries = tuple(
             (int(item["k"]), parse_rational(item["value"]))
             for item in data["entries"]
@@ -434,25 +434,19 @@ def _load_checkpoint(path: str, case: str) -> dict:
     if not os.path.exists(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if _normalize_case(data.get("case", "")) != case:
+        table = MomentTable.from_json(json.load(fh))
+    if table.case != case:
         raise UsageError(
-            "checkpoint %s holds case %r, expected %r"
-            % (path, data.get("case"), case)
+            "checkpoint %s holds case %r, expected %r" % (path, table.case, case)
         )
-    return {int(item["k"]): parse_rational(item["value"]) for item in data["entries"]}
+    return dict(table.entries)
 
 
 def _write_checkpoint(path: str, case: str, known: dict) -> None:
-    payload = {
-        "case": case,
-        "entries": [
-            {"k": k, "value": format_rational(known[k])} for k in sorted(known)
-        ],
-    }
+    table = MomentTable(case, max(known), tuple(sorted(known.items())))
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(table.to_json(), fh, indent=1)
         fh.write("\n")
     os.replace(tmp, path)
 

@@ -1,5 +1,6 @@
 """Tests for Hermite interpolation and certified square-root bounds."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -29,7 +30,7 @@ from simplexmoments.certificates import (
 )
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
 from simplexmoments.exact import UniPoly, uni_eval
-from simplexmoments.tetra import moment_table
+from simplexmoments.tetra import build_gram_poly, moment_table
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +266,24 @@ class TestCertificateJson:
         assert data["nodes"]["double"] == ["2/19", "4/15", "8/17"]
         back = certificate_from_json(data)
         assert back == cert
+
+
+class TestSupportBounds:
+    # D = 4 area^2 is a convex quadratic in each vertex while the others
+    # stay fixed (the squared distance to a line), so its maximum over
+    # T3 = conv{0, e1, e2, e3} sits at a tuple of vertices
+    CORNERS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def max_quarter_gram(self, case, free_vertices):
+        gram = build_gram_poly(case)
+        return max(
+            gram.evaluate([F(c) for corner in tup for c in corner]) / 4
+            for tup in itertools.product(self.CORNERS, repeat=free_vertices)
+        )
+
+    def test_free_bound_is_vertex_maximum(self):
+        assert self.max_quarter_gram("free", 3) == FREE_B
+
+    def test_fixed_bound_is_vertex_maximum(self):
+        # the pinned vertex (1/3, 1/3, 1/3) is built into the fixed Gram polynomial
+        assert self.max_quarter_gram("fixed-centroid", 2) == FIXED_B

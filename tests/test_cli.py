@@ -472,6 +472,41 @@ class TestLiftSweep:
         assert code == 2
 
 
+class TestOneSampleRefusal:
+    # one sample has an infinite standard error, which strict JSON cannot carry
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "1", "--seed", "1"],
+            ["lift-sweep", "--mode", "interior", "--body", "T2", "--n", "2", "--k", "1",
+             "--eps", "1/2", "--samples", "1", "--seed", "1"],
+            ["lift-sweep", "--mode", "boundary", "--body", "T2", "--n", "2", "--k", "1",
+             "--eps", "1/2", "--samples", "1", "--seed", "1"],
+            ["reproduce", "fast", "--samples", "1"],
+        ],
+    )
+    def test_refused_without_report(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_two_samples_give_strict_json(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main(["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "2",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError("non-finite JSON constant %s" % token)
+
+        json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+class TestCaseNames:
+    def test_unknown_case_is_usage(self):
+        assert main(["nodes", "--case", "sideways", "--degree", "1", "--grid", "8"]) == 2
+
+
 class TestReproduce:
     def test_fast_level_passes(self, tmp_path, tables_dir):
         code, report = run_cli(

@@ -1,189 +1,21 @@
-"""Tests for the exact simplex solver and the node-search programs."""
+"""Tests for the dual-side node-search programs."""
 
+import json
 import os
-import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 import scipy.optimize
 
 from simplexmoments.certificates import LOWER_DOUBLE_NODES, PIVOT
-from simplexmoments.errors import CapacityError, UsageError
-from simplexmoments.lp import (
-    LinearProgram,
-    node_search,
-    rationalize,
-    solve_simplex,
-)
+from simplexmoments.cli import main
+from simplexmoments.errors import CapacityError, UsageError, VerificationError
+from simplexmoments.exact import format_rational, parse_rational
+from simplexmoments.lp import _check_certificate, _solve_moment_program, node_search, rationalize
 from simplexmoments.tetra import moment_table
 
 SLOW = os.environ.get("SIMPLEXMOMENTS_SLOW") != "1"
-
-
-def solve(sense, objective, rows):
-    return solve_simplex(LinearProgram.build(sense, objective, rows))
-
-
-def scipy_solve(sense, objective, rows):
-    """Floating-point reference solve via scipy's HiGHS backend."""
-    c = [float(v) for v in objective]
-    if sense == "max":
-        c = [-v for v in c]
-    a_ub = []
-    b_ub = []
-    for coeffs, rel, rhs in rows:
-        coeffs = [float(v) for v in coeffs]
-        rhs = float(rhs)
-        if rel == ">=":
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-        a_ub.append(coeffs)
-        b_ub.append(rhs)
-    res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs"
-    )
-    if res.status == 0:
-        value = res.fun if sense == "min" else -res.fun
-        return "optimal", value
-    if res.status == 2:
-        return "infeasible", None
-    if res.status == 3:
-        return "unbounded", None
-    raise RuntimeError("unexpected scipy status %d" % res.status)
-
-
-class TestSolveSimplex:
-    def test_single_variable_box(self):
-        sol = solve("max", [F(1)], [([F(1)], "<=", F(1))])
-        assert sol.status == "optimal"
-        assert sol.objective == 1
-        assert sol.values == (F(1),)
-        assert sol.active_rows == (0,)
-
-    def test_two_variables_three_rows(self):
-        rows = [
-            ([F(1), F(0)], "<=", F(1)),
-            ([F(0), F(1)], "<=", F(2)),
-            ([F(1), F(1)], "<=", F(5, 2)),
-        ]
-        sol = solve("max", [F(1), F(1)], rows)
-        assert sol.status == "optimal"
-        assert sol.objective == F(5, 2)
-        assert 2 in sol.active_rows
-
-    def test_min_sense(self):
-        sol = solve("min", [F(1)], [([F(1)], ">=", F(3))])
-        assert sol.status == "optimal"
-        assert sol.objective == 3
-        assert sol.values == (F(3),)
-
-    def test_negative_rhs_normalization(self):
-        # -x <= -2 is x >= 2, so the maximum of x under x <= 5 is 5
-        rows = [([F(-1)], "<=", F(-2)), ([F(1)], "<=", F(5))]
-        sol = solve("max", [F(1)], rows)
-        assert sol.status == "optimal"
-        assert sol.objective == 5
-
-    def test_infeasible(self):
-        rows = [([F(1)], "<=", F(1)), ([F(1)], ">=", F(2))]
-        sol = solve("max", [F(1)], rows)
-        assert sol.status == "infeasible"
-
-    def test_unbounded(self):
-        sol = solve("max", [F(1)], [([F(1)], ">=", F(0))])
-        assert sol.status == "unbounded"
-        sol = solve("max", [F(1)], [([F(-1)], "<=", F(1))])
-        assert sol.status == "unbounded"
-
-    def test_exactness_with_awkward_rationals(self):
-        rows = [
-            ([F(1, 3), F(1, 7)], "<=", F(22, 21)),
-            ([F(1, 11), F(2, 5)], "<=", F(49, 55)),
-        ]
-        sol = solve("max", [F(2), F(3)], rows)
-        assert sol.status == "optimal"
-        for coeffs, rel, rhs in rows:
-            lhs = sum(c * x for c, x in zip(coeffs, sol.values))
-            assert lhs <= rhs
-        # both rows bind at the optimum of this 2x2 system
-        assert sol.active_rows == (0, 1)
-        a = np.array([[1 / 3, 1 / 7], [1 / 11, 2 / 5]])
-        b = np.array([22 / 21, 49 / 55])
-        expect = np.linalg.solve(a, b)
-        assert abs(float(sol.values[0]) - expect[0]) < 1e-12
-        assert abs(float(sol.values[1]) - expect[1]) < 1e-12
-
-    def test_duality_certificate_exposed(self):
-        rows = [
-            ([F(1), F(0)], "<=", F(1)),
-            ([F(0), F(1)], "<=", F(2)),
-            ([F(1), F(1)], "<=", F(5, 2)),
-        ]
-        sol = solve("max", [F(1), F(1)], rows)
-        assert len(sol.duals) == 3
-        assert all(y >= 0 for y in sol.duals)
-        assert sum(y * rhs for y, (_, _, rhs) in zip(sol.duals, rows)) == sol.objective
-        for j in range(2):
-            assert sum(y * row[0][j] for y, row in zip(sol.duals, rows)) == F(1)
-
-    def test_beale_degenerate_cycle_guard(self):
-        # classic cycling example for naive pivoting; Bland must terminate
-        objective = [F(3, 4), F(-150), F(1, 50), F(-6)]
-        rows = [
-            ([F(1, 4), F(-60), F(-1, 25), F(9)], "<=", F(0)),
-            ([F(1, 2), F(-90), F(-1, 50), F(3)], "<=", F(0)),
-            ([F(0), F(0), F(1), F(0)], "<=", F(1)),
-            ([F(-1), F(0), F(0), F(0)], "<=", F(0)),
-            ([F(0), F(-1), F(0), F(0)], "<=", F(0)),
-            ([F(0), F(0), F(-1), F(0)], "<=", F(0)),
-            ([F(0), F(0), F(0), F(-1)], "<=", F(0)),
-        ]
-        sol = solve("max", objective, rows)
-        assert sol.status == "optimal"
-        assert sol.objective == F(1, 20)
-
-    def test_random_lps_match_scipy(self):
-        rng = random.Random(20240817)
-        checked = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-        for trial in range(40):
-            n = rng.randint(2, 4)
-            m = rng.randint(2, 6)
-            objective = [F(rng.randint(-5, 5)) for _ in range(n)]
-            rows = []
-            if trial % 2 == 0:
-                # box half the instances so the optimal path gets exercised
-                for j in range(n):
-                    unit = [F(0)] * n
-                    unit[j] = F(1)
-                    rows.append((tuple(unit), "<=", F(rng.randint(1, 6))))
-                    rows.append((tuple(unit), ">=", F(-rng.randint(1, 6))))
-            for _ in range(m):
-                coeffs = [F(rng.randint(-4, 4)) for _ in range(n)]
-                rel = rng.choice(["<=", ">="])
-                rows.append((coeffs, rel, F(rng.randint(-6, 6))))
-            sense = rng.choice(["max", "min"])
-            sol = solve(sense, objective, rows)
-            status, value = scipy_solve(sense, objective, rows)
-            assert sol.status == status
-            if status == "optimal":
-                assert abs(float(sol.objective) - value) < 1e-7
-            checked[status] += 1
-        assert checked["optimal"] >= 10
-        assert checked["infeasible"] >= 3
-        assert checked["unbounded"] >= 3
-
-    def test_usage_errors(self):
-        with pytest.raises(UsageError):
-            LinearProgram.build("best", [F(1)], [([F(1)], "<=", F(1))])
-        with pytest.raises(UsageError):
-            LinearProgram.build("max", [], [([], "<=", F(1))])
-        with pytest.raises(UsageError):
-            LinearProgram.build("max", [F(1)], [])
-        with pytest.raises(UsageError):
-            LinearProgram.build("max", [F(1)], [([F(1), F(2)], "<=", F(1))])
-        with pytest.raises(UsageError):
-            LinearProgram.build("max", [F(1)], [([F(1)], "<", F(1))])
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestRationalize:
@@ -304,6 +136,122 @@ class TestNodeSearch:
             node_search(free_table, 1, 0, F(7, 8), "lower")
         with pytest.raises(UsageError):
             node_search(free_table, 1, 20, F(0), "lower")
+
+
+def highs_objective(table, degree, grid_size, end, sense):
+    """Floating-point reference optimum via scipy's HiGHS backend.
+
+    HiGHS solves the dual moment problem with each row divided by its
+    moment.  The primal in floats is a poor oracle here: at free degree 4
+    upper its Vandermonde rows are so ill conditioned that HiGHS returns a
+    polynomial violating one grid constraint by 3e-9 and an objective 1.4e-8
+    too low, whatever its tolerances.
+    """
+    grid = [float(F(l) * end / grid_size) for l in range(grid_size + 1)]
+    mu = [float(table.value(i)) for i in range(degree + 1)]
+    sign = 1 if sense == "lower" else -1
+    res = scipy.optimize.linprog(
+        [sign * t for t in grid],
+        A_eq=[[t ** (2 * i) / m for t in grid] for i, m in enumerate(mu)],
+        b_eq=[1.0] * len(mu),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return sign * res.fun
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    @pytest.mark.parametrize("case", ["free", "fixed-centroid"])
+    def test_objective_matches_float_oracle(self, free_table, fixed_table, case, sense, degree):
+        table, end = (free_table, F(7, 8)) if case == "free" else (fixed_table, F(3, 10))
+        found = node_search(table, degree, 25, end, sense)
+        assert found["status"] == "optimal"
+        exact = float(found["objective"])
+        assert abs(highs_objective(table, degree, 25, end, sense) - exact) <= 1e-9 * exact
+
+
+class TestGoldenPrograms:
+    def test_grid50_programs_match_golden_file(self):
+        # generated by the primal simplex solver this dual solver replaced
+        with open(os.path.join(DATA, "node_search_golden.json"), encoding="utf-8") as fh:
+            programs = json.load(fh)["programs"]
+        assert [(p["case"], p["sense"], p["degree"]) for p in programs] == [
+            ("free", "lower", 6),
+            ("fixed-centroid", "upper", 14),
+        ]
+        for prog in programs:
+            table = moment_table(prog["case"], prog["degree"])
+            found = node_search(
+                table, prog["degree"], prog["grid"], parse_rational(prog["interval_end"]), prog["sense"]
+            )
+            assert found["status"] == "optimal"
+            assert format_rational(found["objective"]) == prog["objective"]
+            assert [format_rational(c) for c in found["coefficients"]] == prog["coefficients"]
+            assert [format_rational(t) for t in found["candidate_nodes"]] == prog["candidate_nodes"]
+            assert list(found["active_grid_indices"]) == prog["active_grid_indices"]
+
+
+class TestUnbounded:
+    # with no more grid points than coefficients the bound polynomial can
+    # move freely off the grid, so no weights on the grid fit the moments
+    @pytest.mark.parametrize("degree,grid", [(3, 2), (4, 4)])
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_coarse_grid_is_unbounded(self, free_table, degree, grid, sense):
+        found = node_search(free_table, degree, grid, F(7, 8), sense)
+        assert found == {"status": "unbounded", "objective": None, "candidate_nodes": []}
+
+    def test_nodes_command_reports_unbounded(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main(["nodes", "--case", "free", "--degree", "3", "--grid", "2", "--out", str(out)])
+        assert code == 0
+        result = json.loads(out.read_text(encoding="utf-8"))["result"]
+        assert result["status"] == "unbounded"
+        assert "objective" not in result
+
+
+class TestCertificateCheck:
+    GRID = [F(l, 30) * F(7, 8) for l in range(31)]
+
+    def optimal_pair(self, table, sense):
+        moments = [table.value(i) for i in range(3)]
+        _, weights = _solve_moment_program(self.GRID, moments, sense)
+        found = node_search(table, 2, 30, F(7, 8), sense)
+        return moments, list(found["coefficients"]), weights, found
+
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_optimal_pair_passes(self, free_table, sense):
+        moments, coeffs, weights, found = self.optimal_pair(free_table, sense)
+        active = _check_certificate(self.GRID, moments, sense, coeffs, weights)
+        assert tuple(l for l in active if l) == found["active_grid_indices"]
+        # a basic optimum carries one positive weight per moment row
+        assert sum(1 for y in weights if y) == len(moments)
+
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    @pytest.mark.parametrize("step", [F(1, 10**12), -F(1, 10**12)])
+    def test_nudged_coefficient_fails(self, free_table, sense, step):
+        # one direction breaks the grid inequality, the other the objective match
+        moments, coeffs, weights, _ = self.optimal_pair(free_table, sense)
+        coeffs[0] += step
+        with pytest.raises(VerificationError):
+            _check_certificate(self.GRID, moments, sense, coeffs, weights)
+
+    @pytest.mark.parametrize("step", [F(1, 10**12), -F(1, 10**12)])
+    def test_nudged_weight_fails(self, free_table, step):
+        moments, coeffs, weights, _ = self.optimal_pair(free_table, "lower")
+        support = next(l for l, y in enumerate(weights) if y)
+        weights[support] += step
+        with pytest.raises(VerificationError):
+            _check_certificate(self.GRID, moments, "lower", coeffs, weights)
+
+    def test_negative_weight_fails(self, free_table):
+        moments, coeffs, weights, _ = self.optimal_pair(free_table, "lower")
+        zero = next(l for l, y in enumerate(weights) if not y)
+        weights[zero] = -F(1, 10**12)
+        with pytest.raises(VerificationError):
+            _check_certificate(self.GRID, moments, "lower", coeffs, weights)
 
 
 class TestFineGridNodeRecovery:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -272,3 +273,21 @@ def test_moment_table_checkpoint_case_mismatch(tmp_path):
     moment_table(CASE_FREE, 1, checkpoint=path)
     with pytest.raises(UsageError):
         moment_table(CASE_FIXED, 1, checkpoint=path)
+
+
+def test_checkpoint_bytes_are_frozen(tmp_path):
+    # the frozen file was written by the hand-built serializer that
+    # MomentTable.to_json replaced; checkpoints must not change a byte
+    path = tmp_path / "free.json"
+    moment_table(CASE_FREE, 3, checkpoint=str(path))
+    frozen = os.path.join(os.path.dirname(__file__), "data", "free_checkpoint_k3.json")
+    with open(frozen, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+    assert not os.path.exists(str(path) + ".tmp")
+
+
+def test_checkpoint_without_case_is_usage_error(tmp_path):
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"entries": [{"k": 0, "value": "1"}]}), encoding="utf-8")
+    with pytest.raises(UsageError):
+        moment_table(CASE_FREE, 1, checkpoint=str(path))
