@@ -1,12 +1,18 @@
 """Exact rational polynomials and Sturm-chain sign certification.
 
-Everything in this module computes over `fractions.Fraction`; no floating
-point is involved anywhere. Two polynomial representations are provided:
+Everything in this module is exact; no floating point is involved anywhere.
+Two polynomial representations are provided, both with
+`fractions.Fraction` coefficients:
 
 * :class:`MVPoly` - sparse multivariate polynomials keyed by exponent
   vectors, used to expand Gram determinants symbolically.
 * :class:`UniPoly` - dense univariate polynomials, used for interpolation
   certificates and Sturm chains.
+
+Gcds, squarefree parts, Yun's decomposition and Sturm chains do not run
+over Fraction: they clear denominators once and run primitive polynomial
+remainder sequences on integer coefficient lists, whose results are the
+unique primitive forms of the rational Euclidean ones.
 
 The central decision procedure is :func:`sturm_nonneg_on_interval`, which
 certifies ``p(t) >= 0`` for every ``t`` in a closed rational interval, or
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UsageError
@@ -406,20 +412,10 @@ class UniPoly:
         return self.divmod(divisor)[1]
 
     # -- normalization and factor structure ----------------------------------
-
-    def _scaled_primitive(self, keep_sign: bool) -> "UniPoly":
-        if self.is_zero():
-            return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _int_gcd(g, abs(v))
-        if ints[-1] < 0 and not keep_sign:
-            g = -g
-        return UniPoly(Fraction(v, g) for v in ints)
+    #
+    # The methods below convert to primitive integer coefficient lists once,
+    # run the integer remainder sequences defined after this class, and
+    # convert back.
 
     def primitive(self) -> "UniPoly":
         """Integer-primitive scaling with a positive leading coefficient.
@@ -428,7 +424,7 @@ class UniPoly:
         rational is chosen to make the leading coefficient positive, which is
         the canonical form used for gcds and factor lists.
         """
-        return self._scaled_primitive(keep_sign=False)
+        return UniPoly(_int_coeffs(self, positive_lead=True))
 
     def primitive_same_sign(self) -> "UniPoly":
         """Integer-primitive scaling by a strictly positive rational.
@@ -436,24 +432,15 @@ class UniPoly:
         Unlike :meth:`primitive` this never flips signs, so it is safe inside
         sign-sensitive constructions such as Sturm chains.
         """
-        return self._scaled_primitive(keep_sign=True)
+        return UniPoly(_int_coeffs(self, positive_lead=False))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Primitive gcd by the Euclidean algorithm (positive leading coeff)."""
-        a, b = self.primitive(), other.primitive()
-        while not b.is_zero():
-            a, b = b, a.rem(b).primitive()
-        return a.primitive()
+        """Primitive gcd (positive leading coefficient) by a primitive PRS."""
+        return UniPoly(_gcd_ints(_int_coeffs(self), _int_coeffs(other)))
 
     def squarefree_part(self) -> "UniPoly":
         """self / gcd(self, self'), scaled primitive."""
-        if self.is_zero() or self.degree == 0:
-            return self.primitive()
-        g = self.gcd(self.derivative())
-        q, r = self.divmod(g)
-        if not r.is_zero():
-            raise ArithmeticError("gcd division left a remainder")
-        return q.primitive()
+        return UniPoly(_squarefree_ints(_int_coeffs(self, positive_lead=True)))
 
     def yun_decomposition(self) -> list[tuple[int, "UniPoly"]]:
         """Squarefree decomposition self = lc * prod f_i ** i (Yun's algorithm).
@@ -461,30 +448,7 @@ class UniPoly:
         Returns [(multiplicity, primitive factor)] with nonconstant factors
         only; factors are pairwise coprime and squarefree.
         """
-        if self.is_zero() or self.degree < 1:
-            return []
-        p = self.primitive()
-        dp = p.derivative()
-        g = p.gcd(dp)
-        if g.degree == 0:
-            return [(1, p)]
-        out: list[tuple[int, UniPoly]] = []
-        w = p.divmod(g)[0]
-        y = dp.divmod(g)[0]
-        i = 1
-        while w.degree > 0:
-            z = y - w.derivative()
-            if z.is_zero():
-                # everything left has multiplicity exactly i
-                out.append((i, w.primitive()))
-                break
-            f = w.gcd(z)
-            if f.degree > 0:
-                out.append((i, f.primitive()))
-            w = w.divmod(f)[0]
-            y = z.divmod(f)[0]
-            i += 1
-        return out
+        return [(i, UniPoly(f)) for i, f in _yun_ints(_int_coeffs(self, positive_lead=True))]
 
     def odd_multiplicity_part(self) -> "UniPoly":
         """Product of the squarefree factors with odd multiplicity.
@@ -492,11 +456,11 @@ class UniPoly:
         The real roots of the result are exactly the points where ``self``
         changes sign; even-multiplicity touch points are excluded.
         """
-        result = UniPoly.one()
-        for mult, factor in self.yun_decomposition():
+        result = [1]
+        for mult, factor in _yun_ints(_int_coeffs(self, positive_lead=True)):
             if mult % 2:
-                result = result * factor
-        return result.primitive()
+                result = _mul_ints(result, factor)
+        return UniPoly(result)
 
 
 def uni_eval(p: UniPoly, x) -> Fraction:
@@ -506,6 +470,157 @@ def uni_eval(p: UniPoly, x) -> Fraction:
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial remainder sequences
+# ---------------------------------------------------------------------------
+#
+# Polynomials here are lists of Python ints, lowest degree first, with no
+# trailing zeros ([] is zero). Gcds, Yun's decomposition and Sturm chains run
+# as primitive polynomial remainder sequences over the integers (Brown and
+# Traub, JACM 18, 1971): every pseudo-remainder is reduced to its primitive
+# part, so coefficients stay small without any rational normalization.
+# Primitive forms are unique, so each result equals, coefficient for
+# coefficient, the primitive form of the Euclidean result over the rationals.
+
+def _int_coeffs(p: UniPoly, positive_lead: bool = False) -> list[int]:
+    """Primitive integer coefficients of a nonzero rational multiple of p.
+
+    The multiple is positive unless ``positive_lead`` asks for a positive
+    leading coefficient.
+    """
+    den = _int_lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs], positive_lead)
+
+
+def _primitive(a: list[int], positive_lead: bool = False) -> list[int]:
+    """a divided by its content (negated too if ``positive_lead`` and lc < 0)."""
+    if not a:
+        return a
+    g = _int_gcd(*a)
+    if positive_lead and a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _derivative_ints(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a) if i]
+
+
+def _mul_ints(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _sub_ints(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a divided by b.
+
+    Each elimination step scales the running remainder by |lc(b)| instead
+    of dividing by lc(b), so the result is a positive multiple of the
+    rational remainder and sign-sensitive users (Sturm chains) may rely on
+    its signs.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lc = b[-1]
+    scale = abs(lc)
+    for i in range(len(r) - 1, db - 1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        if lc < 0:
+            top = -top
+        if scale != 1:
+            r = [scale * c for c in r]
+        k = i - db
+        for j in range(db):
+            r[k + j] -= top * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive divisor b that divides a.
+
+    With b primitive, Gauss's lemma makes the quotient integral whenever b
+    divides a over the rationals; any inexact step or nonzero remainder
+    therefore means b does not divide a and raises ArithmeticError.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lc = b[-1]
+    quot = [0] * max(0, len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        if not r[i]:
+            continue
+        q, m = divmod(r[i], lc)
+        if m:
+            raise ArithmeticError("gcd division left a remainder")
+        quot[i - db] = q
+        k = i - db
+        for j in range(db + 1):
+            r[k + j] -= q * b[j]
+    if any(r):
+        raise ArithmeticError("gcd division left a remainder")
+    return quot
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
+    a, b = _primitive(a, True), _primitive(b, True)
+    while b:
+        a, b = b, _primitive(_prem(a, b), True)
+    return a
+
+
+def _squarefree_ints(a: list[int]) -> list[int]:
+    """a / gcd(a, a') for a primitive a with positive leading coefficient."""
+    if len(a) < 2:
+        return a
+    return _exact_quo(a, _gcd_ints(a, _derivative_ints(a)))
+
+
+def _yun_ints(p: list[int]) -> list[tuple[int, list[int]]]:
+    """Yun's squarefree decomposition of a primitive p with positive lc.
+
+    Every division is exact by a primitive gcd, so w, y and z stay integral
+    and equal to the rational quantities of the textbook algorithm.
+    """
+    if len(p) < 2:
+        return []
+    dp = _derivative_ints(p)
+    g = _gcd_ints(p, dp)
+    if len(g) == 1:
+        return [(1, p)]
+    out: list[tuple[int, list[int]]] = []
+    w, y = _exact_quo(p, g), _exact_quo(dp, g)
+    i = 1
+    while len(w) > 1:
+        z = _sub_ints(y, _derivative_ints(w))
+        if not z:
+            # everything left has multiplicity exactly i
+            out.append((i, w))
+            break
+        f = _gcd_ints(w, z)
+        if len(f) > 1:
+            out.append((i, f))
+        w, y = _exact_quo(w, f), _exact_quo(z, f)
+        i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +665,24 @@ def _solve_fraction_free(rows, rhs) -> list[Fraction]:
 class SturmChain:
     """Sturm chain of the squarefree part of a polynomial.
 
-    Consecutive chain elements satisfy the negated Euclidean remainder
-    relation up to positive scaling (each remainder is rescaled to a
-    primitive integer polynomial, which leaves all sign counts unchanged
-    while keeping coefficients small).
+    The chain is a primitive remainder sequence over the integers: each
+    element after the derivative is the primitive part of the negated
+    pseudo-remainder of the two before it. Pseudo-remainders scale by
+    |lc| only, so every element is a strictly positive multiple of the
+    corresponding element of the rational Euclidean Sturm sequence and all
+    sign counts agree with it, while coefficients stay small integers.
     """
 
     def __init__(self, p: UniPoly):
-        base = p.squarefree_part()
-        chain = [base]
-        if base.degree >= 1:
-            chain.append(base.derivative().primitive_same_sign())
-            while chain[-1].degree >= 1:
-                r = chain[-2].rem(chain[-1])
-                if r.is_zero():
+        chain = [_squarefree_ints(_int_coeffs(p, positive_lead=True))]
+        if len(chain[0]) > 1:
+            chain.append(_primitive(_derivative_ints(chain[0])))
+            while len(chain[-1]) > 1:
+                r = _prem(chain[-2], chain[-1])
+                if not r:
                     break
-                chain.append((-r).primitive_same_sign())
-        self.chain = chain
+                chain.append(_primitive([-c for c in r]))
+        self.chain = [UniPoly(q) for q in chain]
 
     def count_sign_changes(self, x) -> int:
         x = _as_fraction(x)
@@ -578,8 +694,11 @@ class SturmChain:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def count_roots(self, lo, hi) -> int:
-        """Distinct real roots in (lo, hi]; endpoints must not be roots of
-        the squarefree part for the classical theorem to apply exactly."""
+        """Distinct real roots in (lo, hi].
+
+        Zero values are skipped when counting sign changes, so a root at
+        either end is counted as if the end sat just to its right.
+        """
         lo, hi = _as_fraction(lo), _as_fraction(hi)
         if hi < lo:
             raise ValueError("empty interval")
@@ -607,21 +726,51 @@ def _deflate_root(p: UniPoly, root: Fraction) -> UniPoly:
     return p
 
 
-def _negative_witness(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Find a rational point in [lo, hi] with p < 0, assuming one exists.
+def _negative_witness(p: UniPoly, crossings: SturmChain, lo: Fraction,
+                      hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Find a rational point in (lo, hi) with p < 0.
 
-    Scans progressively finer uniform rational grids; a sign change of p in
-    the open interval guarantees a negative value on a set of positive
-    measure, so the scan terminates.
+    ``crossings`` is the Sturm chain of the odd-multiplicity part of p with
+    any roots at lo and hi divided out, and it has at least one root in
+    (lo, hi). Bisection with Sturm counts isolates each such root in its
+    own interval (a, b]; the intervals are then halved until open gaps
+    separate them from each other and from lo and hi. p keeps one sign on
+    each gap, apart from at most deg p zeros, and that sign flips across
+    every crossing, so deg p + 1 points of some gap show a negative value.
     """
-    for m in (8, 64, 512, 4096, 65536, 2 ** 24):
-        step = (hi - lo) / m
-        for i in range(m + 1):
-            x = lo + i * step
+    isolated: list[list[Fraction]] = []
+    pending = [(lo, hi)]
+    while pending:
+        a, b = pending.pop()
+        n = crossings.count_roots(a, b)
+        if n == 1:
+            isolated.append([a, b])
+        elif n > 1:
+            mid = (a + b) / 2
+            pending += [(mid, b), (a, mid)]
+    while True:
+        ends = [lo] + [x for iv in isolated for x in iv] + [hi]
+        gaps = list(zip(ends[::2], ends[1::2]))
+        shut = [j for j, (a, b) in enumerate(gaps) if a == b]
+        if not shut:
+            break
+        for j in shut:
+            for iv in isolated[max(j - 1, 0):j + 1]:
+                mid = (iv[0] + iv[1]) / 2
+                if crossings.count_roots(iv[0], mid):
+                    iv[1] = mid
+                else:
+                    iv[0] = mid
+    samples = p.degree + 2
+    for a, b in gaps:
+        for i in range(1, samples):
+            x = a + (b - a) * Fraction(i, samples)
             v = uni_eval(p, x)
             if v < 0:
                 return x, v
-    raise ArithmeticError("failed to locate negative witness on refined grids")
+            if v > 0:
+                break
+    raise ArithmeticError("no gap between sign crossings holds a negative value")
 
 
 def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
@@ -655,7 +804,7 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     if crossings.degree >= 1:
         chain = SturmChain(crossings)
         if chain.count_roots(lo, hi) > 0:
-            x, v = _negative_witness(p, lo, hi)
+            x, v = _negative_witness(p, chain, lo, hi)
             return NonnegResult(False, "interior-sign-change", x, v)
 
     # No interior sign change: one interior non-root sample decides the sign.

@@ -131,6 +131,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "insufficient moment tables" in proc.stderr
 
+    @pytest.mark.parametrize("module", ["simplexmoments", "simplexmoments.cli"])
+    def test_module_entry_points_run_cleanly(self, module):
+        # the package root does not import the CLI, so running the CLI
+        # module as __main__ warns about nothing
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "verify-counterexample" in proc.stdout
+
 
 class TestChords:
     def test_midpoint_hypotenuse_example(self, tmp_path):

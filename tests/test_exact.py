@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from simplexmoments import certificates
 from simplexmoments.exact import (
     MVPoly,
     SturmChain,
     UniPoly,
+    _deflate_root,
     format_rational,
     mv_mul,
     mv_pow,
@@ -18,6 +23,8 @@ from simplexmoments.exact import (
     sturm_nonneg_on_interval,
     uni_eval,
 )
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +355,211 @@ def test_nonneg_agrees_with_dense_grid():
             assert lo <= res.witness <= hi
             assert uni_eval(p, res.witness) == res.witness_value
             assert res.witness_value < 0
+
+
+def test_nonneg_finds_witness_between_close_crossings():
+    # negative only on (1/3 - 10^-15, 1/3 + 10^-15): no uniform grid of
+    # practical size has a point there
+    t = UniPoly.x()
+    p = (t - F(1, 3)) ** 2 - F(1, 10**30)
+    res = sturm_nonneg_on_interval(p, 0, 1)
+    assert not res
+    assert res.reason == "interior-sign-change"
+    assert abs(res.witness - F(1, 3)) < F(1, 10**15)
+    assert uni_eval(p, res.witness) == res.witness_value < 0
+
+
+def test_nonneg_witness_with_many_crossings_and_touch_points():
+    t = UniPoly.x()
+    # four crossings, so both ends are positive: at bisection midpoints of
+    # [0, 1] and off them, with a touch point between two crossings
+    for roots, touch in (((F(1, 4), F(1, 2), F(3, 4), F(7, 8)), F(3, 8)),
+                         ((F(1, 5), F(2, 5), F(3, 5), F(4, 5)), F(1, 2))):
+        p = (t - touch) ** 2
+        for r in roots:
+            p = p * (t - r)
+        res = sturm_nonneg_on_interval(p, 0, 1)
+        assert res.reason == "interior-sign-change"
+        assert 0 < res.witness < 1
+        assert uni_eval(p, res.witness) == res.witness_value < 0
+
+
+# ---------------------------------------------------------------------------
+# integer remainder sequences against a rational Euclidean reference
+# ---------------------------------------------------------------------------
+
+def _trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def ref_divmod(a, b):
+    """Schoolbook long division over Fraction coefficient lists."""
+    r = list(a)
+    db = len(b) - 1
+    q = [F(0)] * max(0, len(a) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        f = r[i] / b[-1]
+        q[i - db] = f
+        for j, c in enumerate(b):
+            r[i - db + j] -= f * c
+    return _trim(q), _trim(r)
+
+
+def ref_monic(a):
+    return [c / a[-1] for c in a]
+
+
+def ref_derivative(a):
+    return [i * c for i, c in enumerate(a) if i]
+
+
+def ref_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a) if a else a
+
+
+def ref_yun(p):
+    """Textbook Yun decomposition with monic factors."""
+    p = ref_monic(_trim(p))
+    if len(p) < 2:
+        return []
+    dp = ref_derivative(p)
+    g = ref_gcd(p, dp)
+    w, y = ref_divmod(p, g)[0], ref_divmod(dp, g)[0]
+    out, i = [], 1
+    while len(w) > 1:
+        dw = ref_derivative(w)
+        z = _trim([(y[k] if k < len(y) else 0) - (dw[k] if k < len(dw) else 0)
+                   for k in range(max(len(y), len(dw)))])
+        if not z:
+            out.append((i, ref_monic(w)))
+            break
+        f = ref_gcd(w, z)
+        if len(f) > 1:
+            out.append((i, f))
+        w, y = ref_divmod(w, f)[0], ref_divmod(z, f)[0]
+        i += 1
+    return out
+
+
+def ref_sturm(p):
+    """Rational Sturm sequence of the monic squarefree part."""
+    p = _trim(p)
+    sq = ref_monic(ref_divmod(p, ref_gcd(p, ref_derivative(p)))[0])
+    chain = [sq]
+    if len(sq) > 1:
+        chain.append(ref_derivative(sq))
+        while len(chain[-1]) > 1:
+            r = ref_divmod(chain[-2], chain[-1])[1]
+            if not r:
+                break
+            chain.append([-c for c in r])
+    return chain
+
+
+def is_positive_multiple(p: UniPoly, ref) -> bool:
+    if len(p.coeffs) != len(ref):
+        return False
+    ratio = p.coeffs[-1] / ref[-1]
+    return ratio > 0 and all(c == ratio * r for c, r in zip(p.coeffs, ref))
+
+
+def is_integer_primitive(p: UniPoly) -> bool:
+    return (all(c.denominator == 1 for c in p.coeffs)
+            and math.gcd(*(c.numerator for c in p.coeffs)) == 1)
+
+
+def random_factored(rng: random.Random) -> UniPoly:
+    """Rational multiple of a product of powers of small factors."""
+    t = UniPoly.x()
+    p = UniPoly((F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)),))
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.7:
+            factor = t - F(rng.randint(-9, 9), rng.randint(1, 6))
+        else:
+            factor = t * t + F(rng.randint(1, 9), rng.randint(1, 4))
+        p = p * factor ** rng.randint(1, 4)
+    if rng.random() < 0.3:
+        p = p + random_unipoly(rng, max_degree=3, coeff_range=3)
+    return p
+
+
+def test_gcd_matches_rational_euclid():
+    rng = random.Random(47)
+    for _ in range(40):
+        f = random_factored(rng)
+        a, b = f * random_factored(rng), f * random_factored(rng)
+        g = a.gcd(b)
+        assert is_integer_primitive(g)
+        assert is_positive_multiple(g, ref_gcd(a.coeffs, b.coeffs))
+    t = UniPoly.x()
+    assert UniPoly.zero().gcd(UniPoly.zero()).is_zero()
+    assert UniPoly.zero().gcd(-2 * t + 1) == UniPoly((-1, 2))
+
+
+def test_yun_and_odd_part_match_rational_reference():
+    rng = random.Random(53)
+    for _ in range(40):
+        p = random_factored(rng)
+        got = p.yun_decomposition()
+        ref = ref_yun(p.coeffs)
+        assert [m for m, _ in got] == [m for m, _ in ref]
+        for (_, factor), (_, ref_factor) in zip(got, ref):
+            assert is_integer_primitive(factor)
+            assert is_positive_multiple(factor, ref_factor)
+        odd = [F(1)]
+        for m, f in ref:
+            if m % 2:
+                odd = (UniPoly(odd) * UniPoly(f)).coeffs
+        assert is_positive_multiple(p.odd_multiplicity_part(), list(odd))
+        assert is_positive_multiple(p.squarefree_part(), ref_sturm(p.coeffs)[0])
+    assert UniPoly((F(-3, 2),)).yun_decomposition() == []
+
+
+def test_sturm_chain_matches_rational_reference():
+    rng = random.Random(59)
+    for _ in range(40):
+        p = random_factored(rng)
+        chain = SturmChain(p).chain
+        ref = ref_sturm(p.coeffs)
+        assert len(chain) == len(ref)
+        for q, r in zip(chain, ref):
+            assert is_integer_primitive(q)
+            assert is_positive_multiple(q, r)
+
+
+def test_canonical_error_polynomials_match_golden_file():
+    # generated by the Fraction Euclidean implementation that the integer
+    # remainder sequences replaced
+    with open(os.path.join(DATA, "sturm_golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)["polynomials"]
+    canonical = {
+        "lower": (certificates.LOWER_SINGLE_NODES, certificates.LOWER_DOUBLE_NODES,
+                  certificates.FREE_BPRIME),
+        "upper": (certificates.UPPER_SINGLE_NODES, certificates.UPPER_DOUBLE_NODES,
+                  certificates.FIXED_BPRIME),
+    }
+    assert [entry["side"] for entry in golden] == ["lower", "upper"]
+
+    def text(p):
+        return [format_rational(c) for c in p.coeffs]
+
+    for entry in golden:
+        singles, doubles, bprime = canonical[entry["side"]]
+        assert entry["interval"] == ["0", format_rational(bprime)]
+        g = certificates.error_polynomial(
+            certificates.hermite_interpolate(singles, doubles), entry["side"])
+        assert text(g) == entry["error_polynomial"]
+        assert [{"multiplicity": m, "factor": text(f)} for m, f in g.yun_decomposition()] \
+            == entry["yun"]
+        assert text(g.squarefree_part()) == entry["squarefree_part"]
+        odd = g.odd_multiplicity_part()
+        assert text(odd) == entry["odd_part"]
+        crossings = _deflate_root(_deflate_root(odd, 0), bprime)
+        assert [text(q) for q in SturmChain(crossings).chain] == entry["chain"]
