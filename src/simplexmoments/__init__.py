@@ -11,184 +11,31 @@ T3 = conv{0, e1, e2, e3} can strictly decrease the expected volume, so
 these expectations are not monotone under the natural ordering.
 
 The command line tool lives in :mod:`simplexmoments.cli` and is not
-imported here; ``python -m simplexmoments`` runs it.
+imported here; ``python -m simplexmoments`` runs it.  Every public name is
+listed once, in its module's ``__all__``, and the root re-exports them all.
 """
 
 __version__ = "0.1.0"
 
-from .errors import CapacityError, DomainError, UsageError, VerificationError
-from .exact import (
-    MVPoly,
-    NonnegResult,
-    SturmChain,
-    UniPoly,
-    format_rational,
-    mv_mul,
-    mv_pow,
-    parse_rational,
-    sturm_nonneg_on_interval,
-    uni_eval,
-)
-from .geometry import (
-    Body,
-    ball,
-    body_from_json,
-    body_measures,
-    body_to_json,
-    boundary_residual,
-    contains,
-    cube,
-    gram_volume,
-    halfball,
-    is_polytopal,
-    monomial_integral_T3,
-    polygon_edges,
-    product,
-    standard_simplex,
-    tetrahedron_T3,
-    triangle_T2,
-)
-from .chords import (
-    EdgePointSpec,
-    TriangleSpec,
-    chord_moment,
-    csc_power_antiderivative,
-    edgepoint_moment,
-    ratio_r,
-    unit_right_isosceles,
-    vertex_moment,
-)
-from .tetra import (
-    FIXED_KMAX_LIMIT,
-    FREE_KMAX_LIMIT,
-    MomentTable,
-    build_gram_poly,
-    even_moment,
-    even_moment_by_expansion,
-    moment_table,
-)
-from .lp import node_search, rationalize
-from .certificates import (
-    FIXED_B,
-    FIXED_BPRIME,
-    FREE_B,
-    FREE_BPRIME,
-    LOWER_DOUBLE_NODES,
-    LOWER_SINGLE_NODES,
-    PIVOT,
-    UPPER_DOUBLE_NODES,
-    UPPER_SINGLE_NODES,
-    Certificate,
-    bound_from_moments,
-    build_certificate,
-    certificate_from_json,
-    certificate_to_json,
-    error_polynomial,
-    hermite_interpolate,
-    lower_area_certificate,
-    upper_area_certificate,
-    upper_sqrt_rational,
-    verify_bound_polynomial,
-    verify_counterexample,
-)
-from .mc import (
-    CHUNK_SIZE,
-    RNG_ALGORITHM,
-    EstimateWithError,
-    RngStream,
-    estimate_moment,
-    estimate_surface_moment,
-    sample_boundary_uniform,
-    sample_uniform,
-)
-from .lifting import (
-    boundary_convergence_sweep,
-    find_epsilon0,
-    interior_convergence_sweep,
-    lift_body,
-)
+from .errors import *
+from .exact import *
+from .geometry import *
+from .chords import *
+from .tetra import *
+from .lp import *
+from .certificates import *
+from .mc import *
+from .lifting import *
 
-__all__ = [
-    "CapacityError",
-    "DomainError",
-    "UsageError",
-    "VerificationError",
-    "MVPoly",
-    "NonnegResult",
-    "SturmChain",
-    "UniPoly",
-    "format_rational",
-    "mv_mul",
-    "mv_pow",
-    "parse_rational",
-    "sturm_nonneg_on_interval",
-    "uni_eval",
-    "Body",
-    "ball",
-    "body_from_json",
-    "body_measures",
-    "body_to_json",
-    "boundary_residual",
-    "contains",
-    "cube",
-    "gram_volume",
-    "halfball",
-    "is_polytopal",
-    "monomial_integral_T3",
-    "polygon_edges",
-    "product",
-    "standard_simplex",
-    "tetrahedron_T3",
-    "triangle_T2",
-    "EdgePointSpec",
-    "TriangleSpec",
-    "chord_moment",
-    "csc_power_antiderivative",
-    "edgepoint_moment",
-    "ratio_r",
-    "unit_right_isosceles",
-    "vertex_moment",
-    "FIXED_KMAX_LIMIT",
-    "FREE_KMAX_LIMIT",
-    "MomentTable",
-    "build_gram_poly",
-    "even_moment",
-    "even_moment_by_expansion",
-    "moment_table",
-    "node_search",
-    "rationalize",
-    "FIXED_B",
-    "FIXED_BPRIME",
-    "FREE_B",
-    "FREE_BPRIME",
-    "LOWER_DOUBLE_NODES",
-    "LOWER_SINGLE_NODES",
-    "PIVOT",
-    "UPPER_DOUBLE_NODES",
-    "UPPER_SINGLE_NODES",
-    "Certificate",
-    "bound_from_moments",
-    "build_certificate",
-    "certificate_from_json",
-    "certificate_to_json",
-    "error_polynomial",
-    "hermite_interpolate",
-    "lower_area_certificate",
-    "upper_area_certificate",
-    "upper_sqrt_rational",
-    "verify_bound_polynomial",
-    "verify_counterexample",
-    "CHUNK_SIZE",
-    "RNG_ALGORITHM",
-    "EstimateWithError",
-    "RngStream",
-    "estimate_moment",
-    "estimate_surface_moment",
-    "sample_boundary_uniform",
-    "sample_uniform",
-    "boundary_convergence_sweep",
-    "find_epsilon0",
-    "interior_convergence_sweep",
-    "lift_body",
-    "__version__",
-]
+__all__ = (
+    errors.__all__
+    + exact.__all__
+    + geometry.__all__
+    + chords.__all__
+    + tetra.__all__
+    + lp.__all__
+    + certificates.__all__
+    + mc.__all__
+    + lifting.__all__
+    + ["__version__"]
+)

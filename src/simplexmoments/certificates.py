@@ -58,6 +58,8 @@ __all__ = [
     "verify_counterexample",
     "certificate_to_json",
     "certificate_from_json",
+    "error_polynomial",
+    "upper_sqrt_rational",
 ]
 
 # the value separating the two certified bounds

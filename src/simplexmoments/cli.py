@@ -12,7 +12,9 @@ Carlo subcommands reproduce identical numbers for the same seed at any
 thread count.
 
 Number policy inside ``result``: quantities known exactly are "p/q"
-strings, never floats.  A float appears only inside an object that also
+strings, never floats.  Handlers return exact values (``Fraction``,
+``Certificate``) and one conversion, ``_jsonable``, renders them when the
+report is assembled.  A float appears only inside an object that also
 explains its inexactness, either a sibling "std_error" entry (statistical
 estimate) or a "method": "float64" marker (closed-form evaluation in
 double precision).  Wall time lives in the manifest, which is measurement
@@ -34,7 +36,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,6 +52,7 @@ from .certificates import (
     PIVOT,
     UPPER_DOUBLE_NODES,
     UPPER_SINGLE_NODES,
+    Certificate,
     build_certificate,
     certificate_to_json,
     verify_counterexample,
@@ -71,7 +73,7 @@ from .lp import node_search, rationalize
 from .mc import RNG_ALGORITHM, estimate_moment
 from .tetra import MomentTable, _normalize_case, moment_table
 
-__all__ = ["RunManifest", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 SCHEMA = "simplexmoments-report/1"
 TABLES_ENV = "SIMPLEXMOMENTS_TABLES"
@@ -80,20 +82,20 @@ _TABLE_FILES = {"free": "free_moments.json", "fixed-centroid": "fixed_moments.js
 
 # reproduction targets: even moments E V^(2k), k = 1..5, both vertex modes
 _EXPECTED_EVEN_MOMENTS = {
-    "free": (
-        "9/1600",
-        "27/196000",
-        "3161/379330560",
-        "93957/106247680000",
-        "209022679/1551386124288000",
-    ),
-    "fixed-centroid": (
-        "7/2400",
-        "11/529200",
-        "2839/10973491200",
-        "29419/6224027040000",
-        "4134139/36352301290905600",
-    ),
+    "free": [
+        Fraction(9, 1600),
+        Fraction(27, 196000),
+        Fraction(3161, 379330560),
+        Fraction(93957, 106247680000),
+        Fraction(209022679, 1551386124288000),
+    ],
+    "fixed-centroid": [
+        Fraction(7, 2400),
+        Fraction(11, 529200),
+        Fraction(2839, 10973491200),
+        Fraction(29419, 6224027040000),
+        Fraction(4134139, 36352301290905600),
+    ],
 }
 
 # reproduction targets: LP objectives on 200-point grids must fall strictly
@@ -104,66 +106,50 @@ _UPPER_LP_FLOOR = Fraction(4699, 100000)
 
 
 # ---------------------------------------------------------------------------
-# run manifest
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to rerun a report and audit what it touched."""
-
-    argv: Tuple[str, ...]
-    seeds: Tuple[int, ...]
-    versions: Tuple[Tuple[str, str], ...]
-    input_digests: Tuple[Tuple[str, str], ...]
-    output_digests: Tuple[Tuple[str, str], ...]
-    threads: int
-    wall_time_seconds: float
-
-    def to_json(self) -> dict:
-        return {
-            "argv": list(self.argv),
-            "seeds": list(self.seeds),
-            "versions": dict(self.versions),
-            "input_digests": dict(self.input_digests),
-            "output_digests": dict(self.output_digests),
-            "threads": self.threads,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
+# report assembly
 
 
 class _RunContext:
     """Mutable scratch space the handlers fill while a command runs."""
 
     def __init__(self, argv: Sequence[str], threads: int):
-        self.argv = tuple(argv)
+        self.argv = list(argv)
         self.threads = threads
         self.seeds: List[int] = []
         self.input_files: List[str] = []
         self.output_files: List[str] = []
         self.exit_code = 0
 
-    def manifest(self, wall_time: float) -> RunManifest:
-        return RunManifest(
-            argv=self.argv,
-            seeds=tuple(self.seeds),
-            versions=(
-                ("simplexmoments", __version__),
-                ("python", platform.python_version()),
-                ("numpy", np.__version__),
-            ),
-            input_digests=tuple(
-                (path, _digest_file(path)) for path in _dedupe(self.input_files)
-            ),
-            output_digests=tuple(
-                (path, _digest_file(path)) for path in _dedupe(self.output_files)
-            ),
-            threads=self.threads,
-            wall_time_seconds=wall_time,
-        )
+    def manifest(self, wall_time: float) -> dict:
+        """Everything needed to rerun a report and audit what it touched;
+        each file is listed once, in the order it was first touched."""
+        return {
+            "argv": self.argv,
+            "seeds": self.seeds,
+            "versions": {
+                "simplexmoments": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+            "input_digests": {p: _digest_file(p) for p in dict.fromkeys(self.input_files)},
+            "output_digests": {p: _digest_file(p) for p in dict.fromkeys(self.output_files)},
+            "threads": self.threads,
+            "wall_time_seconds": wall_time,
+        }
 
 
-def _dedupe(paths: Sequence[str]) -> List[str]:
-    return list(dict.fromkeys(paths))
+def _jsonable(value):
+    """The report form of a handler result: exact rationals become "p/q"
+    strings and certificates their frozen JSON form, recursively."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, Certificate):
+        return certificate_to_json(value)
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    return value
 
 
 def _digest_file(path: str) -> str:
@@ -280,11 +266,13 @@ def _table_path(tables_dir: str, case_key: str) -> str:
     return os.path.join(tables_dir, _TABLE_FILES[case_key])
 
 
-def _read_table_file(path: str, ctx: _RunContext) -> MomentTable:
+def _read_table_file(path: str, ctx: _RunContext, case: str) -> MomentTable:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     ctx.input_files.append(path)
     table = MomentTable.from_json(data)
+    if table.case != case:
+        raise UsageError("table %s holds case %r, expected %r" % (path, table.case, case))
     table.check()
     return table
 
@@ -304,11 +292,7 @@ def _obtain_table(
     """
     key = _normalize_case(case)
     if table_file:
-        table = _read_table_file(table_file, ctx)
-        if table.case != key:
-            raise UsageError(
-                "table %s holds case %r, expected %r" % (table_file, table.case, key)
-            )
+        table = _read_table_file(table_file, ctx, key)
         if table.k_max < k_max:
             raise CapacityError(
                 "table %s stops at k=%d but k=%d is needed"
@@ -320,7 +304,7 @@ def _obtain_table(
         os.makedirs(tables_dir, exist_ok=True)
         checkpoint = _table_path(tables_dir, key)
         if os.path.exists(checkpoint):
-            table = _read_table_file(checkpoint, ctx)
+            table = _read_table_file(checkpoint, ctx, key)
             if table.k_max >= k_max:
                 return table
     table = moment_table(key, k_max, checkpoint=checkpoint)
@@ -371,7 +355,7 @@ def _cmd_tetra_moments(args, ctx: _RunContext) -> dict:
         "case": table.case,
         "k_max": args.kmax,
         "moments": [
-            {"k": k, "power": 2 * k, "value": format_rational(table.value(k))}
+            {"k": k, "power": 2 * k, "value": table.value(k)}
             for k in range(1, args.kmax + 1)
         ],
     }
@@ -393,23 +377,21 @@ def _cmd_nodes(args, ctx: _RunContext) -> dict:
         "case": key,
         "degree": args.degree,
         "grid": args.grid,
-        "interval_end": format_rational(interval_end),
+        "interval_end": interval_end,
         "sense": sense,
         "status": found["status"],
     }
     if found["status"] == "optimal":
         result.update(
             {
-                "objective": format_rational(found["objective"]),
-                "coefficients": [format_rational(c) for c in found["coefficients"]],
-                "candidate_nodes": [
-                    format_rational(t) for t in found["candidate_nodes"]
-                ],
+                "objective": found["objective"],
+                "coefficients": found["coefficients"],
+                "candidate_nodes": found["candidate_nodes"],
                 "suggested_nodes": [
-                    format_rational(rationalize(float(t), args.rationalize_den))
+                    rationalize(float(t), args.rationalize_den)
                     for t in found["candidate_nodes"]
                 ],
-                "active_grid_indices": list(found["active_grid_indices"]),
+                "active_grid_indices": found["active_grid_indices"],
             }
         )
     return result
@@ -440,7 +422,7 @@ def _cmd_certify(args, ctx: _RunContext) -> dict:
     result = certificate_to_json(cert)
     result["case"] = case
     result["degree"] = degree
-    result["pivot"] = format_rational(PIVOT)
+    result["pivot"] = PIVOT
     if args.side == "lower":
         result["bound_above_pivot"] = cert.bound > PIVOT
     else:
@@ -461,7 +443,7 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
         path = _table_path(args.tables, key)
         table = None
         if os.path.exists(path):
-            table = _read_table_file(path, ctx)
+            table = _read_table_file(path, ctx, key)
         if table is None or table.k_max < k_max:
             have = "absent" if table is None else "k_max=%d" % table.k_max
             missing.append("%s needs k_max>=%d (%s)" % (path, k_max, have))
@@ -478,25 +460,9 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
             "build them with tetra-moments" % "; ".join(missing)
         )
     report = verify_counterexample(tables["free"], tables["fixed-centroid"])
-    result = {
-        "second_moment": {
-            "free": format_rational(report["second_moment"]["free"]),
-            "fixed": format_rational(report["second_moment"]["fixed"]),
-            "fixed_below_free": report["second_moment"]["fixed_below_free"],
-            "gap": format_rational(report["second_moment"]["gap"]),
-        },
-        "pivot": format_rational(report["pivot"]),
-        "lower_certificate": certificate_to_json(report["lower_certificate"]),
-        "upper_certificate": certificate_to_json(report["upper_certificate"]),
-        "lower_bound_above_pivot": report["lower_bound_above_pivot"],
-        "upper_bound_below_pivot": report["upper_bound_below_pivot"],
-        "mean_separation": format_rational(report["mean_separation"]),
-        "mean_separation_positive": report["mean_separation_positive"],
-        "confirmed": report["confirmed"],
-    }
     if not report["confirmed"]:
         raise VerificationError("counterexample checks did not all pass")
-    return result
+    return report
 
 
 def _cmd_mc(args, ctx: _RunContext) -> dict:
@@ -529,7 +495,7 @@ def _cmd_mc(args, ctx: _RunContext) -> dict:
 def _sweep_row_json(row: dict) -> dict:
     est = row["estimate"]
     out = {
-        "epsilon": format_rational(Fraction(row["epsilon"])),
+        "epsilon": row["epsilon"],
         "mean": est.mean,
         "std_error": est.std_error,
         "samples": est.samples,
@@ -576,7 +542,7 @@ def _check_close(label: str, value: float, target, tolerance: float) -> dict:
     entry = {
         "label": label,
         "value": value,
-        "target": format_rational(target) if isinstance(target, Fraction) else target,
+        "target": target,
         "tolerance": tolerance,
         "method": "float64",
     }
@@ -632,16 +598,16 @@ def _reproduce_tables(args, ctx: _RunContext) -> Tuple[dict, dict, dict]:
     free = _obtain_table("free", 5, args.tables, ctx)
     fixed = _obtain_table("fixed-centroid", 5, args.tables, ctx)
     observed = {
-        key: tuple(format_rational(table.value(k)) for k in range(1, 6))
+        key: [table.value(k) for k in range(1, 6)]
         for key, table in (("free", free), ("fixed-centroid", fixed))
     }
     check = {
         "name": "even-moment-tables",
-        "passed": observed == {k: tuple(v) for k, v in _EXPECTED_EVEN_MOMENTS.items()},
-        "free": list(observed["free"]),
-        "fixed": list(observed["fixed-centroid"]),
-        "expected_free": list(_EXPECTED_EVEN_MOMENTS["free"]),
-        "expected_fixed": list(_EXPECTED_EVEN_MOMENTS["fixed-centroid"]),
+        "passed": observed == _EXPECTED_EVEN_MOMENTS,
+        "free": observed["free"],
+        "fixed": observed["fixed-centroid"],
+        "expected_free": _EXPECTED_EVEN_MOMENTS["free"],
+        "expected_fixed": _EXPECTED_EVEN_MOMENTS["fixed-centroid"],
     }
     return check, free, fixed
 
@@ -653,10 +619,10 @@ def _reproduce_second_moment(free: MomentTable, fixed: MomentTable) -> dict:
     return {
         "name": "second-moment-comparison",
         "passed": mu_fixed < mu_free and gap == Fraction(13, 4800),
-        "free": format_rational(mu_free),
-        "fixed": format_rational(mu_fixed),
-        "gap": format_rational(gap),
-        "headline": "%s < %s" % (format_rational(mu_fixed), format_rational(mu_free)),
+        "free": mu_free,
+        "fixed": mu_fixed,
+        "gap": gap,
+        "headline": "%s < %s" % (mu_fixed, mu_free),
     }
 
 
@@ -711,11 +677,11 @@ def _reproduce_node_searches(args, free: MomentTable, fixed: MomentTable) -> dic
         "name": "lp-node-searches",
         "passed": lower_ok and upper_ok,
         "grid": args.grid,
-        "degree_6_lower_objective": format_rational(lower["objective"]),
-        "degree_6_ceiling": format_rational(_LOWER_LP_CEILING),
+        "degree_6_lower_objective": lower["objective"],
+        "degree_6_ceiling": _LOWER_LP_CEILING,
         "degree_6_below_ceiling": lower_ok,
-        "degree_14_upper_objective": format_rational(upper["objective"]),
-        "degree_14_floor": format_rational(_UPPER_LP_FLOOR),
+        "degree_14_upper_objective": upper["objective"],
+        "degree_14_floor": _UPPER_LP_FLOOR,
         "degree_14_above_floor": upper_ok,
     }
 
@@ -725,10 +691,10 @@ def _reproduce_counterexample(free: MomentTable, fixed: MomentTable) -> dict:
     return {
         "name": "counterexample-verdict",
         "passed": report["confirmed"],
-        "lower_bound": format_rational(report["lower_certificate"].bound),
-        "pivot": format_rational(report["pivot"]),
-        "upper_bound": format_rational(report["upper_certificate"].bound),
-        "mean_separation": format_rational(report["mean_separation"]),
+        "lower_bound": report["lower_certificate"].bound,
+        "pivot": report["pivot"],
+        "upper_bound": report["upper_certificate"].bound,
+        "mean_separation": report["mean_separation"],
         "headline": "lower > %g > upper" % float(report["pivot"]),
     }
 
@@ -956,8 +922,8 @@ def main(argv=None) -> int:
     report = {
         "schema": SCHEMA,
         "command": args.command,
-        "result": result,
-        "manifest": ctx.manifest(time.perf_counter() - start).to_json(),
+        "result": _jsonable(result),
+        "manifest": ctx.manifest(time.perf_counter() - start),
     }
     _emit(report, args)
     return ctx.exit_code

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: usage/domain problems exit 2, capacity
 refusals exit 3, verification failures exit 4.
 """
 
+__all__ = ["CapacityError", "DomainError", "UsageError", "VerificationError"]
+
 
 class UsageError(ValueError):
     """Malformed request: bad arguments, malformed files, unknown names."""

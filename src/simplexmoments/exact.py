@@ -426,14 +426,6 @@ class UniPoly:
         """
         return UniPoly(_int_coeffs(self, positive_lead=True))
 
-    def primitive_same_sign(self) -> "UniPoly":
-        """Integer-primitive scaling by a strictly positive rational.
-
-        Unlike :meth:`primitive` this never flips signs, so it is safe inside
-        sign-sensitive constructions such as Sturm chains.
-        """
-        return UniPoly(_int_coeffs(self, positive_lead=False))
-
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Primitive gcd (positive leading coefficient) by a primitive PRS."""
         return UniPoly(_gcd_ints(_int_coeffs(self), _int_coeffs(other)))

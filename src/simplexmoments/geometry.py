@@ -23,7 +23,24 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import UsageError
-from .exact import format_rational, parse_rational
+
+__all__ = [
+    "Body",
+    "ball",
+    "body_measures",
+    "boundary_residual",
+    "contains",
+    "cube",
+    "gram_volume",
+    "halfball",
+    "is_polytopal",
+    "monomial_integral_T3",
+    "polygon_edges",
+    "product",
+    "standard_simplex",
+    "tetrahedron_T3",
+    "triangle_T2",
+]
 
 CURVED_MEMBERSHIP_TOL = 1e-12
 
@@ -332,61 +349,3 @@ def body_measures(body: Body) -> dict:
         raise UsageError("unsupported body kind %r" % (k,))
     return {"volume": vol, "surface": surf}
 
-
-# ---------------------------------------------------------------------------
-# JSON descriptors
-
-
-def _num_to_json(value):
-    if isinstance(value, bool):
-        raise UsageError("boolean is not a coordinate")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return float(value)
-
-
-def _num_from_json(value):
-    if isinstance(value, str):
-        return parse_rational(value)
-    if isinstance(value, bool):
-        raise UsageError("boolean is not a coordinate")
-    if isinstance(value, int):
-        return value
-    return float(value)
-
-
-def body_to_json(body: Body) -> dict:
-    """Plain-data view of a body descriptor (exact rationals as "p/q")."""
-    out = {"kind": body.kind, "dim": body.dim}
-    if body.kind == "product":
-        out["base"] = body_to_json(body.base)
-        out["height"] = _num_to_json(body.height)
-    if body.fixed_point is not None:
-        out["fixed_point"] = [_num_to_json(v) for v in body.fixed_point]
-    return out
-
-
-def body_from_json(data: dict) -> Body:
-    """Inverse of body_to_json."""
-    kind = data.get("kind")
-    fp = None
-    if "fixed_point" in data:
-        fp = tuple(_num_from_json(v) for v in data["fixed_point"])
-    if kind == "product":
-        base = body_from_json(data["base"])
-        return product(base, _num_from_json(data["height"]), fixed_point=fp)
-    simple = {
-        "simplex": standard_simplex,
-        "cube": cube,
-        "ball": ball,
-        "halfball": halfball,
-    }
-    if kind in simple:
-        return simple[kind](int(data["dim"]), fixed_point=fp)
-    if kind == "T2":
-        return triangle_T2(fixed_point=fp)
-    if kind == "T3":
-        return tetrahedron_T3(fixed_point=fp)
-    raise UsageError("unknown body kind %r" % (kind,))

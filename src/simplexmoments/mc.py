@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "sample_uniform",
     "sample_boundary_uniform",
     "estimate_moment",
-    "estimate_surface_moment",
 ]
 
 CHUNK_SIZE = 1 << 16
@@ -279,9 +278,9 @@ def _run_chunks(worker, samples: int, seed: int, threads: int):
     return estimate, sum(p[1] for p in partials)
 
 
-def _check_common(body: Body, n: int, samples: int, low_n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < low_n:
-        raise UsageError("need at least %d vertices" % low_n)
+def _check_common(body: Body, n: int, samples: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise UsageError("need at least 2 vertices")
     if n > body.dim + 1:
         raise UsageError(
             "a %d-vertex simplex needs ambient dimension >= %d, body has %d"
@@ -307,7 +306,7 @@ def estimate_moment(
     vertices (it must lie in the closed body).  Deterministic for a given
     (seed, samples, configuration), independent of ``threads``.
     """
-    _check_common(body, n, samples, 2)
+    _check_common(body, n, samples)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise UsageError("moment order k must be a positive integer")
     anchor = None
@@ -331,31 +330,3 @@ def estimate_moment(
 
     return _run_chunks(worker, samples, seed, threads)[0]
 
-
-def estimate_surface_moment(
-    body: Body,
-    n: int,
-    *,
-    samples: int,
-    seed: int,
-    threads: int = 1,
-) -> EstimateWithError:
-    """Estimate the mean total facet volume of the random (n-1)-simplex.
-
-    The boundary of an (n-1)-simplex is the union of its n facets, each an
-    (n-2)-simplex; for n = 3 the statistic is the triangle perimeter.
-    Requires n >= 3 so the facets have positive dimension.
-    """
-    _check_common(body, n, samples, 3)
-
-    def worker(chunk_index: int, size: int):
-        gen = RngStream(seed, chunk_index).generator()
-        flat = _sample_interior(body, gen, size * n)
-        pts = flat.reshape(size, n, body.dim)
-        totals = np.zeros(size)
-        for skip in range(n):
-            keep = [j for j in range(n) if j != skip]
-            totals += _simplex_volumes(pts[:, keep, :])
-        return totals, 0
-
-    return _run_chunks(worker, samples, seed, threads)[0]

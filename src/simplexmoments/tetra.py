@@ -50,8 +50,6 @@ from .errors import CapacityError, UsageError, VerificationError
 from .exact import MVPoly, format_rational, parse_rational
 
 __all__ = [
-    "CASE_FREE",
-    "CASE_FIXED",
     "FREE_KMAX_LIMIT",
     "FIXED_KMAX_LIMIT",
     "MomentTable",

@@ -1,8 +1,12 @@
 """End-to-end tests for the command line interface and its reports."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,6 +17,7 @@ from simplexmoments.cli import main
 from simplexmoments.chords import EdgePointSpec, TriangleSpec, edgepoint_moment
 
 SLOW = os.environ.get("SIMPLEXMOMENTS_SLOW") != "1"
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 
 
 def run_cli(args, out_path=None):
@@ -518,6 +523,40 @@ class TestCaseNames:
         assert main(["nodes", "--case", "sideways", "--degree", "1", "--grid", "8"]) == 2
 
 
+class TestWrongCaseTable:
+    """Every table read checks the case: a pinned table stored under the free
+    file name is refused, never priced as if it held free moments."""
+
+    @pytest.fixture
+    def swapped(self, tmp_path, tables_dir):
+        path = tmp_path / "tables"
+        path.mkdir()
+        fixed = os.path.join(tables_dir, "fixed_moments.json")
+        for name in ("free_moments.json", "fixed_moments.json"):
+            shutil.copy(fixed, str(path / name))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tetra-moments", "--case", "free", "--kmax", "2", "--tables", "{tables}"],
+            ["nodes", "--case", "free", "--degree", "1", "--grid", "8", "--tables",
+             "{tables}"],
+            ["certify", "--side", "lower", "--case", "free", "--nodes", "0,1/4*2",
+             "--interval-b", "3/4", "--tables", "{tables}"],
+            ["certify", "--side", "lower", "--table", "{tables}/free_moments.json"],
+            ["verify-counterexample", "--tables", "{tables}"],
+            ["reproduce", "fast", "--samples", "2", "--tables", "{tables}"],
+        ],
+    )
+    def test_refused_without_report(self, tmp_path, swapped, argv, capsys):
+        out = tmp_path / "r.json"
+        argv = [arg.replace("{tables}", swapped) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "holds case 'fixed-centroid', expected 'free'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReproduce:
     def test_fast_level_passes(self, tmp_path, tables_dir):
         code, report = run_cli(
@@ -577,3 +616,57 @@ class TestReproduce:
         result = report["result"]
         assert result["all_passed"] is True
         assert "lower > 0.046942 > upper" in result["headlines"]
+
+
+# One report per subcommand shape, frozen as full text; "{tables}" stands for
+# the tables_dir fixture.  None of these runs writes to the tables directory.
+GOLDEN_RUNS = {
+    "chords-midpoint": ["chords", "--triangle", "T2", "--k", "2", "--fixed",
+                        "midpoint-hypotenuse"],
+    "chords-vertex": ["chords", "--triangle", "T2", "--k", "3", "--fixed", "vertex:A"],
+    "tetra-moments": ["tetra-moments", "--case", "fixed", "--kmax", "4", "--tables",
+                      "{tables}"],
+    "nodes-optimal": ["nodes", "--case", "free", "--degree", "3", "--grid", "12",
+                      "--tables", "{tables}"],
+    "nodes-unbounded": ["nodes", "--case", "free", "--degree", "3", "--grid", "2",
+                        "--tables", "{tables}"],
+    "certify-lower": ["certify", "--side", "lower", "--tables", "{tables}"],
+    "certify-upper": ["certify", "--side", "upper", "--tables", "{tables}"],
+    "verify-counterexample": ["verify-counterexample", "--tables", "{tables}"],
+    "mc": ["mc", "--body", "T3", "--n", "3", "--k", "1", "--fixed", "1/3,1/3,1/3",
+           "--samples", "3000", "--seed", "5"],
+    "lift-sweep-interior": ["lift-sweep", "--mode", "interior", "--body", "T2", "--n",
+                            "2", "--k", "2", "--eps", "1/2,1/8", "--samples", "3000",
+                            "--seed", "5", "--reference", "2/9"],
+    "lift-sweep-boundary": ["lift-sweep", "--mode", "boundary", "--body", "T2", "--n",
+                            "2", "--k", "2", "--eps", "1/2,1/8", "--samples", "3000",
+                            "--seed", "6"],
+    "lift-sweep-boundary-csv": ["lift-sweep", "--mode", "boundary", "--body", "T2",
+                                "--n", "2", "--k", "2", "--eps", "1/4", "--samples",
+                                "3000", "--seed", "7", "--reference", "2/9",
+                                "--format", "csv"],
+    "reproduce-fast": ["reproduce", "fast", "--samples", "3000", "--tables",
+                       "{tables}"],
+}
+
+
+def golden_report(argv, tables_dir):
+    """Exit code and stdout text of one run, with the run-dependent parts
+    masked: the wall time, the interpreter and numpy versions, and the
+    temporary tables directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([arg.replace("{tables}", tables_dir) for arg in argv])
+    text = out.getvalue().replace(tables_dir, "{tables}")
+    text = re.sub(r'"wall_time_seconds": [^,}\n]+', '"wall_time_seconds": null', text)
+    text = re.sub(r'"(python|numpy)": "[^"]*"', r'"\1": null', text)
+    return {"exit_code": code, "text": text}
+
+
+class TestGoldenReports:
+    def test_reports_match_golden_file(self, tables_dir):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert sorted(golden) == sorted(GOLDEN_RUNS)
+        for name, argv in GOLDEN_RUNS.items():
+            assert golden_report(argv, tables_dir) == golden[name], name

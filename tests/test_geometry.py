@@ -11,9 +11,7 @@ from simplexmoments.errors import UsageError
 from simplexmoments.geometry import (
     Body,
     ball,
-    body_from_json,
     body_measures,
-    body_to_json,
     boundary_residual,
     contains,
     cube,
@@ -301,27 +299,3 @@ def test_is_polytopal():
     assert not is_polytopal(ball(2))
     assert not is_polytopal(product(halfball(2), F(1, 3)))
 
-
-def test_body_json_roundtrip():
-    bodies = [
-        triangle_T2(fixed_point=(F(1, 2), F(1, 2))),
-        tetrahedron_T3(),
-        cube(4),
-        ball(2),
-        halfball(3, fixed_point=(0.0, 0.0, 0.0)),
-        product(triangle_T2(), F(1, 10), fixed_point=(F(1, 2), F(1, 2), 0)),
-        product(product(cube(2), F(1, 4)), 0.125),
-    ]
-    for body in bodies:
-        blob = body_to_json(body)
-        back = body_from_json(blob)
-        assert back == body
-        # the JSON view is plain data
-        import json
-
-        json.dumps(blob)
-
-
-def test_body_from_json_rejects_unknown_kind():
-    with pytest.raises(UsageError):
-        body_from_json({"kind": "torus", "dim": 3})

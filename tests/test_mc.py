@@ -36,7 +36,6 @@ from simplexmoments.mc import (
     _combine_chunks,
     _simplex_volumes,
     estimate_moment,
-    estimate_surface_moment,
     sample_boundary_uniform,
     sample_uniform,
 )
@@ -195,6 +194,26 @@ class TestSimplexVolumes:
             same = np.broadcast_to(gen.random(4), (50, n, 4)).copy()
             assert np.all(_simplex_volumes(same) == 0)
 
+    def test_degenerate_simplex_has_zero_facets(self):
+        pts = np.zeros((4, 3, 3))
+        pts += np.array([0.3, 0.4, 0.1])
+        totals = np.zeros(4)
+        for skip in range(3):
+            keep = [j for j in range(3) if j != skip]
+            totals += _simplex_volumes(pts[:, keep, :])
+        assert np.all(totals == 0)
+
+    def test_axis_permutation_invariance(self):
+        gen = RngStream(103).generator()
+        pts = gen.random((2_000, 3, 3))
+        totals = np.zeros(2_000)
+        permuted = np.zeros(2_000)
+        for skip in range(3):
+            keep = [j for j in range(3) if j != skip]
+            totals += _simplex_volumes(pts[:, keep, :])
+            permuted += _simplex_volumes(pts[:, keep, :][:, :, [2, 0, 1]])
+        assert np.allclose(totals, permuted, atol=1e-12)
+
 
 class TestChunkMerge:
     def test_stable_near_1e8(self):
@@ -223,9 +242,6 @@ THREAD_CASES = {
     ),
     "n=4": lambda threads: estimate_moment(
         tetrahedron_T3(), 4, 2, samples=2 * CHUNK_SIZE + 321, seed=137, threads=threads
-    ),
-    "surface": lambda threads: estimate_surface_moment(
-        tetrahedron_T3(), 3, samples=2 * CHUNK_SIZE + 321, seed=139, threads=threads
     ),
 }
 
@@ -306,42 +322,3 @@ class TestEstimateMoment:
             estimate_moment(t3, 3, 1, fixed=(0.5, 0.5), samples=10, seed=1)
         with pytest.raises(DomainError):
             estimate_moment(t3, 3, 1, fixed=(2.0, 2.0, 2.0), samples=10, seed=1)
-
-
-class TestEstimateSurfaceMoment:
-    def test_perimeter_is_three_chords_on_average(self):
-        t3 = tetrahedron_T3()
-        perimeter = estimate_surface_moment(t3, 3, samples=400_000, seed=97)
-        chord = estimate_moment(t3, 2, 1, samples=400_000, seed=101)
-        combined = math.hypot(perimeter.std_error, 3 * chord.std_error)
-        assert abs(perimeter.mean - 3 * chord.mean) < 3 * combined
-        # loose sanity envelope: between 2x and 6x the mean chord
-        assert 2 * chord.mean < perimeter.mean < 6 * chord.mean
-
-    def test_degenerate_simplex_has_zero_surface(self):
-        from simplexmoments.mc import _simplex_volumes
-
-        pts = np.zeros((4, 3, 3))
-        pts += np.array([0.3, 0.4, 0.1])
-        totals = np.zeros(4)
-        for skip in range(3):
-            keep = [j for j in range(3) if j != skip]
-            totals += _simplex_volumes(pts[:, keep, :])
-        assert np.all(totals == 0)
-
-    def test_axis_permutation_invariance(self):
-        from simplexmoments.mc import _simplex_volumes
-
-        gen = RngStream(103).generator()
-        pts = gen.random((2_000, 3, 3))
-        totals = np.zeros(2_000)
-        permuted = np.zeros(2_000)
-        for skip in range(3):
-            keep = [j for j in range(3) if j != skip]
-            totals += _simplex_volumes(pts[:, keep, :])
-            permuted += _simplex_volumes(pts[:, keep, :][:, :, [2, 0, 1]])
-        assert np.allclose(totals, permuted, atol=1e-12)
-
-    def test_needs_at_least_three_vertices(self):
-        with pytest.raises(UsageError):
-            estimate_surface_moment(tetrahedron_T3(), 2, samples=10, seed=1)
