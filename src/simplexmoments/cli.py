@@ -71,7 +71,7 @@ from .geometry import ball, cube, halfball, standard_simplex, tetrahedron_T3, tr
 from .lifting import boundary_convergence_sweep, interior_convergence_sweep
 from .lp import node_search, rationalize
 from .mc import RNG_ALGORITHM, estimate_moment
-from .tetra import MomentTable, _normalize_case, moment_table
+from .tetra import MomentTable, _normalize_case, _read_table, moment_table
 
 __all__ = ["main", "build_parser"]
 
@@ -266,51 +266,37 @@ def _table_path(tables_dir: str, case_key: str) -> str:
     return os.path.join(tables_dir, _TABLE_FILES[case_key])
 
 
-def _read_table_file(path: str, ctx: _RunContext, case: str) -> MomentTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    ctx.input_files.append(path)
-    table = MomentTable.from_json(data)
-    if table.case != case:
-        raise UsageError("table %s holds case %r, expected %r" % (path, table.case, case))
-    table.check()
-    return table
-
-
 def _obtain_table(
     case: str,
     k_max: int,
     tables_dir: Optional[str],
     ctx: _RunContext,
     table_file: Optional[str] = None,
+    compute: bool = True,
 ) -> MomentTable:
     """A validated moment table with k_max at least the requested order.
 
     An explicit file must already be large enough; a tables directory acts
     as a checkpoint, so existing entries are reused and new ones appended.
-    Without either, the table is computed from scratch in memory.
+    Without either, the table is computed from scratch in memory.  A table
+    that is too short, when it may not be computed, is a CapacityError.
+    Every file is read once, by ``_read_table``.
     """
     key = _normalize_case(case)
-    if table_file:
-        table = _read_table_file(table_file, ctx, key)
-        if table.k_max < k_max:
-            raise CapacityError(
-                "table %s stops at k=%d but k=%d is needed"
-                % (table_file, table.k_max, k_max)
-            )
-        return table
-    checkpoint = None
+    path = table_file or (_table_path(tables_dir, key) if tables_dir else None)
+    stored = None
+    if table_file or (path and os.path.exists(path)):
+        stored = _read_table(path, key)
+        ctx.input_files.append(path)
+        if stored.k_max >= k_max:
+            return stored
+    if table_file or not compute:
+        have = "absent" if stored is None else "k_max=%d" % stored.k_max
+        raise CapacityError("%s needs k_max>=%d (%s)" % (path, k_max, have))
     if tables_dir:
         os.makedirs(tables_dir, exist_ok=True)
-        checkpoint = _table_path(tables_dir, key)
-        if os.path.exists(checkpoint):
-            table = _read_table_file(checkpoint, ctx, key)
-            if table.k_max >= k_max:
-                return table
-    table = moment_table(key, k_max, checkpoint=checkpoint)
-    if checkpoint:
-        ctx.output_files.append(checkpoint)
-    return table
+        ctx.output_files.append(path)
+    return moment_table(key, k_max, checkpoint=path, stored=stored)
 
 
 # ---------------------------------------------------------------------------
@@ -436,28 +422,18 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
             "a tables directory is required (--tables or the %s environment "
             "variable)" % TABLES_ENV
         )
-    needed = {"free": 7, "fixed-centroid": 15}
-    tables = {}
-    missing = []
-    for key, k_max in needed.items():
-        path = _table_path(args.tables, key)
-        table = None
-        if os.path.exists(path):
-            table = _read_table_file(path, ctx, key)
-        if table is None or table.k_max < k_max:
-            have = "absent" if table is None else "k_max=%d" % table.k_max
-            missing.append("%s needs k_max>=%d (%s)" % (path, k_max, have))
-            if args.compute_missing:
-                os.makedirs(args.tables, exist_ok=True)
-                table = moment_table(key, k_max, checkpoint=path)
-                ctx.output_files.append(path)
-            else:
-                continue
-        tables[key] = table
-    if len(tables) < len(needed):
+    tables, short = {}, []
+    for key, k_max in (("free", 7), ("fixed-centroid", 15)):
+        try:
+            tables[key] = _obtain_table(
+                key, k_max, args.tables, ctx, compute=args.compute_missing
+            )
+        except CapacityError as exc:
+            short.append(str(exc))
+    if short:
         raise CapacityError(
             "insufficient moment tables: %s; rerun with --compute-missing or "
-            "build them with tetra-moments" % "; ".join(missing)
+            "build them with tetra-moments" % "; ".join(short)
         )
     report = verify_counterexample(tables["free"], tables["fixed-centroid"])
     if not report["confirmed"]:
@@ -594,14 +570,12 @@ def _reproduce_ratio_law() -> dict:
     }
 
 
-def _reproduce_tables(args, ctx: _RunContext) -> Tuple[dict, dict, dict]:
-    free = _obtain_table("free", 5, args.tables, ctx)
-    fixed = _obtain_table("fixed-centroid", 5, args.tables, ctx)
+def _reproduce_tables(free: MomentTable, fixed: MomentTable) -> dict:
     observed = {
         key: [table.value(k) for k in range(1, 6)]
         for key, table in (("free", free), ("fixed-centroid", fixed))
     }
-    check = {
+    return {
         "name": "even-moment-tables",
         "passed": observed == _EXPECTED_EVEN_MOMENTS,
         "free": observed["free"],
@@ -609,7 +583,6 @@ def _reproduce_tables(args, ctx: _RunContext) -> Tuple[dict, dict, dict]:
         "expected_free": _EXPECTED_EVEN_MOMENTS["free"],
         "expected_fixed": _EXPECTED_EVEN_MOMENTS["fixed-centroid"],
     }
-    return check, free, fixed
 
 
 def _reproduce_second_moment(free: MomentTable, fixed: MomentTable) -> dict:
@@ -665,8 +638,8 @@ def _reproduce_mc(args, ctx: _RunContext) -> dict:
 
 
 def _reproduce_node_searches(args, free: MomentTable, fixed: MomentTable) -> dict:
-    lower = node_search(free, 6, args.grid, Fraction(7, 8), "lower")
-    upper = node_search(fixed, 14, args.grid, Fraction(3, 10), "upper")
+    lower = node_search(free, 6, args.grid, *_CASE_GRIDS["free"])
+    upper = node_search(fixed, 14, args.grid, *_CASE_GRIDS["fixed-centroid"])
     lower_ok = (
         lower["status"] == "optimal" and lower["objective"] < _LOWER_LP_CEILING
     )
@@ -702,22 +675,26 @@ def _reproduce_counterexample(free: MomentTable, fixed: MomentTable) -> dict:
 def _cmd_reproduce(args, ctx: _RunContext) -> dict:
     _check_samples(args.samples)
     ctx.seeds.append(args.seed)
-    checks = [_reproduce_chords(), _reproduce_ratio_law()]
-    tables_check, free5, fixed5 = _reproduce_tables(args, ctx)
-    checks.append(tables_check)
-    checks.append(_reproduce_second_moment(free5, fixed5))
-    checks.append(_reproduce_mc(args, ctx))
-    if args.level == "full":
+    full = args.level == "full"
+    # each table once, at the largest order this level needs
+    free = _obtain_table("free", 7 if full else 5, args.tables, ctx)
+    fixed = _obtain_table("fixed-centroid", 15 if full else 5, args.tables, ctx)
+    checks = [
+        _reproduce_chords(),
+        _reproduce_ratio_law(),
+        _reproduce_tables(free, fixed),
+        _reproduce_second_moment(free, fixed),
+        _reproduce_mc(args, ctx),
+    ]
+    if full:
         if args.grid >= 200:
             print(
                 "note: the full level solves two exact rational LPs on a "
                 "%d-point grid; at 200 points they take about 30 s" % args.grid,
                 file=sys.stderr,
             )
-        free7 = _obtain_table("free", 7, args.tables, ctx)
-        fixed15 = _obtain_table("fixed-centroid", 15, args.tables, ctx)
-        checks.append(_reproduce_node_searches(args, free7, fixed15))
-        checks.append(_reproduce_counterexample(free7, fixed15))
+        checks.append(_reproduce_node_searches(args, free, fixed))
+        checks.append(_reproduce_counterexample(free, fixed))
     all_passed = all(c["passed"] for c in checks)
     if not all_passed:
         ctx.exit_code = 4

@@ -1,13 +1,9 @@
 """Exact rational polynomials and Sturm-chain sign certification.
 
 Everything in this module is exact; no floating point is involved anywhere.
-Two polynomial representations are provided, both with
-`fractions.Fraction` coefficients:
-
-* :class:`MVPoly` - sparse multivariate polynomials keyed by exponent
-  vectors, used to expand Gram determinants symbolically.
-* :class:`UniPoly` - dense univariate polynomials, used for interpolation
-  certificates and Sturm chains.
+Polynomials are :class:`UniPoly`, dense univariate polynomials with
+`fractions.Fraction` coefficients, used for interpolation certificates and
+Sturm chains.
 
 Gcds, squarefree parts, Yun's decomposition and Sturm chains do not run
 over Fraction: they clear denominators once and run primitive polynomial
@@ -26,16 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .errors import UsageError
 
 __all__ = [
     "format_rational",
     "parse_rational",
-    "MVPoly",
-    "mv_mul",
-    "mv_pow",
     "UniPoly",
     "uni_eval",
     "SturmChain",
@@ -57,14 +50,15 @@ def format_rational(q: Fraction | int) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a Fraction.
 
-    Raises ValueError on anything else, including floats; exact values must
-    round-trip exactly.
+    Raises ValueError on anything else, including floats, non-strings and a
+    zero denominator; exact values must round-trip exactly.
     """
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    if not isinstance(text, str):
+        raise ValueError("expected a 'p' or 'p/q' string, got %r" % (text,))
+    num, slash, den = text.strip().partition("/")
+    if slash and int(den) == 0:
+        raise ValueError("zero denominator in %r" % text)
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -75,195 +69,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"expected exact rational, got {type(value).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# sparse multivariate polynomials
-# ---------------------------------------------------------------------------
-
-class MVPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
-
-    Terms are stored as a dict from exponent tuples (one nonnegative int per
-    variable) to nonzero coefficients. Instances are never mutated after
-    construction, so they are safe to share between threads.
-    """
-
-    __slots__ = ("variables", "_terms")
-
-    def __init__(self, variables: Sequence[str],
-                 terms: Mapping[tuple, Fraction | int] | None = None):
-        self.variables = tuple(variables)
-        nvars = len(self.variables)
-        clean: dict[tuple, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
-                raise ValueError(
-                    f"exponent vector {exps} does not match {nvars} variables")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            coeff = _as_fraction(coeff)
-            if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if not clean[exps]:
-                    del clean[exps]
-        self._terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "MVPoly":
-        return cls(variables, {})
-
-    @classmethod
-    def constant(cls, variables: Sequence[str], value) -> "MVPoly":
-        value = _as_fraction(value)
-        if not value:
-            return cls.zero(variables)
-        return cls(variables, {(0,) * len(tuple(variables)): value})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "MVPoly":
-        variables = tuple(variables)
-        idx = variables.index(name)
-        exps = [0] * len(variables)
-        exps[idx] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
-
-    # -- inspection ---------------------------------------------------------
-
-    def terms(self) -> dict[tuple, Fraction]:
-        return dict(self._terms)
-
-    def coefficient(self, exps: tuple) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
-
-    def num_terms(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
-    def evaluate(self, point: Mapping[str, Fraction] | Sequence) -> Fraction:
-        """Exact evaluation at a rational point.
-
-        ``point`` is either a mapping from variable name to value or a
-        sequence in variable order.
-        """
-        if isinstance(point, Mapping):
-            values = [_as_fraction(point[v]) for v in self.variables]
-        else:
-            values = [_as_fraction(v) for v in point]
-            if len(values) != len(self.variables):
-                raise ValueError("point length does not match variable count")
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for val, e in zip(values, exps):
-                if e:
-                    term *= val ** e
-            total += term
-        return total
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_compatible(self, other: "MVPoly") -> None:
-        if self.variables != other.variables:
-            raise ValueError("polynomials are over different variable tuples")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MVPoly.constant(self.variables, other)
-        self._check_compatible(other)
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc:
-                terms[exps] = acc
-            elif exps in terms:
-                del terms[exps]
-        out = MVPoly.zero(self.variables)
-        out._terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = MVPoly.zero(self.variables)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MVPoly.constant(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scalar = _as_fraction(other)
-            out = MVPoly.zero(self.variables)
-            if scalar:
-                out._terms = {e: c * scalar for e, c in self._terms.items()}
-            return out
-        return mv_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return mv_pow(self, k)
-
-    def __eq__(self, other):
-        if not isinstance(other, MVPoly):
-            return NotImplemented
-        return self.variables == other.variables and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self._terms.items())))
-
-    def __repr__(self):
-        return f"MVPoly({len(self._terms)} terms in {len(self.variables)} vars)"
-
-
-def mv_mul(a: MVPoly, b: MVPoly) -> MVPoly:
-    """Exact product of two sparse polynomials over the same variables."""
-    a._check_compatible(b)
-    terms: dict[tuple, Fraction] = {}
-    for ea, ca in a._terms.items():
-        for eb, cb in b._terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            acc = terms.get(key, Fraction(0)) + ca * cb
-            if acc:
-                terms[key] = acc
-            elif key in terms:
-                del terms[key]
-    out = MVPoly.zero(a.variables)
-    out._terms = terms
-    return out
-
-
-def mv_pow(p: MVPoly, k: int) -> MVPoly:
-    """``p ** k`` by binary exponentiation (k >= 0)."""
-    if k < 0:
-        raise ValueError("negative power of a polynomial")
-    result = MVPoly.constant(p.variables, 1)
-    base = p
-    while k:
-        if k & 1:
-            result = mv_mul(result, base)
-        k >>= 1
-        if k:
-            base = mv_mul(base, base)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Convex-body catalog, Gram-determinant simplex volumes, exact integrals.
+"""Convex-body catalog: descriptors, exact containment, volume and surface measures.
 
 The catalog is the fixed menagerie used throughout the package: the standard
 simplex in any dimension (with the planar triangle T2 and the tetrahedron T3
@@ -20,21 +20,16 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .errors import UsageError
 
 __all__ = [
     "Body",
     "ball",
     "body_measures",
-    "boundary_residual",
     "contains",
     "cube",
-    "gram_volume",
     "halfball",
     "is_polytopal",
-    "monomial_integral_T3",
     "polygon_edges",
     "product",
     "standard_simplex",
@@ -46,100 +41,11 @@ CURVED_MEMBERSHIP_TOL = 1e-12
 
 _SIMPLEX_KINDS = ("simplex", "T2", "T3")
 
-T2_VERTICES = (
-    (Fraction(0), Fraction(0)),
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-)
-
-T3_VERTICES = (
-    (Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-)
-
 
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Rational):
         return Fraction(value)
     return Fraction(float(value))
-
-
-# ---------------------------------------------------------------------------
-# simplex volumes
-
-
-def _det_fraction(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def _gram_det_exact(pts) -> Fraction:
-    base = pts[0]
-    vecs = [
-        [Fraction(a) - Fraction(b) for a, b in zip(p, base)] for p in pts[1:]
-    ]
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
-    return _det_fraction(gram)
-
-
-def gram_volume(points) -> float:
-    """(n-1)-dimensional volume of the convex hull of n points in R^d.
-
-    For n points the value is sqrt(det(M^T M)) / (n-1)! where the columns of
-    M are the edge vectors from the first point.  Rational inputs go through
-    exact determinant arithmetic with a single floating square root at the
-    end; floating inputs use a singular-value product, which is stable for
-    nearly degenerate point sets.
-
-    Degenerate (affinely dependent) inputs give 0.  Raises UsageError for
-    fewer than two points, for more than d+1 points, or for ragged input.
-    """
-    pts = [tuple(p) for p in points]
-    n = len(pts)
-    if n < 2:
-        raise UsageError("gram_volume needs at least two points")
-    d = len(pts[0])
-    if any(len(p) != d for p in pts[1:]):
-        raise UsageError("all points must have the same dimension")
-    if n > d + 1:
-        raise UsageError(
-            "at most d+1 = %d points can be affinely independent in "
-            "dimension %d, got %d" % (d + 1, d, n)
-        )
-    if all(isinstance(c, Rational) for p in pts for c in p):
-        det = _gram_det_exact(pts)
-        return math.sqrt(det) / math.factorial(n - 1)
-    mat = np.asarray(pts, dtype=float)
-    edges = mat[1:] - mat[0]
-    sing = np.linalg.svd(edges, compute_uv=False)
-    return float(np.prod(sing)) / math.factorial(n - 1)
-
-
-def monomial_integral_T3(l: int, m: int, n: int) -> Fraction:
-    """Exact integral of x^l y^m z^n over the standard tetrahedron.
-
-    Equals l! m! n! / (l+m+n+3)!.
-    """
-    num = math.factorial(l) * math.factorial(m) * math.factorial(n)
-    return Fraction(num, math.factorial(l + m + n + 3))
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +192,6 @@ def contains(body: Body, point, tol: float = 0.0) -> bool:
     if tol == 0.0 and is_polytopal(body):
         return _contains_exact(body, [_to_fraction(v) for v in pt])
     return min(_margins(body, pt)) >= -tol
-
-
-def boundary_residual(body: Body, point) -> float:
-    """Distance from the point to the body's boundary (0 exactly on it)."""
-    pt = tuple(point)
-    if len(pt) != body.dim:
-        raise UsageError(
-            "point has dimension %d, body has dimension %d"
-            % (len(pt), body.dim)
-        )
-    return abs(min(_margins(body, pt)))
 
 
 def polygon_edges(body: Body):

@@ -11,9 +11,7 @@ dimension.
 
 This module is a statistical demonstration harness, not a proof engine:
 convergence is asserted as "the deviation from the reference shrinks,
-up to 6 standard errors of slack", and the epsilon search certifies a
-separation only when the two Monte Carlo estimates differ by at least
-three combined standard errors.
+up to 6 standard errors of slack".
 """
 
 from __future__ import annotations
@@ -21,22 +19,20 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import DomainError, UsageError
-from .geometry import Body, body_measures, contains, product
+from .errors import UsageError
+from .geometry import Body, body_measures, product
 from .mc import (
     RngStream,
     _run_chunks,
     _simplex_volumes,
     estimate_moment,
     sample_boundary_uniform,
-    sample_uniform,
 )
 
 __all__ = [
     "lift_body",
     "interior_convergence_sweep",
     "boundary_convergence_sweep",
-    "find_epsilon0",
 ]
 
 
@@ -48,13 +44,6 @@ def lift_body(body: Body, eps) -> Body:
     if body.fixed_point is not None:
         lifted_fp = tuple(body.fixed_point) + (0,)
     return product(body, eps, fixed_point=lifted_fp)
-
-
-def _estimate_with_marked_point(body, n, k, samples, seed, threads):
-    fixed = body.fixed_point
-    return estimate_moment(
-        body, n, k, fixed=fixed, samples=samples, seed=seed, threads=threads
-    )
 
 
 def _check_eps_list(eps_list) -> list:
@@ -77,7 +66,9 @@ def _resolve_reference(body, n, k, samples, seed, threads, reference):
         # n points in a d-body span at most a d-simplex, so the
         # (n-1 = d+1)-volume vanishes almost surely before lifting
         return {"value": 0.0, "std_error": 0.0, "source": "degenerate"}
-    est = _estimate_with_marked_point(body, n, k, samples, seed, threads)
+    est = estimate_moment(
+        body, n, k, fixed=body.fixed_point, samples=samples, seed=seed, threads=threads
+    )
     return {"value": est.mean, "std_error": est.std_error, "source": "monte-carlo"}
 
 
@@ -135,8 +126,9 @@ def interior_convergence_sweep(
     rows = []
     for i, eps in enumerate(eps_values):
         lifted = lift_body(body, eps)
-        est = _estimate_with_marked_point(
-            lifted, n, k, samples, seed + i + 1, threads
+        est = estimate_moment(
+            lifted, n, k, fixed=lifted.fixed_point, samples=samples, seed=seed + i + 1,
+            threads=threads,
         )
         rows.append(
             {
@@ -225,81 +217,4 @@ def boundary_convergence_sweep(
         "reference": ref,
         "rows": rows,
         "verdict": _sweep_verdict(rows, ref),
-    }
-
-
-def _check_containment(inner: Body, outer: Body, seed: int) -> None:
-    if inner.dim != outer.dim:
-        raise UsageError("bodies must share a dimension")
-    gen = RngStream(seed, 2**48).generator()
-    pts = sample_uniform(inner, gen, size=10_000)
-    for row in pts:
-        if not contains(outer, tuple(float(v) for v in row), tol=1e-12):
-            raise DomainError(
-                "containment check failed: sampled point %s of the inner "
-                "body lies outside the outer body" % (tuple(row),)
-            )
-
-
-def find_epsilon0(
-    body_k: Body,
-    body_l: Body,
-    n: int,
-    k: int,
-    eps_list: Sequence,
-    *,
-    samples: int,
-    seed: int,
-    threads: int = 1,
-) -> dict:
-    """Largest eps at which the lifted inner body beats the lifted outer one.
-
-    ``body_k`` must be contained in ``body_l`` as a point set (checked on
-    10^4 samples); marked points on either body select the pinned-vertex
-    estimator, which is how a pinned configuration is compared against a
-    free one over the same support.  An eps is certified when the K-prism
-    estimate exceeds the L-prism estimate by at least three combined
-    standard errors; the result reports the largest certified eps, or
-    verdict "inconclusive" if there is none.
-    """
-    _check_sweep_args(body_k, n, k, samples)
-    if n > body_k.dim + 1:
-        raise UsageError(
-            "n=%d vertices need dimension >= %d before lifting; body has "
-            "dimension %d" % (n, n - 1, body_k.dim)
-        )
-    eps_values = _check_eps_list(eps_list)
-    _check_containment(body_k, body_l, seed)
-    rows = []
-    epsilon0 = None
-    for i, eps in enumerate(eps_values):
-        lifted_k = lift_body(body_k, eps)
-        lifted_l = lift_body(body_l, eps)
-        est_k = _estimate_with_marked_point(
-            lifted_k, n, k, samples, seed + 2 * i + 1, threads
-        )
-        est_l = _estimate_with_marked_point(
-            lifted_l, n, k, samples, seed + 2 * i + 2, threads
-        )
-        sigma = math.hypot(est_k.std_error, est_l.std_error)
-        separation = est_k.mean - est_l.mean
-        certified = separation >= 3 * sigma
-        rows.append(
-            {
-                "epsilon": eps,
-                "estimate_K": est_k,
-                "estimate_L": est_l,
-                "separation": separation,
-                "sigma": sigma,
-                "certified": certified,
-            }
-        )
-        if certified and (epsilon0 is None or float(eps) > float(epsilon0)):
-            epsilon0 = eps
-    return {
-        "n": n,
-        "k": k,
-        "rows": rows,
-        "epsilon0": epsilon0,
-        "verdict": "certified" if epsilon0 is not None else "inconclusive",
     }

@@ -15,8 +15,9 @@ need no square root: E V^(2k) is 2^(-2k) times the mean of D^k, and the
 mean of any coordinate monomial over the tetrahedron is an explicit
 factorial ratio.
 
-Direct expansion of D^k is only feasible for tiny k.  The production route
-decomposes D into six slots,
+Direct expansion of D^k is only feasible for tiny k; the test suite keeps
+it as an independent oracle.  The production route decomposes D into six
+slots,
 
     D = sum_a u_a^2 (|v|^2 - v_a^2) - 2 sum_{a<b} (u_a v_a)(u_b v_b),
 
@@ -47,15 +48,13 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import CapacityError, UsageError, VerificationError
-from .exact import MVPoly, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 
 __all__ = [
     "FREE_KMAX_LIMIT",
     "FIXED_KMAX_LIMIT",
     "MomentTable",
-    "build_gram_poly",
     "even_moment",
-    "even_moment_by_expansion",
     "moment_table",
 ]
 
@@ -85,35 +84,6 @@ def _normalize_case(case: str) -> str:
     raise UsageError(
         "case must be %r or %r, got %r" % (CASE_FREE, CASE_FIXED, case)
     )
-
-
-# ---------------------------------------------------------------------------
-# symbolic Gram polynomial
-
-
-def build_gram_poly(case: str) -> MVPoly:
-    """Exact Gram-determinant polynomial D for the requested case.
-
-    Free case: variables (x0, y0, z0, x1, y1, z1, x2, y2, z2) and edge
-    vectors u = X1 - X0, v = X2 - X0.  Fixed-centroid case: variables
-    (x1, ..., z2) with u = X1 - c, v = X2 - c for c = (1/3, 1/3, 1/3).
-    In both cases D evaluates to 4 (triangle area)^2.
-    """
-    case = _normalize_case(case)
-    if case == CASE_FREE:
-        names = ("x0", "y0", "z0", "x1", "y1", "z1", "x2", "y2", "z2")
-        var = lambda n: MVPoly.variable(names, n)  # noqa: E731
-        u = [var(names[3 + a]) - var(names[a]) for a in range(3)]
-        v = [var(names[6 + a]) - var(names[a]) for a in range(3)]
-    else:
-        names = ("x1", "y1", "z1", "x2", "y2", "z2")
-        third = MVPoly.constant(names, Fraction(1, 3))
-        u = [MVPoly.variable(names, names[a]) - third for a in range(3)]
-        v = [MVPoly.variable(names, names[3 + a]) - third for a in range(3)]
-    uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    vv = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    uv = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-    return uu * vv - uv * uv
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +265,8 @@ def _even_moment_free(k: int) -> Fraction:
     return Fraction(216, 4**k) * Fraction(acc, d2k * d2k * _fact(4 * k + 3))
 
 
-def _capacity_limit(case: str) -> int:
-    return FREE_KMAX_LIMIT if case == CASE_FREE else FIXED_KMAX_LIMIT
-
-
-def _check_capacity(case: str, k: int, limit: Optional[int]) -> None:
-    cap = _capacity_limit(case) if limit is None else limit
+def _check_capacity(case: str, k: int) -> None:
+    cap = FREE_KMAX_LIMIT if case == CASE_FREE else FIXED_KMAX_LIMIT
     if k > cap:
         patterns = math.comb(k + 5, 5)
         raise CapacityError(
@@ -317,60 +283,22 @@ def _check_capacity(case: str, k: int, limit: Optional[int]) -> None:
         )
 
 
-def even_moment(case: str, k: int, limit: Optional[int] = None) -> Fraction:
+def even_moment(case: str, k: int) -> Fraction:
     """Exact E V^(2k) for the requested case.
 
-    ``limit`` overrides the per-case capacity guard (FREE_KMAX_LIMIT or
-    FIXED_KMAX_LIMIT); orders beyond it raise CapacityError with a cost
-    estimate instead of silently running for hours.
+    Orders beyond the per-case capacity guard (FREE_KMAX_LIMIT or
+    FIXED_KMAX_LIMIT) raise CapacityError with a cost estimate instead of
+    silently running for hours.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise UsageError("moment half-order k must be a nonnegative integer")
     case = _normalize_case(case)
-    _check_capacity(case, k, limit)
+    _check_capacity(case, k)
     if k == 0:
         return Fraction(1)
     if case == CASE_FIXED:
         return _even_moment_fixed(k)
     return _even_moment_free(k)
-
-
-# ---------------------------------------------------------------------------
-# reference route: literal expansion of D^k
-
-
-def _block_names(case: str):
-    if case == CASE_FREE:
-        return (("x0", "y0", "z0"), ("x1", "y1", "z1"), ("x2", "y2", "z2"))
-    return (("x1", "y1", "z1"), ("x2", "y2", "z2"))
-
-
-def even_moment_by_expansion(case: str, k: int) -> Fraction:
-    """E V^(2k) by explicit expansion of D^k and per-point integration.
-
-    Builds the full sparse polynomial D^k and contracts every monomial
-    block (x_i, y_i, z_i) with the exact tetrahedron monomial integral.
-    Exponential in k; useful as an independent cross-check for small k.
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise UsageError("moment half-order k must be a nonnegative integer")
-    case = _normalize_case(case)
-    if k == 0:
-        return Fraction(1)
-    from .geometry import monomial_integral_T3
-
-    poly = build_gram_poly(case)
-    power = poly**k
-    blocks = _block_names(case)
-    npoints = len(blocks)
-    total = Fraction(0)
-    for exps, coeff in power.terms().items():
-        contrib = coeff
-        for b in range(npoints):
-            l, m, n = exps[3 * b], exps[3 * b + 1], exps[3 * b + 2]
-            contrib *= monomial_integral_T3(l, m, n)
-        total += contrib
-    return Fraction(6**npoints, 4**k) * total
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +347,36 @@ class MomentTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentTable":
-        case = _normalize_case(data.get("case", ""))
-        entries = tuple(
-            (int(item["k"]), parse_rational(item["value"]))
-            for item in data["entries"]
-        )
-        k_max = max(k for k, _ in entries) if entries else -1
-        return cls(case, k_max, entries)
+        """The table in its stored form; every order k appears at most once."""
+        case = _normalize_case(data["case"])
+        values = {}
+        for item in data["entries"]:
+            k = item["k"]
+            if type(k) is not int or k < 0:
+                raise ValueError("order k=%r is not a nonnegative integer" % (k,))
+            if k in values:
+                raise ValueError("order k=%d is listed twice" % k)
+            values[k] = parse_rational(item["value"])
+        return cls(case, max(values, default=-1), tuple(values.items()))
 
 
-def _load_checkpoint(path: str, case: str) -> dict:
-    if not os.path.exists(path):
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        table = MomentTable.from_json(json.load(fh))
-    if table.case != case:
+def _read_table(path: str, case: str) -> MomentTable:
+    """The checked table stored at ``path``, which must hold ``case``.
+
+    A file that cannot be read or parsed as a moment table is a UsageError
+    naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            table = MomentTable.from_json(json.load(fh))
+    except (OSError, ValueError, LookupError, TypeError, UsageError) as exc:
         raise UsageError(
-            "checkpoint %s holds case %r, expected %r" % (path, table.case, case)
-        )
-    return dict(table.entries)
+            "cannot read moment table %s: %s: %s" % (path, type(exc).__name__, exc)
+        ) from None
+    if table.case != case:
+        raise UsageError("table %s holds case %r, expected %r" % (path, table.case, case))
+    table.check()
+    return table
 
 
 def _write_checkpoint(path: str, case: str, known: dict) -> None:
@@ -453,24 +392,28 @@ def moment_table(
     case: str,
     k_max: int,
     checkpoint: Optional[str] = None,
-    limit: Optional[int] = None,
+    stored: Optional[MomentTable] = None,
 ) -> MomentTable:
     """Moments mu_(2k) for k = 0 .. k_max as one validated table.
 
-    With ``checkpoint`` set, previously computed entries are reloaded from
-    the JSON file and every newly computed order is written back
-    immediately, so an interrupted long run resumes where it stopped.
+    With ``checkpoint`` set, the entries already in that JSON file are
+    reused and every newly computed order is written back immediately, so
+    an interrupted long run resumes where it stopped.  A caller that has
+    already read the file passes its table as ``stored``, so the file is
+    not parsed twice.
     """
     if not isinstance(k_max, int) or k_max < 0:
         raise UsageError("k_max must be a nonnegative integer")
     case = _normalize_case(case)
-    known = _load_checkpoint(checkpoint, case) if checkpoint else {}
+    if stored is None and checkpoint and os.path.exists(checkpoint):
+        stored = _read_table(checkpoint, case)
+    known = dict(stored.entries) if stored else {}
     missing = [k for k in range(k_max + 1) if k not in known]
     if missing:
         # refuse before computing anything; checkpointed orders may exceed it
-        _check_capacity(case, missing[-1], limit)
+        _check_capacity(case, missing[-1])
     for k in missing:
-        known[k] = even_moment(case, k, limit=limit)
+        known[k] = even_moment(case, k)
         if checkpoint:
             _write_checkpoint(checkpoint, case, known)
     entries = tuple((k, known[k]) for k in range(k_max + 1))

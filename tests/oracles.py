@@ -1,0 +1,336 @@
+"""Independent reference implementations that only the tests use.
+
+None of these is on a path to a reported result; each one recomputes
+something the package computes another way, so the tests can compare the
+two exactly:
+
+* :class:`MVPoly` - sparse multivariate polynomials with exact (int or
+  Fraction) coefficients, used to expand the Gram determinant literally;
+* :func:`even_moment_by_expansion` - E V^(2k) in T3 from the full sparse
+  expansion of D^k, against the slot engine of ``simplexmoments.tetra``;
+* :func:`gram_volume` - simplex volumes by an exact Gram determinant (or a
+  singular-value product), against the Monte Carlo volume kernel;
+* :func:`monomial_integral_T3` and :func:`boundary_residual` - the
+  per-point factorial integral and the distance to a body's boundary.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from numbers import Rational
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from simplexmoments.errors import UsageError
+from simplexmoments.geometry import Body, _margins
+from simplexmoments.tetra import CASE_FIXED, CASE_FREE, _normalize_case
+
+
+def _exact(value):
+    """An int stays an int, so integer polynomials multiply in int arithmetic."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return Fraction(value)
+    raise TypeError(f"expected exact rational, got {type(value).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# sparse multivariate polynomials
+
+
+class MVPoly:
+    """Sparse multivariate polynomial with exact coefficients.
+
+    Terms are stored as a dict from exponent tuples (one nonnegative int per
+    variable) to nonzero coefficients. Instances are never mutated after
+    construction.
+    """
+
+    __slots__ = ("variables", "_terms")
+
+    def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
+        self.variables = tuple(variables)
+        nvars = len(self.variables)
+        clean: dict = {}
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != nvars:
+                raise ValueError(f"exponent vector {exps} does not match {nvars} variables")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            coeff = _exact(coeff)
+            if coeff:
+                clean[exps] = clean.get(exps, 0) + coeff
+                if not clean[exps]:
+                    del clean[exps]
+        self._terms = clean
+
+    @classmethod
+    def _from_terms(cls, variables, terms: dict) -> "MVPoly":
+        out = cls(variables)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def zero(cls, variables: Sequence[str]) -> "MVPoly":
+        return cls(variables)
+
+    @classmethod
+    def constant(cls, variables: Sequence[str], value) -> "MVPoly":
+        return cls(variables, {(0,) * len(tuple(variables)): value})
+
+    @classmethod
+    def variable(cls, variables: Sequence[str], name: str) -> "MVPoly":
+        variables = tuple(variables)
+        exps = [0] * len(variables)
+        exps[variables.index(name)] = 1
+        return cls(variables, {tuple(exps): 1})
+
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def coefficient(self, exps: tuple):
+        return self._terms.get(tuple(exps), 0)
+
+    def num_terms(self) -> int:
+        return len(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def total_degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max((sum(e) for e in self._terms), default=-1)
+
+    def evaluate(self, point: Sequence) -> Fraction:
+        """Exact value at a rational point given in variable order."""
+        values = [Fraction(_exact(v)) for v in point]
+        if len(values) != len(self.variables):
+            raise ValueError("point length does not match variable count")
+        total = Fraction(0)
+        for exps, coeff in self._terms.items():
+            term = Fraction(coeff)
+            for val, e in zip(values, exps):
+                if e:
+                    term *= val**e
+            total += term
+        return total
+
+    def _check_compatible(self, other: "MVPoly") -> None:
+        if self.variables != other.variables:
+            raise ValueError("polynomials are over different variable tuples")
+
+    def __add__(self, other):
+        if not isinstance(other, MVPoly):
+            other = MVPoly.constant(self.variables, other)
+        self._check_compatible(other)
+        terms = dict(self._terms)
+        for exps, coeff in other._terms.items():
+            acc = terms.get(exps, 0) + coeff
+            if acc:
+                terms[exps] = acc
+            else:
+                terms.pop(exps, None)
+        return MVPoly._from_terms(self.variables, terms)
+
+    def __neg__(self):
+        return MVPoly._from_terms(self.variables, {e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, MVPoly):
+            other = MVPoly.constant(self.variables, other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, MVPoly):
+            return mv_mul(self, other)
+        scalar = _exact(other)
+        terms = {e: c * scalar for e, c in self._terms.items()} if scalar else {}
+        return MVPoly._from_terms(self.variables, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return mv_pow(self, k)
+
+    def __eq__(self, other):
+        if not isinstance(other, MVPoly):
+            return NotImplemented
+        return self.variables == other.variables and self._terms == other._terms
+
+
+def mv_mul(a: MVPoly, b: MVPoly) -> MVPoly:
+    """Exact product of two sparse polynomials over the same variables."""
+    a._check_compatible(b)
+    terms: dict = {}
+    for ea, ca in a._terms.items():
+        for eb, cb in b._terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            acc = terms.get(key, 0) + ca * cb
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+    return MVPoly._from_terms(a.variables, terms)
+
+
+def mv_pow(p: MVPoly, k: int) -> MVPoly:
+    """``p ** k`` by binary exponentiation (k >= 0)."""
+    if k < 0:
+        raise ValueError("negative power of a polynomial")
+    result = MVPoly.constant(p.variables, 1)
+    base = p
+    while k:
+        if k & 1:
+            result = mv_mul(result, base)
+        k >>= 1
+        if k:
+            base = mv_mul(base, base)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# even moments of the triangle area in T3 by literal expansion of D^k
+
+
+def monomial_integral_T3(l: int, m: int, n: int) -> Fraction:
+    """Exact integral of x^l y^m z^n over the standard tetrahedron:
+    l! m! n! / (l+m+n+3)!."""
+    num = math.factorial(l) * math.factorial(m) * math.factorial(n)
+    return Fraction(num, math.factorial(l + m + n + 3))
+
+
+def build_gram_poly(case: str, integral: bool = False) -> MVPoly:
+    """Exact Gram-determinant polynomial D = 4 (triangle area)^2.
+
+    Free case: variables (x0, y0, z0, x1, y1, z1, x2, y2, z2) and edge
+    vectors u = X1 - X0, v = X2 - X0, integer coefficients.  Fixed-centroid
+    case: variables (x1, ..., z2) with u = X1 - c, v = X2 - c for
+    c = (1/3, 1/3, 1/3); with ``integral`` set the edge vectors are
+    3 (X - c) = 3 X - 1 instead, so the polynomial is 81 D with integer
+    coefficients.
+    """
+    case = _normalize_case(case)
+    if case == CASE_FREE:
+        names = ("x0", "y0", "z0", "x1", "y1", "z1", "x2", "y2", "z2")
+        var = [MVPoly.variable(names, n) for n in names]
+        u = [var[3 + a] - var[a] for a in range(3)]
+        v = [var[6 + a] - var[a] for a in range(3)]
+    else:
+        names = ("x1", "y1", "z1", "x2", "y2", "z2")
+        var = [MVPoly.variable(names, n) for n in names]
+        scale, offset = (3, 1) if integral else (1, Fraction(1, 3))
+        u = [scale * var[a] - offset for a in range(3)]
+        v = [scale * var[3 + a] - offset for a in range(3)]
+    uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    vv = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    uv = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    return uu * vv - uv * uv
+
+
+def even_moment_by_expansion(case: str, k: int) -> Fraction:
+    """E V^(2k) by explicit expansion of D^k and per-point integration.
+
+    Builds the full sparse polynomial D^k on integer coefficients (the
+    fixed-centroid case expands (81 D)^k and divides by 81^k at the end)
+    and contracts every monomial block (x_i, y_i, z_i) with the exact
+    tetrahedron monomial integral, over one common denominator.
+    Exponential in k; an independent cross-check for small k.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise UsageError("moment half-order k must be a nonnegative integer")
+    case = _normalize_case(case)
+    if k == 0:
+        return Fraction(1)
+    power = build_gram_poly(case, integral=True) ** k
+    scale = 81**k if case == CASE_FIXED else 1
+    npoints = len(power.variables) // 3
+    # every block integral times (4k+3)! is an integer: no block exceeds degree 4k
+    den = math.factorial(4 * k + 3)
+    weight = {}
+    total = 0
+    for exps, coeff in power.terms().items():
+        for b in range(0, len(exps), 3):
+            block = exps[b : b + 3]
+            if block not in weight:
+                weight[block] = int(monomial_integral_T3(*block) * den)
+            coeff *= weight[block]
+        total += coeff
+    return Fraction(6**npoints * total, 4**k * scale * den**npoints)
+
+
+# ---------------------------------------------------------------------------
+# simplex volumes and boundary distance
+
+
+def _det_fraction(rows) -> Fraction:
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
+def _gram_det_exact(pts) -> Fraction:
+    base = pts[0]
+    vecs = [[Fraction(a) - Fraction(b) for a, b in zip(p, base)] for p in pts[1:]]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
+    return _det_fraction(gram)
+
+
+def gram_volume(points) -> float:
+    """(n-1)-dimensional volume of the convex hull of n points in R^d.
+
+    For n points the value is sqrt(det(M^T M)) / (n-1)! where the columns of
+    M are the edge vectors from the first point.  Rational inputs go through
+    exact determinant arithmetic with a single floating square root at the
+    end; floating inputs use a singular-value product, which is stable for
+    nearly degenerate point sets.
+
+    Degenerate (affinely dependent) inputs give 0.  Raises UsageError for
+    fewer than two points, for more than d+1 points, or for ragged input.
+    """
+    pts = [tuple(p) for p in points]
+    n = len(pts)
+    if n < 2:
+        raise UsageError("gram_volume needs at least two points")
+    d = len(pts[0])
+    if any(len(p) != d for p in pts[1:]):
+        raise UsageError("all points must have the same dimension")
+    if n > d + 1:
+        raise UsageError(
+            "at most d+1 = %d points can be affinely independent in "
+            "dimension %d, got %d" % (d + 1, d, n)
+        )
+    if all(isinstance(c, Rational) for p in pts for c in p):
+        return math.sqrt(_gram_det_exact(pts)) / math.factorial(n - 1)
+    mat = np.asarray(pts, dtype=float)
+    edges = mat[1:] - mat[0]
+    sing = np.linalg.svd(edges, compute_uv=False)
+    return float(np.prod(sing)) / math.factorial(n - 1)
+
+
+def boundary_residual(body: Body, point) -> float:
+    """Distance from the point to the body's boundary (0 exactly on it)."""
+    pt = tuple(point)
+    if len(pt) != body.dim:
+        raise UsageError(
+            "point has dimension %d, body has dimension %d" % (len(pt), body.dim)
+        )
+    return abs(min(_margins(body, pt)))

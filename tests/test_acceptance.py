@@ -320,23 +320,21 @@ class TestPublicNames:
         "Body", "CHUNK_SIZE", "CapacityError", "Certificate", "DomainError",
         "EdgePointSpec", "EstimateWithError", "FIXED_B", "FIXED_BPRIME",
         "FIXED_KMAX_LIMIT", "FREE_B", "FREE_BPRIME", "FREE_KMAX_LIMIT",
-        "LOWER_DOUBLE_NODES", "LOWER_SINGLE_NODES", "MVPoly", "MomentTable",
-        "NonnegResult", "PIVOT", "RNG_ALGORITHM", "RngStream", "SturmChain",
-        "TriangleSpec", "UPPER_DOUBLE_NODES", "UPPER_SINGLE_NODES", "UniPoly",
-        "UsageError", "VerificationError", "__version__", "ball", "body_measures",
-        "bound_from_moments", "boundary_convergence_sweep", "boundary_residual",
-        "build_certificate", "build_gram_poly", "certificate_from_json",
-        "certificate_to_json", "chord_moment", "contains", "csc_power_antiderivative",
-        "cube", "edgepoint_moment", "error_polynomial", "estimate_moment",
-        "even_moment", "even_moment_by_expansion", "find_epsilon0", "format_rational",
-        "gram_volume", "halfball", "hermite_interpolate", "interior_convergence_sweep",
-        "is_polytopal", "lift_body", "lower_area_certificate", "moment_table",
-        "monomial_integral_T3", "mv_mul", "mv_pow", "node_search", "parse_rational",
-        "polygon_edges", "product", "ratio_r", "rationalize", "sample_boundary_uniform",
-        "sample_uniform", "standard_simplex", "sturm_nonneg_on_interval",
-        "tetrahedron_T3", "triangle_T2", "uni_eval", "unit_right_isosceles",
-        "upper_area_certificate", "upper_sqrt_rational", "verify_bound_polynomial",
-        "verify_counterexample", "vertex_moment",
+        "LOWER_DOUBLE_NODES", "LOWER_SINGLE_NODES", "MomentTable", "NonnegResult",
+        "PIVOT", "RNG_ALGORITHM", "RngStream", "SturmChain", "TriangleSpec",
+        "UPPER_DOUBLE_NODES", "UPPER_SINGLE_NODES", "UniPoly", "UsageError",
+        "VerificationError", "__version__", "ball", "body_measures",
+        "bound_from_moments", "boundary_convergence_sweep", "build_certificate",
+        "certificate_from_json", "certificate_to_json", "chord_moment", "contains",
+        "csc_power_antiderivative", "cube", "edgepoint_moment", "error_polynomial",
+        "estimate_moment", "even_moment", "format_rational", "halfball",
+        "hermite_interpolate", "interior_convergence_sweep", "is_polytopal",
+        "lift_body", "lower_area_certificate", "moment_table", "node_search",
+        "parse_rational", "polygon_edges", "product", "ratio_r", "rationalize",
+        "sample_boundary_uniform", "sample_uniform", "standard_simplex",
+        "sturm_nonneg_on_interval", "tetrahedron_T3", "triangle_T2", "uni_eval",
+        "unit_right_isosceles", "upper_area_certificate", "upper_sqrt_rational",
+        "verify_bound_polynomial", "verify_counterexample", "vertex_moment",
         ]
         for name in simplexmoments.__all__:
             assert getattr(simplexmoments, name) is not None, name

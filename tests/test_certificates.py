@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import build_gram_poly
 from simplexmoments.certificates import (
     FIXED_B,
     FIXED_BPRIME,
@@ -30,7 +31,7 @@ from simplexmoments.certificates import (
 )
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
 from simplexmoments.exact import UniPoly, uni_eval
-from simplexmoments.tetra import build_gram_poly, moment_table
+from simplexmoments.tetra import moment_table
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ import pytest
 
 from simplexmoments.cli import main
 from simplexmoments.chords import EdgePointSpec, TriangleSpec, edgepoint_moment
+from simplexmoments.tetra import MomentTable
 
 SLOW = os.environ.get("SIMPLEXMOMENTS_SLOW") != "1"
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
@@ -555,6 +556,155 @@ class TestWrongCaseTable:
         assert main(argv + ["--out", str(out)]) == 2
         assert "holds case 'fixed-centroid', expected 'free'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def copy_tables(tables_dir, dest):
+    """A private copy of the complete tables, safe to corrupt or extend."""
+    shutil.copytree(tables_dir, str(dest))
+    return str(dest)
+
+
+def edit_table(path, edit):
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    edit(data)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1)
+
+
+def _duplicate_k1(data):
+    # check() would see the last value, value(1) the first
+    data["entries"][1:2] = [{"k": 1, "value": "2"}, {"k": 1, "value": "1/2"}]
+
+
+_MALFORMED = {
+    "bad-json": None,
+    "no-case": lambda d: d.pop("case"),
+    "no-entries": lambda d: d.pop("entries"),
+    "no-k": lambda d: d["entries"][1].pop("k"),
+    "no-value": lambda d: d["entries"][1].pop("value"),
+    "float-value": lambda d: d["entries"][1].update(value="0.005625"),
+    "zero-denominator": lambda d: d["entries"][1].update(value="1/0"),
+    "duplicate-k": _duplicate_k1,
+    "negative-k": lambda d: d["entries"].append({"k": -1, "value": "1/2"}),
+}
+
+
+class TestMalformedTable:
+    """A file that is not a well-formed moment table is a usage error that
+    names the file: exit 2, one line on stderr, no report, file untouched."""
+
+    @pytest.fixture(params=sorted(_MALFORMED))
+    def broken(self, request, tmp_path, tables_dir):
+        path = copy_tables(tables_dir, tmp_path / "tables")
+        free = os.path.join(path, "free_moments.json")
+        if _MALFORMED[request.param] is None:
+            with open(free, "w", encoding="utf-8") as fh:
+                fh.write("{not json")
+        else:
+            edit_table(free, _MALFORMED[request.param])
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-counterexample", "--tables", "{tables}"],
+            ["certify", "--side", "lower", "--table", "{tables}/free_moments.json"],
+            ["tetra-moments", "--case", "free", "--kmax", "2", "--tables", "{tables}"],
+        ],
+        ids=["verify-counterexample", "certify-table", "tetra-moments"],
+    )
+    def test_refused_without_report(self, tmp_path, broken, argv, capsys):
+        free = os.path.join(broken, "free_moments.json")
+        with open(free, "rb") as fh:
+            before = fh.read()
+        out = tmp_path / "r.json"
+        argv = [arg.replace("{tables}", broken) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert free in err
+        assert not out.exists()
+        with open(free, "rb") as fh:
+            assert fh.read() == before
+
+
+@pytest.fixture
+def from_json_calls(monkeypatch):
+    """The case of every table parsed through MomentTable.from_json."""
+    calls = []
+    real = MomentTable.from_json.__func__
+
+    def counting(cls, data):
+        calls.append(data["case"])
+        return real(cls, data)
+
+    monkeypatch.setattr(MomentTable, "from_json", classmethod(counting))
+    return calls
+
+
+class TestTablesReadOnce:
+    """Each table file is parsed once per command, also when a short
+    checkpoint is extended."""
+
+    def test_tetra_moments_extends_short_checkpoint(self, tmp_path, from_json_calls):
+        tables = tmp_path / "tables"
+        assert run_cli(["tetra-moments", "--case", "free", "--kmax", "2", "--tables",
+                        tables], tmp_path / "a.json")[0] == 0
+        del from_json_calls[:]
+        code, report = run_cli(
+            ["tetra-moments", "--case", "free", "--kmax", "3", "--tables", tables],
+            tmp_path / "b.json",
+        )
+        assert code == 0
+        assert from_json_calls == ["free"]
+        assert report["result"]["moments"][2]["value"] == "3161/379330560"
+
+    def test_verify_counterexample_extends_short_checkpoint(
+        self, tmp_path, tables_dir, from_json_calls
+    ):
+        path = copy_tables(tables_dir, tmp_path / "tables")
+        fixed = os.path.join(path, "fixed_moments.json")
+        edit_table(fixed, lambda d: d["entries"].pop())
+        code, report = run_cli(
+            ["verify-counterexample", "--tables", path, "--compute-missing"],
+            tmp_path / "r.json",
+        )
+        assert code == 0
+        assert report["result"]["confirmed"] is True
+        assert from_json_calls == ["free", "fixed-centroid"]
+        with open(fixed, "rb") as a, open(os.path.join(tables_dir, "fixed_moments.json"), "rb") as b:
+            assert a.read() == b.read()
+
+
+class TestShortTables:
+    """verify-counterexample lists every short table, exits 3 and creates
+    nothing when it may not compute them."""
+
+    def test_absent_directory_lists_both_and_stays_absent(self, tmp_path, capsys):
+        path = tmp_path / "nowhere"
+        assert main(["verify-counterexample", "--tables", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "insufficient moment tables" in err
+        assert str(path / "free_moments.json") + " needs k_max>=7 (absent)" in err
+        assert str(path / "fixed_moments.json") + " needs k_max>=15 (absent)" in err
+        assert not path.exists()
+
+    def test_one_short_table_is_listed_alone(self, tmp_path, tables_dir, capsys):
+        path = copy_tables(tables_dir, tmp_path / "tables")
+        fixed = os.path.join(path, "fixed_moments.json")
+        edit_table(fixed, lambda d: d["entries"].pop())
+        with open(fixed, "rb") as fh:
+            before = fh.read()
+        out = tmp_path / "r.json"
+        assert main(["verify-counterexample", "--tables", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert fixed + " needs k_max>=15 (k_max=14)" in err
+        assert "free_moments.json" not in err
+        assert not out.exists()
+        assert sorted(os.listdir(path)) == sorted(os.listdir(tables_dir))
+        with open(fixed, "rb") as fh:
+            assert fh.read() == before
 
 
 class TestReproduce:

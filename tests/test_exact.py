@@ -10,15 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import MVPoly, mv_mul, mv_pow
 from simplexmoments import certificates
 from simplexmoments.exact import (
-    MVPoly,
     SturmChain,
     UniPoly,
     _deflate_root,
     format_rational,
-    mv_mul,
-    mv_pow,
     parse_rational,
     sturm_nonneg_on_interval,
     uni_eval,
@@ -87,6 +85,12 @@ def test_parse_format_roundtrip():
 def test_parse_rejects_floats():
     with pytest.raises(ValueError):
         parse_rational("0.25")
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", " 0/0 ", 1, None])
+def test_parse_rejects_zero_denominators_and_non_strings(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import boundary_residual, gram_volume, monomial_integral_T3
 from simplexmoments.errors import UsageError
 from simplexmoments.geometry import (
     Body,
     ball,
     body_measures,
-    boundary_residual,
     contains,
     cube,
-    gram_volume,
     halfball,
     is_polytopal,
-    monomial_integral_T3,
     polygon_edges,
     product,
     standard_simplex,

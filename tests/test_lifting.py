@@ -1,4 +1,4 @@
-"""Tests for prism lifting and the convergence/separation experiments."""
+"""Tests for prism lifting and the convergence experiments."""
 
 import math
 from fractions import Fraction as F
@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from simplexmoments.chords import TriangleSpec, chord_moment, ratio_r
-from simplexmoments.errors import DomainError, UsageError
+from simplexmoments.chords import TriangleSpec, chord_moment
+from simplexmoments.errors import UsageError
 from simplexmoments.geometry import (
     body_measures,
     contains,
@@ -17,7 +17,6 @@ from simplexmoments.geometry import (
 )
 from simplexmoments.lifting import (
     boundary_convergence_sweep,
-    find_epsilon0,
     interior_convergence_sweep,
     lift_body,
 )
@@ -249,64 +248,3 @@ class TestCrossSweepProperties:
         b = boundary["rows"][-1]["estimate"]
         sigma = math.hypot(a.std_error, b.std_error)
         assert abs(a.mean - b.mean) < 3 * sigma + 2e-3
-
-
-class TestFindEpsilon0:
-    def test_pinned_vs_free_chord_cube(self):
-        # the midpoint-pinned distance moments sit well below the free
-        # ones (their ratio at k=3 is about 0.56), and the gap survives
-        # lifting: the largest tested eps already certifies
-        free = triangle_T2()
-        pinned = triangle_T2(fixed_point=(F(1, 2), F(1, 2)))
-        result = find_epsilon0(
-            free,
-            pinned,
-            2,
-            3,
-            [F(1, 4), F(1, 16), F(1, 64)],
-            samples=100_000,
-            seed=5100,
-        )
-        assert ratio_r(3) < 1
-        assert result["verdict"] == "certified"
-        assert result["epsilon0"] == F(1, 4)
-        for row in result["rows"]:
-            assert row["certified"]
-            assert row["separation"] > 0
-
-    def test_identical_bodies_inconclusive(self):
-        result = find_epsilon0(
-            triangle_T2(),
-            triangle_T2(),
-            2,
-            2,
-            [F(1, 4), F(1, 16)],
-            samples=20_000,
-            seed=5200,
-        )
-        assert result["verdict"] == "inconclusive"
-        assert result["epsilon0"] is None
-
-    def test_containment_failure(self):
-        with pytest.raises(DomainError):
-            find_epsilon0(
-                cube(2),
-                triangle_T2(),
-                2,
-                1,
-                [F(1, 4)],
-                samples=1_000,
-                seed=5300,
-            )
-
-    def test_dimension_guard_before_lifting(self):
-        with pytest.raises(UsageError):
-            find_epsilon0(
-                triangle_T2(),
-                cube(2),
-                4,
-                1,
-                [F(1, 4)],
-                samples=1_000,
-                seed=5400,
-            )

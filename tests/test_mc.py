@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import _gram_det_exact, boundary_residual
 from simplexmoments.chords import (
     EdgePointSpec,
     TriangleSpec,
@@ -17,9 +18,7 @@ from simplexmoments.chords import (
 from simplexmoments.errors import DomainError, UsageError
 from simplexmoments.geometry import (
     Body,
-    _gram_det_exact,
     ball,
-    boundary_residual,
     contains,
     cube,
     halfball,

@@ -9,16 +9,15 @@ from fractions import Fraction as F
 
 import pytest
 
+import simplexmoments.tetra as tetra_mod
+from oracles import build_gram_poly, even_moment_by_expansion, monomial_integral_T3
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
-from simplexmoments.geometry import monomial_integral_T3
 from simplexmoments.tetra import (
     CASE_FIXED,
     CASE_FREE,
     FREE_KMAX_LIMIT,
     MomentTable,
-    build_gram_poly,
     even_moment,
-    even_moment_by_expansion,
     moment_table,
 )
 
@@ -160,15 +159,16 @@ def test_even_moment_case_alias_and_errors():
         even_moment(CASE_FREE, 1.5)
 
 
-def test_even_moment_capacity_guard():
+def test_even_moment_capacity_guard(monkeypatch):
     with pytest.raises(CapacityError) as err:
         even_moment(CASE_FREE, FREE_KMAX_LIMIT + 1)
     assert "capacity" in str(err.value)
-    # an explicit limit unlocks higher orders
-    val = even_moment(CASE_FREE, 1, limit=1)
-    assert val == FREE_MOMENTS[0]
+    # the guard reads the module limits at call time
+    monkeypatch.setattr(tetra_mod, "FREE_KMAX_LIMIT", 1)
+    monkeypatch.setattr(tetra_mod, "FIXED_KMAX_LIMIT", 2)
+    assert even_moment(CASE_FREE, 1) == FREE_MOMENTS[0]
     with pytest.raises(CapacityError):
-        even_moment(CASE_FIXED, 3, limit=2)
+        even_moment(CASE_FIXED, 3)
 
 
 def test_expansion_route_agrees_with_engine():
@@ -231,13 +231,11 @@ def test_moment_table_checkpoint_resume(tmp_path, monkeypatch):
     assert data["entries"][1]["value"] == "9/1600"
 
     calls = []
-    import simplexmoments.tetra as tetra_mod
-
     real = tetra_mod.even_moment
 
-    def counting(case, k, limit=None):
+    def counting(case, k):
         calls.append(k)
-        return real(case, k, limit=limit)
+        return real(case, k)
 
     monkeypatch.setattr(tetra_mod, "even_moment", counting)
     table = moment_table(CASE_FREE, 3, checkpoint=path)
@@ -251,21 +249,20 @@ def test_moment_table_checkpoint_resume(tmp_path, monkeypatch):
 
 
 def test_moment_table_refuses_before_any_work(tmp_path, monkeypatch):
-    import simplexmoments.tetra as tetra_mod
-
     path = str(tmp_path / "free.json")
     moment_table(CASE_FREE, 2, checkpoint=path)
 
-    def forbidden(case, k, limit=None):
+    def forbidden(case, k):
         raise AssertionError("even_moment called for k=%d" % k)
 
     monkeypatch.setattr(tetra_mod, "even_moment", forbidden)
     with pytest.raises(CapacityError):
         moment_table("free", 10)
     # checkpointed orders above the limit are fine; a missing one is not
-    assert moment_table(CASE_FREE, 2, checkpoint=path, limit=1).value(2) == FREE_MOMENTS[1]
+    monkeypatch.setattr(tetra_mod, "FREE_KMAX_LIMIT", 1)
+    assert moment_table(CASE_FREE, 2, checkpoint=path).value(2) == FREE_MOMENTS[1]
     with pytest.raises(CapacityError):
-        moment_table(CASE_FREE, 3, checkpoint=path, limit=1)
+        moment_table(CASE_FREE, 3, checkpoint=path)
 
 
 def test_moment_table_checkpoint_case_mismatch(tmp_path):
