@@ -3,8 +3,8 @@
 The package computes moments of the (n-1)-volume of the convex hull of n
 random points in a convex body (optionally with one vertex pinned to a fixed
 point), proves one-sided polynomial bounds on sqrt by exact Sturm
-certificates, searches for certificate nodes by an exact rational simplex
-method on the dual moment problem, and cross-checks everything by
+certificates, searches for certificate nodes by an exact exchange on d+1
+grid nodes of the dual moment problem, and cross-checks everything by
 deterministic Monte Carlo. The flagship use is the machine verification
 that pinning a vertex to the facet centroid (1/3, 1/3, 1/3) of
 T3 = conv{0, e1, e2, e3} can strictly decrease the expected volume, so

@@ -294,7 +294,6 @@ def _obtain_table(
         have = "absent" if stored is None else "k_max=%d" % stored.k_max
         raise CapacityError("%s needs k_max>=%d (%s)" % (path, k_max, have))
     if tables_dir:
-        os.makedirs(tables_dir, exist_ok=True)
         ctx.output_files.append(path)
     return moment_table(key, k_max, checkpoint=path, stored=stored)
 
@@ -690,7 +689,7 @@ def _cmd_reproduce(args, ctx: _RunContext) -> dict:
         if args.grid >= 200:
             print(
                 "note: the full level solves two exact rational LPs on a "
-                "%d-point grid; at 200 points they take about 30 s" % args.grid,
+                "%d-point grid; at 200 points they take about 1 s" % args.grid,
                 file=sys.stderr,
             )
         checks.append(_reproduce_node_searches(args, free, fixed))

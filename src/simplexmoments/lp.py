@@ -1,36 +1,42 @@
 """Exact grid node search for one-sided polynomial bounds of sqrt.
 
-Given an exact even-moment table (mu_0, mu_2, ..., mu_2d) for a random area
-V, the best polynomial p(x) = sum a_i x^i with p(t^2) <= t on a rational
-grid of t-values maximizes sum a_i mu_2i (a lower bound for E V); the
-reverse inequality minimized gives an upper bound.  The grid t-values where
-the optimal polynomial touches the constraint are candidates for
-interpolation nodes; adjacent active grid points are merged, since the true
-tangency lies between them.
+Given exact even moments mu_0, mu_2, ..., mu_2d of a random area V, the best
+p(x) = sum a_i x^i with p(t^2) <= t on a rational grid of t-values maximizes
+sum a_i mu_2i, a lower bound for E V; the reverse inequality minimized gives
+an upper bound.  Grid points where the optimum touches the constraint, with
+adjacent ones merged, are candidate interpolation nodes.
 
-The program is solved on its dual side, a discrete moment problem with only
-d+1 equality rows: over weights y_l >= 0 on the grid points x_l = t_l^2,
+The program is solved on its dual side, a discrete moment problem with d+1
+rows: over weights y_l >= 0 on the grid points x_l = t_l^2, minimize
+(lower) or maximize (upper) sum_l t_l y_l subject to sum_l y_l x_l^i = mu_2i
+for i = 0..d, by an exchange on d+1 grid nodes (a dual simplex method).  A
+basis gets its weights from one exact Vandermonde solve and its polynomial
+p by interpolating t; the first basis makes p a feasible bound.  While a
+weight is negative, the node with the most negative one leaves, and the grid
+point that first touches the bound as p moves along the leaving Lagrange
+polynomial enters.  By Descartes' rule of signs, t - p(t^2) has at most d+1
+zeros on [0, inf), so no grid point off the basis touches the bound: each
+exchange strictly improves the objective, and the loop ends with no
+anti-cycling rule.  The final basis supports a principal representation of
+the moments (Karlin & Studden, 1966).
 
-    minimize (lower) or maximize (upper)  sum_l t_l y_l
-    subject to  sum_l y_l x_l^i = mu_2i  for i = 0..d.
-
-A dense two-phase simplex over Fraction arithmetic solves it; Bland's rule
-guarantees termination even on degenerate vertices.  The optimal basis is
-the support of a principal representation of the moments (Karlin & Studden,
-Tchebycheff Systems, 1966), and the polynomial with p(x_b) = t_b on those
-d+1 grid points, one Vandermonde solve, is the primal optimum.  There is no
-tolerance anywhere: every optimum is certified exactly by dual feasibility,
-the bound inequality at every grid point, and equal objectives, which by
-weak duality prove both sides optimal.
+When no point can enter, the leaving Lagrange polynomial is >= 0 on the grid
+with a negative moment functional; with fewer grid points than coefficients
+the signed product of (x - x_l) over the grid is.  Either, checked exactly,
+proves that no weights fit, so the bound program is unbounded.  Optima are
+certified exactly, with no tolerance: dual feasibility, the bound at every
+grid point, and equal objectives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from functools import reduce
+from itertools import groupby
+from math import lcm
 
 from .errors import CapacityError, UsageError, VerificationError
-from .exact import UniPoly, _as_fraction, _solve_fraction_free
+from .exact import _as_fraction
 
 __all__ = ["node_search", "rationalize"]
 
@@ -42,79 +48,92 @@ def rationalize(x, max_den: int) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
 
-def _pivot(lines, basis, row: int, col: int) -> None:
-    """Make column ``col`` basic in tableau row ``row``.
-
-    ``lines`` holds the tableau rows followed by the reduced-cost row; each
-    ends in its right-hand side.
-    """
-    prow = lines[row]
-    inv = 1 / prow[col]
-    prow[:] = [v * inv for v in prow]
-    for line in lines:
-        factor = line[col]
-        if line is not prow and factor:
-            line[:] = [a - factor * b if b else a for a, b in zip(line, prow)]
-    basis[row] = col
+def _poly_from_roots(roots) -> list:
+    """Coefficients, lowest first, of the product of (x - r) over the roots."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [lo - r * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
-def _bland(tableau, basis, cost) -> None:
-    """Simplex steps by Bland's rule until no reduced cost is positive."""
-    lines = tableau + [cost]
-    while True:
-        enter = next((j for j in range(len(cost) - 1) if cost[j] > 0), None)
-        if enter is None:
-            return
-        leave, best = None, None
-        for i, row in enumerate(tableau):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave is None:
-            # phase 1 is bounded by zero, phase 2 by weak duality against
-            # the always feasible primal (a = 0 or a = (end, 0, ...))
-            raise VerificationError("the moment program has an unbounded ray")
-        _pivot(lines, basis, leave, enter)
+def _horner(coeffs, x):
+    return reduce(lambda acc, c: acc * x + c, reversed(coeffs), 0)
+
+
+def _functional(coeffs, moments) -> Fraction:
+    return sum((c * mu for c, mu in zip(coeffs, moments)), Fraction(0))
+
+
+def _lagrange(xs, basis, r):
+    """Lagrange polynomial of node r on the basis, as (coefficients, divisor)."""
+    coeffs = _poly_from_roots(xs[c] for c in basis if c != r)
+    return coeffs, _horner(coeffs, xs[r])
+
+
+def _interpolant(grid, basis) -> list[Fraction]:
+    """Coefficients of the p of degree < len(basis) with p(t_b^2) = t_b."""
+    xs = {b: grid[b] ** 2 for b in basis}
+    lags = [(grid[b], *_lagrange(xs, basis, b)) for b in basis]
+    return [sum(t * lag[i] / den for t, lag, den in lags) for i in range(len(basis))]
+
+
+def _start_basis(npts: int, degree: int, sense: str) -> list[int]:
+    """t = 0 (lower), adjacent grid pairs spread evenly, and the grid end if a
+    node is left.  t - p(t^2) changes sign only at these d+1 zeros, so off them
+    it keeps its sign at t = 0+: that of t if p(0) = 0, else -p(0) < 0 (Descartes)."""
+    lower = sense == "lower"
+    pairs, slack = (degree + 1 - lower) // 2, npts - 1 - degree  # no slack: packed left
+    starts = [lower + 2 * k + slack * (k + 1) // (pairs + 1) for k in range(pairs)]
+    basis = [0] * lower + [l + i for l in starts for i in (0, 1)]
+    return basis + [npts - 1] * (degree + 1 - len(basis))
+
+
+def _check_farkas(grid, moments, coefficients) -> None:
+    """Raise VerificationError unless w(t_l^2) >= 0 on the grid and sum_i w_i
+    mu_2i < 0, which proves that no grid weights y >= 0 have the moments."""
+    if any(_horner(coefficients, t * t) < 0 for t in grid):
+        raise VerificationError("Farkas polynomial is negative at a grid point")
+    if _functional(coefficients, moments) >= 0:
+        raise VerificationError("Farkas polynomial has a nonnegative moment functional")
 
 
 def _solve_moment_program(grid, moments, sense: str):
-    """Optimal basis and weights on the grid, or None if no weights fit."""
-    npts = len(grid)
-    tableau = []
-    column = [Fraction(1)] * npts
-    for mu in moments:
-        tableau.append(column + [mu])
-        column = [c * t * t for c, t in zip(column, grid)]
-    basis = list(range(npts, npts + len(moments)))  # artificials
-    # phase 1: maximize minus the sum of the artificials
-    cost = [sum(col) for col in zip(*tableau)]
-    _bland(tableau, basis, cost)
-    if cost[-1]:
+    """Optimal basis and weights on an increasing grid of t >= 0, or None
+    once an exact Farkas proof shows that no weights fit."""
+    npts, size = len(grid), len(moments)
+    if npts < size:
+        vanishing = _poly_from_roots(t * t for t in grid)  # zero on the whole grid
+        value = _functional(vanishing, moments)
+        if not value:
+            raise VerificationError("%d grid points cannot determine a degree-%d bound "
+                                    "polynomial" % (npts, size - 1))
+        _check_farkas(grid, moments, [-c / value for c in vanishing])
         return None
-    for i, b in enumerate(basis):
-        if b >= npts:  # an artificial left basic at level zero
-            col = next((j for j in range(npts) if tableau[i][j]), None)
-            if col is None:
-                raise VerificationError(
-                    "%d grid points cannot determine a degree-%d bound polynomial"
-                    % (npts, len(moments) - 1)
-                )
-            _pivot(tableau, basis, i, col)
-    # phase 2: minimize (lower) or maximize (upper) sum_l t_l y_l
-    sign = -1 if sense == "lower" else 1
-    cost = [sign * t for t in grid] + [Fraction(0)]
-    for row, b in zip(tableau, basis):
-        factor = cost[b]
-        cost = [c - factor * v for c, v in zip(cost, row)]
-    _bland(tableau, basis, cost)
-    weights = [Fraction(0)] * npts
-    for row, b in zip(tableau, basis):
-        weights[b] = row[-1]
-    return basis, weights
+    scale = lcm(*(t.denominator for t in grid))
+    u = [int(t * scale) ** 2 for t in grid]  # x_l = u_l / scale^2 in integers
+    nu = [mu * scale ** (2 * i) for i, mu in enumerate(moments)]  # the moments over u
+    basis = _start_basis(npts, size - 1, sense)
+    p, sign = _interpolant(grid, basis), (1 if sense == "lower" else -1)
+    cost = [sign * (t - _horner(p, t * t)) for t in grid]  # reduced costs, kept >= 0
+    while True:
+        lags = {b: _lagrange(u, basis, b) for b in basis}
+        weights = {b: _functional(lag, nu) / den for b, (lag, den) in lags.items()}
+        leave = min(basis, key=lambda b: (weights[b], b))
+        if weights[leave] >= 0:
+            return basis, [weights.get(l, Fraction(0)) for l in range(npts)]
+        lag, den = lags[leave]
+        along = [Fraction(_horner(lag, x), den) for x in u]  # L_r on the grid
+        entering = [j for j, a in enumerate(along) if a < 0]
+        if not entering:  # L_r >= 0 on the grid, its moment functional is y_r < 0
+            farkas = [Fraction(c * scale ** (2 * i), den) for i, c in enumerate(lag)]
+            _check_farkas(grid, moments, farkas)
+            return None
+        step, enter = min((cost[j] / -along[j], j) for j in entering)
+        cost = [c + step * a for c, a in zip(cost, along)]
+        basis[basis.index(leave)] = enter
 
 
-def _check_certificate(grid, moments, sense: str, coefficients, weights) -> List[int]:
+def _check_certificate(grid, moments, sense: str, coefficients, weights) -> list[int]:
     """Exact optimality proof of a polynomial bound and its dual weights.
 
     Raises VerificationError unless the weights are nonnegative and
@@ -128,16 +147,14 @@ def _check_certificate(grid, moments, sense: str, coefficients, weights) -> List
     for i, mu in enumerate(moments):
         if sum((y * t ** (2 * i) for t, y in support), Fraction(0)) != mu:
             raise VerificationError("dual weights miss moment mu_%d" % (2 * i))
-    poly = UniPoly(coefficients)
     active = []
     for l, t in enumerate(grid):
-        value = poly(t * t)
+        value = _horner(coefficients, t * t)
         if value == t:
             active.append(l)
         elif (value > t) == (sense == "lower"):
             raise VerificationError("bound polynomial fails at grid point t=%s" % t)
-    primal = sum((a * mu for a, mu in zip(coefficients, moments)), Fraction(0))
-    if primal != sum((t * y for t, y in support), Fraction(0)):
+    if _functional(coefficients, moments) != sum((t * y for t, y in support), Fraction(0)):
         raise VerificationError("primal and dual objectives differ")
     return active
 
@@ -145,17 +162,13 @@ def _check_certificate(grid, moments, sense: str, coefficients, weights) -> List
 def node_search(table, degree: int, grid_size: int, interval_end, sense: str) -> dict:
     """Best polynomial bound for sqrt on a rational grid, plus touch points.
 
-    Builds the grid t_l = l * interval_end / grid_size for l = 0..grid_size
-    and solves, over polynomials p of the given degree,
-
-        maximize  sum_i a_i mu_2i   s.t.  p(t_l^2) <= t_l   (sense "lower")
-        minimize  sum_i a_i mu_2i   s.t.  p(t_l^2) >= t_l   (sense "upper")
-
-    with the moments mu_2i taken from ``table``.  Returns the exact
-    objective, the solved coefficient vector, and candidate interpolation
-    nodes: grid t-values with an active constraint, adjacent actives merged
-    to their midpoint, the structural t = 0 point excluded.  The status is
-    "unbounded" when no polynomial bound has a finite optimum.
+    On the grid t_l = l * interval_end / grid_size, l = 0..grid_size, it
+    maximizes (sense "lower") or minimizes ("upper") sum_i a_i mu_2i over p of
+    the given degree with p(t_l^2) <= t_l, or >= t_l, taking mu_2i from
+    ``table``.  Returns the exact objective, the coefficients, and candidate
+    interpolation nodes: grid t-values with an active constraint, adjacent
+    ones merged to their midpoint, t = 0 excluded.  The status is "unbounded"
+    when no polynomial bound has a finite optimum.
     """
     if sense not in ("lower", "upper"):
         raise UsageError("sense must be 'lower' or 'upper'")
@@ -177,27 +190,13 @@ def node_search(table, degree: int, grid_size: int, interval_end, sense: str) ->
     if solved is None:
         return {"status": "unbounded", "objective": None, "candidate_nodes": []}
     basis, weights = solved
-    coefficients = tuple(
-        _solve_fraction_free(
-            [[grid[l] ** (2 * i) for i in range(len(moments))] for l in basis],
-            [grid[l] for l in basis],
-        )
-    )
+    coefficients = tuple(_interpolant(grid, basis))
     active = [l for l in _check_certificate(grid, moments, sense, coefficients, weights) if l]
-    candidates = []
-    run: List[int] = []
-    for idx in active:
-        if run and idx == run[-1] + 1:
-            run.append(idx)
-        else:
-            if run:
-                candidates.append(sum(grid[i] for i in run) / len(run))
-            run = [idx]
-    if run:
-        candidates.append(sum(grid[i] for i in run) / len(run))
+    runs = [[l for _, l in run] for _, run in groupby(enumerate(active), lambda p: p[1] - p[0])]
+    candidates = [sum(grid[i] for i in run) / len(run) for run in runs]
     return {
         "status": "optimal",
-        "objective": sum((a * mu for a, mu in zip(coefficients, moments)), Fraction(0)),
+        "objective": _functional(coefficients, moments),
         "coefficients": coefficients,
         "candidate_nodes": candidates,
         "active_grid_indices": tuple(active),

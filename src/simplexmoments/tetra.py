@@ -363,8 +363,8 @@ class MomentTable:
 def _read_table(path: str, case: str) -> MomentTable:
     """The checked table stored at ``path``, which must hold ``case``.
 
-    A file that cannot be read or parsed as a moment table is a UsageError
-    naming the path.
+    A file that cannot be read or parsed as a moment table is a UsageError,
+    and one that fails ``check`` a VerificationError, each naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -375,12 +375,16 @@ def _read_table(path: str, case: str) -> MomentTable:
         ) from None
     if table.case != case:
         raise UsageError("table %s holds case %r, expected %r" % (path, table.case, case))
-    table.check()
+    try:
+        table.check()
+    except VerificationError as exc:
+        raise VerificationError("moment table %s: %s" % (path, exc)) from None
     return table
 
 
 def _write_checkpoint(path: str, case: str, known: dict) -> None:
     table = MomentTable(case, max(known), tuple(sorted(known.items())))
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(table.to_json(), fh, indent=1)

@@ -108,6 +108,13 @@ class TestExitCodes:
         assert code == 3
         assert "capacity" in capsys.readouterr().err
 
+    def test_capacity_refusal_creates_no_tables_directory(self, tmp_path, capsys):
+        target = tmp_path / "new" / "sub"
+        code = main(["tetra-moments", "--case", "free", "--kmax", "10", "--tables", str(target)])
+        assert code == 3
+        assert "capacity" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     def test_insufficient_tables_refusal(self, tmp_path):
         code = main(["verify-counterexample", "--tables", str(tmp_path)])
         assert code == 3
@@ -675,6 +682,19 @@ class TestTablesReadOnce:
         assert from_json_calls == ["free", "fixed-centroid"]
         with open(fixed, "rb") as a, open(os.path.join(tables_dir, "fixed_moments.json"), "rb") as b:
             assert a.read() == b.read()
+
+
+class TestFailedTableCheck:
+    def test_verification_error_names_the_file(self, tmp_path, tables_dir, capsys):
+        path = copy_tables(tables_dir, tmp_path / "tables")
+        fixed = os.path.join(path, "fixed_moments.json")
+        edit_table(fixed, lambda d: d.update(entries=[e for e in d["entries"] if e["k"] != 3]))
+        out = tmp_path / "r.json"
+        assert main(["verify-counterexample", "--tables", path, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert fixed in err and "fixed_moments.json" in err
+        assert "missing k=3" in err
+        assert not out.exists()
 
 
 class TestShortTables:

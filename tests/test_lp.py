@@ -10,8 +10,16 @@ import scipy.optimize
 from simplexmoments.certificates import LOWER_DOUBLE_NODES, PIVOT
 from simplexmoments.cli import main
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
-from simplexmoments.exact import format_rational, parse_rational
-from simplexmoments.lp import _check_certificate, _solve_moment_program, node_search, rationalize
+from simplexmoments import lp
+from simplexmoments.exact import _solve_fraction_free, format_rational, parse_rational
+from simplexmoments.lp import (
+    _check_certificate,
+    _check_farkas,
+    _solve_moment_program,
+    _start_basis,
+    node_search,
+    rationalize,
+)
 from simplexmoments.tetra import moment_table
 
 SLOW = os.environ.get("SIMPLEXMOMENTS_SLOW") != "1"
@@ -192,6 +200,97 @@ class TestGoldenPrograms:
             assert [format_rational(c) for c in found["coefficients"]] == prog["coefficients"]
             assert [format_rational(t) for t in found["candidate_nodes"]] == prog["candidate_nodes"]
             assert list(found["active_grid_indices"]) == prog["active_grid_indices"]
+
+
+class TestSmallGoldenPrograms:
+    def test_small_programs_match_golden_file(self, free_table, fixed_table):
+        # frozen from the two-phase tableau simplex the exchange replaced:
+        # degrees 1-4, six grids, both cases and both senses
+        with open(os.path.join(DATA, "node_search_small_golden.json"), encoding="utf-8") as fh:
+            programs = json.load(fh)["programs"]
+        assert len(programs) == 96
+        tables = {"free": free_table, "fixed-centroid": fixed_table}
+        for prog in programs:
+            table, degree, size = tables[prog["case"]], prog["degree"], prog["grid"]
+            end = parse_rational(prog["interval_end"])
+            found = node_search(table, degree, size, end, prog["sense"])
+            grid = [F(l) * end / size for l in range(size + 1)]
+            moments = [table.value(i) for i in range(degree + 1)]
+            solved = _solve_moment_program(grid, moments, prog["sense"])
+            assert found["status"] == prog["status"]
+            if prog["status"] == "unbounded":
+                assert solved is None
+                continue
+            basis, weights = solved
+            assert sorted(basis) == prog["support"]
+            assert len(weights) == size + 1
+            assert {l: format_rational(y) for l, y in enumerate(weights) if y} == dict(
+                zip(prog["support"], prog["weights"])
+            )
+            assert format_rational(found["objective"]) == prog["objective"]
+            assert [format_rational(c) for c in found["coefficients"]] == prog["coefficients"]
+            assert list(found["active_grid_indices"]) == prog["active_grid_indices"]
+
+
+class TestExchange:
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_start_basis_is_a_feasible_bound(self, sense):
+        grid = [F(l, 50) * F(7, 8) for l in range(51)]
+        for degree in range(1, 16):
+            basis = _start_basis(len(grid), degree, sense)
+            assert len(set(basis)) == degree + 1
+            assert all(0 <= l < len(grid) for l in basis)
+            coeffs = _solve_fraction_free(
+                [[grid[l] ** (2 * i) for i in range(degree + 1)] for l in basis],
+                [grid[l] for l in basis],
+            )
+            for l, t in enumerate(grid):
+                gap = t - sum(a * t ** (2 * i) for i, a in enumerate(coeffs))
+                assert gap == 0 if l in basis else (gap > 0) == (sense == "lower")
+
+    def test_start_basis_packs_pairs_on_a_tight_grid(self):
+        assert _start_basis(5, 4, "lower") == [0, 1, 2, 3, 4]
+        assert _start_basis(5, 4, "upper") == [0, 1, 2, 3, 4]
+        assert _start_basis(4, 3, "lower") == [0, 1, 2, 3]
+
+    GRID = [F(0), F(1, 2), F(1)]
+
+    def test_farkas_rejects_a_negative_grid_value(self, free_table):
+        # w(x) = x - 1/8 is negative only at x = 0; its moment functional is
+        # negative, so only the grid check can refuse it
+        moments = [free_table.value(i) for i in range(2)]
+        assert moments[1] - F(1, 8) < 0
+        with pytest.raises(VerificationError, match="negative at a grid point"):
+            _check_farkas(self.GRID, moments, [-F(1, 8), F(1)])
+
+    @pytest.mark.parametrize("coeffs", [[F(1)], [F(0)], [F(0), F(1)]])
+    def test_farkas_rejects_a_nonnegative_functional(self, free_table, coeffs):
+        moments = [free_table.value(i) for i in range(2)]
+        with pytest.raises(VerificationError, match="nonnegative moment functional"):
+            _check_farkas(self.GRID, moments, coeffs)
+
+    @pytest.mark.parametrize("degree,size,route", [(3, 2, "vanishing"), (4, 4, "lagrange")])
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_unbounded_routes_pass_the_farkas_check(
+        self, free_table, monkeypatch, degree, size, route, sense
+    ):
+        proofs = []
+
+        def recording(grid, moments, coefficients):
+            _check_farkas(grid, moments, coefficients)
+            proofs.append((grid, coefficients))
+
+        monkeypatch.setattr(lp, "_check_farkas", recording)
+        found = node_search(free_table, degree, size, F(7, 8), sense)
+        assert found["status"] == "unbounded"
+        [(grid, coeffs)] = proofs
+        values = [sum(c * t ** (2 * i) for i, c in enumerate(coeffs)) for t in grid]
+        if route == "vanishing":
+            # fewer grid points than coefficients: zero on the whole grid
+            assert values == [0] * len(grid)
+        else:
+            # the grid is the basis, so the proof is one Lagrange polynomial
+            assert sorted(values) == [0] * (len(grid) - 1) + [1]
 
 
 class TestUnbounded:
