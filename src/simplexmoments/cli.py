@@ -39,8 +39,6 @@ import time
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import __version__
 from .certificates import (
     FIXED_B,
@@ -68,9 +66,7 @@ from .chords import (
 from .errors import CapacityError, DomainError, UsageError, VerificationError
 from .exact import format_rational
 from .geometry import ball, cube, halfball, standard_simplex, tetrahedron_T3, triangle_T2
-from .lifting import boundary_convergence_sweep, interior_convergence_sweep
 from .lp import node_search, rationalize
-from .mc import RNG_ALGORITHM, estimate_moment
 from .tetra import MomentTable, _normalize_case, _read_table, moment_table
 
 __all__ = ["main", "build_parser"]
@@ -129,7 +125,8 @@ class _RunContext:
             "versions": {
                 "simplexmoments": __version__,
                 "python": platform.python_version(),
-                "numpy": np.__version__,
+                # null unless a sampling command loaded it
+                "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
             },
             "input_digests": {p: _digest_file(p) for p in dict.fromkeys(self.input_files)},
             "output_digests": {p: _digest_file(p) for p in dict.fromkeys(self.output_files)},
@@ -250,6 +247,17 @@ def _parse_nodes(text: str) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
     if not singles and not doubles:
         raise UsageError("--nodes lists at least one node")
     return tuple(singles), tuple(doubles)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _check_samples(samples: int) -> None:
@@ -441,6 +449,8 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
 
 
 def _cmd_mc(args, ctx: _RunContext) -> dict:
+    from .mc import RNG_ALGORITHM, estimate_moment
+
     _check_samples(args.samples)
     body = _parse_body(args.body)
     fixed = _parse_point(args.fixed) if args.fixed else None
@@ -484,6 +494,9 @@ def _sweep_row_json(row: dict) -> dict:
 
 
 def _cmd_lift_sweep(args, ctx: _RunContext) -> dict:
+    from .lifting import boundary_convergence_sweep, interior_convergence_sweep
+    from .mc import RNG_ALGORITHM
+
     _check_samples(args.samples)
     body = _parse_body(args.body)
     eps_list = _parse_eps_list(args.eps)
@@ -599,6 +612,8 @@ def _reproduce_second_moment(free: MomentTable, fixed: MomentTable) -> dict:
 
 
 def _reproduce_mc(args, ctx: _RunContext) -> dict:
+    from .mc import RNG_ALGORITHM, estimate_moment
+
     body = tetrahedron_T3()
     centroid = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     entries = []
@@ -791,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", help="pin one vertex at these coordinates 'x,y,...'")
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_mc)
 
     p = sub.add_parser(
@@ -804,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="heights, e.g. '1/2,1/8,1/32'")
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--reference", help="exact limit value 'p/q' if known")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_lift_sweep)
@@ -823,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", type=int, default=200, help="LP grid size for the full level"
     )
     p.add_argument("--tables", default=tables_default, help="checkpoint directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_reproduce)
 
     for name, sp in sub.choices.items():

@@ -2,8 +2,8 @@
 
 Sampling is vectorized with numpy and driven by counter-based Philox
 streams: a run with ``samples`` trials is split into fixed chunks of
-2**16 trials, chunk i drawing from ``Philox(key=(seed, i))``.  Each chunk
-reduces to its (count, mean, M2) statistics, which are merged with Chan's
+2**16 trials, chunk i drawing from ``Philox(key=(seed mod 2**64, i))``.
+Each chunk reduces to its (count, mean, M2) statistics, merged with Chan's
 pairwise update in chunk-index order, so estimates are bit-identical for
 a given (seed, samples, configuration) whatever the number of worker
 threads executing the chunks.
@@ -58,9 +58,10 @@ class RngStream:
     stream_index: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=(self.seed & (2**64 - 1), self.stream_index))
-        )
+        # an explicit uint64 key: from a tuple, numpy would go through
+        # float64 for words of 2**63 and above, merging or breaking seeds
+        key = np.array([self.seed & (2**64 - 1), self.stream_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,8 @@ def _run_chunks(worker, samples: int, seed: int, threads: int):
     Returns the estimate of the mean of ``values`` and the sum of the
     integer tallies; chunk statistics are taken in the worker threads.
     """
+    if not isinstance(threads, int) or threads < 1:
+        raise UsageError("threads must be a positive integer, got %r" % (threads,))
 
     def run(job):
         values, tally = worker(*job)

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import simplexmoments
 from simplexmoments.cli import main
 from simplexmoments.chords import EdgePointSpec, TriangleSpec, edgepoint_moment
 from simplexmoments.tetra import MomentTable
@@ -436,6 +437,34 @@ class TestMonteCarlo:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_seed(self, tmp_path):
+        code, report = run_cli(
+            ["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "100",
+             "--seed", "-1"],
+            tmp_path / "r.json",
+        )
+        assert code == 0
+        assert report["manifest"]["seeds"] == [-1]
+
+
+class TestThreadsOption:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "100", "--seed", "1"],
+            ["lift-sweep", "--mode", "interior", "--body", "T2", "--n", "2", "--k", "1",
+             "--eps", "1/2", "--samples", "100"],
+            ["reproduce", "fast", "--samples", "100"],
+        ],
+    )
+    def test_below_one_is_usage(self, tmp_path, capsys, argv, threads):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLiftSweep:
     def test_interior_json(self, tmp_path):
@@ -840,3 +869,113 @@ class TestGoldenReports:
         assert sorted(golden) == sorted(GOLDEN_RUNS)
         for name, argv in GOLDEN_RUNS.items():
             assert golden_report(argv, tables_dir) == golden[name], name
+
+
+FIXTURE_TABLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "fixtures", "tables"
+)
+
+# one CLI run in a fresh interpreter; prints the exit code and whether numpy got loaded
+_CLI_RUN = """
+import json, sys
+from simplexmoments.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def fresh_python(code, *args):
+    """The JSON value printed last by ``code`` run in a new interpreter
+    with the package source on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simplexmoments.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestNumpyOnlyForSampling:
+    """mc and lifting are the only modules that import numpy, and the
+    package root loads them on first use, so the exact path never does."""
+
+    @pytest.fixture
+    def fixture_tables(self, tmp_path):
+        path = tmp_path / "tables"
+        shutil.copytree(FIXTURE_TABLES, path)
+        return str(path)
+
+    def run_fresh(self, argv, tables, out):
+        argv = [arg.replace("{tables}", tables) for arg in argv] + ["--out", str(out)]
+        status = fresh_python(_CLI_RUN, *argv)
+        with open(str(out), encoding="utf-8") as fh:
+            report = json.load(fh)
+        return status, report
+
+    def test_import_and_table_checks(self):
+        loaded = fresh_python(
+            "import json, os, sys\n"
+            "import simplexmoments\n"
+            "for name in sorted(os.listdir(sys.argv[1])):\n"
+            "    with open(os.path.join(sys.argv[1], name), encoding='utf-8') as fh:\n"
+            "        simplexmoments.MomentTable.from_json(json.load(fh)).check()\n"
+            "print(json.dumps('numpy' in sys.modules))\n",
+            FIXTURE_TABLES,
+        )
+        assert loaded is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-counterexample", "--tables", "{tables}"],
+            ["certify", "--side", "upper", "--tables", "{tables}"],
+            ["nodes", "--case", "free", "--degree", "6", "--grid", "12", "--tables", "{tables}"],
+            ["tetra-moments", "--case", "fixed", "--kmax", "4", "--tables", "{tables}"],
+            ["chords", "--triangle", "T2", "--k", "3", "--fixed", "midpoint-hypotenuse"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exact_commands_never_import_numpy(self, tmp_path, fixture_tables, argv):
+        status, report = self.run_fresh(argv, fixture_tables, tmp_path / "r.json")
+        assert status == {"code": 0, "numpy": False}
+        assert report["manifest"]["versions"]["numpy"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "100", "--seed", "5"],
+            ["lift-sweep", "--mode", "boundary", "--body", "T2", "--n", "2", "--k", "2",
+             "--eps", "1/2", "--samples", "100", "--reference", "2/9"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_sampling_commands_record_the_numpy_version(self, tmp_path, argv):
+        import numpy as np
+
+        status, report = self.run_fresh(argv, "", tmp_path / "r.json")
+        assert status == {"code": 0, "numpy": True}
+        assert report["manifest"]["versions"]["numpy"] == np.__version__
+
+    def test_root_loads_numpy_only_when_a_lazy_name_is_read(self):
+        probe = fresh_python(
+            "import json, sys\n"
+            "import simplexmoments\n"
+            "probe = [hasattr(simplexmoments, 'no_such_name'), 'numpy' in sys.modules]\n"
+            "probe.append('estimate_moment' in dir(simplexmoments))\n"
+            "probe.append(simplexmoments.lifting.__name__)\n"
+            "print(json.dumps(probe + ['numpy' in sys.modules]))\n"
+        )
+        assert probe == [False, False, True, "simplexmoments.lifting", True]
+
+    def test_lazy_name_lists_match_the_modules(self):
+        from simplexmoments import lifting, mc
+
+        assert simplexmoments._LAZY_NAMES == {"mc": mc.__all__, "lifting": lifting.__all__}
+        namespace = {}
+        exec("from simplexmoments import *", namespace)
+        assert set(simplexmoments.__all__) <= set(namespace)
+        assert namespace["estimate_moment"] is mc.estimate_moment

@@ -146,6 +146,12 @@ class TestInteriorSweep:
                 triangle_T2(), 2, 1, [F(0)], samples=10, seed=1
             )
 
+    @pytest.mark.parametrize("sweep", [interior_convergence_sweep, boundary_convergence_sweep])
+    def test_threads_below_one_refused(self, sweep):
+        with pytest.raises(UsageError):
+            sweep(triangle_T2(), 2, 1, [F(1, 2)], samples=10, seed=1, threads=0,
+                  reference=F(2, 9))
+
 
 class TestBoundarySweep:
     def test_t2_converges_with_weight_diagnostics(self):

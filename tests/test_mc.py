@@ -33,6 +33,7 @@ from simplexmoments.mc import (
     RngStream,
     _chunk_stats,
     _combine_chunks,
+    _run_chunks,
     _simplex_volumes,
     estimate_moment,
     sample_boundary_uniform,
@@ -58,6 +59,20 @@ class TestRngStream:
         c = RngStream(124, 5).generator().random(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    # a key built from a Python tuple went through float64 for words of
+    # 2**63 and above: -1 warned on an undefined cast, 2**63 + 1 lost bit 0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_seed_is_its_uint64_word(self):
+        a = RngStream(-1, 3).generator().random(8)
+        b = RngStream(2**64 - 1, 3).generator().random(8)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_high_seeds_keep_their_low_bits(self):
+        a = RngStream(2**63).generator().random(8)
+        b = RngStream(2**63 + 1).generator().random(8)
+        assert not np.array_equal(a, b)
 
 
 class TestSampleUniform:
@@ -321,3 +336,17 @@ class TestEstimateMoment:
             estimate_moment(t3, 3, 1, fixed=(0.5, 0.5), samples=10, seed=1)
         with pytest.raises(DomainError):
             estimate_moment(t3, 3, 1, fixed=(2.0, 2.0, 2.0), samples=10, seed=1)
+
+    def test_threads_below_one_refused_before_any_chunk(self):
+        chunks = []
+
+        def worker(chunk_index, size):
+            chunks.append(chunk_index)
+            return np.zeros(size), 0
+
+        for threads in (0, -3):
+            with pytest.raises(UsageError):
+                estimate_moment(tetrahedron_T3(), 3, 1, samples=10, seed=1, threads=threads)
+            with pytest.raises(UsageError):
+                _run_chunks(worker, 10, 1, threads)
+        assert chunks == []
