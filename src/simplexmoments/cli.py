@@ -752,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact even moments E V^(2k) of random triangle area in T3",
     )
     p.add_argument("--case", required=True, help="'free' or 'fixed'")
-    p.add_argument("--kmax", required=True, type=int, help="largest k (power 2k)")
+    p.add_argument("--kmax", required=True, type=_positive_int, help="largest k (power 2k)")
     p.add_argument("--tables", default=tables_default, help="checkpoint directory")
     p.set_defaults(handler=_cmd_tetra_moments)
 
@@ -760,12 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
         "nodes", help="exact LP search for certificate interpolation nodes"
     )
     p.add_argument("--case", required=True, help="'free' or 'fixed'")
-    p.add_argument("--degree", required=True, type=int, help="polynomial degree")
-    p.add_argument("--grid", required=True, type=int, help="number of grid cells")
+    p.add_argument("--degree", required=True, type=_positive_int, help="polynomial degree")
+    p.add_argument("--grid", required=True, type=_positive_int, help="number of grid cells")
     p.add_argument("--tables", default=tables_default, help="checkpoint directory")
     p.add_argument(
         "--rationalize-den",
-        type=int,
+        type=_positive_int,
         default=64,
         help="denominator bound for suggested nodes (default 64)",
     )
@@ -835,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=200_000, help="Monte Carlo spot check size"
     )
     p.add_argument(
-        "--grid", type=int, default=200, help="LP grid size for the full level"
+        "--grid", type=_positive_int, default=200, help="LP grid size for the full level"
     )
     p.add_argument("--tables", default=tables_default, help="checkpoint directory")
     p.add_argument("--threads", type=_positive_int, default=1)

@@ -6,9 +6,11 @@ Polynomials are :class:`UniPoly`, dense univariate polynomials with
 Sturm chains.
 
 Gcds, squarefree parts, Yun's decomposition and Sturm chains do not run
-over Fraction: they clear denominators once and run primitive polynomial
-remainder sequences on integer coefficient lists, whose results are the
-unique primitive forms of the rational Euclidean ones.
+over Fraction: they clear denominators once and work on integer
+coefficient lists. Gcds are heuristic, read from one integer gcd of
+values, and proved by exact division; Sturm chains stay primitive
+polynomial remainder sequences, whose signs are the proof. Every result
+is the unique primitive form of the rational Euclidean one.
 
 The central decision procedure is :func:`sturm_nonneg_on_interval`, which
 certifies ``p(t) >= 0`` for every ``t`` in a closed rational interval, or
@@ -219,8 +221,7 @@ class UniPoly:
     # -- normalization and factor structure ----------------------------------
     #
     # The methods below convert to primitive integer coefficient lists once,
-    # run the integer remainder sequences defined after this class, and
-    # convert back.
+    # run the integer algorithms defined after this class, and convert back.
 
     def primitive(self) -> "UniPoly":
         """Integer-primitive scaling with a positive leading coefficient.
@@ -232,8 +233,8 @@ class UniPoly:
         return UniPoly(_int_coeffs(self, positive_lead=True))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Primitive gcd (positive leading coefficient) by a primitive PRS."""
-        return UniPoly(_gcd_ints(_int_coeffs(self), _int_coeffs(other)))
+        """Primitive gcd (positive leading coefficient)."""
+        return UniPoly(_gcd_ints(_int_coeffs(self), _int_coeffs(other))[0])
 
     def squarefree_part(self) -> "UniPoly":
         """self / gcd(self, self'), scaled primitive."""
@@ -270,16 +271,18 @@ def uni_eval(p: UniPoly, x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial remainder sequences
+# integer polynomials: heuristic gcds and pseudo-remainders
 # ---------------------------------------------------------------------------
 #
 # Polynomials here are lists of Python ints, lowest degree first, with no
-# trailing zeros ([] is zero). Gcds, Yun's decomposition and Sturm chains run
-# as primitive polynomial remainder sequences over the integers (Brown and
-# Traub, JACM 18, 1971): every pseudo-remainder is reduced to its primitive
-# part, so coefficients stay small without any rational normalization.
-# Primitive forms are unique, so each result equals, coefficient for
-# coefficient, the primitive form of the Euclidean result over the rationals.
+# trailing zeros ([] is zero). Gcds, and with them squarefree parts and
+# Yun's decomposition, come from the heuristic gcd below, proved by exact
+# division. Sturm chains run as primitive polynomial remainder sequences
+# over the integers (Brown and Traub, JACM 18, 1971): every pseudo-remainder
+# is reduced to its primitive part, so coefficients stay small without any
+# rational normalization. Primitive forms are unique, so each result equals,
+# coefficient for coefficient, the primitive form of the Euclidean result
+# over the rationals.
 
 def _int_coeffs(p: UniPoly, positive_lead: bool = False) -> list[int]:
     """Primitive integer coefficients of a nonzero rational multiple of p.
@@ -376,35 +379,80 @@ def _exact_quo(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
-    a, b = _primitive(a, True), _primitive(b, True)
-    while b:
-        a, b = b, _primitive(_prem(a, b), True)
-    return a
+def _horner(coeffs, x):
+    """Horner value at x of a coefficient list, lowest degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _balanced_digits(v: int, xi: int) -> list[int]:
+    """Digits of v in base xi (odd), each in [-(xi - 1)/2, (xi - 1)/2]."""
+    digits = []
+    half = xi // 2
+    while v:
+        d = v % xi
+        if d > half:
+            d -= xi
+        digits.append(d)
+        v = (v - d) // xi
+    return digits
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Primitive gcd g (positive lc) of a and b, with the cofactors a/g, b/g.
+
+    Heuristic gcd (GCDHEU: Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989). Below, a and b stand for their primitive parts. With M the
+    smaller of their max-norms, take xi = 2M + 29, read the balanced
+    base-xi digits of gcd(a(xi), b(xi)) as a polynomial H, and keep its
+    primitive part G if G divides both a and b; otherwise retry with
+    xi = 2 xi + 1. Any start of at least 2M + 2 would be correct.
+
+    G is the gcd. Exact division makes G a common divisor, so g = G F
+    with F integral by Gauss's lemma. Every root r of F is a root of both
+    a and b, so |r| < 1 + M by Cauchy's bound, and xi >= 2M + 2 gives
+    |F(xi)| > (xi/2)^deg F. But g(xi) divides gcd(a(xi), b(xi)) = H(xi),
+    so F(xi) divides H(xi) / G(xi), the content of H, which is at most
+    xi/2 in absolute value because every digit is. So F is a constant, and
+    G is the unique primitive gcd with a positive leading coefficient.
+
+    The loop ends: gcd(a(xi), b(xi)) = g(xi) c, where c divides the
+    resultant R of the coprime primitive parts of a/g and b/g, and once
+    xi > 2 |R| max-norm(g) the digits are exactly c g.
+    """
+    if not a or not b:
+        g = _primitive(a or b, True)
+        return g, a and _exact_quo(a, g), b and _exact_quo(b, g)
+    pa, pb = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
+    while True:
+        gamma = _int_gcd(_horner(pa, xi), _horner(pb, xi))
+        g = _primitive(_balanced_digits(gamma, xi), True)
+        try:
+            return g, _exact_quo(a, g), _exact_quo(b, g)
+        except ArithmeticError:
+            xi = 2 * xi + 1
 
 
 def _squarefree_ints(a: list[int]) -> list[int]:
     """a / gcd(a, a') for a primitive a with positive leading coefficient."""
     if len(a) < 2:
         return a
-    return _exact_quo(a, _gcd_ints(a, _derivative_ints(a)))
+    return _gcd_ints(a, _derivative_ints(a))[1]
 
 
 def _yun_ints(p: list[int]) -> list[tuple[int, list[int]]]:
     """Yun's squarefree decomposition of a primitive p with positive lc.
 
-    Every division is exact by a primitive gcd, so w, y and z stay integral
-    and equal to the rational quantities of the textbook algorithm.
+    Every gcd comes with its exact integral cofactors, so w, y and z stay
+    integral and equal to the rational quantities of the textbook algorithm.
     """
     if len(p) < 2:
         return []
-    dp = _derivative_ints(p)
-    g = _gcd_ints(p, dp)
-    if len(g) == 1:
-        return [(1, p)]
+    _, w, y = _gcd_ints(p, _derivative_ints(p))
     out: list[tuple[int, list[int]]] = []
-    w, y = _exact_quo(p, g), _exact_quo(dp, g)
     i = 1
     while len(w) > 1:
         z = _sub_ints(y, _derivative_ints(w))
@@ -412,10 +460,9 @@ def _yun_ints(p: list[int]) -> list[tuple[int, list[int]]]:
             # everything left has multiplicity exactly i
             out.append((i, w))
             break
-        f = _gcd_ints(w, z)
+        f, w, y = _gcd_ints(w, z)
         if len(f) > 1:
             out.append((i, f))
-        w, y = _exact_quo(w, f), _exact_quo(z, f)
         i += 1
     return out
 

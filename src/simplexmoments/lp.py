@@ -31,12 +31,11 @@ grid point, and equal objectives.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 from math import lcm
 
 from .errors import CapacityError, UsageError, VerificationError
-from .exact import _as_fraction
+from .exact import _as_fraction, _horner
 
 __all__ = ["node_search", "rationalize"]
 
@@ -54,10 +53,6 @@ def _poly_from_roots(roots) -> list:
     for r in roots:
         coeffs = [lo - r * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
     return coeffs
-
-
-def _horner(coeffs, x):
-    return reduce(lambda acc, c: acc * x + c, reversed(coeffs), 0)
 
 
 def _functional(coeffs, moments) -> Fraction:

@@ -466,6 +466,31 @@ class TestThreadsOption:
         assert not out.exists()
 
 
+class TestPositiveCounts:
+    """Counts below 1 are refused by argparse, before any table, LP or MC work."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["reproduce", "full", "--samples", "2000000"], "--grid"),
+            (["reproduce", "fast"], "--grid"),
+            (["nodes", "--case", "free", "--degree", "1", "--grid", "8"], "--rationalize-den"),
+            (["nodes", "--case", "free", "--grid", "8"], "--degree"),
+            (["nodes", "--case", "free", "--degree", "1"], "--grid"),
+            (["tetra-moments", "--case", "free"], "--kmax"),
+        ],
+    )
+    def test_below_one_is_usage(self, tmp_path, capsys, argv, option, value):
+        tables = tmp_path / "new" / "tables"
+        out = tmp_path / "r.json"
+        code = main(argv + [option, value, "--tables", str(tables), "--out", str(out)])
+        assert code == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "new").exists()
+
+
 class TestLiftSweep:
     def test_interior_json(self, tmp_path):
         code, report = run_cli(

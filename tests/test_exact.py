@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import MVPoly, mv_mul, mv_pow
-from simplexmoments import certificates
+from simplexmoments import certificates, exact
 from simplexmoments.exact import (
     SturmChain,
     UniPoly,
@@ -505,6 +505,75 @@ def test_gcd_matches_rational_euclid():
     t = UniPoly.x()
     assert UniPoly.zero().gcd(UniPoly.zero()).is_zero()
     assert UniPoly.zero().gcd(-2 * t + 1) == UniPoly((-1, 2))
+
+
+def test_heuristic_gcd_retries_after_a_failed_candidate(monkeypatch):
+    # a = t - 5, b = t - 39: the first point is 2 * 5 + 29 = 39, a root of b,
+    # so gcd(a(39), b(39)) = 34 reads back as t - 5, which does not divide b
+    failed = []
+    exact_quo = exact._exact_quo
+
+    def spy(a, b):
+        try:
+            return exact_quo(a, b)
+        except ArithmeticError:
+            failed.append(b)
+            raise
+
+    monkeypatch.setattr(exact, "_exact_quo", spy)
+    a, b = UniPoly((-5, 1)), UniPoly((-39, 1))
+    assert a.gcd(b) == UniPoly(ref_gcd(a.coeffs, b.coeffs)) == UniPoly.one()
+    assert failed == [[-5, 1]]
+
+
+def random_int_poly(rng: random.Random, degree: int, bits: int) -> UniPoly:
+    lead = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+    return UniPoly([rng.randint(-2 ** bits, 2 ** bits) for _ in range(degree)] + [lead])
+
+
+def coprime_mod(a, b, prime=2 ** 61 - 1) -> bool:
+    """True when a and b are coprime modulo a prime, which proves them coprime.
+
+    The prime must divide neither leading coefficient. A common factor h
+    over the integers then keeps its degree modulo the prime (lc(h) divides
+    lc(a)), so a constant gcd modulo the prime rules it out.
+    """
+    assert a[-1] % prime and b[-1] % prime
+    a, b = [c % prime for c in a], [c % prime for c in b]
+    while b:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv % prime, len(a) - len(b)
+            a = [(c - f * b[i - shift]) % prime if i >= shift else c
+                 for i, c in enumerate(a)]
+            a = _trim(a)
+            if not a:
+                break
+        a, b = b, a
+    return len(a) == 1
+
+
+def test_heuristic_gcd_on_large_coefficients():
+    # sized like the degree-30 upper error polynomial: degrees 20-32 with
+    # 200-400 bit coefficients and a planted common factor of degree 4-10.
+    # The rational reference is too slow here (seconds per pair), so the
+    # gcd is proved directly: it divides both with exact cofactors, and the
+    # cofactors are coprime.
+    rng = random.Random(61)
+    for _ in range(20):
+        f = random_int_poly(rng, rng.randint(4, 10), rng.randint(60, 120))
+        a, b = (f * random_int_poly(rng, rng.randint(20, 32) - f.degree, rng.randint(140, 280))
+                for _ in range(2))
+        ai, bi = [int(c) for c in a.coeffs], [int(c) for c in b.coeffs]
+        assert 200 <= max(abs(c).bit_length() for c in ai + bi) <= 400
+        g, qa, qb = exact._gcd_ints(ai, bi)
+        assert UniPoly(g) == f.primitive()
+        assert UniPoly(g) * UniPoly(qa) == a and UniPoly(g) * UniPoly(qb) == b
+        assert coprime_mod(qa, qb)
+    a, b = random_int_poly(rng, 25, 2000), random_int_poly(rng, 24, 2000)
+    ai, bi = [int(c) for c in a.coeffs], [int(c) for c in b.coeffs]
+    assert coprime_mod(ai, bi)
+    assert exact._gcd_ints(ai, bi) == ([1], ai, bi)
 
 
 def test_yun_and_odd_part_match_rational_reference():
