@@ -2,22 +2,25 @@
 
 The package computes moments of the (n-1)-volume of the convex hull of n
 random points in a convex body (optionally with one vertex pinned to a fixed
-point), proves one-sided polynomial bounds on sqrt by exact Sturm
-certificates, searches for certificate nodes by an exact exchange on d+1
-grid nodes of the dual moment problem, and cross-checks everything by
-deterministic Monte Carlo. The flagship use is the machine verification
-that pinning a vertex to the facet centroid (1/3, 1/3, 1/3) of
-T3 = conv{0, e1, e2, e3} can strictly decrease the expected volume, so
-these expectations are not monotone under the natural ordering.
+point), proves one-sided polynomial bounds on sqrt exactly (Descartes'
+rule of signs, then Sturm sequences where it cannot decide), searches for
+certificate nodes by an exact exchange on d+1 grid nodes of the dual
+moment problem, and cross-checks everything by deterministic Monte Carlo.
+The flagship use is the machine verification that pinning a vertex to the
+facet centroid (1/3, 1/3, 1/3) of T3 = conv{0, e1, e2, e3} can strictly
+decrease the expected volume, so these expectations are not monotone under
+the natural ordering.
 
 The command line tool lives in :mod:`simplexmoments.cli` and is not
 imported here; ``python -m simplexmoments`` runs it.  Every public name is
 listed in its module's ``__all__``, and the root re-exports them all.
 
-The names of :mod:`simplexmoments.mc` and :mod:`simplexmoments.lifting`
-load lazily: those two modules are the only ones that import numpy, and
-the root imports them the first time one of their names is read, so the
-exact layers (tables, certificates, node search, chords) never load numpy.
+Only the modules that the exact verdict runs load with the root: errors,
+exact, tetra and certificates.  The names of geometry, chords, lp, mc and
+lifting load lazily: the root imports each of those modules the first time
+one of its names is read.  mc and lifting are the only modules that import
+numpy, so the exact layers never load it, and ``verify-counterexample``
+loads none of the five.
 """
 
 __version__ = "0.1.0"
@@ -26,15 +29,37 @@ from importlib import import_module
 
 from .errors import *
 from .exact import *
-from .geometry import *
-from .chords import *
 from .tetra import *
-from .lp import *
 from .certificates import *
 
-# the public names of mc and lifting, loaded by __getattr__ on first use;
-# a test keeps these lists equal to mc.__all__ and lifting.__all__
+# the public names of the lazy modules, loaded by __getattr__ on first use;
+# a test keeps these lists equal to each module's __all__
 _LAZY_NAMES = {
+    "geometry": [
+        "Body",
+        "ball",
+        "body_measures",
+        "contains",
+        "cube",
+        "halfball",
+        "is_polytopal",
+        "polygon_edges",
+        "product",
+        "standard_simplex",
+        "tetrahedron_T3",
+        "triangle_T2",
+    ],
+    "chords": [
+        "TriangleSpec",
+        "EdgePointSpec",
+        "csc_power_antiderivative",
+        "vertex_moment",
+        "edgepoint_moment",
+        "chord_moment",
+        "ratio_r",
+        "unit_right_isosceles",
+    ],
+    "lp": ["node_search", "rationalize"],
     "mc": [
         "CHUNK_SIZE",
         "RNG_ALGORITHM",
@@ -70,10 +95,10 @@ def __dir__():
 __all__ = (
     errors.__all__
     + exact.__all__
-    + geometry.__all__
-    + chords.__all__
+    + _LAZY_NAMES["geometry"]
+    + _LAZY_NAMES["chords"]
     + tetra.__all__
-    + lp.__all__
+    + _LAZY_NAMES["lp"]
     + certificates.__all__
     + _LAZY_NAMES["mc"]
     + _LAZY_NAMES["lifting"]

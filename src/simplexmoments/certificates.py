@@ -5,9 +5,11 @@ moments alone, but it can be sandwiched: if p(x) is a polynomial with
 p(t^2) <= t for every t in the range of V, then E p(V^2) <= E V, and
 E p(V^2) = sum_i a_i mu_2i is an exact rational once the even moments
 mu_2i are known.  The reverse inequality gives upper bounds.  This module
-interpolates such polynomials from touch points (Hermite conditions),
-proves the one-sided inequality rigorously with Sturm sequences, and
-assembles the bound values.
+interpolates such polynomials from touch points (Hermite conditions, by
+confluent divided differences in Newton form), proves the one-sided
+inequality exactly (Descartes' rule of signs when the error polynomial
+cannot cross zero, Sturm sequences otherwise), and assembles the bound
+values.
 
 The headline application: for triangles with vertices drawn uniformly from
 the tetrahedron T3 = conv{0, e1, e2, e3}, a degree-7 lower bound for the
@@ -23,16 +25,14 @@ arithmetic from end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import CapacityError, UsageError, VerificationError
 from .exact import (
     NonnegResult,
     UniPoly,
     _as_fraction,
-    _solve_fraction_free,
     format_rational,
     parse_rational,
     sturm_nonneg_on_interval,
@@ -92,9 +92,8 @@ UPPER_DOUBLE_NODES = (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A Sturm-verified one-sided polynomial bound for E V.
+class Certificate(NamedTuple):
+    """An exactly verified one-sided polynomial bound for E V.
 
     ``side`` is "lower" (poly(t^2) <= t on [0, bprime]) or "upper"
     (poly(t^2) >= t there); ``interval_b`` bounds the support of V^2, and
@@ -138,7 +137,9 @@ def hermite_interpolate(single_nodes: Sequence, double_nodes: Sequence) -> UniPo
     condition, so p(x) osculates sqrt(x) at x = t^2.  With s single and d
     double nodes the interpolant has degree s + 2d - 1.  Nodes must be
     distinct nonnegative rationals, and t = 0 is allowed only as a single
-    node (the tangency slope diverges there).
+    node (the tangency slope diverges there).  The interpolant is unique;
+    it is built from confluent divided differences in x = t^2 and expanded
+    from its Newton form by Horner's rule, in O(n^2) exact operations.
     """
     singles = tuple(_as_fraction(t) for t in single_nodes)
     doubles = tuple(_as_fraction(t) for t in double_nodes)
@@ -154,20 +155,26 @@ def hermite_interpolate(single_nodes: Sequence, double_nodes: Sequence) -> UniPo
     if any(t == 0 for t in doubles):
         raise UsageError("t = 0 cannot carry a tangency condition")
 
-    n = len(singles) + 2 * len(doubles)
-    rows = []
-    rhs = []
-    for t in singles:
-        x = t * t
-        rows.append([x**i for i in range(n)])
-        rhs.append(t)
-    for t in doubles:
-        x = t * t
-        rows.append([x**i for i in range(n)])
-        rhs.append(t)
-        rows.append([i * x ** (i - 1) if i else Fraction(0) for i in range(n)])
-        rhs.append(Fraction(1, 2 * t))
-    coeffs = _solve_fraction_free(rows, rhs)
+    # confluent divided differences in x = t^2, each double node listed
+    # twice in a row; the first difference over a repeated node is the
+    # slope of sqrt there, d sqrt(x)/dx = 1/(2t)
+    xs = [t * t for t in singles] + [t * t for t in doubles for _ in (0, 1)]
+    column = list(singles) + [t for t in doubles for _ in (0, 1)]
+    slopes = {t * t: Fraction(1, 2 * t) for t in doubles}
+    newton = [column[0]]
+    for order in range(1, len(xs)):
+        column = [
+            slopes[xs[i]] if xs[i] == xs[i + order]
+            else (column[i + 1] - column[i]) / (xs[i + order] - xs[i])
+            for i in range(len(column) - 1)
+        ]
+        newton.append(column[0])
+    # expand c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)) by Horner's rule
+    coeffs = [newton[-1]]
+    for x, c in zip(reversed(xs[:-1]), reversed(newton[:-1])):
+        coeffs = [c - x * coeffs[0]] + [
+            lower - x * higher for lower, higher in zip(coeffs, coeffs[1:])
+        ] + [coeffs[-1]]
     return UniPoly(coeffs)
 
 
@@ -175,7 +182,10 @@ def error_polynomial(poly: UniPoly, side: str) -> UniPoly:
     """g(t) = t - p(t^2) for lower bounds, p(t^2) - t for upper bounds."""
     if side not in ("lower", "upper"):
         raise UsageError("side must be 'lower' or 'upper'")
-    composed = poly.compose(UniPoly((0, 0, 1)))
+    # p(t^2) spreads the coefficients of p onto the even powers of t
+    spread = [Fraction(0)] * max(2 * len(poly.coeffs) - 1, 0)
+    spread[::2] = poly.coeffs
+    composed = UniPoly(spread)
     t = UniPoly((0, 1))
     return t - composed if side == "lower" else composed - t
 
@@ -183,7 +193,8 @@ def error_polynomial(poly: UniPoly, side: str) -> UniPoly:
 def verify_bound_polynomial(poly: UniPoly, side: str, interval_b, bprime=None) -> NonnegResult:
     """Prove (or refute, with a witness) the one-sided sqrt bound.
 
-    Checks g(t) >= 0 on [0, bprime] with a Sturm sequence, where g is the
+    Checks g(t) >= 0 on [0, bprime] with ``sturm_nonneg_on_interval``
+    (Descartes' rule, then a Sturm sequence if needed), where g is the
     signed error of ``error_polynomial``.  ``interval_b`` bounds the
     quantity being certified (the support of V^2), and ``bprime`` must be a
     rational at least sqrt(interval_b); by default the tightest such value
@@ -221,7 +232,7 @@ def build_certificate(
     interval_b,
     bprime=None,
 ) -> Certificate:
-    """Interpolate, verify with Sturm, and price a one-sided bound.
+    """Interpolate, verify exactly, and price a one-sided bound.
 
     Raises VerificationError (with the witness point) if the interpolated
     polynomial fails the inequality on [0, bprime]; a returned Certificate

@@ -27,13 +27,10 @@ Exit codes: 0 success, 2 usage or domain errors, 3 capacity refusals,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
-import platform
 import sys
 import time
 from fractions import Fraction
@@ -55,18 +52,8 @@ from .certificates import (
     certificate_to_json,
     verify_counterexample,
 )
-from .chords import (
-    EdgePointSpec,
-    TriangleSpec,
-    chord_moment,
-    edgepoint_moment,
-    ratio_r,
-    vertex_moment,
-)
 from .errors import CapacityError, DomainError, UsageError, VerificationError
 from .exact import format_rational
-from .geometry import ball, cube, halfball, standard_simplex, tetrahedron_T3, triangle_T2
-from .lp import node_search, rationalize
 from .tetra import MomentTable, _normalize_case, _read_table, moment_table
 
 __all__ = ["main", "build_parser"]
@@ -124,7 +111,7 @@ class _RunContext:
             "seeds": self.seeds,
             "versions": {
                 "simplexmoments": __version__,
-                "python": platform.python_version(),
+                "python": sys.version.split()[0],
                 # null unless a sampling command loaded it
                 "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
             },
@@ -176,6 +163,8 @@ def _parse_eps_list(text: str) -> List[Fraction]:
 
 
 def _parse_triangle(text: str) -> TriangleSpec:
+    from .chords import TriangleSpec
+
     if text == "T2":
         # labeled so the hypotenuse is the edge AB (side c)
         return TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
@@ -189,6 +178,8 @@ def _parse_triangle(text: str) -> TriangleSpec:
 
 
 def _rotate_longest_to_c(spec: TriangleSpec) -> TriangleSpec:
+    from .chords import TriangleSpec
+
     sides = (spec.a, spec.b, spec.c)
     longest = max(range(3), key=lambda i: sides[i])
     rotated = tuple(sides[(longest + 1 + i) % 3] for i in range(3))
@@ -196,6 +187,8 @@ def _rotate_longest_to_c(spec: TriangleSpec) -> TriangleSpec:
 
 
 def _parse_body(text: str):
+    from .geometry import ball, cube, halfball, standard_simplex, tetrahedron_T3, triangle_T2
+
     name, sep, dim_text = text.partition(":")
     plain = {"T2": triangle_T2, "T3": tetrahedron_T3}
     if name in plain:
@@ -311,6 +304,8 @@ def _obtain_table(
 
 
 def _cmd_chords(args, ctx: _RunContext) -> dict:
+    from .chords import EdgePointSpec, chord_moment, edgepoint_moment, vertex_moment
+
     spec = _parse_triangle(args.triangle)
     k = args.k
     if args.fixed is None:
@@ -362,6 +357,8 @@ _CASE_GRIDS = {
 
 
 def _cmd_nodes(args, ctx: _RunContext) -> dict:
+    from .lp import node_search, rationalize
+
     key = _normalize_case(args.case)
     interval_end, sense = _CASE_GRIDS[key]
     table = _obtain_table(key, args.degree, args.tables, ctx)
@@ -539,6 +536,8 @@ def _check_close(label: str, value: float, target, tolerance: float) -> dict:
 
 
 def _reproduce_chords() -> dict:
+    from .chords import EdgePointSpec, TriangleSpec, chord_moment, edgepoint_moment
+
     spec = TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
     mid = EdgePointSpec(math.sqrt(2.0) / 2.0)
     entries = [
@@ -563,6 +562,8 @@ def _reproduce_chords() -> dict:
 
 
 def _reproduce_ratio_law() -> dict:
+    from .chords import EdgePointSpec, TriangleSpec, chord_moment, edgepoint_moment, ratio_r
+
     spec = TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
     mid = EdgePointSpec(math.sqrt(2.0) / 2.0)
     deviations = [
@@ -612,6 +613,7 @@ def _reproduce_second_moment(free: MomentTable, fixed: MomentTable) -> dict:
 
 
 def _reproduce_mc(args, ctx: _RunContext) -> dict:
+    from .geometry import tetrahedron_T3
     from .mc import RNG_ALGORITHM, estimate_moment
 
     body = tetrahedron_T3()
@@ -652,6 +654,8 @@ def _reproduce_mc(args, ctx: _RunContext) -> dict:
 
 
 def _reproduce_node_searches(args, free: MomentTable, fixed: MomentTable) -> dict:
+    from .lp import node_search
+
     lower = node_search(free, 6, args.grid, *_CASE_GRIDS["free"])
     upper = node_search(fixed, 14, args.grid, *_CASE_GRIDS["fixed-centroid"])
     lower_ok = (
@@ -848,6 +852,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_csv(report: dict) -> str:
+    import csv
+    import io
+
     result = report["result"]
     columns = ["epsilon", "mean", "std_error", "samples", "abs_error", "sigma"]
     if result["mode"] == "boundary":

@@ -16,17 +16,17 @@ The central decision procedure is :func:`sturm_nonneg_on_interval`, which
 certifies ``p(t) >= 0`` for every ``t`` in a closed rational interval, or
 returns a rational witness point where ``p`` is negative. Polynomials that
 touch zero (even-multiplicity roots) inside the interval are accepted; the
-test is for sign changes, not for roots.
+test is for sign changes, not for roots. Whether p crosses zero inside the
+interval is first asked of Descartes' rule of signs, on integer
+coefficients; zero sign variations prove that it does not, and only
+otherwise is a Sturm chain built to decide exactly and find the witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable
-
-from .errors import UsageError
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "format_rational",
@@ -468,41 +468,6 @@ def _yun_ints(p: list[int]) -> list[tuple[int, list[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# exact linear systems
-# ---------------------------------------------------------------------------
-
-def _solve_fraction_free(rows, rhs) -> list[Fraction]:
-    """Exact solve of a square rational system via Bareiss elimination."""
-    n = len(rows)
-    aug = []
-    for row, b in zip(rows, rhs):
-        den = 1
-        for v in list(row) + [b]:
-            v = _as_fraction(v)
-            den = den * v.denominator // _int_gcd(den, v.denominator)
-        aug.append([int(_as_fraction(v) * den) for v in list(row) + [b]])
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if aug[r][k]), None)
-        if piv is None:
-            raise UsageError("linear system is singular")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    xs = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        total = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            total -= aug[i][j] * xs[j]
-        xs[i] = total / aug[i][i]
-    return xs
-
-
-# ---------------------------------------------------------------------------
 # Sturm chains
 # ---------------------------------------------------------------------------
 
@@ -549,8 +514,7 @@ class SturmChain:
         return self.count_sign_changes(lo) - self.count_sign_changes(hi)
 
 
-@dataclass(frozen=True)
-class NonnegResult:
+class NonnegResult(NamedTuple):
     """Outcome of a nonnegativity check with an optional counterexample."""
 
     nonnegative: bool
@@ -560,6 +524,30 @@ class NonnegResult:
 
     def __bool__(self) -> bool:
         return self.nonnegative
+
+
+def _descartes_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations V of (1 + y)^n p((lo + hi y) / (1 + y)), n = deg p.
+
+    y -> (lo + hi y) / (1 + y) maps (0, oo) onto (lo, hi), so by Descartes'
+    rule of signs V bounds the roots of p in (lo, hi), counted with
+    multiplicity, and has their parity (Collins and Akritas, SYMSAC 1976).
+    V = 0 proves that p has no root there. With lo = a/d and hi = b/d the
+    transform is scaled by d^n > 0 and built by homogeneous Horner steps,
+    acc <- acc (a + b y) + p_i (d + d y)^(n - i), all in integers.
+    """
+    q = _int_coeffs(p)
+    d = _int_lcm(lo.denominator, hi.denominator)
+    u = [lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)]
+    v_power = [1]
+    acc = [q[-1]]
+    for c in reversed(q[:-1]):
+        v_power = _mul_ints(v_power, [d, d])
+        acc = _mul_ints(acc, u)
+        for j, w in enumerate(v_power):
+            acc[j] += c * w
+    signs = [c > 0 for c in acc if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def _deflate_root(p: UniPoly, root: Fraction) -> UniPoly:
@@ -623,7 +611,9 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     The decision composes three exact facts: the endpoint values, the
     presence of odd-multiplicity roots (sign crossings) strictly inside the
     interval, and the sign of the polynomial at one interior non-root point.
-    Even-multiplicity interior roots are tolerated by construction.
+    Crossings are ruled out by Descartes' rule when it shows no sign
+    variation, and counted by a Sturm chain otherwise. Even-multiplicity
+    interior roots are tolerated by construction.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if hi < lo:
@@ -645,7 +635,9 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     crossings = p.odd_multiplicity_part()
     crossings = _deflate_root(crossings, lo)
     crossings = _deflate_root(crossings, hi)
-    if crossings.degree >= 1:
+    # Descartes' rule settles the common case, no crossing at all, without
+    # a chain; any variation leaves the exact decision to Sturm's theorem
+    if crossings.degree >= 1 and _descartes_variations(crossings, lo, hi):
         chain = SturmChain(crossings)
         if chain.count_roots(lo, hi) > 0:
             x, v = _negative_witness(p, chain, lo, hi)

@@ -42,10 +42,9 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import CapacityError, UsageError, VerificationError
 from .exact import format_rational, parse_rational
@@ -305,8 +304,7 @@ def even_moment(case: str, k: int) -> Fraction:
 # moment tables with checkpointing
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Exact even-moment table mu_(2k) for k = 0 .. k_max."""
 
     case: str

@@ -11,7 +11,10 @@ two exactly:
 * :func:`gram_volume` - simplex volumes by an exact Gram determinant (or a
   singular-value product), against the Monte Carlo volume kernel;
 * :func:`monomial_integral_T3` and :func:`boundary_residual` - the
-  per-point factorial integral and the distance to a body's boundary.
+  per-point factorial integral and the distance to a body's boundary;
+* :func:`solve_fraction_free` - an exact Bareiss solve of a square
+  rational system, against the Newton-form Hermite interpolant and the
+  Lagrange weights of the node search.
 """
 
 from __future__ import annotations
@@ -334,3 +337,32 @@ def boundary_residual(body: Body, point) -> float:
             "point has dimension %d, body has dimension %d" % (len(pt), body.dim)
         )
     return abs(min(_margins(body, pt)))
+
+
+def solve_fraction_free(rows, rhs) -> list[Fraction]:
+    """Exact solve of a square rational system via Bareiss elimination."""
+    n = len(rows)
+    aug = []
+    for row, b in zip(rows, rhs):
+        values = [Fraction(v) for v in list(row) + [b]]
+        den = math.lcm(*(v.denominator for v in values))
+        aug.append([int(v * den) for v in values])
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if aug[r][k]), None)
+        if piv is None:
+            raise UsageError("linear system is singular")
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
+            aug[i][k] = 0
+        prev = aug[k][k]
+    xs = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        total = Fraction(aug[i][n])
+        for j in range(i + 1, n):
+            total -= aug[i][j] * xs[j]
+        xs[i] = total / aug[i][i]
+    return xs

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import build_gram_poly
+from oracles import build_gram_poly, solve_fraction_free
 from simplexmoments.certificates import (
     FIXED_B,
     FIXED_BPRIME,
@@ -16,6 +16,7 @@ from simplexmoments.certificates import (
     LOWER_SINGLE_NODES,
     PIVOT,
     UPPER_DOUBLE_NODES,
+    UPPER_SINGLE_NODES,
     Certificate,
     bound_from_moments,
     build_certificate,
@@ -75,6 +76,39 @@ class TestHermiteInterpolate:
             for t in doubles:
                 assert uni_eval(poly, t * t) == t
                 assert uni_eval(deriv, t * t) == F(1, 2 * t)
+
+    @staticmethod
+    def vandermonde_solve(singles, doubles):
+        """The interpolant from the confluent Vandermonde system in x = t^2."""
+        n = len(singles) + 2 * len(doubles)
+        rows, rhs = [], []
+        for t in list(singles) + list(doubles):
+            rows.append([(t * t) ** i for i in range(n)])
+            rhs.append(t)
+        for t in doubles:
+            rows.append([i * (t * t) ** (i - 1) if i else 0 for i in range(n)])
+            rhs.append(F(1, 2 * t))
+        return UniPoly(solve_fraction_free(rows, rhs))
+
+    def test_newton_form_matches_the_vandermonde_solve(self):
+        cases = [
+            (LOWER_SINGLE_NODES, LOWER_DOUBLE_NODES),
+            (UPPER_SINGLE_NODES, UPPER_DOUBLE_NODES),
+        ]
+        rng = random.Random(20261018)
+        pool = sorted({F(p, q) for q in (3, 5, 7, 8, 11, 13, 19) for p in range(1, 2 * q)})
+        for shape in ("zero-single", "doubles-only", "mixed") * 17:
+            nodes = rng.sample(pool, rng.randint(1, 6))
+            if shape == "doubles-only":
+                cases.append(((), nodes))
+            else:
+                cut = rng.randint(0, len(nodes))
+                singles = nodes[:cut] + ([F(0)] if shape == "zero-single" else [])
+                rng.shuffle(singles)
+                cases.append((singles, nodes[cut:]))
+        for singles, doubles in cases:
+            assert hermite_interpolate(singles, doubles) == \
+                self.vandermonde_solve(singles, doubles), (singles, doubles)
 
     def test_usage_errors(self):
         with pytest.raises(UsageError):

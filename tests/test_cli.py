@@ -924,6 +924,48 @@ def fresh_python(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# the verdict in a fresh interpreter; prints the exit code and the modules
+# that importing the CLI and running it added to sys.modules
+_VERDICT_RUN = """
+import json, sys
+before = set(sys.modules)
+from simplexmoments.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+class TestVerdictLoadsOnlyWhatItRuns:
+    """verify-counterexample imports the package root and the four modules
+    its proof runs, and none of the modules it never calls."""
+
+    def test_fresh_verdict_run(self, tmp_path):
+        import platform
+
+        tables = str(tmp_path / "tables")
+        shutil.copytree(FIXTURE_TABLES, tables)
+        out = tmp_path / "r.json"
+        status = fresh_python(
+            _VERDICT_RUN, "verify-counterexample", "--tables", tables, "--out", str(out)
+        )
+        assert status["code"] == 0
+        loaded = set(status["loaded"])
+        assert {name for name in loaded if name.split(".")[0] == "simplexmoments"} == {
+            "simplexmoments",
+            "simplexmoments.cli",
+            "simplexmoments.errors",
+            "simplexmoments.exact",
+            "simplexmoments.tetra",
+            "simplexmoments.certificates",
+        }
+        unused = {"simplexmoments." + name for name in ("geometry", "chords", "lp", "mc", "lifting")}
+        assert not loaded & (unused | {"numpy", "dataclasses", "platform"})
+        with open(str(out), encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["result"]["confirmed"] is True
+        assert report["manifest"]["versions"]["python"] == platform.python_version()
+
+
 class TestNumpyOnlyForSampling:
     """mc and lifting are the only modules that import numpy, and the
     package root loads them on first use, so the exact path never does."""
@@ -997,9 +1039,15 @@ class TestNumpyOnlyForSampling:
         assert probe == [False, False, True, "simplexmoments.lifting", True]
 
     def test_lazy_name_lists_match_the_modules(self):
-        from simplexmoments import lifting, mc
+        from simplexmoments import chords, geometry, lifting, lp, mc
 
-        assert simplexmoments._LAZY_NAMES == {"mc": mc.__all__, "lifting": lifting.__all__}
+        assert simplexmoments._LAZY_NAMES == {
+            "geometry": geometry.__all__,
+            "chords": chords.__all__,
+            "lp": lp.__all__,
+            "mc": mc.__all__,
+            "lifting": lifting.__all__,
+        }
         namespace = {}
         exec("from simplexmoments import *", namespace)
         assert set(simplexmoments.__all__) <= set(namespace)

@@ -16,6 +16,7 @@ from simplexmoments.exact import (
     SturmChain,
     UniPoly,
     _deflate_root,
+    _descartes_variations,
     format_rational,
     parse_rational,
     sturm_nonneg_on_interval,
@@ -636,3 +637,79 @@ def test_canonical_error_polynomials_match_golden_file():
         assert text(odd) == entry["odd_part"]
         crossings = _deflate_root(_deflate_root(odd, 0), bprime)
         assert [text(q) for q in SturmChain(crossings).chain] == entry["chain"]
+
+
+# ---------------------------------------------------------------------------
+# Descartes' rule before the Sturm chain
+# ---------------------------------------------------------------------------
+
+def assert_descartes_bounds_sturm(q: UniPoly, lo, hi) -> int:
+    """V >= the Sturm root count in (lo, hi), with equal parity, for a
+    squarefree q that does not vanish at hi; returns V."""
+    v = _descartes_variations(q, F(lo), F(hi))
+    roots = SturmChain(q).count_roots(lo, hi)
+    assert v >= roots and (v - roots) % 2 == 0, (q.coeffs, lo, hi, v, roots)
+    return v
+
+
+def test_descartes_bounds_the_golden_crossings():
+    with open(os.path.join(DATA, "sturm_golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)["polynomials"]
+    for entry in golden:
+        lo, hi = (parse_rational(x) for x in entry["interval"])
+        odd = UniPoly(parse_rational(c) for c in entry["odd_part"])
+        crossings = _deflate_root(_deflate_root(odd, lo), hi)
+        # both canonical proofs finish without a Sturm chain
+        assert assert_descartes_bounds_sturm(crossings, lo, hi) == 0
+
+
+def test_descartes_bounds_sturm_on_planted_roots():
+    rng = random.Random(2026)
+    t = UniPoly.x()
+    for case in range(330):
+        width = F(rng.randint(1, 12), rng.randint(1, 6))
+        lo = [-width / rng.randint(2, 5), F(0), F(rng.randint(1, 9), rng.randint(1, 9))][case % 3]
+        hi = lo + width
+        q = UniPoly((F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)),))
+        roots = set()
+        for _ in range(rng.randint(1, 5)):
+            inside = lo + width * F(rng.randint(1, 99), 100)
+            outside = rng.choice([lo - width, hi]) + width * F(rng.randint(1, 99), 100)
+            roots.add(inside if rng.random() < 0.6 else outside)
+        for r in roots:
+            q = q * (t - r)
+        for _ in range(rng.randint(0, 2)):
+            # a complex pair within 10^-k of a real double root in (lo, hi)
+            centre = lo + width * F(rng.randint(1, 999), 1000)
+            q = q * ((t - centre) ** 2 + F(1, 10 ** rng.randint(1, 12)))
+        assert_descartes_bounds_sturm(q, lo, hi)
+
+
+def test_descartes_variations_without_a_root_go_to_sturm(monkeypatch):
+    built = []
+
+    class CountingChain(SturmChain):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(exact, "SturmChain", CountingChain)
+    t = UniPoly.x()
+    # a complex pair near 1/2: two variations, no real root
+    p = (t - F(1, 2)) ** 2 + F(1, 1000)
+    assert _descartes_variations(p, F(0), F(1)) == 2
+    assert SturmChain(p).count_roots(0, 1) == 0
+    assert sturm_nonneg_on_interval(p, 0, 1).reason == "no-interior-sign-change"
+    assert built == [p.primitive()]
+    # the canonical certificates take the Descartes branch and build no chain
+    del built[:]
+    for side, singles, doubles, bprime in (
+        ("lower", certificates.LOWER_SINGLE_NODES, certificates.LOWER_DOUBLE_NODES,
+         certificates.FREE_BPRIME),
+        ("upper", certificates.UPPER_SINGLE_NODES, certificates.UPPER_DOUBLE_NODES,
+         certificates.FIXED_BPRIME),
+    ):
+        poly = certificates.hermite_interpolate(singles, doubles)
+        result = certificates.verify_bound_polynomial(poly, side, bprime * bprime, bprime)
+        assert result.reason == "no-interior-sign-change"
+    assert built == []

@@ -7,11 +7,12 @@ from fractions import Fraction as F
 import pytest
 import scipy.optimize
 
+from oracles import solve_fraction_free
 from simplexmoments.certificates import LOWER_DOUBLE_NODES, PIVOT
 from simplexmoments.cli import main
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
 from simplexmoments import lp
-from simplexmoments.exact import _solve_fraction_free, format_rational, parse_rational
+from simplexmoments.exact import format_rational, parse_rational
 from simplexmoments.lp import (
     _check_certificate,
     _check_farkas,
@@ -240,7 +241,7 @@ class TestExchange:
             basis = _start_basis(len(grid), degree, sense)
             assert len(set(basis)) == degree + 1
             assert all(0 <= l < len(grid) for l in basis)
-            coeffs = _solve_fraction_free(
+            coeffs = solve_fraction_free(
                 [[grid[l] ** (2 * i) for i in range(degree + 1)] for l in basis],
                 [grid[l] for l in basis],
             )
