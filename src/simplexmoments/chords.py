@@ -22,10 +22,11 @@ drives the counterexample search in higher dimensions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import DomainError, UsageError
+from .errors import CapacityError, DomainError, UsageError
 
 __all__ = [
     "TriangleSpec",
@@ -70,6 +71,42 @@ def _check_moment_order(k) -> int:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise UsageError("moment order k must be a positive integer")
     return k
+
+
+def _in_range(k: int, moment) -> float:
+    """moment(k) if it evaluates to a positive normal float.
+
+    Past some order, which depends on the triangle, the powers of sines and
+    sides in the formulas leave the float64 range: a power underflows to 0
+    and is divided by, or overflows, or the moment itself underflows.  Such
+    a k is a CapacityError naming the largest order that still evaluates,
+    found by bisection.
+    """
+
+    def value(order: int):
+        try:
+            v = moment(order)
+        except (UsageError, DomainError):
+            raise
+        except (OverflowError, ZeroDivisionError, ValueError):
+            # ValueError: math.fsum given an inf and a -inf
+            return None
+        return v if sys.float_info.min <= v <= sys.float_info.max else None
+
+    v = value(k)
+    if v is not None:
+        return v
+    lo, hi = 0, k  # lo evaluates (0: no order does), hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if value(mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    raise CapacityError(
+        "moment order k=%d leaves the float64 range for this triangle; %s"
+        % (k, "the largest k that evaluates is %d" % lo if lo else "no order k >= 1 evaluates")
+    )
 
 
 @dataclass(frozen=True)
@@ -171,9 +208,12 @@ def vertex_moment(t: TriangleSpec, vertex: str, k: int) -> float:
     _check_moment_order(k)
     if vertex not in _VERTEX_LABELS:
         raise UsageError("vertex must be one of 'A', 'B', 'C'")
+    return _in_range(k, lambda order: _vertex_moment(t, _VERTEX_LABELS[vertex], order))
+
+
+def _vertex_moment(t: TriangleSpec, i: int, k: int) -> float:
     sides = (t.a, t.b, t.c)
     angles = (t.alpha, t.beta, t.gamma)
-    i = _VERTEX_LABELS[vertex]
     opp = sides[i]
     adj = sides[(i + 2) % 3]
     start = angles[(i + 1) % 3]
@@ -199,6 +239,10 @@ def edgepoint_moment(t: TriangleSpec, e: EdgePointSpec, k: int) -> float:
         return vertex_moment(t, "A", k)
     if c1 == t.c:
         return vertex_moment(t, "B", k)
+    return _in_range(k, lambda order: _edgepoint_moment(t, c1, order))
+
+
+def _edgepoint_moment(t: TriangleSpec, c1: float, k: int) -> float:
     va = (0.0, 0.0)
     vb = (t.c, 0.0)
     vc = (t.b * math.cos(t.alpha), t.b * math.sin(t.alpha))
@@ -208,7 +252,7 @@ def edgepoint_moment(t: TriangleSpec, e: EdgePointSpec, k: int) -> float:
     wl = left.area
     wr = right.area
     return (
-        wl * vertex_moment(left, "A", k) + wr * vertex_moment(right, "A", k)
+        wl * _vertex_moment(left, 0, k) + wr * _vertex_moment(right, 0, k)
     ) / (wl + wr)
 
 
@@ -226,6 +270,10 @@ def chord_moment(t: TriangleSpec, k: int) -> float:
                    + sin(eta_i)/(k+2) (csc(eta_j)^(k+2) - csc(eta_i)^(k+2)).
     """
     _check_moment_order(k)
+    return _in_range(k, lambda order: _chord_moment(t, order))
+
+
+def _chord_moment(t: TriangleSpec, k: int) -> float:
     sides = (t.a, t.b, t.c)
     angles = (t.alpha, t.beta, t.gamma)
     m = k + 2

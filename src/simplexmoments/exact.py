@@ -191,13 +191,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i)
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Exact composition self(inner(t)) by Horner's scheme."""
-        result = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * inner + c
-        return result
-
     def divmod(self, divisor: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Exact polynomial division with remainder."""
         if divisor.is_zero():
@@ -215,41 +208,9 @@ class UniPoly:
                 rem[i - dd + j] -= factor * dc
         return UniPoly(quot), UniPoly(rem)
 
-    def rem(self, divisor: "UniPoly") -> "UniPoly":
-        return self.divmod(divisor)[1]
-
-    # -- normalization and factor structure ----------------------------------
-    #
-    # The methods below convert to primitive integer coefficient lists once,
-    # run the integer algorithms defined after this class, and convert back.
-
-    def primitive(self) -> "UniPoly":
-        """Integer-primitive scaling with a positive leading coefficient.
-
-        The result equals ``self`` times a nonzero rational; the sign of that
-        rational is chosen to make the leading coefficient positive, which is
-        the canonical form used for gcds and factor lists.
-        """
-        return UniPoly(_int_coeffs(self, positive_lead=True))
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Primitive gcd (positive leading coefficient)."""
-        return UniPoly(_gcd_ints(_int_coeffs(self), _int_coeffs(other))[0])
-
-    def squarefree_part(self) -> "UniPoly":
-        """self / gcd(self, self'), scaled primitive."""
-        return UniPoly(_squarefree_ints(_int_coeffs(self, positive_lead=True)))
-
-    def yun_decomposition(self) -> list[tuple[int, "UniPoly"]]:
-        """Squarefree decomposition self = lc * prod f_i ** i (Yun's algorithm).
-
-        Returns [(multiplicity, primitive factor)] with nonconstant factors
-        only; factors are pairwise coprime and squarefree.
-        """
-        return [(i, UniPoly(f)) for i, f in _yun_ints(_int_coeffs(self, positive_lead=True))]
-
     def odd_multiplicity_part(self) -> "UniPoly":
-        """Product of the squarefree factors with odd multiplicity.
+        """Product of the squarefree factors with odd multiplicity, from
+        Yun's decomposition of the primitive integer form.
 
         The real roots of the result are exactly the points where ``self``
         changes sign; even-multiplicity touch points are excluded.

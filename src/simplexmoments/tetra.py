@@ -6,39 +6,27 @@ vertices joined to the centroid (1/3, 1/3, 1/3) (the "fixed-centroid"
 case).
 
 For a triangle with edge vectors u and v from a common corner, four times
-the squared area is the Gram determinant
+the squared area is given by Lagrange's identity,
 
     D = |u|^2 |v|^2 - (u . v)^2,
 
-a degree-four polynomial in the point coordinates.  Even moments therefore
-need no square root: E V^(2k) is 2^(-2k) times the mean of D^k, and the
-mean of any coordinate monomial over the tetrahedron is an explicit
-factorial ratio.
+so E V^(2k) = 4^(-k) E D^k needs no square root, and the mean of a
+coordinate monomial over the tetrahedron is Dirichlet's factorial ratio.
+Both cases expand D^k the same way (binomially in D, multinomially in
+(u . v)^(2j), |u|^2 and |v|^2) into joint moments E u^e v^f with
+|e| = |f| = 2k, summed in integers over one common denominator.  Only the
+joint moment depends on the case: with the centroid pinned, u and v are
+independent; in the free case the coupled triple integral factors by
+coordinate up to a two-variable generating polynomial.  The test suite
+keeps the full expansion of D^k and the older six-slot decomposition as
+oracles.
 
-Direct expansion of D^k is only feasible for tiny k; the test suite keeps
-it as an independent oracle.  The production route decomposes D into six
-slots,
-
-    D = sum_a u_a^2 (|v|^2 - v_a^2) - 2 sum_{a<b} (u_a v_a)(u_b v_b),
-
-and applies the multinomial theorem over the slots.  A slot pattern fixes
-the u-exponent vector outright, and the diagonal factors (|v|^2 - v_a^2)
-expand through three short binomial sums, so every pattern yields a small
-family of split monomials u^e v^f with known integer weights.  The
-expectation of u^e v^f is then a factorial convolution: in the
-fixed-centroid case u and v are independent and it factors into two
-single-point integrals, while the free case couples all three points in
-one triple integral.  All accumulation happens in arbitrary-precision
-integers over a common denominator; one rational prefactor is applied at
-the end.
-
-Moment tables can be checkpointed to JSON after every order so that the
-long fixed-centroid runs are restartable and shareable.
+Moment tables are checkpointed to JSON, so a table is computed once and
+then shared and extended.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -60,19 +48,13 @@ __all__ = [
 CASE_FREE = "free"
 CASE_FIXED = "fixed-centroid"
 
-# Orders beyond these make the slot expansion (and, for the free case, the
+# Orders beyond these make the expansion (and, for the free case, the
 # coupled triple integrals) grow combinatorially; they are deliberate
 # resource guards, not mathematical limits.
 FREE_KMAX_LIMIT = 9
 FIXED_KMAX_LIMIT = 16
 
-_FACT = [math.factorial(i) for i in range(4 * FIXED_KMAX_LIMIT + 12)]
-
-
-def _fact(n: int) -> int:
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
+_fact = lru_cache(maxsize=None)(math.factorial)
 
 
 def _normalize_case(case: str) -> str:
@@ -118,167 +100,105 @@ def _centered_integral_num(e: Tuple[int, int, int]) -> int:
     return total
 
 
-def _centered_num(e: Tuple[int, int, int]) -> int:
-    return _centered_integral_num(tuple(sorted(e)))
+def _multinomials(n: int):
+    """Every a in N^3 with |a| = n, paired with n! / (a_0! a_1! a_2!)."""
+    for a0 in range(n + 1):
+        for a1 in range(n - a0 + 1):
+            a2 = n - a0 - a1
+            yield (a0, a1, a2), _fact(n) // (_fact(a0) * _fact(a1) * _fact(a2))
 
 
 @lru_cache(maxsize=None)
-def _edge_pair_integral_num(e: Tuple[int, int, int], f: Tuple[int, int, int]) -> int:
+def _pair_integral_num(cols: Tuple[Tuple[int, int], ...]) -> int:
     """Numerator of the triple-tetrahedron integral of
-    prod_a (X1 - X0)_a^e_a (X2 - X0)_a^f_a.
+    prod_a (X1 - X0)_a^e_a (X2 - X0)_a^f_a, for cols = ((e_a, f_a))_a.
 
     The value is the returned integer divided by
-    (|e|+3)! (|f|+3)! (|e|+|f|+3)!.  Both difference factors expand
-    binomially in the X0 coordinates; the three points then integrate
-    independently as factorial ratios.
+    (|e|+3)! (|f|+3)! (|e|+|f|+3)!.  Expand both differences binomially and
+    let r and s be the powers of X0 taken from the first and the second;
+    integrating X1 and X2 leaves X0^(r+s) weighted by
+    prod_a e_a!/r_a! f_a!/s_a!, so the integral is
+    e! f! sum_(m,n) (-1)^(m+n) T(m,n) / ((|e|-m+3)! (|f|-n+3)! (m+n+3)!),
+    where T(m,n) is the x^m y^n coefficient of prod_a P_(e_a,f_a)(x, y)
+    and P_(p,q) = sum_(r<=p, s<=q) C(r+s, r) x^r y^s.
     """
-    de, df = sum(e), sum(f)
+    t = {(0, 0): 1}
+    for p, q in cols:
+        nxt: dict = {}
+        for (m, n), c in t.items():
+            for r in range(p + 1):
+                for s in range(q + 1):
+                    key = (m + r, n + s)
+                    nxt[key] = nxt.get(key, 0) + c * math.comb(r + s, r)
+        t = nxt
+    de, df = (sum(c) for c in zip(*cols))
     total = 0
-    for i in itertools.product(*(range(a + 1) for a in e)):
-        di = sum(i)
-        ci = (
-            math.comb(e[0], i[0])
-            * math.comb(e[1], i[1])
-            * math.comb(e[2], i[2])
-            * _fact(i[0])
-            * _fact(i[1])
-            * _fact(i[2])
-            * (_fact(de + 3) // _fact(di + 3))
-        )
-        si = (de - di) % 2
-        rest = (e[0] - i[0], e[1] - i[1], e[2] - i[2])
-        for j in itertools.product(*(range(b + 1) for b in f)):
-            dj = sum(j)
-            cj = (
-                math.comb(f[0], j[0])
-                * math.comb(f[1], j[1])
-                * math.comb(f[2], j[2])
-                * _fact(j[0])
-                * _fact(j[1])
-                * _fact(j[2])
-                * (_fact(df + 3) // _fact(dj + 3))
-            )
-            g0 = rest[0] + f[0] - j[0]
-            g1 = rest[1] + f[1] - j[1]
-            g2 = rest[2] + f[2] - j[2]
-            dg = g0 + g1 + g2
-            cg = (
-                _fact(g0)
-                * _fact(g1)
-                * _fact(g2)
-                * (_fact(de + df + 3) // _fact(dg + 3))
-            )
-            sign = -1 if (si + (df - dj)) % 2 else 1
-            total += sign * ci * cj * cg
+    for (m, n), c in t.items():
+        c *= (_fact(de + 3) // _fact(de - m + 3)) * (_fact(df + 3) // _fact(df - n + 3))
+        total += (-1) ** (m + n) * c * (_fact(de + df + 3) // _fact(m + n + 3))
+    for p, q in cols:
+        total *= _fact(p) * _fact(q)
     return total
 
 
-def _edge_pair_num(e: Tuple[int, int, int], f: Tuple[int, int, int]) -> int:
+def _pair_num(e: Tuple[int, int, int], f: Tuple[int, int, int]) -> int:
     # the integral is invariant under simultaneous coordinate permutations
-    # and under swapping the two difference vectors; canonicalize so the
-    # cache sees one representative per orbit
-    best = None
-    for perm in itertools.permutations((0, 1, 2)):
-        pe = tuple(e[q] for q in perm)
-        pf = tuple(f[q] for q in perm)
-        for key in (pe + pf, pf + pe):
-            if best is None or key < best:
-                best = key
-    return _edge_pair_integral_num(best[:3], best[3:])
+    # and under swapping the two difference vectors
+    return _pair_integral_num(min(tuple(sorted(zip(e, f))), tuple(sorted(zip(f, e)))))
 
 
-# ---------------------------------------------------------------------------
-# slot-decomposition moment engine
+@lru_cache(maxsize=None)
+def _joint_fixed(alpha: Tuple[int, int, int], m: int) -> int:
+    # u and v are independent copies, so the (beta, gamma) sum is the square
+    # of E |u|^(2m) u^alpha, over the denominator of _centered_integral_num
+    return sum(
+        c * _centered_integral_num(tuple(sorted(a + 2 * b for a, b in zip(alpha, beta))))
+        for beta, c in _multinomials(m)
+    ) ** 2
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+@lru_cache(maxsize=None)
+def _joint_free(alpha: Tuple[int, int, int], m: int) -> int:
+    # all three points are coupled: one pair integral per (beta, gamma)
+    shifted = [
+        (c, tuple(a + 2 * b for a, b in zip(alpha, beta)))
+        for beta, c in _multinomials(m)
+    ]
+    return sum(cb * cg * _pair_num(e, f) for cb, e in shifted for cg, f in shifted)
 
 
-def _slot_patterns(k: int):
-    """Multinomial patterns over the six slots of the Gram decomposition.
+def _even_moment(case: str, k: int) -> Fraction:
+    """E V^(2k) = 4^(-k) E D^k by Lagrange's identity D = |u|^2 |v|^2 - (u.v)^2:
 
-    Yields (weight, diag, e_u, g) where weight is the signed integer
-    multiplier, diag = (k11, k22, k33) counts the diagonal slots, e_u is
-    the complete u-exponent vector, and g is the off-diagonal part of the
-    v-exponent vector (the diagonal v-part still needs the binomial sums).
+    E D^k = sum_j (-1)^j C(k,j) sum_(|alpha|=2j) C(2j; alpha) J(alpha, k-j),
+    J(alpha, m) = sum_(|beta|=|gamma|=m) C(m; beta) C(m; gamma)
+                  E u^(alpha+2 beta) v^(alpha+2 gamma).
+
+    Every joint moment in J has degree 2k in u and in v, so all of them
+    share one denominator; only J depends on the case.
     """
-    for kap in _compositions(k, 6):
-        k11, k22, k33, k12, k13, k23 = kap
-        off = k12 + k13 + k23
-        mult = _fact(k) // (
-            _fact(k11) * _fact(k22) * _fact(k33) * _fact(k12) * _fact(k13) * _fact(k23)
-        )
-        weight = mult * (-2) ** off
-        e_u = (2 * k11 + k12 + k13, 2 * k22 + k12 + k23, 2 * k33 + k13 + k23)
-        g = (k12 + k13, k12 + k23, k13 + k23)
-        yield weight, (k11, k22, k33), e_u, g
-
-
-def _diag_binomials(diag: Tuple[int, int, int], g: Tuple[int, int, int]):
-    """Expansion of prod_a (|v|^2 - v_a^2)^diag_a into v-exponent vectors.
-
-    Yields (binomial weight, f) pairs; f already includes the off-diagonal
-    contribution g.
-    """
-    k11, k22, k33 = diag
-    for i in range(k11 + 1):
-        ci = math.comb(k11, i)
-        for j in range(k22 + 1):
-            cij = ci * math.comb(k22, j)
-            for l in range(k33 + 1):
-                w = cij * math.comb(k33, l)
-                f = (
-                    g[0] + 2 * j + 2 * l,
-                    g[1] + 2 * i + 2 * (k33 - l),
-                    g[2] + 2 * (k11 - i) + 2 * (k22 - j),
-                )
-                yield w, f
-
-
-def _even_moment_fixed(k: int) -> Fraction:
+    if case == CASE_FIXED:
+        joint, pref = _joint_fixed, 36
+        den = (3 ** (2 * k) * _fact(2 * k + 3)) ** 2
+    else:
+        joint, pref = _joint_free, 216
+        den = _fact(2 * k + 3) ** 2 * _fact(4 * k + 3)
     acc = 0
-    for weight, diag, e_u, g in _slot_patterns(k):
-        ju = _centered_num(e_u)
-        inner = 0
-        for w, f in _diag_binomials(diag, g):
-            inner += w * _centered_num(f)
-        acc += weight * ju * inner
-    den = 3 ** (2 * k) * _fact(2 * k + 3)
-    return Fraction(36, 4**k) * Fraction(acc, den * den)
-
-
-def _even_moment_free(k: int) -> Fraction:
-    acc = 0
-    for weight, diag, e_u, g in _slot_patterns(k):
-        inner = 0
-        for w, f in _diag_binomials(diag, g):
-            inner += w * _edge_pair_num(e_u, f)
-        acc += weight * inner
-    d2k = _fact(2 * k + 3)
-    return Fraction(216, 4**k) * Fraction(acc, d2k * d2k * _fact(4 * k + 3))
+    for j in range(k + 1):
+        inner = sum(c * joint(tuple(sorted(alpha)), k - j) for alpha, c in _multinomials(2 * j))
+        acc += (-1) ** j * math.comb(k, j) * inner
+    return Fraction(pref, 4**k) * Fraction(acc, den)
 
 
 def _check_capacity(case: str, k: int) -> None:
     cap = FREE_KMAX_LIMIT if case == CASE_FREE else FIXED_KMAX_LIMIT
     if k > cap:
-        patterns = math.comb(k + 5, 5)
+        terms = sum(math.comb(2 * j + 2, 2) * math.comb(k - j + 2, 2) ** 2 for j in range(k + 1))
         raise CapacityError(
-            "even moment of order 2k=%d for case %r exceeds the capacity "
-            "limit k<=%d; the slot expansion would visit %d multinomial "
-            "patterns (cost grows roughly with that count%s)"
-            % (
-                2 * k,
-                case,
-                cap,
-                patterns,
-                ", times the coupled-integral boxes" if case == CASE_FREE else "",
-            )
+            "even moment of order 2k=%d for case %r exceeds the capacity limit k<=%d "
+            "(free k<=%d, fixed-centroid k<=%d); the expansion would sum %d joint "
+            "moments, and its cost grows roughly with that count"
+            % (2 * k, case, cap, FREE_KMAX_LIMIT, FIXED_KMAX_LIMIT, terms)
         )
 
 
@@ -295,9 +215,7 @@ def even_moment(case: str, k: int) -> Fraction:
     _check_capacity(case, k)
     if k == 0:
         return Fraction(1)
-    if case == CASE_FIXED:
-        return _even_moment_fixed(k)
-    return _even_moment_free(k)
+    return _even_moment(case, k)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +317,10 @@ def moment_table(
     """Moments mu_(2k) for k = 0 .. k_max as one validated table.
 
     With ``checkpoint`` set, the entries already in that JSON file are
-    reused and every newly computed order is written back immediately, so
-    an interrupted long run resumes where it stopped.  A caller that has
-    already read the file passes its table as ``stored``, so the file is
-    not parsed twice.
+    reused, and when any order was missing the extended table is written
+    back once, after the last one is computed.  A caller that has already
+    read the file passes its table as ``stored``, so the file is not parsed
+    twice.
     """
     if not isinstance(k_max, int) or k_max < 0:
         raise UsageError("k_max must be a nonnegative integer")
@@ -416,8 +334,8 @@ def moment_table(
         _check_capacity(case, missing[-1])
     for k in missing:
         known[k] = even_moment(case, k)
-        if checkpoint:
-            _write_checkpoint(checkpoint, case, known)
+    if missing and checkpoint:
+        _write_checkpoint(checkpoint, case, known)
     entries = tuple((k, known[k]) for k in range(k_max + 1))
     table = MomentTable(case, k_max, entries)
     table.check()

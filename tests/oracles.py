@@ -7,7 +7,11 @@ two exactly:
 * :class:`MVPoly` - sparse multivariate polynomials with exact (int or
   Fraction) coefficients, used to expand the Gram determinant literally;
 * :func:`even_moment_by_expansion` - E V^(2k) in T3 from the full sparse
-  expansion of D^k, against the slot engine of ``simplexmoments.tetra``;
+  expansion of D^k, against the Lagrange-identity expansion of
+  ``simplexmoments.tetra``;
+* :func:`even_moment_by_slots` - the same moments by the six-slot
+  decomposition of D and a six-deep binomial loop for the free case's
+  coupled integral, the engine that wrote the frozen tables;
 * :func:`gram_volume` - simplex volumes by an exact Gram determinant (or a
   singular-value product), against the Monte Carlo volume kernel;
 * :func:`monomial_integral_T3` and :func:`boundary_residual` - the
@@ -19,16 +23,24 @@ two exactly:
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
 from simplexmoments.errors import UsageError
 from simplexmoments.geometry import Body, _margins
-from simplexmoments.tetra import CASE_FIXED, CASE_FREE, _normalize_case
+from simplexmoments.tetra import (
+    CASE_FIXED,
+    CASE_FREE,
+    _centered_integral_num,
+    _fact,
+    _normalize_case,
+)
 
 
 def _exact(value):
@@ -263,6 +275,170 @@ def even_moment_by_expansion(case: str, k: int) -> Fraction:
             coeff *= weight[block]
         total += coeff
     return Fraction(6**npoints * total, 4**k * scale * den**npoints)
+
+
+# ---------------------------------------------------------------------------
+# even moments of the triangle area in T3 by the six-slot decomposition
+#
+# D = sum_a u_a^2 (|v|^2 - v_a^2) - 2 sum_{a<b} (u_a v_a)(u_b v_b), and the
+# multinomial theorem over the six slots.  A slot pattern fixes the
+# u-exponent vector outright, and the diagonal factors (|v|^2 - v_a^2)
+# expand through three short binomial sums, so every pattern yields a small
+# family of split monomials u^e v^f with known integer weights.  The free
+# case integrates each one with a six-deep binomial loop over the three
+# coupled points.
+
+
+@lru_cache(maxsize=None)
+def _edge_pair_integral_num(e: Tuple[int, int, int], f: Tuple[int, int, int]) -> int:
+    """Numerator of the triple-tetrahedron integral of
+    prod_a (X1 - X0)_a^e_a (X2 - X0)_a^f_a.
+
+    The value is the returned integer divided by
+    (|e|+3)! (|f|+3)! (|e|+|f|+3)!.  Both difference factors expand
+    binomially in the X0 coordinates; the three points then integrate
+    independently as factorial ratios.
+    """
+    de, df = sum(e), sum(f)
+    total = 0
+    for i in itertools.product(*(range(a + 1) for a in e)):
+        di = sum(i)
+        ci = (
+            math.comb(e[0], i[0])
+            * math.comb(e[1], i[1])
+            * math.comb(e[2], i[2])
+            * _fact(i[0])
+            * _fact(i[1])
+            * _fact(i[2])
+            * (_fact(de + 3) // _fact(di + 3))
+        )
+        si = (de - di) % 2
+        rest = (e[0] - i[0], e[1] - i[1], e[2] - i[2])
+        for j in itertools.product(*(range(b + 1) for b in f)):
+            dj = sum(j)
+            cj = (
+                math.comb(f[0], j[0])
+                * math.comb(f[1], j[1])
+                * math.comb(f[2], j[2])
+                * _fact(j[0])
+                * _fact(j[1])
+                * _fact(j[2])
+                * (_fact(df + 3) // _fact(dj + 3))
+            )
+            g0 = rest[0] + f[0] - j[0]
+            g1 = rest[1] + f[1] - j[1]
+            g2 = rest[2] + f[2] - j[2]
+            dg = g0 + g1 + g2
+            cg = (
+                _fact(g0)
+                * _fact(g1)
+                * _fact(g2)
+                * (_fact(de + df + 3) // _fact(dg + 3))
+            )
+            sign = -1 if (si + (df - dj)) % 2 else 1
+            total += sign * ci * cj * cg
+    return total
+
+
+def _edge_pair_num(e: Tuple[int, int, int], f: Tuple[int, int, int]) -> int:
+    # the integral is invariant under simultaneous coordinate permutations
+    # and under swapping the two difference vectors; canonicalize so the
+    # cache sees one representative per orbit
+    best = None
+    for perm in itertools.permutations((0, 1, 2)):
+        pe = tuple(e[q] for q in perm)
+        pf = tuple(f[q] for q in perm)
+        for key in (pe + pf, pf + pe):
+            if best is None or key < best:
+                best = key
+    return _edge_pair_integral_num(best[:3], best[3:])
+
+
+def _centered_num(e: Tuple[int, int, int]) -> int:
+    return _centered_integral_num(tuple(sorted(e)))
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _slot_patterns(k: int):
+    """Multinomial patterns over the six slots of the Gram decomposition.
+
+    Yields (weight, diag, e_u, g) where weight is the signed integer
+    multiplier, diag = (k11, k22, k33) counts the diagonal slots, e_u is
+    the complete u-exponent vector, and g is the off-diagonal part of the
+    v-exponent vector (the diagonal v-part still needs the binomial sums).
+    """
+    for kap in _compositions(k, 6):
+        k11, k22, k33, k12, k13, k23 = kap
+        off = k12 + k13 + k23
+        mult = _fact(k) // (
+            _fact(k11) * _fact(k22) * _fact(k33) * _fact(k12) * _fact(k13) * _fact(k23)
+        )
+        weight = mult * (-2) ** off
+        e_u = (2 * k11 + k12 + k13, 2 * k22 + k12 + k23, 2 * k33 + k13 + k23)
+        g = (k12 + k13, k12 + k23, k13 + k23)
+        yield weight, (k11, k22, k33), e_u, g
+
+
+def _diag_binomials(diag: Tuple[int, int, int], g: Tuple[int, int, int]):
+    """Expansion of prod_a (|v|^2 - v_a^2)^diag_a into v-exponent vectors.
+
+    Yields (binomial weight, f) pairs; f already includes the off-diagonal
+    contribution g.
+    """
+    k11, k22, k33 = diag
+    for i in range(k11 + 1):
+        ci = math.comb(k11, i)
+        for j in range(k22 + 1):
+            cij = ci * math.comb(k22, j)
+            for l in range(k33 + 1):
+                w = cij * math.comb(k33, l)
+                f = (
+                    g[0] + 2 * j + 2 * l,
+                    g[1] + 2 * i + 2 * (k33 - l),
+                    g[2] + 2 * (k11 - i) + 2 * (k22 - j),
+                )
+                yield w, f
+
+
+def _even_moment_fixed(k: int) -> Fraction:
+    acc = 0
+    for weight, diag, e_u, g in _slot_patterns(k):
+        ju = _centered_num(e_u)
+        inner = 0
+        for w, f in _diag_binomials(diag, g):
+            inner += w * _centered_num(f)
+        acc += weight * ju * inner
+    den = 3 ** (2 * k) * _fact(2 * k + 3)
+    return Fraction(36, 4**k) * Fraction(acc, den * den)
+
+
+def _even_moment_free(k: int) -> Fraction:
+    acc = 0
+    for weight, diag, e_u, g in _slot_patterns(k):
+        inner = 0
+        for w, f in _diag_binomials(diag, g):
+            inner += w * _edge_pair_num(e_u, f)
+        acc += weight * inner
+    d2k = _fact(2 * k + 3)
+    return Fraction(216, 4**k) * Fraction(acc, d2k * d2k * _fact(4 * k + 3))
+
+
+def even_moment_by_slots(case: str, k: int) -> Fraction:
+    """E V^(2k) by the six-slot decomposition of the Gram determinant."""
+    case = _normalize_case(case)
+    if k == 0:
+        return Fraction(1)
+    if case == CASE_FIXED:
+        return _even_moment_fixed(k)
+    return _even_moment_free(k)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from simplexmoments.certificates import (
     verify_counterexample,
 )
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
-from simplexmoments.exact import UniPoly, uni_eval
+from simplexmoments.exact import UniPoly, _int_coeffs, _yun_ints, uni_eval
 from simplexmoments.tetra import moment_table
 
 
@@ -199,9 +199,9 @@ class TestCanonicalCertificates:
             assert uni_eval(g1, t) != 0
         # the multiplicity structure is visible in the squarefree split
         multiplicity = {}
-        for mult, factor in g.yun_decomposition():
+        for mult, factor in _yun_ints(_int_coeffs(g, positive_lead=True)):
             for t in LOWER_SINGLE_NODES + LOWER_DOUBLE_NODES:
-                if uni_eval(factor, t) == 0:
+                if uni_eval(UniPoly(factor), t) == 0:
                     multiplicity[t] = mult
         for t in LOWER_SINGLE_NODES:
             assert multiplicity[t] == 1

@@ -17,7 +17,7 @@ from simplexmoments.chords import (
     unit_right_isosceles,
     vertex_moment,
 )
-from simplexmoments.errors import DomainError, UsageError
+from simplexmoments.errors import CapacityError, DomainError, UsageError
 
 ASINH1 = math.asinh(1.0)
 SQRT2 = math.sqrt(2.0)
@@ -360,6 +360,26 @@ def test_moments_scale_and_are_rigid_motion_invariant():
 
 # --------------------------------------------------------------------------
 # the ratio r(k)
+
+
+@pytest.mark.parametrize(
+    "moment, largest",
+    [
+        (lambda k: chord_moment(T2_HYP, k), 2043),
+        (lambda k: vertex_moment(T2_HYP, "A", k), 2068),
+        (lambda k: edgepoint_moment(T2_HYP, HYP_MID, k), 1064),
+        (lambda k: chord_moment(TriangleSpec.from_sides(3.0, 4.0, 5.0), k), 437),
+    ],
+)
+def test_orders_past_the_float_range_are_refused(moment, largest):
+    # the largest order that evaluates is a finite positive float; the next
+    # one, and any far beyond it, is refused with that order named
+    assert 0.0 < moment(largest) < math.inf
+    for k in (largest + 1, 5000):
+        with pytest.raises(CapacityError) as err:
+            moment(k)
+        assert "k=%d" % k in str(err.value)
+        assert str(err.value).endswith("the largest k that evaluates is %d" % largest)
 
 
 def test_ratio_r_values():

@@ -104,6 +104,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_chords_beyond_float_range_is_capacity(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = main(["chords", "--triangle", "T2", "--k", "5000", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity: ")
+        assert "k=5000" in err and "the largest k that evaluates is 2043" in err
+        assert not out.exists()
+
     def test_moment_capacity_refusal(self, capsys):
         code = main(["tetra-moments", "--case", "free", "--kmax", "10"])
         assert code == 3

@@ -16,7 +16,12 @@ from simplexmoments.exact import (
     SturmChain,
     UniPoly,
     _deflate_root,
+    _derivative_ints,
     _descartes_variations,
+    _gcd_ints,
+    _int_coeffs,
+    _squarefree_ints,
+    _yun_ints,
     format_rational,
     parse_rational,
     sturm_nonneg_on_interval,
@@ -173,15 +178,6 @@ def test_unipoly_divmod_identity():
         assert r.degree < b.degree
 
 
-def test_unipoly_compose_matches_pointwise():
-    rng = random.Random(29)
-    for _ in range(20):
-        outer = random_unipoly(rng, max_degree=5)
-        inner = random_unipoly(rng, max_degree=3)
-        x = F(rng.randint(-4, 4), rng.randint(1, 3))
-        assert uni_eval(outer.compose(inner), x) == uni_eval(outer, uni_eval(inner, x))
-
-
 def test_unipoly_degree_sentinel_and_trim():
     assert UniPoly(()).degree == -1
     assert UniPoly((0, 0)).degree == -1
@@ -190,14 +186,15 @@ def test_unipoly_degree_sentinel_and_trim():
 
 def test_primitive_is_positive_integer_primitive():
     p = UniPoly((F(-2, 3), F(4, 9), F(-8, 3)))
-    prim = p.primitive()
-    assert prim.leading() > 0
-    ints = [c for c in prim.coeffs]
-    assert all(c.denominator == 1 for c in ints)
-    # same roots: primitive is a positive scalar multiple
-    ratio = p.coeffs[0] / prim.coeffs[0]
-    assert all(a == ratio * b for a, b in zip(p.coeffs, prim.coeffs))
-    assert ratio < 0 or ratio > 0
+    prim = _int_coeffs(p, positive_lead=True)
+    assert prim[-1] > 0
+    assert all(type(c) is int for c in prim) and math.gcd(*prim) == 1
+    # same roots: primitive is a nonzero scalar multiple
+    ratio = p.coeffs[0] / prim[0]
+    assert all(a == ratio * b for a, b in zip(p.coeffs, prim))
+    assert ratio < 0
+    # without positive_lead the multiple is positive
+    assert _int_coeffs(p) == [-c for c in prim]
 
 
 def test_gcd_contains_common_factor():
@@ -209,9 +206,9 @@ def test_gcd_contains_common_factor():
         h = f * random_unipoly(rng, max_degree=3)
         if g.is_zero() or h.is_zero():
             continue
-        d = g.gcd(h)
+        d, _, _ = _gcd_ints(_int_coeffs(g), _int_coeffs(h))
         # f divides the gcd
-        _, r = d.divmod(f.primitive())
+        _, r = UniPoly(d).divmod(f)
         assert r.is_zero()
 
 
@@ -225,17 +222,17 @@ def test_yun_reconstructs_multiplicities():
         for r, m in zip(roots, mults):
             p = p * (t - r) ** m
         rebuilt = UniPoly.one()
-        for m, f in p.yun_decomposition():
-            rebuilt = rebuilt * f ** m
-        assert rebuilt.primitive() == p.primitive()
+        for m, f in _yun_ints(_int_coeffs(p, positive_lead=True)):
+            rebuilt = rebuilt * UniPoly(f) ** m
+        assert _int_coeffs(rebuilt, positive_lead=True) == _int_coeffs(p, positive_lead=True)
 
 
 def test_squarefree_part_has_no_repeated_roots():
     t = UniPoly.x()
     p = (t - 1) ** 3 * (t + 2) ** 2 * (t - F(1, 2))
-    sf = p.squarefree_part()
-    assert sf.degree == 3
-    assert sf.gcd(sf.derivative()).degree == 0
+    sf = _squarefree_ints(_int_coeffs(p, positive_lead=True))
+    assert len(sf) == 4
+    assert _gcd_ints(sf, _derivative_ints(sf))[0] == [1]
 
 
 def test_odd_multiplicity_part_keeps_only_crossings():
@@ -272,7 +269,7 @@ def test_sturm_chain_remainder_relation_up_to_positive_scale():
             continue
         chain = SturmChain(p).chain
         for i in range(2, len(chain)):
-            r = chain[i - 2].rem(chain[i - 1])
+            r = chain[i - 2].divmod(chain[i - 1])[1]
             # chain[i] is a strictly positive multiple of -r
             neg = -r
             ratio = None
@@ -500,12 +497,12 @@ def test_gcd_matches_rational_euclid():
     for _ in range(40):
         f = random_factored(rng)
         a, b = f * random_factored(rng), f * random_factored(rng)
-        g = a.gcd(b)
+        g = UniPoly(_gcd_ints(_int_coeffs(a), _int_coeffs(b))[0])
         assert is_integer_primitive(g)
         assert is_positive_multiple(g, ref_gcd(a.coeffs, b.coeffs))
     t = UniPoly.x()
-    assert UniPoly.zero().gcd(UniPoly.zero()).is_zero()
-    assert UniPoly.zero().gcd(-2 * t + 1) == UniPoly((-1, 2))
+    assert _gcd_ints([], []) == ([], [], [])
+    assert _gcd_ints([], _int_coeffs(-2 * t + 1))[0] == [-1, 2]
 
 
 def test_heuristic_gcd_retries_after_a_failed_candidate(monkeypatch):
@@ -522,8 +519,9 @@ def test_heuristic_gcd_retries_after_a_failed_candidate(monkeypatch):
             raise
 
     monkeypatch.setattr(exact, "_exact_quo", spy)
-    a, b = UniPoly((-5, 1)), UniPoly((-39, 1))
-    assert a.gcd(b) == UniPoly(ref_gcd(a.coeffs, b.coeffs)) == UniPoly.one()
+    a, b = [-5, 1], [-39, 1]
+    assert UniPoly(_gcd_ints(a, b)[0]) == UniPoly(ref_gcd([F(c) for c in a], [F(c) for c in b])) \
+        == UniPoly.one()
     assert failed == [[-5, 1]]
 
 
@@ -568,7 +566,7 @@ def test_heuristic_gcd_on_large_coefficients():
         ai, bi = [int(c) for c in a.coeffs], [int(c) for c in b.coeffs]
         assert 200 <= max(abs(c).bit_length() for c in ai + bi) <= 400
         g, qa, qb = exact._gcd_ints(ai, bi)
-        assert UniPoly(g) == f.primitive()
+        assert g == _int_coeffs(f, positive_lead=True)
         assert UniPoly(g) * UniPoly(qa) == a and UniPoly(g) * UniPoly(qb) == b
         assert coprime_mod(qa, qb)
     a, b = random_int_poly(rng, 25, 2000), random_int_poly(rng, 24, 2000)
@@ -581,7 +579,7 @@ def test_yun_and_odd_part_match_rational_reference():
     rng = random.Random(53)
     for _ in range(40):
         p = random_factored(rng)
-        got = p.yun_decomposition()
+        got = [(m, UniPoly(f)) for m, f in _yun_ints(_int_coeffs(p, positive_lead=True))]
         ref = ref_yun(p.coeffs)
         assert [m for m, _ in got] == [m for m, _ in ref]
         for (_, factor), (_, ref_factor) in zip(got, ref):
@@ -592,8 +590,9 @@ def test_yun_and_odd_part_match_rational_reference():
             if m % 2:
                 odd = (UniPoly(odd) * UniPoly(f)).coeffs
         assert is_positive_multiple(p.odd_multiplicity_part(), list(odd))
-        assert is_positive_multiple(p.squarefree_part(), ref_sturm(p.coeffs)[0])
-    assert UniPoly((F(-3, 2),)).yun_decomposition() == []
+        squarefree = UniPoly(_squarefree_ints(_int_coeffs(p, positive_lead=True)))
+        assert is_positive_multiple(squarefree, ref_sturm(p.coeffs)[0])
+    assert _yun_ints(_int_coeffs(UniPoly((F(-3, 2),)), positive_lead=True)) == []
 
 
 def test_sturm_chain_matches_rational_reference():
@@ -630,9 +629,10 @@ def test_canonical_error_polynomials_match_golden_file():
         g = certificates.error_polynomial(
             certificates.hermite_interpolate(singles, doubles), entry["side"])
         assert text(g) == entry["error_polynomial"]
-        assert [{"multiplicity": m, "factor": text(f)} for m, f in g.yun_decomposition()] \
+        ints = _int_coeffs(g, positive_lead=True)
+        assert [{"multiplicity": m, "factor": text(UniPoly(f))} for m, f in _yun_ints(ints)] \
             == entry["yun"]
-        assert text(g.squarefree_part()) == entry["squarefree_part"]
+        assert text(UniPoly(_squarefree_ints(ints))) == entry["squarefree_part"]
         odd = g.odd_multiplicity_part()
         assert text(odd) == entry["odd_part"]
         crossings = _deflate_root(_deflate_root(odd, 0), bprime)
@@ -700,7 +700,7 @@ def test_descartes_variations_without_a_root_go_to_sturm(monkeypatch):
     assert _descartes_variations(p, F(0), F(1)) == 2
     assert SturmChain(p).count_roots(0, 1) == 0
     assert sturm_nonneg_on_interval(p, 0, 1).reason == "no-interior-sign-change"
-    assert built == [p.primitive()]
+    assert built == [UniPoly(_int_coeffs(p, positive_lead=True))]
     # the canonical certificates take the Descartes branch and build no chain
     del built[:]
     for side, singles, doubles, bprime in (

@@ -10,15 +10,29 @@ from fractions import Fraction as F
 import pytest
 
 import simplexmoments.tetra as tetra_mod
-from oracles import build_gram_poly, even_moment_by_expansion, monomial_integral_T3
+from oracles import (
+    _edge_pair_integral_num,
+    build_gram_poly,
+    even_moment_by_expansion,
+    even_moment_by_slots,
+    monomial_integral_T3,
+)
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
 from simplexmoments.tetra import (
     CASE_FIXED,
     CASE_FREE,
     FREE_KMAX_LIMIT,
     MomentTable,
+    _pair_num,
     even_moment,
     moment_table,
+)
+
+SLOW = os.environ.get("SIMPLEXMOMENTS_SLOW") != "1"
+
+# the tables the verdict prices, written by the six-slot engine
+FIXTURE_TABLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "fixtures", "tables"
 )
 
 # frozen exact values for k = 1..5 (2nd through 10th moments)
@@ -163,6 +177,8 @@ def test_even_moment_capacity_guard(monkeypatch):
     with pytest.raises(CapacityError) as err:
         even_moment(CASE_FREE, FREE_KMAX_LIMIT + 1)
     assert "capacity" in str(err.value)
+    # both limits are named, and they sit above the priced orders k<=7, k<=15
+    assert "k<=9" in str(err.value) and "k<=16" in str(err.value)
     # the guard reads the module limits at call time
     monkeypatch.setattr(tetra_mod, "FREE_KMAX_LIMIT", 1)
     monkeypatch.setattr(tetra_mod, "FIXED_KMAX_LIMIT", 2)
@@ -189,6 +205,39 @@ def test_expansion_route_fixed_high_orders():
     # full-expansion route
     assert even_moment_by_expansion(CASE_FIXED, 4) == FIXED_MOMENTS[3]
     assert even_moment_by_expansion(CASE_FIXED, 5) == FIXED_MOMENTS[4]
+
+
+def test_pair_integral_matches_the_binomial_loop():
+    # the coordinate-factorised pair integral against the six-deep loop, on
+    # every pair of exponent vectors up to total degree 4 each
+    vectors = [e for d in range(5) for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    for e in vectors:
+        for f in vectors:
+            assert _pair_num(e, f) == _edge_pair_integral_num(e, f), (e, f)
+
+
+def test_slot_route_agrees_with_engine():
+    for case, k_max in ((CASE_FREE, 5), (CASE_FIXED, 10)):
+        for k in range(k_max + 1):
+            assert even_moment_by_slots(case, k) == even_moment(case, k), (case, k)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(SLOW, reason="set SIMPLEXMOMENTS_SLOW=1 to enable")
+def test_slot_route_agrees_on_every_priced_order():
+    for case, k_max in ((CASE_FREE, 7), (CASE_FIXED, 15)):
+        for k in range(k_max + 1):
+            assert even_moment_by_slots(case, k) == even_moment(case, k), (case, k)
+
+
+@pytest.mark.parametrize(
+    "case, k_max, name", [(CASE_FREE, 7, "free_moments.json"), (CASE_FIXED, 15, "fixed_moments.json")]
+)
+def test_priced_orders_match_the_fixture_tables(case, k_max, name):
+    with open(os.path.join(FIXTURE_TABLES, name), encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    assert frozen["case"] == case
+    assert moment_table(case, k_max).to_json()["entries"] == frozen["entries"]
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +295,23 @@ def test_moment_table_checkpoint_resume(tmp_path, monkeypatch):
     with open(path) as fh:
         data = json.load(fh)
     assert [item["k"] for item in data["entries"]] == [0, 1, 2, 3]
+
+
+def test_checkpoint_is_written_once_per_run(tmp_path, monkeypatch):
+    path = str(tmp_path / "free.json")
+    writes = []
+    real = tetra_mod._write_checkpoint
+
+    def counting(path, case, known):
+        writes.append(sorted(known))
+        real(path, case, known)
+
+    monkeypatch.setattr(tetra_mod, "_write_checkpoint", counting)
+    moment_table(CASE_FREE, 3, checkpoint=path)
+    assert writes == [[0, 1, 2, 3]]
+    # nothing missing, nothing written
+    moment_table(CASE_FREE, 2, checkpoint=path)
+    assert writes == [[0, 1, 2, 3]]
 
 
 def test_moment_table_refuses_before_any_work(tmp_path, monkeypatch):
