@@ -183,11 +183,10 @@ def error_polynomial(poly: UniPoly, side: str) -> UniPoly:
     if side not in ("lower", "upper"):
         raise UsageError("side must be 'lower' or 'upper'")
     # p(t^2) spreads the coefficients of p onto the even powers of t
-    spread = [Fraction(0)] * max(2 * len(poly.coeffs) - 1, 0)
-    spread[::2] = poly.coeffs
-    composed = UniPoly(spread)
-    t = UniPoly((0, 1))
-    return t - composed if side == "lower" else composed - t
+    sign = 1 if side == "upper" else -1
+    coeffs = [x for c in poly.coeffs or [0] for x in (sign * c, 0)]
+    coeffs[1] -= sign
+    return UniPoly(coeffs)
 
 
 def verify_bound_polynomial(poly: UniPoly, side: str, interval_b, bprime=None) -> NonnegResult:

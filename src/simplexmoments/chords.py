@@ -47,7 +47,8 @@ def csc_power_antiderivative(m: int, phi: float) -> float:
     orders follow the reduction
     I_m = -cos(phi) / ((m-1) sin(phi)^(m-1)) + (m-2)/(m-1) I_(m-2).
     Differences I_m(b) - I_m(a) give definite integrals over [a, b] in
-    (0, pi).
+    (0, pi). Past some m, which depends on phi, the recurrence leaves the
+    float64 range, and that is a CapacityError naming m and phi.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise UsageError("power m must be an integer >= 1")
@@ -61,9 +62,15 @@ def csc_power_antiderivative(m: int, phi: float) -> float:
     else:
         val = -c / s
         order = 2
-    while order < m:
-        order += 2
-        val = -c / ((order - 1) * s ** (order - 1)) + (order - 2) / (order - 1) * val
+    try:
+        while order < m:
+            order += 2
+            val = -c / ((order - 1) * s ** (order - 1)) + (order - 2) / (order - 1) * val
+    except (OverflowError, ZeroDivisionError):
+        val = math.inf
+    if not math.isfinite(val):
+        raise CapacityError("csc_power_antiderivative(m=%d, phi=%r) leaves the float64 range"
+                            % (m, phi))
     return val
 
 
@@ -88,7 +95,7 @@ def _in_range(k: int, moment) -> float:
             v = moment(order)
         except (UsageError, DomainError):
             raise
-        except (OverflowError, ZeroDivisionError, ValueError):
+        except (CapacityError, OverflowError, ZeroDivisionError, ValueError):
             # ValueError: math.fsum given an inf and a -inf
             return None
         return v if sys.float_info.min <= v <= sys.float_info.max else None
@@ -299,7 +306,8 @@ def ratio_r(k: int) -> float:
     """Ratio of the hypotenuse-midpoint moment to the two-point moment on
     the unit right isosceles triangle: (k+3)(k+4) / (2^(k+3) + 2^(k/2+2)).
 
-    Strictly decreasing in k and below 1 from k = 1 on.
+    Strictly decreasing in k and below 1 from k = 1 on. Past k = 1020 the
+    powers of 2 leave the float64 range, and that is a CapacityError.
     """
     _check_moment_order(k)
-    return (k + 3) * (k + 4) / (2.0 ** (k + 3) + 2.0 ** (k / 2.0 + 2.0))
+    return _in_range(k, lambda n: (n + 3) * (n + 4) / (2.0 ** (n + 3) + 2.0 ** (n / 2.0 + 2.0)))

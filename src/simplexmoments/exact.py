@@ -1,14 +1,16 @@
-"""Exact rational polynomials and Sturm-chain sign certification.
+"""Exact rationals, integer polynomial arithmetic and Sturm-chain sign
+certification.
 
 Everything in this module is exact; no floating point is involved anywhere.
-Polynomials are :class:`UniPoly`, dense univariate polynomials with
-`fractions.Fraction` coefficients, used for interpolation certificates and
-Sturm chains.
+A polynomial is a coefficient sequence, lowest degree first. The public
+record is :class:`UniPoly`, a trimmed tuple of `fractions.Fraction`
+coefficients with no arithmetic of its own; the certificates pass it in and
+get it back.
 
-Gcds, squarefree parts, Yun's decomposition and Sturm chains do not run
-over Fraction: they clear denominators once and work on integer
-coefficient lists. Gcds are heuristic, read from one integer gcd of
-values, and proved by exact division; Sturm chains stay primitive
+Gcds, squarefree parts, Yun's decomposition and Sturm chains work on
+integer coefficient lists, to which a rational polynomial is converted
+once by clearing denominators. Gcds are heuristic, read from one integer
+gcd of values, and proved by exact division; Sturm chains stay primitive
 polynomial remainder sequences, whose signs are the proof. Every result
 is the unique primitive form of the rational Euclidean one.
 
@@ -74,7 +76,7 @@ def _as_fraction(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials
+# the rational polynomial record
 # ---------------------------------------------------------------------------
 
 class UniPoly:
@@ -82,6 +84,8 @@ class UniPoly:
 
     ``coeffs[i]`` is the coefficient of ``t**i``; trailing zeros are trimmed,
     and the zero polynomial has an empty coefficient tuple and degree -1.
+    This is the record that crosses the public API; all arithmetic runs on
+    coefficient lists.
     """
 
     __slots__ = ("coeffs",)
@@ -92,37 +96,10 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    # -- inspection ---------------------------------------------------------
-
     @property
     def degree(self) -> int:
         """Degree, with -1 as the sentinel for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def __call__(self, x) -> Fraction:
-        return uni_eval(self, x)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -135,100 +112,10 @@ class UniPoly:
     def __repr__(self):
         return f"UniPoly(degree={self.degree})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPoly(x + y for x, y in zip(a, b))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scalar = _as_fraction(other)
-            return UniPoly(c * scalar for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if cj:
-                    out[i + j] += ci * cj
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i)
-
-    def divmod(self, divisor: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact polynomial division with remainder."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = divisor.leading()
-        dd = divisor.degree
-        quot = [Fraction(0)] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            if not rem[i]:
-                continue
-            factor = rem[i] / dlead
-            quot[i - dd] = factor
-            for j, dc in enumerate(divisor.coeffs):
-                rem[i - dd + j] -= factor * dc
-        return UniPoly(quot), UniPoly(rem)
-
-    def odd_multiplicity_part(self) -> "UniPoly":
-        """Product of the squarefree factors with odd multiplicity, from
-        Yun's decomposition of the primitive integer form.
-
-        The real roots of the result are exactly the points where ``self``
-        changes sign; even-multiplicity touch points are excluded.
-        """
-        result = [1]
-        for mult, factor in _yun_ints(_int_coeffs(self, positive_lead=True)):
-            if mult % 2:
-                result = _mul_ints(result, factor)
-        return UniPoly(result)
-
 
 def uni_eval(p: UniPoly, x) -> Fraction:
     """Exact Horner evaluation of ``p`` at the rational point ``x``."""
-    x = _as_fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+    return _horner(p.coeffs, _as_fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +315,20 @@ def _yun_ints(p: list[int]) -> list[tuple[int, list[int]]]:
     return out
 
 
+def _odd_multiplicity_part(a: list[int]) -> list[int]:
+    """Product of the factors of odd multiplicity in Yun's decomposition of
+    a primitive a with positive lc.
+
+    Its real roots are exactly the points where a changes sign; touch
+    points of even multiplicity are excluded.
+    """
+    result = [1]
+    for mult, factor in _yun_ints(a):
+        if mult % 2:
+            result = _mul_ints(result, factor)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Sturm chains
 # ---------------------------------------------------------------------------
@@ -435,10 +336,11 @@ def _yun_ints(p: list[int]) -> list[tuple[int, list[int]]]:
 class SturmChain:
     """Sturm chain of the squarefree part of a polynomial.
 
-    The chain is a primitive remainder sequence over the integers: each
-    element after the derivative is the primitive part of the negated
-    pseudo-remainder of the two before it. Pseudo-remainders scale by
-    |lc| only, so every element is a strictly positive multiple of the
+    ``chain`` holds primitive integer coefficient lists, lowest degree
+    first: the squarefree part with a positive leading coefficient, its
+    derivative, and then the primitive part of each negated
+    pseudo-remainder of the two before it. Pseudo-remainders scale by |lc|
+    only, so every element is a strictly positive multiple of the
     corresponding element of the rational Euclidean Sturm sequence and all
     sign counts agree with it, while coefficients stay small integers.
     """
@@ -452,16 +354,7 @@ class SturmChain:
                 if not r:
                     break
                 chain.append(_primitive([-c for c in r]))
-        self.chain = [UniPoly(q) for q in chain]
-
-    def count_sign_changes(self, x) -> int:
-        x = _as_fraction(x)
-        signs = []
-        for q in self.chain:
-            v = uni_eval(q, x)
-            if v:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        self.chain = chain
 
     def count_roots(self, lo, hi) -> int:
         """Distinct real roots in (lo, hi].
@@ -472,7 +365,11 @@ class SturmChain:
         lo, hi = _as_fraction(lo), _as_fraction(hi)
         if hi < lo:
             raise ValueError("empty interval")
-        return self.count_sign_changes(lo) - self.count_sign_changes(hi)
+        changes = []
+        for x in (lo, hi):
+            signs = [v > 0 for v in (_horner(q, x) for q in self.chain) if v]
+            changes.append(sum(1 for a, b in zip(signs, signs[1:]) if a != b))
+        return changes[0] - changes[1]
 
 
 class NonnegResult(NamedTuple):
@@ -487,17 +384,16 @@ class NonnegResult(NamedTuple):
         return self.nonnegative
 
 
-def _descartes_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Sign variations V of (1 + y)^n p((lo + hi y) / (1 + y)), n = deg p.
+def _descartes_variations(q: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign variations V of (1 + y)^n q((lo + hi y) / (1 + y)), n = deg q.
 
     y -> (lo + hi y) / (1 + y) maps (0, oo) onto (lo, hi), so by Descartes'
-    rule of signs V bounds the roots of p in (lo, hi), counted with
+    rule of signs V bounds the roots of q in (lo, hi), counted with
     multiplicity, and has their parity (Collins and Akritas, SYMSAC 1976).
-    V = 0 proves that p has no root there. With lo = a/d and hi = b/d the
+    V = 0 proves that q has no root there. With lo = a/d and hi = b/d the
     transform is scaled by d^n > 0 and built by homogeneous Horner steps,
-    acc <- acc (a + b y) + p_i (d + d y)^(n - i), all in integers.
+    acc <- acc (a + b y) + q_i (d + d y)^(n - i), all in integers.
     """
-    q = _int_coeffs(p)
     d = _int_lcm(lo.denominator, hi.denominator)
     u = [lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)]
     v_power = [1]
@@ -511,12 +407,16 @@ def _descartes_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _deflate_root(p: UniPoly, root: Fraction) -> UniPoly:
-    """Divide out every (t - root) factor from p."""
-    linear = UniPoly((-root, 1))
-    while not p.is_zero() and not uni_eval(p, root):
-        p = p.divmod(linear)[0]
-    return p
+def _deflate_root(q: list[int], root: Fraction) -> list[int]:
+    """Divide every (t - root) factor out of a nonzero integer list q.
+
+    The divisor d t - n, with root = n/d in lowest terms, is primitive, so
+    each quotient stays integral and a positive multiple of the rational one.
+    """
+    linear = [-root.numerator, root.denominator]
+    while not _horner(q, root):
+        q = _exact_quo(q, linear)
+    return q
 
 
 def _negative_witness(p: UniPoly, crossings: SturmChain, lo: Fraction,
@@ -558,7 +458,7 @@ def _negative_witness(p: UniPoly, crossings: SturmChain, lo: Fraction,
     for a, b in gaps:
         for i in range(1, samples):
             x = a + (b - a) * Fraction(i, samples)
-            v = uni_eval(p, x)
+            v = _horner(p.coeffs, x)
             if v < 0:
                 return x, v
             if v > 0:
@@ -579,27 +479,28 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if hi < lo:
         raise ValueError("interval end precedes start")
-    if p.is_zero():
+    if not p.coeffs:
         return NonnegResult(True, "zero-polynomial")
     if lo == hi:
-        v = uni_eval(p, lo)
+        v = _horner(p.coeffs, lo)
         if v < 0:
             return NonnegResult(False, "endpoint-negative", lo, v)
         return NonnegResult(True, "single-point")
 
-    v_lo, v_hi = uni_eval(p, lo), uni_eval(p, hi)
+    v_lo, v_hi = _horner(p.coeffs, lo), _horner(p.coeffs, hi)
     if v_lo < 0:
         return NonnegResult(False, "endpoint-negative", lo, v_lo)
     if v_hi < 0:
         return NonnegResult(False, "endpoint-negative", hi, v_hi)
 
-    crossings = p.odd_multiplicity_part()
-    crossings = _deflate_root(crossings, lo)
-    crossings = _deflate_root(crossings, hi)
+    # the sign crossings, on the primitive integer form of p, with any at
+    # lo or hi divided out
+    crossings = _odd_multiplicity_part(_int_coeffs(p, positive_lead=True))
+    crossings = _deflate_root(_deflate_root(crossings, lo), hi)
     # Descartes' rule settles the common case, no crossing at all, without
     # a chain; any variation leaves the exact decision to Sturm's theorem
-    if crossings.degree >= 1 and _descartes_variations(crossings, lo, hi):
-        chain = SturmChain(crossings)
+    if len(crossings) > 1 and _descartes_variations(crossings, lo, hi):
+        chain = SturmChain(UniPoly(crossings))
         if chain.count_roots(lo, hi) > 0:
             x, v = _negative_witness(p, chain, lo, hi)
             return NonnegResult(False, "interior-sign-change", x, v)
@@ -609,7 +510,7 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     samples = max(p.degree + 2, 3)
     for i in range(1, samples + 1):
         x = lo + width * Fraction(i, samples + 1)
-        v = uni_eval(p, x)
+        v = _horner(p.coeffs, x)
         if v > 0:
             return NonnegResult(True, "no-interior-sign-change")
         if v < 0:

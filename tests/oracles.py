@@ -18,7 +18,11 @@ two exactly:
   per-point factorial integral and the distance to a body's boundary;
 * :func:`solve_fraction_free` - an exact Bareiss solve of a square
   rational system, against the Newton-form Hermite interpolant and the
-  Lagrange weights of the node search.
+  Lagrange weights of the node search;
+* :func:`ref_mul`, :func:`ref_divmod` and :func:`ref_derivative` -
+  schoolbook arithmetic on coefficient lists, lowest degree first, which
+  builds the test polynomials and the rational references that the
+  integer remainder sequences are checked against.
 """
 
 from __future__ import annotations
@@ -542,3 +546,39 @@ def solve_fraction_free(rows, rhs) -> list[Fraction]:
             total -= aug[i][j] * xs[j]
         xs[i] = total / aug[i][i]
     return xs
+
+
+def _trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def ref_mul(*factors):
+    """Product of coefficient lists ([1] for no factors)."""
+    out = [1]
+    for b in factors:
+        prod = [0] * (len(out) + len(b) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        out = _trim(prod)
+    return out
+
+
+def ref_divmod(a, b):
+    """Schoolbook long division over Fraction coefficient lists."""
+    r = list(a)
+    db = len(b) - 1
+    q = [Fraction(0)] * max(0, len(a) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        f = r[i] / b[-1]
+        q[i - db] = f
+        for j, c in enumerate(b):
+            r[i - db + j] -= f * c
+    return _trim(q), _trim(r)
+
+
+def ref_derivative(a):
+    return [i * c for i, c in enumerate(a) if i]

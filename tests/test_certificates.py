@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import build_gram_poly, solve_fraction_free
+from oracles import build_gram_poly, ref_derivative, solve_fraction_free
 from simplexmoments.certificates import (
     FIXED_B,
     FIXED_BPRIME,
@@ -57,7 +57,7 @@ class TestHermiteInterpolate:
 
     def test_zero_alone(self):
         poly = hermite_interpolate([F(0)], [])
-        assert poly.is_zero()
+        assert not poly.coeffs
 
     def test_random_condition_sets_interpolate_exactly(self):
         rng = random.Random(1723)
@@ -70,7 +70,7 @@ class TestHermiteInterpolate:
                 singles[0] = F(0)
             poly = hermite_interpolate(singles, doubles)
             assert poly.degree <= len(singles) + 2 * len(doubles) - 1
-            deriv = poly.derivative()
+            deriv = UniPoly(ref_derivative(poly.coeffs))
             for t in singles:
                 assert uni_eval(poly, t * t) == t
             for t in doubles:
@@ -188,8 +188,8 @@ class TestCanonicalCertificates:
     def test_lower_error_polynomial_root_structure(self, free_table):
         cert = lower_area_certificate(free_table)
         g = error_polynomial(cert.poly, "lower")
-        g1 = g.derivative()
-        g2 = g1.derivative()
+        g1 = UniPoly(ref_derivative(g.coeffs))
+        g2 = UniPoly(ref_derivative(g1.coeffs))
         for t in LOWER_DOUBLE_NODES:
             assert uni_eval(g, t) == 0
             assert uni_eval(g1, t) == 0

@@ -122,6 +122,16 @@ def test_antiderivative_domain_errors():
         csc_power_antiderivative(0, 1.0)
 
 
+def test_antiderivative_past_the_float_range_is_refused():
+    # values may be negative, so only a non-finite end or an underflowed
+    # power in the recurrence is refused, with m and phi named
+    assert -math.inf < csc_power_antiderivative(100, math.pi / 4) < 0.0
+    for m, phi in ((5000, math.pi / 4), (2, 1e-320)):
+        with pytest.raises(CapacityError) as err:
+            csc_power_antiderivative(m, phi)
+        assert "m=%d, phi=%r" % (m, phi) in str(err.value)
+
+
 # --------------------------------------------------------------------------
 # triangle construction
 
@@ -388,6 +398,15 @@ def test_ratio_r_values():
     assert ratio_r(2) == pytest.approx(0.75, abs=1e-14)
     moment_ratio = edgepoint_moment(T2_HYP, HYP_MID, 2) / chord_moment(T2_HYP, 2)
     assert moment_ratio == pytest.approx(0.75, abs=1e-13)
+
+
+def test_ratio_r_past_the_float_range_is_refused():
+    assert 0.0 < ratio_r(1020) < math.inf
+    for k in (1021, 5000):
+        with pytest.raises(CapacityError) as err:
+            ratio_r(k)
+        assert "k=%d" % k in str(err.value)
+        assert str(err.value).endswith("the largest k that evaluates is 1020")
 
 
 def test_ratio_r_matches_moment_ratio():

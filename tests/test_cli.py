@@ -18,7 +18,6 @@ from simplexmoments.cli import main
 from simplexmoments.chords import EdgePointSpec, TriangleSpec, edgepoint_moment
 from simplexmoments.tetra import MomentTable
 
-SLOW = os.environ.get("SIMPLEXMOMENTS_SLOW") != "1"
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 
 
@@ -839,7 +838,6 @@ class TestReproduce:
         assert "lower > 0.046942 > upper" in result["headlines"]
 
     @pytest.mark.slow
-    @pytest.mark.skipif(SLOW, reason="set SIMPLEXMOMENTS_SLOW=1 to enable")
     def test_full_level_passes_at_stated_grid(self, tmp_path, tables_dir):
         code, report = run_cli(
             ["reproduce", "full", "--samples", "50000", "--tables", tables_dir],

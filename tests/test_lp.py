@@ -23,7 +23,6 @@ from simplexmoments.lp import (
 )
 from simplexmoments.tetra import moment_table
 
-SLOW = os.environ.get("SIMPLEXMOMENTS_SLOW") != "1"
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -356,7 +355,6 @@ class TestCertificateCheck:
 
 class TestFineGridNodeRecovery:
     @pytest.mark.slow
-    @pytest.mark.skipif(SLOW, reason="set SIMPLEXMOMENTS_SLOW=1 to enable")
     def test_degree7_grid_search_localizes_certificate_nodes(self):
         # The grid spans [0, 7/8], slightly more than the support
         # [0, sqrt(3)/2] of the volume variable, so the optimum pays for

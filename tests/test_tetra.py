@@ -28,7 +28,6 @@ from simplexmoments.tetra import (
     moment_table,
 )
 
-SLOW = os.environ.get("SIMPLEXMOMENTS_SLOW") != "1"
 
 # the tables the verdict prices, written by the six-slot engine
 FIXTURE_TABLES = os.path.join(
@@ -223,7 +222,6 @@ def test_slot_route_agrees_with_engine():
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(SLOW, reason="set SIMPLEXMOMENTS_SLOW=1 to enable")
 def test_slot_route_agrees_on_every_priced_order():
     for case, k_max in ((CASE_FREE, 7), (CASE_FIXED, 15)):
         for k in range(k_max + 1):
