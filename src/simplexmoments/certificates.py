@@ -91,6 +91,18 @@ UPPER_DOUBLE_NODES = (
     Fraction(7, 27),
 )
 
+# the canonical certificate of each side: moment case, nodes, B and B'
+_CANONICAL = {
+    "lower": ("free", LOWER_SINGLE_NODES, LOWER_DOUBLE_NODES, FREE_B, FREE_BPRIME),
+    "upper": ("fixed-centroid", UPPER_SINGLE_NODES, UPPER_DOUBLE_NODES, FIXED_B, FIXED_BPRIME),
+}
+
+
+def _degree(single_nodes: Sequence, double_nodes: Sequence) -> int:
+    """Degree of the interpolant on these nodes, which is also the largest
+    moment order k (power 2k) its bound reads."""
+    return len(single_nodes) + 2 * len(double_nodes) - 1
+
 
 class Certificate(NamedTuple):
     """An exactly verified one-sided polynomial bound for E V.
@@ -263,26 +275,14 @@ def build_certificate(
 
 def lower_area_certificate(free_table) -> Certificate:
     """The canonical degree-7 lower bound for the unpinned mean area."""
-    return build_certificate(
-        "lower",
-        LOWER_SINGLE_NODES,
-        LOWER_DOUBLE_NODES,
-        free_table,
-        FREE_B,
-        FREE_BPRIME,
-    )
+    _case, singles, doubles, b, bprime = _CANONICAL["lower"]
+    return build_certificate("lower", singles, doubles, free_table, b, bprime)
 
 
 def upper_area_certificate(fixed_table) -> Certificate:
     """The canonical degree-15 upper bound for the centroid-pinned mean."""
-    return build_certificate(
-        "upper",
-        UPPER_SINGLE_NODES,
-        UPPER_DOUBLE_NODES,
-        fixed_table,
-        FIXED_B,
-        FIXED_BPRIME,
-    )
+    _case, singles, doubles, b, bprime = _CANONICAL["upper"]
+    return build_certificate("upper", singles, doubles, fixed_table, b, bprime)
 
 
 def verify_counterexample(free_table, fixed_table) -> dict:
@@ -300,12 +300,14 @@ def verify_counterexample(free_table, fixed_table) -> dict:
     if fixed_table.case != "fixed-centroid":
         raise UsageError("fixed_table must hold centroid-pinned moments")
     problems = []
-    if free_table.k_max < 7:
-        problems.append("the lower certificate needs unpinned moments up to k=7 "
-                        "(table has k=%d)" % free_table.k_max)
-    if fixed_table.k_max < 15:
-        problems.append("the upper certificate needs pinned moments up to k=15 "
-                        "(table has k=%d)" % fixed_table.k_max)
+    for side, label, table in (
+        ("lower", "unpinned", free_table),
+        ("upper", "pinned", fixed_table),
+    ):
+        need = _degree(*_CANONICAL[side][1:3])
+        if table.k_max < need:
+            problems.append("the %s certificate needs %s moments up to k=%d "
+                            "(table has k=%d)" % (side, label, need, table.k_max))
     if problems:
         raise CapacityError("; ".join(problems))
 

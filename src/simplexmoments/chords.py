@@ -175,31 +175,6 @@ class EdgePointSpec:
         if not 0.0 <= float(self.c1) <= t.c:
             raise DomainError("edge point must satisfy 0 <= c1 <= c")
 
-    def chord_distance(self, t: TriangleSpec) -> float:
-        """Length d of the segment from D to the opposite vertex C."""
-        self.validate(t)
-        c1 = float(self.c1)
-        return math.sqrt(
-            c1 * c1 + t.b * t.b - 2.0 * c1 * t.b * math.cos(t.alpha)
-        )
-
-    def angle_delta(self, t: TriangleSpec) -> float:
-        """Angle at D between the rays DA and DC.
-
-        Computed from coordinates with a two-argument arctangent, so obtuse
-        configurations land on the correct branch (an arcsine of the sine
-        rule would not distinguish delta from pi - delta).
-        """
-        self.validate(t)
-        c1 = float(self.c1)
-        if c1 == 0.0 or c1 == t.c:
-            raise DomainError("delta is undefined when D coincides with a vertex")
-        # with A at the origin and B on the positive x axis:
-        # DA = (-c1, 0), DC = (b cos(alpha) - c1, b sin(alpha))
-        dot = c1 * (c1 - t.b * math.cos(t.alpha))
-        cross = c1 * t.b * math.sin(t.alpha)
-        return math.atan2(cross, dot)
-
 
 _VERTEX_LABELS = {"A": 0, "B": 1, "C": 2}
 

@@ -38,16 +38,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .certificates import (
-    FIXED_B,
-    FIXED_BPRIME,
-    FREE_B,
-    FREE_BPRIME,
-    LOWER_DOUBLE_NODES,
-    LOWER_SINGLE_NODES,
+    _CANONICAL,
     PIVOT,
-    UPPER_DOUBLE_NODES,
-    UPPER_SINGLE_NODES,
     Certificate,
+    _degree,
     build_certificate,
     certificate_to_json,
     verify_counterexample,
@@ -284,6 +278,10 @@ def _obtain_table(
     Every file is read once, by ``_read_table``.
     """
     key = _normalize_case(case)
+    # refused before any table is computed, not by the first write into it
+    if not table_file and tables_dir and os.path.exists(tables_dir):
+        if not os.path.isdir(tables_dir):
+            raise UsageError("tables path %r is not a directory" % tables_dir)
     path = table_file or (_table_path(tables_dir, key) if tables_dir else None)
     stored = None
     if table_file or (path and os.path.exists(path)):
@@ -387,16 +385,10 @@ def _cmd_nodes(args, ctx: _RunContext) -> dict:
     return result
 
 
-_SIDE_DEFAULTS = {
-    "lower": ("free", LOWER_SINGLE_NODES, LOWER_DOUBLE_NODES, FREE_B, FREE_BPRIME),
-    "upper": ("fixed-centroid", UPPER_SINGLE_NODES, UPPER_DOUBLE_NODES, FIXED_B, FIXED_BPRIME),
-}
-
-
 def _cmd_certify(args, ctx: _RunContext) -> dict:
-    if args.side not in _SIDE_DEFAULTS:
+    if args.side not in _CANONICAL:
         raise UsageError("--side must be 'lower' or 'upper'")
-    case, singles, doubles, interval_b, bprime = _SIDE_DEFAULTS[args.side]
+    case, singles, doubles, interval_b, bprime = _CANONICAL[args.side]
     if args.case:
         case = _normalize_case(args.case)
     if args.nodes:
@@ -406,7 +398,7 @@ def _cmd_certify(args, ctx: _RunContext) -> dict:
         bprime = None
     if args.bprime:
         bprime = _parse_fraction(args.bprime)
-    degree = len(singles) + 2 * len(doubles) - 1
+    degree = _degree(singles, doubles)
     table = _obtain_table(case, degree, args.tables, ctx, table_file=args.table)
     cert = build_certificate(args.side, singles, doubles, table, interval_b, bprime)
     result = certificate_to_json(cert)
@@ -427,10 +419,10 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
             "variable)" % TABLES_ENV
         )
     tables, short = {}, []
-    for key, k_max in (("free", 7), ("fixed-centroid", 15)):
+    for key, singles, doubles, _b, _bprime in _CANONICAL.values():
         try:
             tables[key] = _obtain_table(
-                key, k_max, args.tables, ctx, compute=args.compute_missing
+                key, _degree(singles, doubles), args.tables, ctx, compute=args.compute_missing
             )
         except CapacityError as exc:
             short.append(str(exc))
@@ -481,12 +473,9 @@ def _sweep_row_json(row: dict) -> dict:
         "mean": est.mean,
         "std_error": est.std_error,
         "samples": est.samples,
-        "abs_error": row["abs_error"],
-        "sigma": row["sigma"],
     }
-    for key in ("flat_probability", "flat_weight_exact", "flat_weight_consistent"):
-        if key in row:
-            out[key] = row[key]
+    # abs_error, sigma and whatever diagnostics the sweep mode adds
+    out.update((key, row[key]) for key in row if key not in ("epsilon", "estimate"))
     return out
 
 
@@ -585,7 +574,7 @@ def _reproduce_ratio_law() -> dict:
 
 def _reproduce_tables(free: MomentTable, fixed: MomentTable) -> dict:
     observed = {
-        key: [table.value(k) for k in range(1, 6)]
+        key: [table.value(k) for k in range(1, len(_EXPECTED_EVEN_MOMENTS[key]) + 1)]
         for key, table in (("free", free), ("fixed-centroid", fixed))
     }
     return {
@@ -656,8 +645,10 @@ def _reproduce_mc(args, ctx: _RunContext) -> dict:
 def _reproduce_node_searches(args, free: MomentTable, fixed: MomentTable) -> dict:
     from .lp import node_search
 
-    lower = node_search(free, 6, args.grid, *_CASE_GRIDS["free"])
-    upper = node_search(fixed, 14, args.grid, *_CASE_GRIDS["fixed-centroid"])
+    # one degree below each canonical certificate
+    low, high = (_degree(*_CANONICAL[side][1:3]) - 1 for side in ("lower", "upper"))
+    lower = node_search(free, low, args.grid, *_CASE_GRIDS["free"])
+    upper = node_search(fixed, high, args.grid, *_CASE_GRIDS["fixed-centroid"])
     lower_ok = (
         lower["status"] == "optimal" and lower["objective"] < _LOWER_LP_CEILING
     )
@@ -668,12 +659,12 @@ def _reproduce_node_searches(args, free: MomentTable, fixed: MomentTable) -> dic
         "name": "lp-node-searches",
         "passed": lower_ok and upper_ok,
         "grid": args.grid,
-        "degree_6_lower_objective": lower["objective"],
-        "degree_6_ceiling": _LOWER_LP_CEILING,
-        "degree_6_below_ceiling": lower_ok,
-        "degree_14_upper_objective": upper["objective"],
-        "degree_14_floor": _UPPER_LP_FLOOR,
-        "degree_14_above_floor": upper_ok,
+        "degree_%d_lower_objective" % low: lower["objective"],
+        "degree_%d_ceiling" % low: _LOWER_LP_CEILING,
+        "degree_%d_below_ceiling" % low: lower_ok,
+        "degree_%d_upper_objective" % high: upper["objective"],
+        "degree_%d_floor" % high: _UPPER_LP_FLOOR,
+        "degree_%d_above_floor" % high: upper_ok,
     }
 
 
@@ -694,9 +685,17 @@ def _cmd_reproduce(args, ctx: _RunContext) -> dict:
     _check_samples(args.samples)
     ctx.seeds.append(args.seed)
     full = args.level == "full"
-    # each table once, at the largest order this level needs
-    free = _obtain_table("free", 7 if full else 5, args.tables, ctx)
-    fixed = _obtain_table("fixed-centroid", 15 if full else 5, args.tables, ctx)
+    # each table once, at the largest order this level needs: the canonical
+    # certificate's degree for the full level, the frozen list for the fast one
+    free, fixed = (
+        _obtain_table(
+            case,
+            _degree(singles, doubles) if full else len(_EXPECTED_EVEN_MOMENTS[case]),
+            args.tables,
+            ctx,
+        )
+        for case, singles, doubles, _b, _bprime in _CANONICAL.values()
+    )
     checks = [
         _reproduce_chords(),
         _reproduce_ratio_law(),
@@ -856,9 +855,7 @@ def _sweep_csv(report: dict) -> str:
     import io
 
     result = report["result"]
-    columns = ["epsilon", "mean", "std_error", "samples", "abs_error", "sigma"]
-    if result["mode"] == "boundary":
-        columns += ["flat_probability", "flat_weight_exact", "flat_weight_consistent"]
+    columns = list(result["rows"][0])
     buf = io.StringIO()
     for key in ("schema", "command"):
         buf.write("# %s: %s\n" % (key, report[key]))
@@ -907,6 +904,8 @@ def main(argv=None) -> int:
     ctx = _RunContext(argv=[parser.prog] + argv, threads=getattr(args, "threads", 1))
     start = time.perf_counter()
     try:
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise UsageError("--out %s: its directory does not exist" % args.out)
         result = args.handler(args, ctx)
     except (UsageError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -3,8 +3,9 @@
 The catalog is the fixed menagerie used throughout the package: the standard
 simplex in any dimension (with the planar triangle T2 and the tetrahedron T3
 as named members), the unit cube, the unit ball, the closed upper half of the
-unit ball, and right prisms base x [0, h].  Descriptors are immutable and may
-carry a marked point used by the fixed-vertex moment machinery.
+unit ball, and right prisms base x [0, h].  Descriptors are immutable; a
+pinned vertex is not part of a body but an argument of the estimator
+(``estimate_moment(..., fixed=...)``).
 
 All membership tests on polytopes are exact when given exact coordinates
 (floats are converted to their exact binary rationals first); curved bodies
@@ -13,12 +14,11 @@ use floating arithmetic with a 1e-12 tolerance where one is called for.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from .errors import UsageError
 
@@ -36,8 +36,6 @@ __all__ = [
     "tetrahedron_T3",
     "triangle_T2",
 ]
-
-CURVED_MEMBERSHIP_TOL = 1e-12
 
 _SIMPLEX_KINDS = ("simplex", "T2", "T3")
 
@@ -57,15 +55,13 @@ class Body:
     """Immutable descriptor of one catalog body.
 
     kind is one of "simplex", "cube", "ball", "halfball", "T2", "T3",
-    "product".  Products carry the base body and a positive height; any body
-    may carry a marked point (``fixed_point``) lying in the closed body.
+    "product".  Products carry the base body and a positive height.
     """
 
     kind: str
     dim: int
     base: Optional["Body"] = None
     height: Union[Fraction, float, None] = None
-    fixed_point: Optional[Tuple] = None
 
 
 def is_polytopal(body: Body) -> bool:
@@ -76,58 +72,43 @@ def is_polytopal(body: Body) -> bool:
     return False
 
 
-def _attach_fixed_point(body: Body, fixed_point) -> Body:
-    if fixed_point is None:
-        return body
-    pt = tuple(fixed_point)
-    if len(pt) != body.dim:
-        raise UsageError(
-            "marked point has dimension %d, body has dimension %d"
-            % (len(pt), body.dim)
-        )
-    tol = 0.0 if is_polytopal(body) else CURVED_MEMBERSHIP_TOL
-    if not contains(body, pt, tol=tol):
-        raise UsageError("marked point must lie in the closed body")
-    return dataclasses.replace(body, fixed_point=pt)
-
-
 def _check_dim(d: int) -> int:
     if not isinstance(d, int) or d < 1:
         raise UsageError("dimension must be a positive integer")
     return d
 
 
-def standard_simplex(d: int, fixed_point=None) -> Body:
+def standard_simplex(d: int) -> Body:
     """Standard simplex conv(0, e_1, ..., e_d)."""
-    return _attach_fixed_point(Body("simplex", _check_dim(d)), fixed_point)
+    return Body("simplex", _check_dim(d))
 
 
-def cube(d: int, fixed_point=None) -> Body:
+def cube(d: int) -> Body:
     """Unit cube [0, 1]^d."""
-    return _attach_fixed_point(Body("cube", _check_dim(d)), fixed_point)
+    return Body("cube", _check_dim(d))
 
 
-def ball(d: int, fixed_point=None) -> Body:
+def ball(d: int) -> Body:
     """Closed unit ball."""
-    return _attach_fixed_point(Body("ball", _check_dim(d)), fixed_point)
+    return Body("ball", _check_dim(d))
 
 
-def halfball(d: int, fixed_point=None) -> Body:
+def halfball(d: int) -> Body:
     """Closed upper half of the unit ball: ||x|| <= 1 and x_d >= 0."""
-    return _attach_fixed_point(Body("halfball", _check_dim(d)), fixed_point)
+    return Body("halfball", _check_dim(d))
 
 
-def triangle_T2(fixed_point=None) -> Body:
+def triangle_T2() -> Body:
     """The planar triangle with vertices (0,0), (1,0), (0,1)."""
-    return _attach_fixed_point(Body("T2", 2), fixed_point)
+    return Body("T2", 2)
 
 
-def tetrahedron_T3(fixed_point=None) -> Body:
+def tetrahedron_T3() -> Body:
     """The tetrahedron with vertices 0, e_1, e_2, e_3."""
-    return _attach_fixed_point(Body("T3", 3), fixed_point)
+    return Body("T3", 3)
 
 
-def product(base: Body, height, fixed_point=None) -> Body:
+def product(base: Body, height) -> Body:
     """Right prism base x [0, height]."""
     if isinstance(height, float):
         h: Union[Fraction, float] = height
@@ -135,8 +116,7 @@ def product(base: Body, height, fixed_point=None) -> Body:
         h = _to_fraction(height)
     if not float(h) > 0:
         raise UsageError("prism height must be positive")
-    body = Body("product", base.dim + 1, base=base, height=h)
-    return _attach_fixed_point(body, fixed_point)
+    return Body("product", base.dim + 1, base=base, height=h)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .errors import UsageError
 from .geometry import Body, body_measures, product
 from .mc import (
     RngStream,
+    _boundary_faces,
     _run_chunks,
     _simplex_volumes,
     estimate_moment,
@@ -37,13 +38,10 @@ __all__ = [
 
 
 def lift_body(body: Body, eps) -> Body:
-    """The prism body x [0, eps]; a marked point p lifts to (p, 0)."""
+    """The prism body x [0, eps]."""
     if not float(eps) > 0:
         raise UsageError("eps must be positive")
-    lifted_fp = None
-    if body.fixed_point is not None:
-        lifted_fp = tuple(body.fixed_point) + (0,)
-    return product(body, eps, fixed_point=lifted_fp)
+    return product(body, eps)
 
 
 def _check_eps_list(eps_list) -> list:
@@ -58,23 +56,9 @@ def _check_eps_list(eps_list) -> list:
     return eps
 
 
-def _resolve_reference(body, n, k, samples, seed, threads, reference):
-    """Reference value for the eps -> 0 limit E V^k over the base body."""
-    if reference is not None:
-        return {"value": float(reference), "std_error": 0.0, "source": "exact"}
-    if n == body.dim + 2:
-        # n points in a d-body span at most a d-simplex, so the
-        # (n-1 = d+1)-volume vanishes almost surely before lifting
-        return {"value": 0.0, "std_error": 0.0, "source": "degenerate"}
-    est = estimate_moment(
-        body, n, k, fixed=body.fixed_point, samples=samples, seed=seed, threads=threads
-    )
-    return {"value": est.mean, "std_error": est.std_error, "source": "monte-carlo"}
-
-
-def _sweep_verdict(rows, ref) -> str:
-    errors = [abs(r["estimate"].mean - ref["value"]) for r in rows]
-    sigmas = [math.hypot(r["estimate"].std_error, ref["std_error"]) for r in rows]
+def _sweep_verdict(rows) -> str:
+    errors = [r["abs_error"] for r in rows]
+    sigmas = [r["sigma"] for r in rows]
     if all(err <= 3 * sig for err, sig in zip(errors, sigmas)):
         return "converged within noise"
     stepwise = all(
@@ -100,6 +84,43 @@ def _check_sweep_args(body, n, k, samples) -> None:
         raise UsageError("samples must be a positive integer")
 
 
+def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fixed, estimate_at):
+    """The loop of both sweeps: checks, reference, one row per eps, verdict.
+
+    The reference is the supplied exact value, or a Monte Carlo estimate on
+    the base body (exactly zero in the degenerate case n = dim + 2).
+    ``estimate_at(lifted, eps, seed)`` estimates E V^k on one prism and
+    returns ``(estimate, extra row fields)``.
+    """
+    _check_sweep_args(body, n, k, samples)
+    eps_values = _check_eps_list(eps_list)
+    if reference is not None:
+        ref = {"value": float(reference), "std_error": 0.0, "source": "exact"}
+    elif n == body.dim + 2:
+        # n points in a d-body span at most a d-simplex, so the
+        # (n-1 = d+1)-volume vanishes almost surely before lifting
+        ref = {"value": 0.0, "std_error": 0.0, "source": "degenerate"}
+    else:
+        est = estimate_moment(
+            body, n, k, fixed=fixed, samples=samples, seed=seed, threads=threads
+        )
+        ref = {"value": est.mean, "std_error": est.std_error, "source": "monte-carlo"}
+    rows = []
+    for i, eps in enumerate(eps_values):
+        est, extra = estimate_at(lift_body(body, eps), eps, seed + i + 1)
+        rows.append({
+            "epsilon": eps,
+            "estimate": est,
+            "abs_error": abs(est.mean - ref["value"]),
+            "sigma": math.hypot(est.std_error, ref["std_error"]),
+            **extra,
+        })
+    return {
+        "mode": mode, "n": n, "k": k, "reference": ref, "rows": rows,
+        "verdict": _sweep_verdict(rows),
+    }
+
+
 def interior_convergence_sweep(
     body: Body,
     n: int,
@@ -110,61 +131,28 @@ def interior_convergence_sweep(
     seed: int,
     threads: int = 1,
     reference=None,
+    fixed=None,
 ) -> dict:
     """Estimate E V^k over K x [0, eps] for shrinking eps, with a verdict.
 
-    Each row holds the estimate for one eps; the reference is the supplied
-    exact value, or a Monte Carlo estimate on the base body (exactly zero
-    in the degenerate case n = dim + 2).  The verdict is "converged" when
-    the deviations shrink (up to 6 sigma of slack per step), "converged
-    within noise" when every deviation is already below 3 sigma, and
-    "not converged" otherwise.
+    Each row holds the estimate for one eps, against a reference for the
+    limit on the base body.  With ``fixed`` = p, one vertex is pinned at p
+    in the base body and at (p, 0) in every prism.  The verdict is
+    "converged" when the deviations shrink (up to 6 sigma of slack per
+    step), "converged within noise" when every deviation is already below
+    3 sigma, and "not converged" otherwise.
     """
-    _check_sweep_args(body, n, k, samples)
-    eps_values = _check_eps_list(eps_list)
-    ref = _resolve_reference(body, n, k, samples, seed, threads, reference)
-    rows = []
-    for i, eps in enumerate(eps_values):
-        lifted = lift_body(body, eps)
+    lifted_fixed = None if fixed is None else tuple(fixed) + (0,)
+
+    def estimate_at(lifted, eps, row_seed):
         est = estimate_moment(
-            lifted, n, k, fixed=lifted.fixed_point, samples=samples, seed=seed + i + 1,
-            threads=threads,
+            lifted, n, k, fixed=lifted_fixed, samples=samples, seed=row_seed, threads=threads
         )
-        rows.append(
-            {
-                "epsilon": eps,
-                "estimate": est,
-                "abs_error": abs(est.mean - ref["value"]),
-                "sigma": math.hypot(est.std_error, ref["std_error"]),
-            }
-        )
-    return {
-        "mode": "interior",
-        "n": n,
-        "k": k,
-        "reference": ref,
-        "rows": rows,
-        "verdict": _sweep_verdict(rows, ref),
-    }
+        return est, {}
 
-
-def _boundary_moment(lifted: Body, n: int, k: int, samples: int, seed: int, threads: int):
-    """Moment estimate with boundary-uniform vertices, plus the empirical
-    probability that every vertex lands on a flat face."""
-
-    dim = lifted.dim
-
-    def worker(chunk_index: int, size: int):
-        gen = RngStream(seed, chunk_index).generator()
-        pts, flat = sample_boundary_uniform(
-            lifted, gen, size=size * n, return_face_mask=True
-        )
-        pts = pts.reshape(size, n, dim)
-        flat = flat.reshape(size, n)
-        return _simplex_volumes(pts) ** k, int(flat.all(axis=1).sum())
-
-    est, all_flat = _run_chunks(worker, samples, seed, threads)
-    return est, all_flat / samples
+    return _run_sweep(
+        "interior", body, n, k, eps_list, samples, seed, threads, reference, fixed, estimate_at
+    )
 
 
 def boundary_convergence_sweep(
@@ -184,37 +172,31 @@ def boundary_convergence_sweep(
     vertices land on the two flat faces, against the exact mixture weight
     (2 vol K)^n / (2 vol K + S(K) eps)^n, with a 3 sigma agreement flag.
     """
-    _check_sweep_args(body, n, k, samples)
-    if body.fixed_point is not None:
-        raise UsageError("boundary sweeps do not support marked points")
-    eps_values = _check_eps_list(eps_list)
+    # the prism boundary sampler takes only planar polytopal bases; refuse
+    # any other before the reference is sampled
+    _boundary_faces(product(body, 1))
     measures = body_measures(body)
-    ref = _resolve_reference(body, n, k, samples, seed, threads, reference)
-    rows = []
-    for i, eps in enumerate(eps_values):
-        lifted = lift_body(body, eps)
-        est, flat_frac = _boundary_moment(
-            lifted, n, k, samples, seed + i + 1, threads
-        )
-        vol2 = 2.0 * measures["volume"]
+    vol2 = 2.0 * measures["volume"]
+
+    def estimate_at(lifted, eps, row_seed):
+        def worker(chunk_index: int, size: int):
+            gen = RngStream(row_seed, chunk_index).generator()
+            pts, flat = sample_boundary_uniform(
+                lifted, gen, size=size * n, return_face_mask=True
+            )
+            volumes = _simplex_volumes(pts.reshape(size, n, lifted.dim)) ** k
+            return volumes, int(flat.reshape(size, n).all(axis=1).sum())
+
+        est, all_flat = _run_chunks(worker, samples, row_seed, threads)
+        flat_frac = all_flat / samples
         weight = (vol2 / (vol2 + measures["surface"] * float(eps))) ** n
         wsigma = math.sqrt(max(weight * (1.0 - weight), 1e-300) / samples)
-        rows.append(
-            {
-                "epsilon": eps,
-                "estimate": est,
-                "abs_error": abs(est.mean - ref["value"]),
-                "sigma": math.hypot(est.std_error, ref["std_error"]),
-                "flat_probability": flat_frac,
-                "flat_weight_exact": weight,
-                "flat_weight_consistent": abs(flat_frac - weight) <= 3 * wsigma,
-            }
-        )
-    return {
-        "mode": "boundary",
-        "n": n,
-        "k": k,
-        "reference": ref,
-        "rows": rows,
-        "verdict": _sweep_verdict(rows, ref),
-    }
+        return est, {
+            "flat_probability": flat_frac,
+            "flat_weight_exact": weight,
+            "flat_weight_consistent": abs(flat_frac - weight) <= 3 * wsigma,
+        }
+
+    return _run_sweep(
+        "boundary", body, n, k, eps_list, samples, seed, threads, reference, None, estimate_at
+    )

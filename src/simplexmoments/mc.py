@@ -148,27 +148,20 @@ def sample_boundary_uniform(
     body: Body,
     rng,
     size: Optional[int] = None,
-    faces: str = "all",
     return_face_mask: bool = False,
 ):
     """Uniform point(s) on the boundary of a prism K x [0, h].
 
     The boundary splits into two flat copies of K and one rectangle per
     edge of K; a face is chosen with probability proportional to its area,
-    then the point is uniform on the face.  ``faces="flat"`` restricts to
-    the two flat copies (the conditional distribution given that no point
-    lands on the side band).  With ``return_face_mask`` a boolean array
-    marking flat-face points is returned alongside the points.
+    then the point is uniform on the face.  With ``return_face_mask`` a
+    boolean array marking flat-face points is returned alongside the points.
     """
-    if faces not in ("all", "flat"):
-        raise UsageError("faces must be 'all' or 'flat'")
     gen = _resolve_generator(rng)
     m = 1 if size is None else int(size)
     if m < 1:
         raise UsageError("size must be positive")
     face_list, h = _boundary_faces(body)
-    if faces == "flat":
-        face_list = [f for f in face_list if f[0] == "flat"]
     weights = np.array([f[2] for f in face_list])
     choice = gen.choice(len(face_list), size=m, p=weights / weights.sum())
     pts = np.empty((m, body.dim))

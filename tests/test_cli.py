@@ -165,6 +165,52 @@ class TestExitCodes:
         assert "verify-counterexample" in proc.stdout
 
 
+class TestRefusedBeforeWork:
+    """Bad output paths are usage errors raised before anything is computed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tetra-moments", "--case", "free", "--kmax", "3"],
+            ["reproduce", "fast"],
+        ],
+    )
+    def test_tables_path_that_is_a_file(self, tmp_path, monkeypatch, capsys, argv):
+        import simplexmoments.cli as cli
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("a table was computed before the refusal")
+
+        monkeypatch.setattr(cli, "moment_table", no_tables)
+        blocker = tmp_path / "tables"
+        blocker.write_text("not a directory", encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(argv + ["--tables", str(blocker), "--out", str(out)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "handler, argv",
+        [
+            ("_cmd_mc", ["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "10",
+                         "--seed", "1"]),
+            ("_cmd_lift_sweep", ["lift-sweep", "--mode", "interior", "--body", "T2", "--n",
+                                 "2", "--k", "1", "--eps", "1/2", "--samples", "10",
+                                 "--format", "csv"]),
+        ],
+    )
+    def test_out_in_missing_directory(self, tmp_path, monkeypatch, capsys, handler, argv):
+        import simplexmoments.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, handler, lambda args, ctx: calls.append(args))
+        out = tmp_path / "missing" / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "missing").exists()
+
+
 class TestChords:
     def test_midpoint_hypotenuse_example(self, tmp_path):
         code, report = run_cli(

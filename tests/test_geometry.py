@@ -1,5 +1,6 @@
 """Tests for the convex-body catalog, Gram volumes, and exact integrals."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import boundary_residual, gram_volume, monomial_integral_T3
-from simplexmoments.errors import UsageError
+from simplexmoments.errors import DomainError, UsageError
 from simplexmoments.geometry import (
     Body,
     ball,
@@ -23,6 +24,7 @@ from simplexmoments.geometry import (
     tetrahedron_T3,
     triangle_T2,
 )
+from simplexmoments.mc import estimate_moment
 
 
 # --------------------------------------------------------------------------
@@ -262,21 +264,28 @@ def test_boundary_residual_small_on_boundary_points():
 
 
 def test_fixed_point_validation():
-    # marked points may sit on the boundary or in the interior
-    t2 = triangle_T2(fixed_point=(F(1, 2), F(1, 2)))
-    assert t2.fixed_point == (F(1, 2), F(1, 2))
-    t3 = tetrahedron_T3(fixed_point=(F(1, 3), F(1, 3), F(1, 3)))
-    assert t3.fixed_point == (F(1, 3), F(1, 3), F(1, 3))
-    hb = halfball(3, fixed_point=(0.0, 0.0, 0.0))
-    assert hb.fixed_point == (0.0, 0.0, 0.0)
+    # a pinned vertex is an estimator argument, not a body attribute
+    for make, args in ((standard_simplex, (2,)), (cube, (2,)), (ball, (2,)), (halfball, (2,)),
+                       (triangle_T2, ()), (tetrahedron_T3, ()), (product, (triangle_T2(), 1))):
+        with pytest.raises(TypeError):
+            make(*args, fixed_point=(0, 0))
+    assert "fixed_point" not in {f.name for f in dataclasses.fields(Body)}
+
+    # estimate_moment validates the pin: boundary and interior points pass,
     # curved bodies get a small tolerance, polytopes none
-    ball(2, fixed_point=(1.0 + 5e-13, 0.0))
+    def pin(body, point):
+        return estimate_moment(body, 2, 1, fixed=point, samples=2, seed=1)
+
+    pin(triangle_T2(), (F(1, 2), F(1, 2)))
+    pin(tetrahedron_T3(), (F(1, 3), F(1, 3), F(1, 3)))
+    pin(halfball(3), (0.0, 0.0, 0.0))
+    pin(ball(2), (1.0 + 5e-13, 0.0))
+    with pytest.raises(DomainError):
+        pin(ball(2), (1.001, 0.0))
+    with pytest.raises(DomainError):
+        pin(triangle_T2(), (F(3, 5), F(3, 5)))
     with pytest.raises(UsageError):
-        ball(2, fixed_point=(1.001, 0.0))
-    with pytest.raises(UsageError):
-        triangle_T2(fixed_point=(F(3, 5), F(3, 5)))
-    with pytest.raises(UsageError):
-        triangle_T2(fixed_point=(F(1, 2),))
+        pin(triangle_T2(), (F(1, 2),))
 
 
 def test_product_dimension_and_height_guard():

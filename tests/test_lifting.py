@@ -6,12 +6,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import simplexmoments.lifting as lifting
 from simplexmoments.chords import TriangleSpec, chord_moment
 from simplexmoments.errors import UsageError
 from simplexmoments.geometry import (
+    ball,
     body_measures,
     contains,
     cube,
+    halfball,
+    product,
     tetrahedron_T3,
     triangle_T2,
 )
@@ -34,11 +38,6 @@ class TestLiftBody:
         lifted = lift_body(lift_body(triangle_T2(), F(1, 4)), F(1, 4))
         assert lifted.dim == 4
         assert lifted.base.dim == 3
-
-    def test_marked_point_lifts_to_bottom_face(self):
-        body = triangle_T2(fixed_point=(F(1, 2), F(1, 2)))
-        lifted = lift_body(body, F(1, 8))
-        assert lifted.fixed_point == (F(1, 2), F(1, 2), 0)
 
     def test_containment_preserved_on_samples(self):
         inner = lift_body(triangle_T2(), F(1, 4))
@@ -128,6 +127,29 @@ class TestInteriorSweep:
         spec = TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
         assert abs(ref["value"] - chord_moment(spec, 1)) < 4 * ref["std_error"]
 
+    def test_pinned_sweep_matches_pinned_prism_estimates(self):
+        # the pin p sits at (p, 0) in every prism and at p on the base body
+        p = (F(1, 3), F(1, 3), F(1, 3))
+        eps = [F(1, 4), F(1, 16)]
+        seed = 2029
+        result = interior_convergence_sweep(
+            tetrahedron_T3(), 3, 1, eps, samples=20_000, seed=seed, threads=2, fixed=p
+        )
+        for i, (e, row) in enumerate(zip(eps, result["rows"])):
+            assert row["estimate"] == estimate_moment(
+                product(tetrahedron_T3(), e), 3, 1, fixed=p + (0,), samples=20_000,
+                seed=seed + i + 1,
+            )
+        base = estimate_moment(tetrahedron_T3(), 3, 1, fixed=p, samples=20_000, seed=seed)
+        assert result["reference"] == {
+            "value": base.mean,
+            "std_error": base.std_error,
+            "source": "monte-carlo",
+        }
+        # pinned at the facet centroid the mean area is near 0.0466, well
+        # below the free 0.0592
+        assert abs(base.mean - 0.0466) < 5 * base.std_error + 5e-5
+
     def test_argument_validation(self):
         with pytest.raises(UsageError):
             interior_convergence_sweep(
@@ -213,16 +235,23 @@ class TestBoundarySweep:
         assert row["flat_weight_exact"] < 1e-3
         assert row["flat_probability"] < 0.01
 
-    def test_rejects_marked_points_and_curved_bodies(self):
-        with pytest.raises(UsageError):
+    def test_rejects_marked_points_and_curved_bodies(self, monkeypatch):
+        # boundary sweeps take no pinned vertex
+        with pytest.raises(TypeError):
             boundary_convergence_sweep(
-                triangle_T2(fixed_point=(F(1, 2), F(1, 2))),
-                2,
-                1,
-                [F(1, 4)],
-                samples=10,
-                seed=1,
+                triangle_T2(), 2, 1, [F(1, 4)], samples=10, seed=1, fixed=(F(1, 2), F(1, 2))
             )
+
+        # a base the prism boundary sampler cannot take is refused before
+        # the reference or any row is sampled
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the base was checked")
+
+        monkeypatch.setattr(lifting, "estimate_moment", no_sampling)
+        monkeypatch.setattr(lifting, "_run_chunks", no_sampling)
+        for base in (ball(2), halfball(2), tetrahedron_T3(), product(cube(1), 1)):
+            with pytest.raises(UsageError):
+                boundary_convergence_sweep(base, 2, 1, [F(1, 4)], samples=4_000_000, seed=1)
 
 
 class TestCrossSweepProperties:
@@ -232,12 +261,14 @@ class TestCrossSweepProperties:
         lifted = lift_body(triangle_T2(), F(1, 64))
         gen = RngStream(4100).generator()
         m = 100_000
-        pts = sample_boundary_uniform(lifted, gen, size=2 * m, faces="flat")
-        pts = pts.reshape(m, 2, 3)
-        dist = np.linalg.norm(pts[:, 0, :] - pts[:, 1, :], axis=1)
+        pts, flat = sample_boundary_uniform(lifted, gen, size=2 * m, return_face_mask=True)
+        # keep the pairs whose two points both landed on a flat face
+        pairs = pts.reshape(m, 2, 3)[flat.reshape(m, 2).all(axis=1)]
+        assert len(pairs) > 0.85 * m
+        dist = np.linalg.norm(pairs[:, 0, :] - pairs[:, 1, :], axis=1)
         v2 = dist**2
         base = estimate_moment(triangle_T2(), 2, 2, samples=m, seed=4101)
-        sigma = math.hypot(v2.std(ddof=1) / math.sqrt(m), base.std_error)
+        sigma = math.hypot(v2.std(ddof=1) / math.sqrt(len(v2)), base.std_error)
         assert abs(v2.mean() - base.mean) < 3 * sigma + (1 / 64) ** 2 / 6
 
     def test_interior_and_boundary_sweeps_share_a_limit(self):

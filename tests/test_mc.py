@@ -159,8 +159,10 @@ class TestSampleBoundaryUniform:
 
     def test_flat_restriction(self):
         body = product(triangle_T2(), F(1, 4))
-        pts = sample_boundary_uniform(body, RngStream(41), size=10_000, faces="flat")
-        z = pts[:, 2]
+        pts, flat = sample_boundary_uniform(
+            body, RngStream(41), size=10_000, return_face_mask=True
+        )
+        z = pts[flat, 2]
         assert np.all((z == 0.0) | (np.abs(z - 0.25) < 1e-15))
         # both flat faces get hit
         assert 0.4 < (z == 0.0).mean() < 0.6
