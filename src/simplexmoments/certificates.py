@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import CapacityError, UsageError, VerificationError
+from .errors import CapacityError, UsageError, VerificationError, _count
 from .exact import (
     NonnegResult,
     UniPoly,
@@ -129,8 +129,7 @@ def upper_sqrt_rational(b, max_den: int = 64) -> Fraction:
     b = _as_fraction(b)
     if b < 0:
         raise UsageError("cannot bound the square root of a negative number")
-    if not isinstance(max_den, int) or max_den < 1:
-        raise UsageError("max_den must be a positive integer")
+    _count(max_den, "max_den")
     best = None
     for q in range(1, max_den + 1):
         p = math.isqrt(b.numerator * q * q // b.denominator)
@@ -142,17 +141,8 @@ def upper_sqrt_rational(b, max_den: int = 64) -> Fraction:
     return best
 
 
-def hermite_interpolate(single_nodes: Sequence, double_nodes: Sequence) -> UniPoly:
-    """Polynomial p with p(t^2) = t at all nodes, p'(t^2) = 1/(2t) at doubles.
-
-    Single nodes pin the value only; double nodes add the tangency
-    condition, so p(x) osculates sqrt(x) at x = t^2.  With s single and d
-    double nodes the interpolant has degree s + 2d - 1.  Nodes must be
-    distinct nonnegative rationals, and t = 0 is allowed only as a single
-    node (the tangency slope diverges there).  The interpolant is unique;
-    it is built from confluent divided differences in x = t^2 and expanded
-    from its Newton form by Horner's rule, in O(n^2) exact operations.
-    """
+def _checked_nodes(single_nodes: Sequence, double_nodes: Sequence):
+    """The nodes as Fractions, refused unless ``hermite_interpolate`` can use them."""
     singles = tuple(_as_fraction(t) for t in single_nodes)
     doubles = tuple(_as_fraction(t) for t in double_nodes)
     if not singles and not doubles:
@@ -166,7 +156,32 @@ def hermite_interpolate(single_nodes: Sequence, double_nodes: Sequence) -> UniPo
         seen.add(t)
     if any(t == 0 for t in doubles):
         raise UsageError("t = 0 cannot carry a tangency condition")
+    return singles, doubles
 
+
+def _checked_interval(interval_b, bprime=None):
+    """(B, B') as Fractions with B > 0 and B'^2 >= B; B' defaults to upper_sqrt_rational(B)."""
+    b = _as_fraction(interval_b)
+    if b <= 0:
+        raise UsageError("interval_b must be positive")
+    bprime = upper_sqrt_rational(b) if bprime is None else _as_fraction(bprime)
+    if bprime * bprime < b:
+        raise UsageError("bprime must satisfy bprime^2 >= interval_b")
+    return b, bprime
+
+
+def hermite_interpolate(single_nodes: Sequence, double_nodes: Sequence) -> UniPoly:
+    """Polynomial p with p(t^2) = t at all nodes, p'(t^2) = 1/(2t) at doubles.
+
+    Single nodes pin the value only; double nodes add the tangency
+    condition, so p(x) osculates sqrt(x) at x = t^2.  With s single and d
+    double nodes the interpolant has degree s + 2d - 1.  Nodes must be
+    distinct nonnegative rationals, and t = 0 is allowed only as a single
+    node (the tangency slope diverges there).  The interpolant is unique;
+    it is built from confluent divided differences in x = t^2 and expanded
+    from its Newton form by Horner's rule, in O(n^2) exact operations.
+    """
+    singles, doubles = _checked_nodes(single_nodes, double_nodes)
     # confluent divided differences in x = t^2, each double node listed
     # twice in a row; the first difference over a repeated node is the
     # slope of sqrt there, d sqrt(x)/dx = 1/(2t)
@@ -211,14 +226,7 @@ def verify_bound_polynomial(poly: UniPoly, side: str, interval_b, bprime=None) -
     rational at least sqrt(interval_b); by default the tightest such value
     with denominator at most 64 is used.
     """
-    b = _as_fraction(interval_b)
-    if b <= 0:
-        raise UsageError("interval_b must be positive")
-    if bprime is None:
-        bprime = upper_sqrt_rational(b)
-    bprime = _as_fraction(bprime)
-    if bprime * bprime < b:
-        raise UsageError("bprime must satisfy bprime^2 >= interval_b")
+    _b, bprime = _checked_interval(interval_b, bprime)
     return sturm_nonneg_on_interval(error_polynomial(poly, side), 0, bprime)
 
 
@@ -250,10 +258,7 @@ def build_certificate(
     is always verified.
     """
     poly = hermite_interpolate(single_nodes, double_nodes)
-    b = _as_fraction(interval_b)
-    if bprime is None:
-        bprime = upper_sqrt_rational(b)
-    bprime = _as_fraction(bprime)
+    b, bprime = _checked_interval(interval_b, bprime)
     result = verify_bound_polynomial(poly, side, b, bprime)
     if not result:
         raise VerificationError(

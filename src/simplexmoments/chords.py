@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import CapacityError, DomainError, UsageError
+from .errors import CapacityError, DomainError, UsageError, _count
 
 __all__ = [
     "TriangleSpec",
@@ -50,8 +50,7 @@ def csc_power_antiderivative(m: int, phi: float) -> float:
     (0, pi). Past some m, which depends on phi, the recurrence leaves the
     float64 range, and that is a CapacityError naming m and phi.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise UsageError("power m must be an integer >= 1")
+    _count(m, "power m")
     if not 0.0 < phi < math.pi:
         raise DomainError("angle must lie strictly between 0 and pi")
     s = math.sin(phi)
@@ -72,12 +71,6 @@ def csc_power_antiderivative(m: int, phi: float) -> float:
         raise CapacityError("csc_power_antiderivative(m=%d, phi=%r) leaves the float64 range"
                             % (m, phi))
     return val
-
-
-def _check_moment_order(k) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise UsageError("moment order k must be a positive integer")
-    return k
 
 
 def _in_range(k: int, moment) -> float:
@@ -187,7 +180,7 @@ def vertex_moment(t: TriangleSpec, vertex: str, k: int) -> float:
     E = 2 (c sin beta)^(k+1) / ((k+2) a) * (I_(k+2)(alpha+beta) - I_(k+2)(beta))
     for vertex A, and cyclic relabelings for B and C.
     """
-    _check_moment_order(k)
+    _count(k, "moment order k")
     if vertex not in _VERTEX_LABELS:
         raise UsageError("vertex must be one of 'A', 'B', 'C'")
     return _in_range(k, lambda order: _vertex_moment(t, _VERTEX_LABELS[vertex], order))
@@ -214,7 +207,7 @@ def edgepoint_moment(t: TriangleSpec, e: EdgePointSpec, k: int) -> float:
     The segment DC splits the triangle into ACD and DBC; the moment is the
     area-weighted average of the two vertex moments taken at D.
     """
-    _check_moment_order(k)
+    _count(k, "moment order k")
     e.validate(t)
     c1 = float(e.c1)
     if c1 == 0.0:
@@ -251,7 +244,7 @@ def chord_moment(t: TriangleSpec, k: int) -> float:
     with B(i, j) = -cos(eta_i) (I_(k+2)(eta_j) + I_(k+2)(eta_i))
                    + sin(eta_i)/(k+2) (csc(eta_j)^(k+2) - csc(eta_i)^(k+2)).
     """
-    _check_moment_order(k)
+    _count(k, "moment order k")
     return _in_range(k, lambda order: _chord_moment(t, order))
 
 
@@ -284,5 +277,5 @@ def ratio_r(k: int) -> float:
     Strictly decreasing in k and below 1 from k = 1 on. Past k = 1020 the
     powers of 2 leave the float64 range, and that is a CapacityError.
     """
-    _check_moment_order(k)
+    _count(k, "moment order k")
     return _in_range(k, lambda n: (n + 3) * (n + 4) / (2.0 ** (n + 3) + 2.0 ** (n / 2.0 + 2.0)))

@@ -41,12 +41,14 @@ from .certificates import (
     _CANONICAL,
     PIVOT,
     Certificate,
+    _checked_interval,
+    _checked_nodes,
     _degree,
     build_certificate,
     certificate_to_json,
     verify_counterexample,
 )
-from .errors import CapacityError, DomainError, UsageError, VerificationError
+from .errors import CapacityError, DomainError, UsageError, VerificationError, _count
 from .exact import format_rational
 from .tetra import MomentTable, _normalize_case, _read_table, moment_table
 
@@ -247,12 +249,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _check_samples(samples: int) -> None:
-    # one sample has an infinite standard error, which JSON cannot carry
-    if samples < 2:
-        raise UsageError("--samples must be at least 2, got %d" % samples)
-
-
 # ---------------------------------------------------------------------------
 # moment table files
 
@@ -279,9 +275,12 @@ def _obtain_table(
     """
     key = _normalize_case(case)
     # refused before any table is computed, not by the first write into it
-    if not table_file and tables_dir and os.path.exists(tables_dir):
-        if not os.path.isdir(tables_dir):
-            raise UsageError("tables path %r is not a directory" % tables_dir)
+    if not table_file and tables_dir:
+        ancestor = os.path.abspath(tables_dir)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise UsageError("tables path %r: %r is not a directory" % (tables_dir, ancestor))
     path = table_file or (_table_path(tables_dir, key) if tables_dir else None)
     stored = None
     if table_file or (path and os.path.exists(path)):
@@ -398,6 +397,9 @@ def _cmd_certify(args, ctx: _RunContext) -> dict:
         bprime = None
     if args.bprime:
         bprime = _parse_fraction(args.bprime)
+    # refuse malformed nodes or B, B' before any table is read or computed
+    _checked_nodes(singles, doubles)
+    _checked_interval(interval_b, bprime)
     degree = _degree(singles, doubles)
     table = _obtain_table(case, degree, args.tables, ctx, table_file=args.table)
     cert = build_certificate(args.side, singles, doubles, table, interval_b, bprime)
@@ -440,7 +442,6 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
 def _cmd_mc(args, ctx: _RunContext) -> dict:
     from .mc import RNG_ALGORITHM, estimate_moment
 
-    _check_samples(args.samples)
     body = _parse_body(args.body)
     fixed = _parse_point(args.fixed) if args.fixed else None
     ctx.seeds.append(args.seed)
@@ -483,7 +484,6 @@ def _cmd_lift_sweep(args, ctx: _RunContext) -> dict:
     from .lifting import boundary_convergence_sweep, interior_convergence_sweep
     from .mc import RNG_ALGORITHM
 
-    _check_samples(args.samples)
     body = _parse_body(args.body)
     eps_list = _parse_eps_list(args.eps)
     reference = _parse_fraction(args.reference) if args.reference else None
@@ -682,7 +682,6 @@ def _reproduce_counterexample(free: MomentTable, fixed: MomentTable) -> dict:
 
 
 def _cmd_reproduce(args, ctx: _RunContext) -> dict:
-    _check_samples(args.samples)
     ctx.seeds.append(args.seed)
     full = args.level == "full"
     # each table once, at the largest order this level needs: the canonical
@@ -904,8 +903,13 @@ def main(argv=None) -> int:
     ctx = _RunContext(argv=[parser.prog] + argv, threads=getattr(args, "threads", 1))
     start = time.perf_counter()
     try:
+        if args.out and os.path.isdir(args.out):
+            raise UsageError("--out %s is a directory" % args.out)
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise UsageError("--out %s: its directory does not exist" % args.out)
+        if hasattr(args, "samples"):
+            # one sample has an infinite standard error, which strict JSON cannot carry
+            _count(args.samples, "--samples", 2)
         result = args.handler(args, ctx)
     except (UsageError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -21,3 +21,10 @@ class CapacityError(RuntimeError):
 
 class VerificationError(RuntimeError):
     """A certificate or consistency check that was expected to hold failed."""
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` when it is an int, not a bool, and at least ``least``; else a UsageError."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return value
+    raise UsageError("%s must be an integer >= %d, got %r" % (name, least, value))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence, Union
 
-from .errors import UsageError
+from .errors import UsageError, _count
 
 __all__ = [
     "Body",
@@ -72,30 +72,24 @@ def is_polytopal(body: Body) -> bool:
     return False
 
 
-def _check_dim(d: int) -> int:
-    if not isinstance(d, int) or d < 1:
-        raise UsageError("dimension must be a positive integer")
-    return d
-
-
 def standard_simplex(d: int) -> Body:
     """Standard simplex conv(0, e_1, ..., e_d)."""
-    return Body("simplex", _check_dim(d))
+    return Body("simplex", _count(d, "dimension"))
 
 
 def cube(d: int) -> Body:
     """Unit cube [0, 1]^d."""
-    return Body("cube", _check_dim(d))
+    return Body("cube", _count(d, "dimension"))
 
 
 def ball(d: int) -> Body:
     """Closed unit ball."""
-    return Body("ball", _check_dim(d))
+    return Body("ball", _count(d, "dimension"))
 
 
 def halfball(d: int) -> Body:
     """Closed upper half of the unit ball: ||x|| <= 1 and x_d >= 0."""
-    return Body("halfball", _check_dim(d))
+    return Body("halfball", _count(d, "dimension"))
 
 
 def triangle_T2() -> Body:

@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import UsageError
+from .errors import UsageError, _count
 from .geometry import Body, body_measures, product
 from .mc import (
     RngStream,
     _boundary_faces,
+    _check_common,
     _run_chunks,
     _simplex_volumes,
     estimate_moment,
@@ -39,8 +40,6 @@ __all__ = [
 
 def lift_body(body: Body, eps) -> Body:
     """The prism body x [0, eps]."""
-    if not float(eps) > 0:
-        raise UsageError("eps must be positive")
     return product(body, eps)
 
 
@@ -70,20 +69,6 @@ def _sweep_verdict(rows) -> str:
     return "not converged"
 
 
-def _check_sweep_args(body, n, k, samples) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise UsageError("need at least two vertices")
-    if n > body.dim + 2:
-        raise UsageError(
-            "n=%d vertices need dimension >= %d even after lifting; body has "
-            "dimension %d" % (n, n - 2, body.dim)
-        )
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise UsageError("moment order k must be a positive integer")
-    if not isinstance(samples, int) or samples < 1:
-        raise UsageError("samples must be a positive integer")
-
-
 def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fixed, estimate_at):
     """The loop of both sweeps: checks, reference, one row per eps, verdict.
 
@@ -92,7 +77,9 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
     ``estimate_at(lifted, eps, seed)`` estimates E V^k on one prism and
     returns ``(estimate, extra row fields)``.
     """
-    _check_sweep_args(body, n, k, samples)
+    # the prisms have dimension dim + 1, so n <= dim + 2
+    _check_common(product(body, 1), n, samples)
+    _count(k, "moment order k")
     eps_values = _check_eps_list(eps_list)
     if reference is not None:
         ref = {"value": float(reference), "std_error": 0.0, "source": "exact"}

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
-from .errors import CapacityError, UsageError, VerificationError
+from .errors import CapacityError, UsageError, VerificationError, _count
 from .exact import _as_fraction, _horner
 
 __all__ = ["node_search", "rationalize"]
@@ -42,8 +42,7 @@ __all__ = ["node_search", "rationalize"]
 
 def rationalize(x, max_den: int) -> Fraction:
     """Best rational approximation with denominator at most max_den."""
-    if not isinstance(max_den, int) or max_den < 1:
-        raise UsageError("max_den must be a positive integer")
+    _count(max_den, "max_den")
     return Fraction(x).limit_denominator(max_den)
 
 
@@ -167,10 +166,8 @@ def node_search(table, degree: int, grid_size: int, interval_end, sense: str) ->
     """
     if sense not in ("lower", "upper"):
         raise UsageError("sense must be 'lower' or 'upper'")
-    if not isinstance(degree, int) or degree < 1:
-        raise UsageError("degree must be a positive integer")
-    if not isinstance(grid_size, int) or grid_size < 1:
-        raise UsageError("grid_size must be a positive integer")
+    _count(degree, "degree")
+    _count(grid_size, "grid_size")
     end = _as_fraction(interval_end)
     if end <= 0:
         raise UsageError("interval_end must be positive")

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _count
 from .geometry import Body, body_measures, contains, is_polytopal, polygon_edges
 
 __all__ = [
@@ -117,9 +117,7 @@ def _sample_interior(body: Body, gen: np.random.Generator, m: int) -> np.ndarray
 def sample_uniform(body: Body, rng, size: Optional[int] = None) -> np.ndarray:
     """Uniform point(s) in a catalog body; shape (d,) or (size, d)."""
     gen = _resolve_generator(rng)
-    m = 1 if size is None else int(size)
-    if m < 1:
-        raise UsageError("size must be positive")
+    m = 1 if size is None else _count(size, "size")
     pts = _sample_interior(body, gen, m)
     return pts[0] if size is None else pts
 
@@ -158,9 +156,7 @@ def sample_boundary_uniform(
     boolean array marking flat-face points is returned alongside the points.
     """
     gen = _resolve_generator(rng)
-    m = 1 if size is None else int(size)
-    if m < 1:
-        raise UsageError("size must be positive")
+    m = 1 if size is None else _count(size, "size")
     face_list, h = _boundary_faces(body)
     weights = np.array([f[2] for f in face_list])
     choice = gen.choice(len(face_list), size=m, p=weights / weights.sum())
@@ -257,8 +253,7 @@ def _run_chunks(worker, samples: int, seed: int, threads: int):
     Returns the estimate of the mean of ``values`` and the sum of the
     integer tallies; chunk statistics are taken in the worker threads.
     """
-    if not isinstance(threads, int) or threads < 1:
-        raise UsageError("threads must be a positive integer, got %r" % (threads,))
+    _count(threads, "threads")
 
     def run(job):
         values, tally = worker(*job)
@@ -275,15 +270,13 @@ def _run_chunks(worker, samples: int, seed: int, threads: int):
 
 
 def _check_common(body: Body, n: int, samples: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise UsageError("need at least 2 vertices")
+    _count(n, "vertex count n", 2)
     if n > body.dim + 1:
         raise UsageError(
             "a %d-vertex simplex needs ambient dimension >= %d, body has %d"
             % (n, n - 1, body.dim)
         )
-    if not isinstance(samples, int) or samples < 1:
-        raise UsageError("samples must be a positive integer")
+    _count(samples, "samples")
 
 
 def estimate_moment(
@@ -303,8 +296,7 @@ def estimate_moment(
     (seed, samples, configuration), independent of ``threads``.
     """
     _check_common(body, n, samples)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise UsageError("moment order k must be a positive integer")
+    _count(k, "moment order k")
     anchor = None
     if fixed is not None:
         anchor = np.asarray([float(v) for v in fixed])

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import CapacityError, UsageError, VerificationError
+from .errors import CapacityError, UsageError, VerificationError, _count
 from .exact import format_rational, parse_rational
 
 __all__ = [
@@ -209,12 +209,9 @@ def even_moment(case: str, k: int) -> Fraction:
     FIXED_KMAX_LIMIT) raise CapacityError with a cost estimate instead of
     silently running for hours.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise UsageError("moment half-order k must be a nonnegative integer")
+    _count(k, "moment half-order k", 0)
     case = _normalize_case(case)
     _check_capacity(case, k)
-    if k == 0:
-        return Fraction(1)
     return _even_moment(case, k)
 
 
@@ -322,8 +319,7 @@ def moment_table(
     read the file passes its table as ``stored``, so the file is not parsed
     twice.
     """
-    if not isinstance(k_max, int) or k_max < 0:
-        raise UsageError("k_max must be a nonnegative integer")
+    _count(k_max, "k_max", 0)
     case = _normalize_case(case)
     if stored is None and checkpoint and os.path.exists(checkpoint):
         stored = _read_table(checkpoint, case)

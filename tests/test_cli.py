@@ -21,6 +21,12 @@ from simplexmoments.tetra import MomentTable
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 
 
+def source_env():
+    """The environment for a subprocess, with the package source on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simplexmoments.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def run_cli(args, out_path=None):
     argv = [str(a) for a in args]
     if out_path is not None:
@@ -149,6 +155,7 @@ class TestExitCodes:
             ],
             capture_output=True,
             text=True,
+            env=source_env(),
         )
         assert proc.returncode == 3
         assert "insufficient moment tables" in proc.stderr
@@ -158,7 +165,10 @@ class TestExitCodes:
         # the package root does not import the CLI, so running the CLI
         # module as __main__ warns about nothing
         proc = subprocess.run(
-            [sys.executable, "-m", module, "--help"], capture_output=True, text=True
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True,
+            text=True,
+            env=source_env(),
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
@@ -166,22 +176,41 @@ class TestExitCodes:
 
 
 class TestRefusedBeforeWork:
-    """Bad output paths are usage errors raised before anything is computed."""
+    """Bad paths and malformed certificate input are usage errors raised
+    before anything is computed."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["tetra-moments", "--case", "free", "--kmax", "3"],
-            ["reproduce", "fast"],
-        ],
-    )
-    def test_tables_path_that_is_a_file(self, tmp_path, monkeypatch, capsys, argv):
+    TABLE_COMMANDS = [
+        ["tetra-moments", "--case", "free", "--kmax", "3"],
+        ["reproduce", "fast"],
+    ]
+    SAMPLING_HANDLERS = [
+        ("_cmd_mc", ["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "10",
+                     "--seed", "1"]),
+        ("_cmd_lift_sweep", ["lift-sweep", "--mode", "interior", "--body", "T2", "--n",
+                             "2", "--k", "1", "--eps", "1/2", "--samples", "10",
+                             "--format", "csv"]),
+    ]
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
         import simplexmoments.cli as cli
 
-        def no_tables(*args, **kwargs):
+        def refuse(*args, **kwargs):
             raise AssertionError("a table was computed before the refusal")
 
-        monkeypatch.setattr(cli, "moment_table", no_tables)
+        monkeypatch.setattr(cli, "moment_table", refuse)
+
+    @pytest.fixture
+    def handler_calls(self, monkeypatch, request):
+        import simplexmoments.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, request.getfixturevalue("handler"),
+                            lambda args, ctx: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("argv", TABLE_COMMANDS)
+    def test_tables_path_that_is_a_file(self, tmp_path, no_tables, capsys, argv):
         blocker = tmp_path / "tables"
         blocker.write_text("not a directory", encoding="utf-8")
         out = tmp_path / "r.json"
@@ -189,26 +218,45 @@ class TestRefusedBeforeWork:
         assert "not a directory" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "handler, argv",
-        [
-            ("_cmd_mc", ["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "10",
-                         "--seed", "1"]),
-            ("_cmd_lift_sweep", ["lift-sweep", "--mode", "interior", "--body", "T2", "--n",
-                                 "2", "--k", "1", "--eps", "1/2", "--samples", "10",
-                                 "--format", "csv"]),
-        ],
-    )
-    def test_out_in_missing_directory(self, tmp_path, monkeypatch, capsys, handler, argv):
-        import simplexmoments.cli as cli
+    @pytest.mark.parametrize("argv", TABLE_COMMANDS)
+    def test_tables_path_under_a_file(self, tmp_path, no_tables, capsys, argv):
+        blocker = tmp_path / "tables"
+        blocker.write_text("not a directory", encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(argv + ["--tables", str(blocker / "sub"), "--out", str(out)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert not out.exists()
 
-        calls = []
-        monkeypatch.setattr(cli, handler, lambda args, ctx: calls.append(args))
+    @pytest.mark.parametrize("handler, argv", SAMPLING_HANDLERS)
+    def test_out_in_missing_directory(self, tmp_path, handler_calls, capsys, handler, argv):
         out = tmp_path / "missing" / "r.json"
         assert main(argv + ["--out", str(out)]) == 2
         assert "does not exist" in capsys.readouterr().err
-        assert calls == []
+        assert handler_calls == []
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("handler, argv", SAMPLING_HANDLERS)
+    def test_out_that_is_a_directory(self, tmp_path, handler_calls, capsys, handler, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert handler_calls == []
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--nodes", "1/9*2,1/8*2,1/7*2,1/6*2,1/6*2"], "repeated interpolation node 1/6"),
+            (["--bprime", "1/2"], "bprime^2 >= interval_b"),
+        ],
+        ids=["repeated-node", "short-bprime"],
+    )
+    def test_malformed_certificate_input(self, tmp_path, no_tables, capsys, extra, message):
+        tables = tmp_path / "tables"
+        out = tmp_path / "r.json"
+        argv = ["certify", "--side", "lower", "--tables", str(tables), "--out", str(out)]
+        assert main(argv + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not tables.exists()
+        assert not out.exists()
 
 
 class TestChords:
@@ -965,12 +1013,11 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 def fresh_python(code, *args):
     """The JSON value printed last by ``code`` run in a new interpreter
     with the package source on its path."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(simplexmoments.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=source_env(),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
