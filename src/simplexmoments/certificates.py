@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import CapacityError, UsageError, VerificationError, _count
+from .errors import UsageError, VerificationError, _count
 from .exact import (
     NonnegResult,
     UniPoly,
@@ -68,8 +68,8 @@ PIVOT = Fraction(23471, 500000)
 # B bounds the squared area of triangles with vertices in
 # T3 = conv{0, e1, e2, e3}: areas lie in [0, sqrt(3)/2], reached by the facet
 # e1 e2 e3; with a vertex pinned at the facet centroid (1/3, 1/3, 1/3), in
-# [0, sqrt(3)/6].  The Sturm checks run on [0, B'] for a rational
-# B' >= sqrt(B).
+# [0, sqrt(3)/6] (both are vertex maxima, recomputed by the test suite).
+# The Sturm checks run on [0, B'] for a rational B' >= sqrt(B).
 FREE_B = Fraction(3, 4)
 FREE_BPRIME = Fraction(13, 15)
 FIXED_B = Fraction(1, 12)
@@ -91,10 +91,13 @@ UPPER_DOUBLE_NODES = (
     Fraction(7, 27),
 )
 
-# the canonical certificate of each side: moment case, nodes, B and B'
+# the support bound B and the verification endpoint B' of each moment case
+_SUPPORT = {"free": (FREE_B, FREE_BPRIME), "fixed-centroid": (FIXED_B, FIXED_BPRIME)}
+
+# the canonical certificate of each side: moment case and nodes
 _CANONICAL = {
-    "lower": ("free", LOWER_SINGLE_NODES, LOWER_DOUBLE_NODES, FREE_B, FREE_BPRIME),
-    "upper": ("fixed-centroid", UPPER_SINGLE_NODES, UPPER_DOUBLE_NODES, FIXED_B, FIXED_BPRIME),
+    "lower": ("free", LOWER_SINGLE_NODES, LOWER_DOUBLE_NODES),
+    "upper": ("fixed-centroid", UPPER_SINGLE_NODES, UPPER_DOUBLE_NODES),
 }
 
 
@@ -159,11 +162,16 @@ def _checked_nodes(single_nodes: Sequence, double_nodes: Sequence):
     return singles, doubles
 
 
-def _checked_interval(interval_b, bprime=None):
-    """(B, B') as Fractions with B > 0 and B'^2 >= B; B' defaults to upper_sqrt_rational(B)."""
+def _checked_interval(interval_b, bprime=None, case=None):
+    """(B, B') as Fractions with B > 0 and B'^2 >= B; B' defaults to upper_sqrt_rational(B).
+    With a moment ``case``, B must reach its support bound, or the proof misses triangles."""
     b = _as_fraction(interval_b)
     if b <= 0:
         raise UsageError("interval_b must be positive")
+    if case is not None and b < _SUPPORT[case][0]:
+        raise UsageError(
+            "interval_b %s is below the %s support bound %s" % (b, case, _SUPPORT[case][0])
+        )
     bprime = upper_sqrt_rational(b) if bprime is None else _as_fraction(bprime)
     if bprime * bprime < b:
         raise UsageError("bprime must satisfy bprime^2 >= interval_b")
@@ -232,15 +240,8 @@ def verify_bound_polynomial(poly: UniPoly, side: str, interval_b, bprime=None) -
 
 def bound_from_moments(poly: UniPoly, table) -> Fraction:
     """sum_i a_i mu_2i, the certified bound value for E V."""
-    if poly.degree > table.k_max:
-        raise CapacityError(
-            "moment table reaches k=%d but the degree-%d polynomial needs "
-            "moments through order %d" % (table.k_max, poly.degree, 2 * poly.degree)
-        )
-    return sum(
-        (c * table.value(i) for i, c in enumerate(poly.coeffs)),
-        Fraction(0),
-    )
+    moments = table.upto(max(poly.degree, 0))
+    return sum((c * mu for c, mu in zip(poly.coeffs, moments)), Fraction(0))
 
 
 def build_certificate(
@@ -253,12 +254,16 @@ def build_certificate(
 ) -> Certificate:
     """Interpolate, verify exactly, and price a one-sided bound.
 
-    Raises VerificationError (with the witness point) if the interpolated
-    polynomial fails the inequality on [0, bprime]; a returned Certificate
-    is always verified.
+    Malformed nodes, an interval_b below the support bound of the table's
+    case, and a table too short for the interpolant's degree are refused
+    before any interpolation.  Raises VerificationError (with the witness
+    point) if the interpolated polynomial fails the inequality on
+    [0, bprime]; a returned Certificate is always verified.
     """
-    poly = hermite_interpolate(single_nodes, double_nodes)
-    b, bprime = _checked_interval(interval_b, bprime)
+    singles, doubles = _checked_nodes(single_nodes, double_nodes)
+    b, bprime = _checked_interval(interval_b, bprime, table.case)
+    table.upto(_degree(singles, doubles))
+    poly = hermite_interpolate(singles, doubles)
     result = verify_bound_polynomial(poly, side, b, bprime)
     if not result:
         raise VerificationError(
@@ -269,8 +274,8 @@ def build_certificate(
     return Certificate(
         side=side,
         poly=poly,
-        single_nodes=tuple(_as_fraction(t) for t in single_nodes),
-        double_nodes=tuple(_as_fraction(t) for t in double_nodes),
+        single_nodes=singles,
+        double_nodes=doubles,
         interval_b=b,
         bprime=bprime,
         bound=bound,
@@ -280,14 +285,14 @@ def build_certificate(
 
 def lower_area_certificate(free_table) -> Certificate:
     """The canonical degree-7 lower bound for the unpinned mean area."""
-    _case, singles, doubles, b, bprime = _CANONICAL["lower"]
-    return build_certificate("lower", singles, doubles, free_table, b, bprime)
+    case, singles, doubles = _CANONICAL["lower"]
+    return build_certificate("lower", singles, doubles, free_table, *_SUPPORT[case])
 
 
 def upper_area_certificate(fixed_table) -> Certificate:
     """The canonical degree-15 upper bound for the centroid-pinned mean."""
-    _case, singles, doubles, b, bprime = _CANONICAL["upper"]
-    return build_certificate("upper", singles, doubles, fixed_table, b, bprime)
+    case, singles, doubles = _CANONICAL["upper"]
+    return build_certificate("upper", singles, doubles, fixed_table, *_SUPPORT[case])
 
 
 def verify_counterexample(free_table, fixed_table) -> dict:
@@ -300,21 +305,12 @@ def verify_counterexample(free_table, fixed_table) -> dict:
     two bounds.  Everything is exact; no floating point enters any
     comparison.
     """
-    if free_table.case != "free":
-        raise UsageError("free_table must hold unconstrained moments")
-    if fixed_table.case != "fixed-centroid":
-        raise UsageError("fixed_table must hold centroid-pinned moments")
-    problems = []
-    for side, label, table in (
-        ("lower", "unpinned", free_table),
-        ("upper", "pinned", fixed_table),
-    ):
-        need = _degree(*_CANONICAL[side][1:3])
-        if table.k_max < need:
-            problems.append("the %s certificate needs %s moments up to k=%d "
-                            "(table has k=%d)" % (side, label, need, table.k_max))
-    if problems:
-        raise CapacityError("; ".join(problems))
+    # both tables are checked before either proof runs
+    for side, table in (("lower", free_table), ("upper", fixed_table)):
+        case, singles, doubles = _CANONICAL[side]
+        if table.case != case:
+            raise UsageError("the %s bound needs %s moments, got %s" % (side, case, table.case))
+        table.upto(_degree(singles, doubles))
 
     mu2_free = free_table.value(1)
     mu2_fixed = fixed_table.value(1)

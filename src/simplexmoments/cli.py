@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__
 from .certificates import (
     _CANONICAL,
+    _SUPPORT,
     PIVOT,
     Certificate,
     _checked_interval,
@@ -286,8 +287,11 @@ def _obtain_table(
     if table_file or (path and os.path.exists(path)):
         stored = _read_table(path, key)
         ctx.input_files.append(path)
-        if stored.k_max >= k_max:
+        try:
+            stored.upto(k_max)
             return stored
+        except CapacityError:
+            pass
     if table_file or not compute:
         have = "absent" if stored is None else "k_max=%d" % stored.k_max
         raise CapacityError("%s needs k_max>=%d (%s)" % (path, k_max, have))
@@ -340,8 +344,7 @@ def _cmd_tetra_moments(args, ctx: _RunContext) -> dict:
         "case": table.case,
         "k_max": args.kmax,
         "moments": [
-            {"k": k, "power": 2 * k, "value": table.value(k)}
-            for k in range(1, args.kmax + 1)
+            {"k": k, "power": 2 * k, "value": mu} for k, mu in enumerate(table.upto(args.kmax)) if k
         ],
     }
 
@@ -387,11 +390,13 @@ def _cmd_nodes(args, ctx: _RunContext) -> dict:
 def _cmd_certify(args, ctx: _RunContext) -> dict:
     if args.side not in _CANONICAL:
         raise UsageError("--side must be 'lower' or 'upper'")
-    case, singles, doubles, interval_b, bprime = _CANONICAL[args.side]
+    case, singles, doubles = _CANONICAL[args.side]
     if args.case:
         case = _normalize_case(args.case)
     if args.nodes:
         singles, doubles = _parse_nodes(args.nodes)
+    # B and B' belong to the moment case, whichever side is certified
+    interval_b, bprime = _SUPPORT[case]
     if args.interval_b:
         interval_b = _parse_fraction(args.interval_b)
         bprime = None
@@ -399,7 +404,7 @@ def _cmd_certify(args, ctx: _RunContext) -> dict:
         bprime = _parse_fraction(args.bprime)
     # refuse malformed nodes or B, B' before any table is read or computed
     _checked_nodes(singles, doubles)
-    _checked_interval(interval_b, bprime)
+    _checked_interval(interval_b, bprime, case)
     degree = _degree(singles, doubles)
     table = _obtain_table(case, degree, args.tables, ctx, table_file=args.table)
     cert = build_certificate(args.side, singles, doubles, table, interval_b, bprime)
@@ -421,7 +426,7 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
             "variable)" % TABLES_ENV
         )
     tables, short = {}, []
-    for key, singles, doubles, _b, _bprime in _CANONICAL.values():
+    for key, singles, doubles in _CANONICAL.values():
         try:
             tables[key] = _obtain_table(
                 key, _degree(singles, doubles), args.tables, ctx, compute=args.compute_missing
@@ -646,7 +651,7 @@ def _reproduce_node_searches(args, free: MomentTable, fixed: MomentTable) -> dic
     from .lp import node_search
 
     # one degree below each canonical certificate
-    low, high = (_degree(*_CANONICAL[side][1:3]) - 1 for side in ("lower", "upper"))
+    low, high = (_degree(*_CANONICAL[side][1:]) - 1 for side in ("lower", "upper"))
     lower = node_search(free, low, args.grid, *_CASE_GRIDS["free"])
     upper = node_search(fixed, high, args.grid, *_CASE_GRIDS["fixed-centroid"])
     lower_ok = (
@@ -693,7 +698,7 @@ def _cmd_reproduce(args, ctx: _RunContext) -> dict:
             args.tables,
             ctx,
         )
-        for case, singles, doubles, _b, _bprime in _CANONICAL.values()
+        for case, singles, doubles in _CANONICAL.values()
     )
     checks = [
         _reproduce_chords(),

@@ -37,9 +37,6 @@ __all__ = [
     "triangle_T2",
 ]
 
-_SIMPLEX_KINDS = ("simplex", "T2", "T3")
-
-
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Rational):
         return Fraction(value)
@@ -54,8 +51,8 @@ def _to_fraction(value) -> Fraction:
 class Body:
     """Immutable descriptor of one catalog body.
 
-    kind is one of "simplex", "cube", "ball", "halfball", "T2", "T3",
-    "product".  Products carry the base body and a positive height.
+    kind is one of "simplex", "cube", "ball", "halfball", "product".
+    Products carry the base body and a positive height.
     """
 
     kind: str
@@ -65,11 +62,9 @@ class Body:
 
 
 def is_polytopal(body: Body) -> bool:
-    if body.kind in _SIMPLEX_KINDS or body.kind == "cube":
-        return True
     if body.kind == "product":
         return is_polytopal(body.base)
-    return False
+    return body.kind in ("simplex", "cube")
 
 
 def standard_simplex(d: int) -> Body:
@@ -93,13 +88,13 @@ def halfball(d: int) -> Body:
 
 
 def triangle_T2() -> Body:
-    """The planar triangle with vertices (0,0), (1,0), (0,1)."""
-    return Body("T2", 2)
+    """The planar triangle with vertices (0,0), (1,0), (0,1): the standard 2-simplex."""
+    return standard_simplex(2)
 
 
 def tetrahedron_T3() -> Body:
-    """The tetrahedron with vertices 0, e_1, e_2, e_3."""
-    return Body("T3", 3)
+    """The tetrahedron with vertices 0, e_1, e_2, e_3: the standard 3-simplex."""
+    return standard_simplex(3)
 
 
 def product(base: Body, height) -> Body:
@@ -119,7 +114,7 @@ def product(base: Body, height) -> Body:
 
 def _contains_exact(body: Body, pt: Sequence[Fraction]) -> bool:
     k = body.kind
-    if k in _SIMPLEX_KINDS:
+    if k == "simplex":
         return all(v >= 0 for v in pt) and sum(pt) <= 1
     if k == "cube":
         return all(0 <= v <= 1 for v in pt)
@@ -141,7 +136,7 @@ def _margins(body: Body, pt) -> list:
     """
     k = body.kind
     x = [float(v) for v in pt]
-    if k in _SIMPLEX_KINDS:
+    if k == "simplex":
         return x + [(1.0 - sum(x)) / math.sqrt(body.dim)]
     if k == "cube":
         return x + [1.0 - v for v in x]
@@ -170,7 +165,7 @@ def contains(body: Body, point, tol: float = 0.0) -> bool:
 
 def polygon_edges(body: Body):
     """Edges of a planar catalog polytope as (start, end) vertex pairs."""
-    if body.kind == "T2" or (body.kind == "simplex" and body.dim == 2):
+    if body.kind == "simplex" and body.dim == 2:
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     elif body.kind == "cube" and body.dim == 2:
         verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -195,7 +190,7 @@ def body_measures(body: Body) -> dict:
     flat copies of the base plus the side band: 2 vol(base) + S(base) h.
     """
     k = body.kind
-    if k in _SIMPLEX_KINDS:
+    if k == "simplex":
         d = body.dim
         vol = 1.0 / math.factorial(d)
         surf = (d + math.sqrt(d)) / math.factorial(d - 1)

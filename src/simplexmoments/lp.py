@@ -34,7 +34,8 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
-from .errors import CapacityError, UsageError, VerificationError, _count
+from .certificates import hermite_interpolate
+from .errors import UsageError, VerificationError, _count
 from .exact import _as_fraction, _horner
 
 __all__ = ["node_search", "rationalize"]
@@ -65,10 +66,9 @@ def _lagrange(xs, basis, r):
 
 
 def _interpolant(grid, basis) -> list[Fraction]:
-    """Coefficients of the p of degree < len(basis) with p(t_b^2) = t_b."""
-    xs = {b: grid[b] ** 2 for b in basis}
-    lags = [(grid[b], *_lagrange(xs, basis, b)) for b in basis]
-    return [sum(t * lag[i] / den for t, lag, den in lags) for i in range(len(basis))]
+    """The len(basis) coefficients of the p of degree < len(basis) with p(t_b^2) = t_b."""
+    coeffs = list(hermite_interpolate([grid[b] for b in basis], ()).coeffs)
+    return coeffs + [Fraction(0)] * (len(basis) - len(coeffs))
 
 
 def _start_basis(npts: int, degree: int, sense: str) -> list[int]:
@@ -171,12 +171,7 @@ def node_search(table, degree: int, grid_size: int, interval_end, sense: str) ->
     end = _as_fraction(interval_end)
     if end <= 0:
         raise UsageError("interval_end must be positive")
-    if table.k_max < degree:
-        raise CapacityError(
-            "moment table reaches k=%d but the degree-%d program needs "
-            "moments through order %d" % (table.k_max, degree, 2 * degree)
-        )
-    moments = [table.value(i) for i in range(degree + 1)]
+    moments = table.upto(degree)
     grid = [Fraction(l) * end / grid_size for l in range(grid_size + 1)]
     solved = _solve_moment_program(grid, moments, sense)
     if solved is None:

@@ -89,7 +89,7 @@ def _resolve_generator(rng) -> np.random.Generator:
 def _sample_interior(body: Body, gen: np.random.Generator, m: int) -> np.ndarray:
     d = body.dim
     kind = body.kind
-    if kind in ("simplex", "T2", "T3"):
+    if kind == "simplex":
         spacings = gen.standard_exponential((m, d + 1))
         # column by column: faster than a row reduction, and it adds in the
         # same order as numpy's row sum of up to 7 terms

@@ -220,47 +220,51 @@ def even_moment(case: str, k: int) -> Fraction:
 
 
 class MomentTable(NamedTuple):
-    """Exact even-moment table mu_(2k) for k = 0 .. k_max."""
+    """Exact even-moment table: ``values[k]`` is mu_(2k) for k = 0 .. k_max."""
 
     case: str
-    k_max: int
-    entries: Tuple[Tuple[int, Fraction], ...]
+    values: Tuple[Fraction, ...]
+
+    @property
+    def k_max(self) -> int:
+        return len(self.values) - 1
+
+    def upto(self, k: int) -> Tuple[Fraction, ...]:
+        """mu_0 .. mu_(2k); a CapacityError when the table stops short of k."""
+        _count(k, "moment half-order k", 0)
+        if k > self.k_max:
+            raise CapacityError("the %s moment table reaches k=%d but k=%d is needed (moments "
+                                "through order %d)" % (self.case, self.k_max, k, 2 * k))
+        return self.values[: k + 1]
 
     def value(self, k: int) -> Fraction:
-        for kk, v in self.entries:
-            if kk == k:
-                return v
-        raise UsageError("moment order 2k=%d is not in this table" % (2 * k,))
+        return self.upto(k)[k]
 
     def check(self) -> None:
-        """Positivity and strict decrease of the stored moments."""
-        values = dict(self.entries)
-        if values.get(0) != 1:
+        """mu_0 = 1, then positivity and strict decrease of the stored moments."""
+        if not self.values or self.values[0] != 1:
             raise VerificationError("moment table must start with mu_0 = 1")
-        prev = Fraction(1)
-        for k in range(1, self.k_max + 1):
-            cur = values.get(k)
-            if cur is None:
-                raise VerificationError("moment table is missing k=%d" % k)
+        for k in range(1, len(self.values)):
+            cur = self.values[k]
             if not cur > 0:
                 raise VerificationError("mu_%d is not positive" % (2 * k,))
-            if not cur < prev:
+            if not cur < self.values[k - 1]:
                 raise VerificationError(
                     "mu_%d does not decrease below mu_%d" % (2 * k, 2 * (k - 1))
                 )
-            prev = cur
 
     def to_json(self) -> dict:
         return {
             "case": self.case,
             "entries": [
-                {"k": k, "value": format_rational(v)} for k, v in self.entries
+                {"k": k, "value": format_rational(v)} for k, v in enumerate(self.values)
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentTable":
-        """The table in its stored form; every order k appears at most once."""
+        """The table in its stored form: every order k appears at most once,
+        and a gap in the orders 0 .. k_max is a VerificationError."""
         case = _normalize_case(data["case"])
         values = {}
         for item in data["entries"]:
@@ -270,33 +274,36 @@ class MomentTable(NamedTuple):
             if k in values:
                 raise ValueError("order k=%d is listed twice" % k)
             values[k] = parse_rational(item["value"])
-        return cls(case, max(values, default=-1), tuple(values.items()))
+        for k in range(len(values)):
+            if k not in values:
+                raise VerificationError("moment table is missing k=%d" % k)
+        return cls(case, tuple(values[k] for k in range(len(values))))
 
 
 def _read_table(path: str, case: str) -> MomentTable:
     """The checked table stored at ``path``, which must hold ``case``.
 
     A file that cannot be read or parsed as a moment table is a UsageError,
-    and one that fails ``check`` a VerificationError, each naming the path.
+    and one with a gap in its orders or failing ``check`` a
+    VerificationError, each naming the path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            table = MomentTable.from_json(json.load(fh))
-    except (OSError, ValueError, LookupError, TypeError, UsageError) as exc:
-        raise UsageError(
-            "cannot read moment table %s: %s: %s" % (path, type(exc).__name__, exc)
-        ) from None
-    if table.case != case:
-        raise UsageError("table %s holds case %r, expected %r" % (path, table.case, case))
-    try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                table = MomentTable.from_json(json.load(fh))
+        except (OSError, ValueError, LookupError, TypeError, UsageError) as exc:
+            raise UsageError(
+                "cannot read moment table %s: %s: %s" % (path, type(exc).__name__, exc)
+            ) from None
+        if table.case != case:
+            raise UsageError("table %s holds case %r, expected %r" % (path, table.case, case))
         table.check()
     except VerificationError as exc:
         raise VerificationError("moment table %s: %s" % (path, exc)) from None
     return table
 
 
-def _write_checkpoint(path: str, case: str, known: dict) -> None:
-    table = MomentTable(case, max(known), tuple(sorted(known.items())))
+def _write_checkpoint(path: str, table: MomentTable) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -313,26 +320,26 @@ def moment_table(
 ) -> MomentTable:
     """Moments mu_(2k) for k = 0 .. k_max as one validated table.
 
-    With ``checkpoint`` set, the entries already in that JSON file are
-    reused, and when any order was missing the extended table is written
-    back once, after the last one is computed.  A caller that has already
-    read the file passes its table as ``stored``, so the file is not parsed
-    twice.
+    With ``checkpoint`` set, the orders already in that JSON file are
+    reused, and when the table stops short of k_max the extended table is
+    written back once, after the last order is computed.  A caller that has
+    already read the file passes its table as ``stored``, so the file is not
+    parsed twice.  A stored table holds every order up to its end, so only later ones are added.
     """
     _count(k_max, "k_max", 0)
     case = _normalize_case(case)
     if stored is None and checkpoint and os.path.exists(checkpoint):
         stored = _read_table(checkpoint, case)
-    known = dict(stored.entries) if stored else {}
-    missing = [k for k in range(k_max + 1) if k not in known]
+    if stored is not None and stored.case != case:
+        raise UsageError("stored table holds case %r, expected %r" % (stored.case, case))
+    values = stored.values if stored else ()
+    missing = range(len(values), k_max + 1)
     if missing:
         # refuse before computing anything; checkpointed orders may exceed it
-        _check_capacity(case, missing[-1])
-    for k in missing:
-        known[k] = even_moment(case, k)
-    if missing and checkpoint:
-        _write_checkpoint(checkpoint, case, known)
-    entries = tuple((k, known[k]) for k in range(k_max + 1))
-    table = MomentTable(case, k_max, entries)
+        _check_capacity(case, k_max)
+        values += tuple(even_moment(case, k) for k in missing)
+    table = MomentTable(case, values)
     table.check()
-    return table
+    if missing and checkpoint:
+        _write_checkpoint(checkpoint, table)
+    return MomentTable(case, values[: k_max + 1])

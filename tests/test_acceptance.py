@@ -282,7 +282,7 @@ class TestPropertyCrossSection:
         again = MomentTable.from_json(free_table.to_json())
         assert again.case == free_table.case
         assert again.k_max == free_table.k_max
-        assert again.entries == free_table.entries
+        assert again.values == free_table.values
 
     def test_certificate_json_round_trip(self, free_table):
         cert = lower_area_certificate(free_table)

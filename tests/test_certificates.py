@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import build_gram_poly, ref_derivative, solve_fraction_free
+from simplexmoments import certificates, cli
 from simplexmoments.certificates import (
+    _SUPPORT,
     FIXED_B,
     FIXED_BPRIME,
     FREE_B,
@@ -322,3 +324,44 @@ class TestSupportBounds:
     def test_fixed_bound_is_vertex_maximum(self):
         # the pinned vertex (1/3, 1/3, 1/3) is built into the fixed Gram polynomial
         assert self.max_quarter_gram("fixed-centroid", 2) == FIXED_B
+
+    @pytest.mark.parametrize("case", ["free", "fixed-centroid"])
+    def test_verification_intervals_cover_the_support(self, case):
+        # the Sturm proofs run on [0, B'] and the grid programs on [0, end]
+        # in t = area, so both ends must reach sqrt(B)
+        b, bprime = _SUPPORT[case]
+        assert bprime * bprime >= b
+        end, _sense = cli._CASE_GRIDS[case]
+        assert end * end >= b
+
+
+class TestRefusedBeforeProof:
+    """A short table or an interval below the case's support bound is refused
+    before any interpolation or Sturm proof runs."""
+
+    @pytest.fixture
+    def proof_calls(self, monkeypatch):
+        calls = []
+        for name in ("hermite_interpolate", "sturm_nonneg_on_interval"):
+            real = getattr(certificates, name)
+            monkeypatch.setattr(
+                certificates, name,
+                lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args),
+            )
+        return calls
+
+    def test_short_tables(self, proof_calls, free_table, fixed_table):
+        short_free, short_fixed = moment_table("free", 6), moment_table("fixed-centroid", 14)
+        with pytest.raises(CapacityError):
+            build_certificate("lower", LOWER_SINGLE_NODES, LOWER_DOUBLE_NODES, short_free,
+                              FREE_B, FREE_BPRIME)
+        with pytest.raises(CapacityError, match="k=7"):
+            verify_counterexample(short_free, fixed_table)
+        with pytest.raises(CapacityError, match="k=15"):
+            verify_counterexample(free_table, short_fixed)
+        assert proof_calls == []
+
+    def test_interval_below_the_support_bound(self, proof_calls, free_table):
+        with pytest.raises(UsageError, match="below the free support bound 3/4"):
+            build_certificate("upper", (), (F(1, 20), F(1, 8)), free_table, FIXED_B, FIXED_BPRIME)
+        assert proof_calls == []

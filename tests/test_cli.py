@@ -175,6 +175,12 @@ class TestExitCodes:
         assert "verify-counterexample" in proc.stdout
 
 
+# an upper bound for the free mean from nodes that fit the pinned support
+# [0, 3/10] only; B and B' once came from the side, so this printed a
+# "verified" bound below the certified lower bound
+UNSOUND_UPPER = ["certify", "--side", "upper", "--case", "free", "--nodes", "1/20*2,1/8*2,3/10"]
+
+
 class TestRefusedBeforeWork:
     """Bad paths and malformed certificate input are usage errors raised
     before anything is computed."""
@@ -256,6 +262,21 @@ class TestRefusedBeforeWork:
         assert main(argv + extra) == 2
         assert message in capsys.readouterr().err
         assert not tables.exists()
+        assert not out.exists()
+
+    def test_interval_below_the_support_bound(
+        self, tmp_path, tables_dir, no_tables, monkeypatch, capsys
+    ):
+        import simplexmoments.cli as cli
+
+        def unread(*args):
+            raise AssertionError("a table was read before the refusal")
+
+        monkeypatch.setattr(cli, "_read_table", unread)
+        out = tmp_path / "r.json"
+        argv = UNSOUND_UPPER + ["--interval-b", "1/12", "--tables", tables_dir, "--out", str(out)]
+        assert main(argv) == 2
+        assert "interval_b 1/12 is below the free support bound 3/4" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -441,6 +462,13 @@ class TestCertify:
         )
         assert code == 0
         assert table_file in report["manifest"]["input_digests"]
+
+    def test_case_sets_the_interval(self, tmp_path, tables_dir, capsys):
+        # B, B' follow --case: the free support [0, 13/15] is where these fail
+        out = tmp_path / "r.json"
+        assert main(UNSOUND_UPPER + ["--tables", tables_dir, "--out", str(out)]) == 4
+        assert "bound polynomial fails on [0, 13/15]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_explicit_table_is_capacity(self, tmp_path):
         short = tmp_path / "short.json"

@@ -306,3 +306,8 @@ def test_is_polytopal():
     assert not is_polytopal(ball(2))
     assert not is_polytopal(product(halfball(2), F(1, 3)))
 
+
+
+def test_named_bodies_are_standard_simplices():
+    assert triangle_T2() == standard_simplex(2) == Body("simplex", 2)
+    assert tetrahedron_T3() == standard_simplex(3) == Body("simplex", 3)

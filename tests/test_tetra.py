@@ -247,19 +247,17 @@ def test_moment_table_values_and_check():
     assert table.value(0) == 1
     for k in range(1, 4):
         assert table.value(k) == FREE_MOMENTS[k - 1]
-    with pytest.raises(UsageError):
+    with pytest.raises(CapacityError):
         table.value(9)
 
 
 def test_moment_table_detects_bad_entries():
     good = moment_table(CASE_FIXED, 2)
-    bad = MomentTable(
-        good.case, good.k_max, ((0, F(1)), (1, F(1, 10)), (2, F(1, 5)))
-    )
+    bad = MomentTable(good.case, (F(1), F(1, 10), F(1, 5)))
     with pytest.raises(VerificationError):
         bad.check()
     with pytest.raises(VerificationError):
-        MomentTable(good.case, 1, ((0, F(2)), (1, F(1, 10)))).check()
+        MomentTable(good.case, (F(2), F(1, 10))).check()
 
 
 def test_moment_table_json_roundtrip():
@@ -300,9 +298,9 @@ def test_checkpoint_is_written_once_per_run(tmp_path, monkeypatch):
     writes = []
     real = tetra_mod._write_checkpoint
 
-    def counting(path, case, known):
-        writes.append(sorted(known))
-        real(path, case, known)
+    def counting(path, table):
+        writes.append(list(range(len(table.values))))
+        real(path, table)
 
     monkeypatch.setattr(tetra_mod, "_write_checkpoint", counting)
     moment_table(CASE_FREE, 3, checkpoint=path)
@@ -352,3 +350,37 @@ def test_checkpoint_without_case_is_usage_error(tmp_path):
     path.write_text(json.dumps({"entries": [{"k": 0, "value": "1"}]}), encoding="utf-8")
     with pytest.raises(UsageError):
         moment_table(CASE_FREE, 1, checkpoint=str(path))
+
+
+def test_upto_returns_the_prefix_or_refuses():
+    table = moment_table(CASE_FREE, 3)
+    assert table.values == (F(1), *FREE_MOMENTS[:3])
+    assert table.k_max == 3
+    assert table.upto(2) == (F(1), *FREE_MOMENTS[:2])
+    assert table.upto(3) == table.values
+    with pytest.raises(CapacityError) as err:
+        table.upto(4)
+    assert "reaches k=3 but k=4 is needed" in str(err.value)
+    for bad in (-1, True, 1.0):
+        with pytest.raises(UsageError):
+            table.upto(bad)
+
+
+def test_moment_table_extends_a_stored_prefix():
+    stored = moment_table(CASE_FREE, 2)
+    assert moment_table(CASE_FREE, 3, stored=stored).values == (F(1), *FREE_MOMENTS[:3])
+    # a longer stored table is cut to the requested orders
+    assert moment_table(CASE_FREE, 1, stored=stored).values == (F(1), FREE_MOMENTS[0])
+
+
+def test_from_json_refuses_a_gap_in_the_orders():
+    data = moment_table(CASE_FREE, 3).to_json()
+    del data["entries"][2]
+    with pytest.raises(VerificationError, match="missing k=2"):
+        MomentTable.from_json(data)
+
+
+def test_moment_table_refuses_a_stored_table_of_the_other_case():
+    # extending free orders with pinned ones would mix the two cases
+    with pytest.raises(UsageError, match="holds case 'free'"):
+        moment_table(CASE_FIXED, 3, stored=moment_table(CASE_FREE, 2))
