@@ -15,26 +15,31 @@ The command line tool lives in :mod:`simplexmoments.cli` and is not
 imported here; ``python -m simplexmoments`` runs it.  Every public name is
 listed in its module's ``__all__``, and the root re-exports them all.
 
-Only the modules that the exact verdict runs load with the root: errors,
-exact, tetra and certificates.  The names of geometry, chords, lp, mc and
-lifting load lazily: the root imports each of those modules the first time
-one of its names is read.  mc and lifting are the only modules that import
-numpy, so the exact layers never load it, and ``verify-counterexample``
-loads none of the five.
+The root imports none of its modules: each one loads the first time one
+of its names (or the module itself) is read from the root.  mc and
+lifting are the only modules that import numpy, so the exact layers never
+load it, and ``verify-counterexample`` loads only the modules the verdict
+runs: errors, exact, tetra and certificates, which the CLI imports.
 """
 
 __version__ = "0.1.0"
 
 from importlib import import_module
 
-from .errors import *
-from .exact import *
-from .tetra import *
-from .certificates import *
-
-# the public names of the lazy modules, loaded by __getattr__ on first use;
-# a test keeps these lists equal to each module's __all__
+# the public names of every module, in the order of __all__, loaded by
+# __getattr__ on first use; a test keeps these lists equal to each
+# module's __all__
 _LAZY_NAMES = {
+    "errors": ["CapacityError", "DomainError", "UsageError", "VerificationError"],
+    "exact": [
+        "format_rational",
+        "parse_rational",
+        "UniPoly",
+        "uni_eval",
+        "SturmChain",
+        "NonnegResult",
+        "sturm_nonneg_on_interval",
+    ],
     "geometry": [
         "Body",
         "ball",
@@ -59,7 +64,37 @@ _LAZY_NAMES = {
         "ratio_r",
         "unit_right_isosceles",
     ],
+    "tetra": [
+        "FREE_KMAX_LIMIT",
+        "FIXED_KMAX_LIMIT",
+        "MomentTable",
+        "even_moment",
+        "moment_table",
+    ],
     "lp": ["node_search", "rationalize"],
+    "certificates": [
+        "PIVOT",
+        "FREE_B",
+        "FREE_BPRIME",
+        "FIXED_B",
+        "FIXED_BPRIME",
+        "LOWER_SINGLE_NODES",
+        "LOWER_DOUBLE_NODES",
+        "UPPER_SINGLE_NODES",
+        "UPPER_DOUBLE_NODES",
+        "Certificate",
+        "hermite_interpolate",
+        "verify_bound_polynomial",
+        "bound_from_moments",
+        "build_certificate",
+        "lower_area_certificate",
+        "upper_area_certificate",
+        "verify_counterexample",
+        "certificate_to_json",
+        "certificate_from_json",
+        "error_polynomial",
+        "upper_sqrt_rational",
+    ],
     "mc": [
         "CHUNK_SIZE",
         "RNG_ALGORITHM",
@@ -92,15 +127,4 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY_NAMES) | set(_LAZY_MODULE))
 
 
-__all__ = (
-    errors.__all__
-    + exact.__all__
-    + _LAZY_NAMES["geometry"]
-    + _LAZY_NAMES["chords"]
-    + tetra.__all__
-    + _LAZY_NAMES["lp"]
-    + certificates.__all__
-    + _LAZY_NAMES["mc"]
-    + _LAZY_NAMES["lifting"]
-    + ["__version__"]
-)
+__all__ = [name for names in _LAZY_NAMES.values() for name in names] + ["__version__"]

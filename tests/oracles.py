@@ -14,6 +14,9 @@ two exactly:
   coupled integral, the engine that wrote the frozen tables;
 * :func:`gram_volume` - simplex volumes by an exact Gram determinant (or a
   singular-value product), against the Monte Carlo volume kernel;
+* :func:`simplex_volumes_unblocked` - the Monte Carlo volume kernel over
+  all rows at once, the form that froze the Monte Carlo goldens, against
+  the row-blocked kernel;
 * :func:`monomial_integral_T3` and :func:`boundary_residual` - the
   per-point factorial integral and the distance to a body's boundary;
 * :func:`solve_fraction_free` - an exact Bareiss solve of a square
@@ -507,6 +510,26 @@ def gram_volume(points) -> float:
     edges = mat[1:] - mat[0]
     sing = np.linalg.svd(edges, compute_uv=False)
     return float(np.prod(sing)) / math.factorial(n - 1)
+
+
+def simplex_volumes_unblocked(pts: np.ndarray) -> np.ndarray:
+    """(n-1)-volumes of an (m, n, d) vertex array, all m rows at once.
+
+    Modified Gram-Schmidt on the edges p_j - p_0 with whole-batch
+    temporaries; a zero residual divides by 1, so a repeated vertex gives
+    volume exactly 0.
+    """
+    n = pts.shape[1]
+    gram = np.ones(pts.shape[0])
+    residuals = []
+    for j in range(1, n):
+        r = pts[:, j, :] - pts[:, 0, :]
+        for u, uu in residuals:
+            r -= (np.einsum("md,md->m", r, u) / uu)[:, None] * u
+        rr = np.einsum("md,md->m", r, r)
+        gram *= rr
+        residuals.append((r, np.where(rr > 0.0, rr, 1.0)))
+    return np.sqrt(gram) / math.factorial(n - 1)
 
 
 def boundary_residual(body: Body, point) -> float:

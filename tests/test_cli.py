@@ -1166,16 +1166,42 @@ class TestNumpyOnlyForSampling:
         )
         assert probe == [False, False, True, "simplexmoments.lifting", True]
 
+    def test_root_import_loads_no_module(self):
+        loaded = fresh_python(
+            "import json, sys\n"
+            "import simplexmoments\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('simplexmoments'))))\n"
+        )
+        assert loaded == ["simplexmoments"]
+
     def test_lazy_name_lists_match_the_modules(self):
-        from simplexmoments import chords, geometry, lifting, lp, mc
+        from simplexmoments import (
+            certificates,
+            chords,
+            errors,
+            exact,
+            geometry,
+            lifting,
+            lp,
+            mc,
+            tetra,
+        )
 
         assert simplexmoments._LAZY_NAMES == {
+            "errors": errors.__all__,
+            "exact": exact.__all__,
             "geometry": geometry.__all__,
             "chords": chords.__all__,
+            "tetra": tetra.__all__,
             "lp": lp.__all__,
+            "certificates": certificates.__all__,
             "mc": mc.__all__,
             "lifting": lifting.__all__,
         }
+        modules = (errors, exact, geometry, chords, tetra, lp, certificates, mc, lifting)
+        assert simplexmoments.__all__ == [
+            name for module in modules for name in module.__all__
+        ] + ["__version__"]
         namespace = {}
         exec("from simplexmoments import *", namespace)
         assert set(simplexmoments.__all__) <= set(namespace)

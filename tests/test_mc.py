@@ -1,14 +1,17 @@
 """Tests for the Monte Carlo samplers and moment estimators."""
 
 import itertools
+import json
 import math
+import os
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from oracles import _gram_det_exact, boundary_residual
+from oracles import _gram_det_exact, boundary_residual, simplex_volumes_unblocked
 from simplexmoments.chords import (
     EdgePointSpec,
     TriangleSpec,
@@ -27,7 +30,9 @@ from simplexmoments.geometry import (
     tetrahedron_T3,
     triangle_T2,
 )
+from simplexmoments.lifting import boundary_convergence_sweep, interior_convergence_sweep
 from simplexmoments.mc import (
+    _BLOCK_ROWS,
     CHUNK_SIZE,
     EstimateWithError,
     RngStream,
@@ -122,6 +127,17 @@ class TestSampleUniform:
                 got = sample_uniform(standard_simplex(d), stream, size=m)
                 assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize(
+        "body",
+        [tetrahedron_T3(), cube(3), ball(3), halfball(3), product(triangle_T2(), F(1, 4))],
+        ids=lambda body: body.kind,
+    )
+    def test_points_are_contiguous_and_own_their_data(self, body):
+        # the simplex sampler normalizes in place and returns a strided view
+        for size in (None, 1, 5):
+            pts = sample_uniform(body, RngStream(29), size=size)
+            assert pts.flags.c_contiguous and pts.flags.owndata
+
     def test_single_point_shape(self):
         pt = sample_uniform(cube(3), RngStream(23))
         assert pt.shape == (3,)
@@ -210,6 +226,27 @@ class TestSimplexVolumes:
             same = np.broadcast_to(gen.random(4), (50, n, 4)).copy()
             assert np.all(_simplex_volumes(same) == 0)
 
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "origin"])
+    @pytest.mark.parametrize(
+        "m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17]
+    )
+    def test_blocks_match_the_unblocked_kernel(self, m, pinned):
+        gen = RngStream(139, m).generator()
+        for n in (2, 3, 4, 5):
+            for d in range(n - 1, 6):
+                pts = gen.random((m, n, d))
+                if pinned:
+                    pts[:, 0] = pts[0, 0]
+                # a repeated vertex in the first and the last row
+                pts[0, 1] = pts[0, 0]
+                pts[-1, -1] = pts[-1, 0]
+                if pinned:
+                    got = _simplex_volumes(pts[:, 1:], origin=pts[0, 0])
+                else:
+                    got = _simplex_volumes(pts)
+                assert np.array_equal(got, simplex_volumes_unblocked(pts))
+                assert got[0] == 0.0 and got[-1] == 0.0
+
     def test_degenerate_simplex_has_zero_facets(self):
         pts = np.zeros((4, 3, 3))
         pts += np.array([0.3, 0.4, 0.1])
@@ -229,6 +266,24 @@ class TestSimplexVolumes:
             totals += _simplex_volumes(pts[:, keep, :])
             permuted += _simplex_volumes(pts[:, keep, :][:, :, [2, 0, 1]])
         assert np.allclose(totals, permuted, atol=1e-12)
+
+
+@pytest.mark.parametrize("fixed", [None, (1 / 3, 1 / 3, 1 / 3)], ids=["free", "pinned"])
+def test_one_chunk_peak_memory(fixed):
+    # one T3 triangle chunk: the exponential draw of its random vertices,
+    # plus at most half that again in the normalization and the volume kernel
+    t3 = tetrahedron_T3()
+    n_random = 3 if fixed is None else 2
+    draw_bytes = CHUNK_SIZE * n_random * (t3.dim + 1) * np.dtype(float).itemsize
+    estimate_moment(t3, 3, 1, fixed=fixed, samples=16, seed=149)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimate_moment(t3, 3, 1, fixed=fixed, samples=CHUNK_SIZE, seed=151)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * draw_bytes
 
 
 class TestChunkMerge:
@@ -352,3 +407,54 @@ class TestEstimateMoment:
             with pytest.raises(UsageError):
                 _run_chunks(worker, 10, 1, threads)
         assert chunks == []
+
+
+# Two full chunks and a partial one of 8193 trials: more than one row block
+# of the volume kernel in every chunk, with a partial last block in each.
+BLOCK_SAMPLES = 2 * CHUNK_SIZE + 8193
+BLOCK_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "mc_blocks_golden.json")
+
+
+def _estimate_record(est, **extra):
+    record = {"mean": est.mean.hex(), "std_error": est.std_error.hex(), "samples": est.samples}
+    record.update((key, value.hex()) for key, value in extra.items())
+    return record
+
+
+def _sweep_row_record(result):
+    # the reference enters only the verdict, which is not recorded
+    row = result["rows"][0]
+    extra = {"flat_probability": row["flat_probability"]} if "flat_probability" in row else {}
+    return _estimate_record(row["estimate"], **extra)
+
+
+BLOCK_GOLDEN_CASES = {
+    "T3 free n=3 k=1": lambda threads: _estimate_record(estimate_moment(
+        tetrahedron_T3(), 3, 1, samples=BLOCK_SAMPLES, seed=211, threads=threads)),
+    "T3 pinned n=3 k=1": lambda threads: _estimate_record(estimate_moment(
+        tetrahedron_T3(), 3, 1, fixed=(1 / 3, 1 / 3, 1 / 3), samples=BLOCK_SAMPLES,
+        seed=223, threads=threads)),
+    "T2 n=3 k=2": lambda threads: _estimate_record(estimate_moment(
+        triangle_T2(), 3, 2, samples=BLOCK_SAMPLES, seed=227, threads=threads)),
+    "cube d=3 n=4": lambda threads: _estimate_record(estimate_moment(
+        cube(3), 4, 1, samples=BLOCK_SAMPLES, seed=229, threads=threads)),
+    "ball d=3 n=4": lambda threads: _estimate_record(estimate_moment(
+        ball(3), 4, 1, samples=BLOCK_SAMPLES, seed=233, threads=threads)),
+    "interior prism row": lambda threads: _sweep_row_record(interior_convergence_sweep(
+        triangle_T2(), 3, 1, [F(1, 4)], fixed=(1 / 3, 1 / 3), samples=BLOCK_SAMPLES,
+        seed=239, threads=threads, reference=F(1, 24))),
+    "boundary sweep row": lambda threads: _sweep_row_record(boundary_convergence_sweep(
+        triangle_T2(), 3, 1, [F(1, 4)], samples=BLOCK_SAMPLES, seed=241, threads=threads,
+        reference=F(1, 24))),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", list(BLOCK_GOLDEN_CASES))
+def test_multi_block_estimates_match_golden_file(case, threads):
+    # frozen from the unblocked kernel, as float.hex: bit for bit
+    with open(BLOCK_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert golden["samples"] == BLOCK_SAMPLES
+    assert sorted(golden["cases"]) == sorted(BLOCK_GOLDEN_CASES)
+    assert BLOCK_GOLDEN_CASES[case](threads) == golden["cases"][case]
