@@ -56,13 +56,11 @@ _LAZY_NAMES = {
     ],
     "chords": [
         "TriangleSpec",
-        "EdgePointSpec",
         "csc_power_antiderivative",
         "vertex_moment",
         "edgepoint_moment",
         "chord_moment",
         "ratio_r",
-        "unit_right_isosceles",
     ],
     "tetra": [
         "FREE_KMAX_LIMIT",
@@ -87,11 +85,8 @@ _LAZY_NAMES = {
         "verify_bound_polynomial",
         "bound_from_moments",
         "build_certificate",
-        "lower_area_certificate",
-        "upper_area_certificate",
         "verify_counterexample",
         "certificate_to_json",
-        "certificate_from_json",
         "error_polynomial",
         "upper_sqrt_rational",
     ],

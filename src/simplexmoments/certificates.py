@@ -20,6 +20,11 @@ proves the pinned mean is strictly smaller than the unpinned one, a fact
 the exactly computable even moments cannot settle on their own.  The whole
 chain (moments, interpolation, Sturm check, comparison) is exact rational
 arithmetic from end to end.
+
+A Certificate comes into being only as the output of ``build_certificate``,
+after its proof succeeded, so every one of them means "proved".
+``certificate_to_json`` writes its report form; nothing reads that form
+back into a Certificate, since a JSON record carries no proof.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .exact import (
     UniPoly,
     _as_fraction,
     format_rational,
-    parse_rational,
     sturm_nonneg_on_interval,
 )
 
@@ -53,11 +57,8 @@ __all__ = [
     "verify_bound_polynomial",
     "bound_from_moments",
     "build_certificate",
-    "lower_area_certificate",
-    "upper_area_certificate",
     "verify_counterexample",
     "certificate_to_json",
-    "certificate_from_json",
     "error_polynomial",
     "upper_sqrt_rational",
 ]
@@ -108,7 +109,8 @@ def _degree(single_nodes: Sequence, double_nodes: Sequence) -> int:
 
 
 class Certificate(NamedTuple):
-    """An exactly verified one-sided polynomial bound for E V.
+    """An exactly verified one-sided polynomial bound for E V, made only
+    by ``build_certificate``.
 
     ``side`` is "lower" (poly(t^2) <= t on [0, bprime]) or "upper"
     (poly(t^2) >= t there); ``interval_b`` bounds the support of V^2, and
@@ -124,7 +126,6 @@ class Certificate(NamedTuple):
     interval_b: Fraction
     bprime: Fraction
     bound: Fraction
-    verified: bool
 
 
 def upper_sqrt_rational(b, max_den: int = 64) -> Fraction:
@@ -279,20 +280,7 @@ def build_certificate(
         interval_b=b,
         bprime=bprime,
         bound=bound,
-        verified=True,
     )
-
-
-def lower_area_certificate(free_table) -> Certificate:
-    """The canonical degree-7 lower bound for the unpinned mean area."""
-    case, singles, doubles = _CANONICAL["lower"]
-    return build_certificate("lower", singles, doubles, free_table, *_SUPPORT[case])
-
-
-def upper_area_certificate(fixed_table) -> Certificate:
-    """The canonical degree-15 upper bound for the centroid-pinned mean."""
-    case, singles, doubles = _CANONICAL["upper"]
-    return build_certificate("upper", singles, doubles, fixed_table, *_SUPPORT[case])
 
 
 def verify_counterexample(free_table, fixed_table) -> dict:
@@ -306,16 +294,17 @@ def verify_counterexample(free_table, fixed_table) -> dict:
     comparison.
     """
     # both tables are checked before either proof runs
+    proofs = []
     for side, table in (("lower", free_table), ("upper", fixed_table)):
         case, singles, doubles = _CANONICAL[side]
         if table.case != case:
             raise UsageError("the %s bound needs %s moments, got %s" % (side, case, table.case))
         table.upto(_degree(singles, doubles))
+        proofs.append((side, singles, doubles, table) + _SUPPORT[case])
 
     mu2_free = free_table.value(1)
     mu2_fixed = fixed_table.value(1)
-    lower = lower_area_certificate(free_table)
-    upper = upper_area_certificate(fixed_table)
+    lower, upper = (build_certificate(*proof) for proof in proofs)
     separation = lower.bound - upper.bound
     report = {
         "second_moment": {
@@ -352,18 +341,6 @@ def certificate_to_json(cert: Certificate) -> dict:
         "interval_B": format_rational(cert.interval_b),
         "interval_Bprime": format_rational(cert.bprime),
         "bound": format_rational(cert.bound),
-        "verified": cert.verified,
+        # build_certificate returns only proved certificates
+        "verified": True,
     }
-
-
-def certificate_from_json(data: dict) -> Certificate:
-    return Certificate(
-        side=data["side"],
-        poly=UniPoly([parse_rational(c) for c in data["coefficients"]]),
-        single_nodes=tuple(parse_rational(t) for t in data["nodes"]["single"]),
-        double_nodes=tuple(parse_rational(t) for t in data["nodes"]["double"]),
-        interval_b=parse_rational(data["interval_B"]),
-        bprime=parse_rational(data["interval_Bprime"]),
-        bound=parse_rational(data["bound"]),
-        verified=bool(data["verified"]),
-    )

@@ -3,8 +3,8 @@
 Three families of moments for a planar triangle:
 
 * the k-th moment of the distance of one uniform point from a vertex,
-* the same from an arbitrary point on an edge (split into two sub-triangles
-  and averaged with area weights),
+* the same from a point on the edge AB, given by its distance c1 from A
+  (split into two sub-triangles and averaged with area weights),
 * the k-th moment of the distance between two independent uniform points.
 
 Every formula reduces to the antiderivative of integer powers of the
@@ -24,19 +24,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
 
 from .errors import CapacityError, DomainError, UsageError, _count
 
 __all__ = [
     "TriangleSpec",
-    "EdgePointSpec",
     "csc_power_antiderivative",
     "vertex_moment",
     "edgepoint_moment",
     "chord_moment",
     "ratio_r",
-    "unit_right_isosceles",
 ]
 
 
@@ -148,27 +145,6 @@ class TriangleSpec:
         return self.a * self.c * math.sin(self.beta) / 2.0
 
 
-def unit_right_isosceles() -> TriangleSpec:
-    """The triangle with vertices (0,0), (1,0), (0,1)."""
-    return TriangleSpec.from_sides(math.sqrt(2.0), 1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class EdgePointSpec:
-    """A point D on the edge AB, located c1 away from A.
-
-    The closed interval [0, c] is accepted; the endpoints degenerate to the
-    vertices A and B and the moment machinery falls back to the vertex
-    formula there.
-    """
-
-    c1: float
-
-    def validate(self, t: TriangleSpec) -> None:
-        if not 0.0 <= float(self.c1) <= t.c:
-            raise DomainError("edge point must satisfy 0 <= c1 <= c")
-
-
 _VERTEX_LABELS = {"A": 0, "B": 1, "C": 2}
 
 
@@ -201,15 +177,19 @@ def _vertex_moment(t: TriangleSpec, i: int, k: int) -> float:
     return 2.0 * height ** (k + 1) / (m * opp) * diff
 
 
-def edgepoint_moment(t: TriangleSpec, e: EdgePointSpec, k: int) -> float:
-    """k-th moment of the distance of a uniform point from a point on AB.
+def edgepoint_moment(t: TriangleSpec, c1: float, k: int) -> float:
+    """k-th moment of the distance of a uniform point from the point D on
+    AB that lies c1 away from A.
 
     The segment DC splits the triangle into ACD and DBC; the moment is the
-    area-weighted average of the two vertex moments taken at D.
+    area-weighted average of the two vertex moments taken at D.  The closed
+    interval 0 <= c1 <= c is accepted: its endpoints are the vertices A and
+    B, where the vertex formula is used.
     """
     _count(k, "moment order k")
-    e.validate(t)
-    c1 = float(e.c1)
+    c1 = float(c1)
+    if not 0.0 <= c1 <= t.c:
+        raise DomainError("edge point must satisfy 0 <= c1 <= c")
     if c1 == 0.0:
         return vertex_moment(t, "A", k)
     if c1 == t.c:

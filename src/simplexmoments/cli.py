@@ -34,7 +34,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .certificates import (
@@ -96,7 +96,8 @@ class _RunContext:
         self.argv = list(argv)
         self.threads = threads
         self.seeds: List[int] = []
-        self.input_files: List[str] = []
+        # path -> digest of the bytes first read, before any checkpoint rewrite
+        self.input_digests: Dict[str, str] = {}
         self.output_files: List[str] = []
         self.exit_code = 0
 
@@ -112,7 +113,7 @@ class _RunContext:
                 # null unless a sampling command loaded it
                 "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
             },
-            "input_digests": {p: _digest_file(p) for p in dict.fromkeys(self.input_files)},
+            "input_digests": self.input_digests,
             "output_digests": {p: _digest_file(p) for p in dict.fromkeys(self.output_files)},
             "threads": self.threads,
             "wall_time_seconds": wall_time,
@@ -286,7 +287,7 @@ def _obtain_table(
     stored = None
     if table_file or (path and os.path.exists(path)):
         stored = _read_table(path, key)
-        ctx.input_files.append(path)
+        ctx.input_digests.setdefault(path, _digest_file(path))
         try:
             stored.upto(k_max)
             return stored
@@ -305,7 +306,7 @@ def _obtain_table(
 
 
 def _cmd_chords(args, ctx: _RunContext) -> dict:
-    from .chords import EdgePointSpec, chord_moment, edgepoint_moment, vertex_moment
+    from .chords import chord_moment, edgepoint_moment, vertex_moment
 
     spec = _parse_triangle(args.triangle)
     k = args.k
@@ -315,14 +316,14 @@ def _cmd_chords(args, ctx: _RunContext) -> dict:
     elif args.fixed == "midpoint-hypotenuse":
         formula = "edge-pinned"
         rotated = _rotate_longest_to_c(spec)
-        value = edgepoint_moment(rotated, EdgePointSpec(rotated.c / 2.0), k)
+        value = edgepoint_moment(rotated, rotated.c / 2.0, k)
     elif args.fixed.startswith("vertex:"):
         formula = "vertex-pinned"
         value = vertex_moment(spec, args.fixed.split(":", 1)[1], k)
     elif args.fixed.startswith("edge:"):
         formula = "edge-pinned"
         c1 = float(_parse_fraction(args.fixed.split(":", 1)[1]))
-        value = edgepoint_moment(spec, EdgePointSpec(c1), k)
+        value = edgepoint_moment(spec, c1, k)
     else:
         raise UsageError(
             "--fixed must be 'midpoint-hypotenuse', 'vertex:A|B|C' or "
@@ -530,10 +531,10 @@ def _check_close(label: str, value: float, target, tolerance: float) -> dict:
 
 
 def _reproduce_chords() -> dict:
-    from .chords import EdgePointSpec, TriangleSpec, chord_moment, edgepoint_moment
+    from .chords import TriangleSpec, chord_moment, edgepoint_moment
 
     spec = TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
-    mid = EdgePointSpec(math.sqrt(2.0) / 2.0)
+    mid = math.sqrt(2.0) / 2.0
     entries = [
         _check_close("two-point k=2", chord_moment(spec, 2), Fraction(2, 9), 1e-10),
         _check_close("two-point k=4", chord_moment(spec, 4), Fraction(1, 10), 1e-10),
@@ -556,10 +557,10 @@ def _reproduce_chords() -> dict:
 
 
 def _reproduce_ratio_law() -> dict:
-    from .chords import EdgePointSpec, TriangleSpec, chord_moment, edgepoint_moment, ratio_r
+    from .chords import TriangleSpec, chord_moment, edgepoint_moment, ratio_r
 
     spec = TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
-    mid = EdgePointSpec(math.sqrt(2.0) / 2.0)
+    mid = math.sqrt(2.0) / 2.0
     deviations = [
         abs(ratio_r(k) - edgepoint_moment(spec, mid, k) / chord_moment(spec, k))
         for k in range(1, 13)

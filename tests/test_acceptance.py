@@ -25,15 +25,12 @@ import pytest
 
 from simplexmoments.certificates import (
     PIVOT,
-    certificate_from_json,
-    certificate_to_json,
+    bound_from_moments,
     error_polynomial,
-    lower_area_certificate,
-    upper_area_certificate,
+    verify_bound_polynomial,
     verify_counterexample,
 )
 from simplexmoments.chords import (
-    EdgePointSpec,
     TriangleSpec,
     chord_moment,
     edgepoint_moment,
@@ -83,6 +80,17 @@ def fixed_table():
     return moment_table("fixed-centroid", 15)
 
 
+@pytest.fixture(scope="module")
+def report(free_table, fixed_table):
+    return verify_counterexample(free_table, fixed_table)
+
+
+def assert_proved(cert, table):
+    """Re-prove a certificate from its own fields, independently of how it was made."""
+    assert verify_bound_polynomial(cert.poly, cert.side, cert.interval_b, cert.bprime)
+    assert bound_from_moments(cert.poly, table) == cert.bound
+
+
 def right_isosceles():
     return TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
 
@@ -112,7 +120,7 @@ class TestEvenMomentTables:
 class TestChordClosedForms:
     def test_exact_rational_values(self):
         spec = right_isosceles()
-        mid = EdgePointSpec(math.sqrt(2.0) / 2.0)
+        mid = math.sqrt(2.0) / 2.0
         assert abs(chord_moment(spec, 2) - F(2, 9)) < 1e-10
         assert abs(chord_moment(spec, 4) - F(1, 10)) < 1e-10
         assert abs(edgepoint_moment(spec, mid, 2) - F(1, 6)) < 1e-10
@@ -120,7 +128,7 @@ class TestChordClosedForms:
 
     def test_four_digit_decimals(self):
         spec = right_isosceles()
-        mid = EdgePointSpec(math.sqrt(2.0) / 2.0)
+        mid = math.sqrt(2.0) / 2.0
         assert abs(chord_moment(spec, 1) - 0.4142) < 1e-4
         assert abs(chord_moment(spec, 3) - 0.1405) < 1e-4
         assert abs(edgepoint_moment(spec, mid, 1) - 0.3825) < 1e-4
@@ -130,7 +138,7 @@ class TestChordClosedForms:
 class TestPinningRatioLaw:
     def test_matches_moment_quotient(self):
         spec = right_isosceles()
-        mid = EdgePointSpec(math.sqrt(2.0) / 2.0)
+        mid = math.sqrt(2.0) / 2.0
         for k in range(1, 13):
             quotient = edgepoint_moment(spec, mid, k) / chord_moment(spec, k)
             assert abs(ratio_r(k) - quotient) < 1e-10
@@ -174,18 +182,18 @@ class TestNodeSearchThresholds:
 
 
 class TestCanonicalCertificates:
-    def test_lower_certificate_exceeds_pivot(self, free_table):
-        cert = lower_area_certificate(free_table)
-        assert cert.verified
+    def test_lower_certificate_exceeds_pivot(self, report, free_table):
+        cert = report["lower_certificate"]
+        assert_proved(cert, free_table)
         assert cert.poly.degree == 7
         assert cert.single_nodes == (F(0), F(47, 54))
         assert cert.double_nodes == (F(2, 19), F(4, 15), F(8, 17))
         assert isinstance(cert.bound, F)
         assert cert.bound > PIVOT
 
-    def test_upper_certificate_below_pivot(self, fixed_table):
-        cert = upper_area_certificate(fixed_table)
-        assert cert.verified
+    def test_upper_certificate_below_pivot(self, report, fixed_table):
+        cert = report["upper_certificate"]
+        assert_proved(cert, fixed_table)
         assert cert.poly.degree == 15
         assert len(cert.double_nodes) == 8
         assert isinstance(cert.bound, F)
@@ -284,14 +292,8 @@ class TestPropertyCrossSection:
         assert again.k_max == free_table.k_max
         assert again.values == free_table.values
 
-    def test_certificate_json_round_trip(self, free_table):
-        cert = lower_area_certificate(free_table)
-        again = certificate_from_json(certificate_to_json(cert))
-        assert again == cert
-        assert again.bound == cert.bound
-
-    def test_sturm_verdict_matches_dense_evaluation(self, free_table):
-        cert = lower_area_certificate(free_table)
+    def test_sturm_verdict_matches_dense_evaluation(self, report):
+        cert = report["lower_certificate"]
         g = error_polynomial(cert.poly, "lower")
         for i in range(401):
             t = cert.bprime * F(i, 400)
@@ -318,22 +320,20 @@ class TestPublicNames:
 
         assert sorted(simplexmoments.__all__) == [
         "Body", "CHUNK_SIZE", "CapacityError", "Certificate", "DomainError",
-        "EdgePointSpec", "EstimateWithError", "FIXED_B", "FIXED_BPRIME",
-        "FIXED_KMAX_LIMIT", "FREE_B", "FREE_BPRIME", "FREE_KMAX_LIMIT",
-        "LOWER_DOUBLE_NODES", "LOWER_SINGLE_NODES", "MomentTable", "NonnegResult",
-        "PIVOT", "RNG_ALGORITHM", "RngStream", "SturmChain", "TriangleSpec",
-        "UPPER_DOUBLE_NODES", "UPPER_SINGLE_NODES", "UniPoly", "UsageError",
-        "VerificationError", "__version__", "ball", "body_measures",
-        "bound_from_moments", "boundary_convergence_sweep", "build_certificate",
-        "certificate_from_json", "certificate_to_json", "chord_moment", "contains",
+        "EstimateWithError", "FIXED_B", "FIXED_BPRIME", "FIXED_KMAX_LIMIT", "FREE_B",
+        "FREE_BPRIME", "FREE_KMAX_LIMIT", "LOWER_DOUBLE_NODES", "LOWER_SINGLE_NODES",
+        "MomentTable", "NonnegResult", "PIVOT", "RNG_ALGORITHM", "RngStream",
+        "SturmChain", "TriangleSpec", "UPPER_DOUBLE_NODES", "UPPER_SINGLE_NODES",
+        "UniPoly", "UsageError", "VerificationError", "__version__", "ball",
+        "body_measures", "bound_from_moments", "boundary_convergence_sweep",
+        "build_certificate", "certificate_to_json", "chord_moment", "contains",
         "csc_power_antiderivative", "cube", "edgepoint_moment", "error_polynomial",
         "estimate_moment", "even_moment", "format_rational", "halfball",
         "hermite_interpolate", "interior_convergence_sweep", "is_polytopal",
-        "lift_body", "lower_area_certificate", "moment_table", "node_search",
-        "parse_rational", "polygon_edges", "product", "ratio_r", "rationalize",
-        "sample_boundary_uniform", "sample_uniform", "standard_simplex",
-        "sturm_nonneg_on_interval", "tetrahedron_T3", "triangle_T2", "uni_eval",
-        "unit_right_isosceles", "upper_area_certificate", "upper_sqrt_rational",
+        "lift_body", "moment_table", "node_search", "parse_rational", "polygon_edges",
+        "product", "ratio_r", "rationalize", "sample_boundary_uniform",
+        "sample_uniform", "standard_simplex", "sturm_nonneg_on_interval",
+        "tetrahedron_T3", "triangle_T2", "uni_eval", "upper_sqrt_rational",
         "verify_bound_polynomial", "verify_counterexample", "vertex_moment",
         ]
         for name in simplexmoments.__all__:

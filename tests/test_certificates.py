@@ -19,15 +19,11 @@ from simplexmoments.certificates import (
     PIVOT,
     UPPER_DOUBLE_NODES,
     UPPER_SINGLE_NODES,
-    Certificate,
     bound_from_moments,
     build_certificate,
-    certificate_from_json,
     certificate_to_json,
     error_polynomial,
     hermite_interpolate,
-    lower_area_certificate,
-    upper_area_certificate,
     upper_sqrt_rational,
     verify_bound_polynomial,
     verify_counterexample,
@@ -45,6 +41,17 @@ def free_table():
 @pytest.fixture(scope="module")
 def fixed_table():
     return moment_table("fixed-centroid", 15)
+
+
+@pytest.fixture(scope="module")
+def report(free_table, fixed_table):
+    return verify_counterexample(free_table, fixed_table)
+
+
+def assert_proved(cert, table):
+    """Re-prove a certificate from its own fields, independently of how it was made."""
+    assert verify_bound_polynomial(cert.poly, cert.side, cert.interval_b, cert.bprime)
+    assert bound_from_moments(cert.poly, table) == cert.bound
 
 
 class TestHermiteInterpolate:
@@ -165,9 +172,9 @@ class TestVerifyBoundPolynomial:
 
 
 class TestCanonicalCertificates:
-    def test_lower_certificate(self, free_table):
-        cert = lower_area_certificate(free_table)
-        assert cert.verified
+    def test_lower_certificate(self, report, free_table):
+        cert = report["lower_certificate"]
+        assert_proved(cert, free_table)
         assert cert.side == "lower"
         assert cert.poly.degree == 7
         # the single node at t=0 forces a vanishing constant term
@@ -177,9 +184,9 @@ class TestCanonicalCertificates:
         assert cert.bound > PIVOT
         assert abs(float(cert.bound) - 0.0469426072942836) < 1e-15
 
-    def test_upper_certificate(self, fixed_table):
-        cert = upper_area_certificate(fixed_table)
-        assert cert.verified
+    def test_upper_certificate(self, report, fixed_table):
+        cert = report["upper_certificate"]
+        assert_proved(cert, fixed_table)
         assert cert.side == "upper"
         assert cert.poly.degree == 15
         assert cert.interval_b == FIXED_B == F(1, 12)
@@ -187,8 +194,8 @@ class TestCanonicalCertificates:
         assert cert.bound < PIVOT
         assert abs(float(cert.bound) - 0.046941181924980355) < 1e-15
 
-    def test_lower_error_polynomial_root_structure(self, free_table):
-        cert = lower_area_certificate(free_table)
+    def test_lower_error_polynomial_root_structure(self, report):
+        cert = report["lower_certificate"]
         g = error_polynomial(cert.poly, "lower")
         g1 = UniPoly(ref_derivative(g.coeffs))
         g2 = UniPoly(ref_derivative(g1.coeffs))
@@ -210,10 +217,10 @@ class TestCanonicalCertificates:
         for t in LOWER_DOUBLE_NODES:
             assert multiplicity[t] == 2
 
-    def test_lower_bound_fails_beyond_last_touch_point(self, free_table):
+    def test_lower_bound_fails_beyond_last_touch_point(self, report):
         # the error changes sign at the simple node t = 47/54, so widening
         # the verified interval past it must fail with a witness
-        cert = lower_area_certificate(free_table)
+        cert = report["lower_certificate"]
         g = error_polynomial(cert.poly, "lower")
         assert uni_eval(g, F(7, 8)) < 0
         result = verify_bound_polynomial(cert.poly, "lower", FREE_B, F(7, 8))
@@ -227,7 +234,7 @@ class TestCanonicalCertificates:
             "upper", (), UPPER_DOUBLE_NODES, fixed_table, FIXED_B
         )
         assert cert.bprime == F(13, 45)
-        assert cert.verified
+        assert_proved(cert, fixed_table)
 
     def test_degree_six_lower_bounds_stay_under_threshold(self, free_table):
         # degree 6 is structurally unable to reach the pivot: verified
@@ -293,16 +300,13 @@ class TestVerifyCounterexample:
 
 
 class TestCertificateJson:
-    def test_roundtrip(self, free_table):
-        cert = lower_area_certificate(free_table)
-        data = certificate_to_json(cert)
+    def test_roundtrip(self, report):
+        data = certificate_to_json(report["lower_certificate"])
         assert data["side"] == "lower"
         assert data["interval_B"] == "3/4"
         assert data["interval_Bprime"] == "13/15"
         assert data["verified"] is True
         assert data["nodes"]["double"] == ["2/19", "4/15", "8/17"]
-        back = certificate_from_json(data)
-        assert back == cert
 
 
 class TestSupportBounds:

@@ -8,13 +8,11 @@ import pytest
 from scipy import integrate
 
 from simplexmoments.chords import (
-    EdgePointSpec,
     TriangleSpec,
     chord_moment,
     csc_power_antiderivative,
     edgepoint_moment,
     ratio_r,
-    unit_right_isosceles,
     vertex_moment,
 )
 from simplexmoments.errors import CapacityError, DomainError, UsageError
@@ -22,10 +20,10 @@ from simplexmoments.errors import CapacityError, DomainError, UsageError
 ASINH1 = math.asinh(1.0)
 SQRT2 = math.sqrt(2.0)
 
-# T2 with the hypotenuse as edge AB, so the hypotenuse midpoint is an
-# EdgePointSpec with c1 = sqrt(2)/2
+# T2 with the hypotenuse as edge AB, so the hypotenuse midpoint is the
+# edge point c1 = sqrt(2)/2
 T2_HYP = TriangleSpec.from_sides(1.0, 1.0, SQRT2)
-HYP_MID = EdgePointSpec(SQRT2 / 2.0)
+HYP_MID = SQRT2 / 2.0
 
 
 # --------------------------------------------------------------------------
@@ -159,10 +157,10 @@ def test_triangle_spec_rejects_degenerate():
 def test_edge_point_spec_geometry():
     # the closed edge [0, c] is accepted, endpoints included
     for c1 in (0.0, 0.1, SQRT2 / 2, T2_HYP.c):
-        EdgePointSpec(c1).validate(T2_HYP)
+        assert edgepoint_moment(T2_HYP, c1, 2) > 0.0
     for c1 in (-0.2, T2_HYP.c + 1e-9):
         with pytest.raises(DomainError):
-            EdgePointSpec(c1).validate(T2_HYP)
+            edgepoint_moment(T2_HYP, c1, 2)
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +170,7 @@ def test_edge_point_spec_geometry():
 def test_vertex_moment_right_angle_of_T2():
     # E (x^2 + y^2) over the unit right triangle, taken from the corner at
     # the right angle: exact value 1/3
-    t = unit_right_isosceles()
+    t = TriangleSpec.from_sides(SQRT2, 1.0, 1.0)
     assert t.alpha == pytest.approx(math.pi / 2)
     assert vertex_moment(t, "A", 2) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
@@ -215,7 +213,7 @@ def test_vertex_moment_345_matches_monte_carlo():
 
 
 def test_vertex_moment_argument_checks():
-    t = unit_right_isosceles()
+    t = TriangleSpec.from_sides(SQRT2, 1.0, 1.0)
     with pytest.raises(UsageError):
         vertex_moment(t, "D", 2)
     with pytest.raises(UsageError):
@@ -259,7 +257,7 @@ def test_edgepoint_moment_against_quadrature():
         va, vb, vc = random_triangle(rng)
         t = TriangleSpec.from_vertices(va, vb, vc)
         frac = rng.uniform(0.15, 0.85)
-        spec = EdgePointSpec(frac * t.c)
+        c1 = frac * t.c
         # D sits on edge AB at distance c1 from A
         p = (
             va[0] + frac * (vb[0] - va[0]),
@@ -267,7 +265,7 @@ def test_edgepoint_moment_against_quadrature():
         )
         for k in (1, 2, 3):
             want = quad_point_moment(va, vb, vc, p, k)
-            assert edgepoint_moment(t, spec, k) == pytest.approx(
+            assert edgepoint_moment(t, c1, k) == pytest.approx(
                 want, rel=1e-8, abs=1e-10
             )
 
@@ -275,12 +273,8 @@ def test_edgepoint_moment_against_quadrature():
 def test_edgepoint_moment_endpoint_fallback():
     t = T2_HYP
     for k in (1, 3):
-        assert edgepoint_moment(t, EdgePointSpec(0.0), k) == vertex_moment(
-            t, "A", k
-        )
-        assert edgepoint_moment(t, EdgePointSpec(t.c), k) == vertex_moment(
-            t, "B", k
-        )
+        assert edgepoint_moment(t, 0.0, k) == vertex_moment(t, "A", k)
+        assert edgepoint_moment(t, t.c, k) == vertex_moment(t, "B", k)
 
 
 # --------------------------------------------------------------------------

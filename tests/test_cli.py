@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface and its reports."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 
 import simplexmoments
 from simplexmoments.cli import main
-from simplexmoments.chords import EdgePointSpec, TriangleSpec, edgepoint_moment
+from simplexmoments.chords import TriangleSpec, edgepoint_moment
 from simplexmoments.tetra import MomentTable
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
@@ -318,7 +319,7 @@ class TestChords:
         )
         assert code == 0
         spec = TriangleSpec.from_sides(3.0, 4.0, 5.0)
-        want = edgepoint_moment(spec, EdgePointSpec(2.0), 3)
+        want = edgepoint_moment(spec, 2.0, 3)
         assert report["result"]["value"] == pytest.approx(want, abs=1e-14)
 
     def test_scalene_free_runs(self, tmp_path):
@@ -378,6 +379,24 @@ class TestTetraMoments:
             stored = json.load(fh)
         assert stored["case"] == "free"
         assert {e["k"] for e in stored["entries"]} == {0, 1, 2, 3}
+
+    def test_extended_checkpoint_records_the_bytes_read(self, tmp_path):
+        # the input digest is of the k <= 2 file that was read, not of the
+        # k <= 3 file the same command wrote over it
+        tables = tmp_path / "tables"
+        assert run_cli(["tetra-moments", "--case", "free", "--kmax", "2", "--tables",
+                        tables], tmp_path / "a.json")[0] == 0
+        table_file = str(tables / "free_moments.json")
+        with open(table_file, "rb") as fh:
+            read = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        code, report = run_cli(
+            ["tetra-moments", "--case", "free", "--kmax", "3", "--tables", tables],
+            tmp_path / "b.json",
+        )
+        assert code == 0
+        manifest = report["manifest"]
+        assert manifest["input_digests"][table_file] == read
+        assert manifest["output_digests"][table_file] != read
 
 
 class TestNodes:

@@ -14,12 +14,11 @@ import pytest
 
 from simplexmoments.certificates import upper_sqrt_rational
 from simplexmoments.chords import (
-    EdgePointSpec,
+    TriangleSpec,
     chord_moment,
     csc_power_antiderivative,
     edgepoint_moment,
     ratio_r,
-    unit_right_isosceles,
     vertex_moment,
 )
 from simplexmoments.errors import UsageError
@@ -37,7 +36,7 @@ from simplexmoments.lp import node_search, rationalize
 from simplexmoments.mc import estimate_moment, sample_boundary_uniform, sample_uniform
 from simplexmoments.tetra import even_moment, moment_table
 
-TRI = unit_right_isosceles()
+TRI = TriangleSpec.from_sides(math.sqrt(2.0), 1.0, 1.0)
 TABLE = moment_table("free", 1)
 
 
@@ -60,7 +59,7 @@ SITES = [
     ("upper_sqrt_rational.max_den", 1, lambda v: upper_sqrt_rational(2, v)),
     ("csc_power_antiderivative.m", 1, lambda v: csc_power_antiderivative(v, 1.0)),
     ("vertex_moment.k", 1, lambda v: vertex_moment(TRI, "A", v)),
-    ("edgepoint_moment.k", 1, lambda v: edgepoint_moment(TRI, EdgePointSpec(0.5), v)),
+    ("edgepoint_moment.k", 1, lambda v: edgepoint_moment(TRI, 0.5, v)),
     ("chord_moment.k", 1, lambda v: chord_moment(TRI, v)),
     ("ratio_r.k", 1, ratio_r),
     ("standard_simplex.dim", 1, standard_simplex),

@@ -13,7 +13,6 @@ import pytest
 
 from oracles import _gram_det_exact, boundary_residual, simplex_volumes_unblocked
 from simplexmoments.chords import (
-    EdgePointSpec,
     TriangleSpec,
     chord_moment,
     edgepoint_moment,
@@ -363,7 +362,7 @@ class TestEstimateMoment:
         est = estimate_moment(
             t2, 2, 1, fixed=(0.5, 0.5), samples=400_000, seed=79
         )
-        assert three_sigma(est, edgepoint_moment(T2_HYP, EdgePointSpec(math.sqrt(2) / 2), 1))
+        assert three_sigma(est, edgepoint_moment(T2_HYP, math.sqrt(2) / 2, 1))
         est = estimate_moment(
             t2, 2, 2, fixed=(0.5, 0.5), samples=400_000, seed=83
         )
