@@ -100,7 +100,6 @@ _LAZY_NAMES = {
         "estimate_moment",
     ],
     "lifting": [
-        "lift_body",
         "interior_convergence_sweep",
         "boundary_convergence_sweep",
     ],

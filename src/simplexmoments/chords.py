@@ -124,14 +124,28 @@ class TriangleSpec:
 
     @classmethod
     def from_sides(cls, a, b, c) -> "TriangleSpec":
+        """The triangle with these sides; a DomainError names sides that are
+        not positive and finite, or whose law of cosines leaves float64."""
         a, b, c = float(a), float(b), float(c)
-        if min(a, b, c) <= 0.0:
-            raise DomainError("side lengths must be positive")
+        if not all(0.0 < side < math.inf for side in (a, b, c)):
+            raise DomainError("side lengths must be positive and finite, got %r, %r, %r"
+                              % (a, b, c))
         if a + b <= c or b + c <= a or a + c <= b:
             raise DomainError("degenerate triangle: inequality must be strict")
-        alpha = math.acos((b * b + c * c - a * a) / (2.0 * b * c))
-        beta = math.acos((a * a + c * c - b * b) / (2.0 * a * c))
-        gamma = math.acos((a * a + b * b - c * c) / (2.0 * a * b))
+        try:
+            cosines = (
+                (b * b + c * c - a * a) / (2.0 * b * c),
+                (a * a + c * c - b * b) / (2.0 * a * c),
+                (a * a + b * b - c * c) / (2.0 * a * b),
+            )
+        except ZeroDivisionError:
+            cosines = (math.nan,)
+        # an overflowing square makes a cosine nan or infinite, and
+        # underflowing squares make a divisor zero
+        if not all(-1.0 <= cosine <= 1.0 for cosine in cosines):
+            raise DomainError("side lengths %r, %r, %r: their squares leave the float64 range"
+                              % (a, b, c))
+        alpha, beta, gamma = (math.acos(cosine) for cosine in cosines)
         return cls(a, b, c, alpha, beta, gamma)
 
     @classmethod

@@ -27,7 +27,6 @@ Exit codes: 0 success, 2 usage or domain errors, 3 capacity refusals,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -51,7 +50,7 @@ from .certificates import (
 )
 from .errors import CapacityError, DomainError, UsageError, VerificationError, _count
 from .exact import format_rational
-from .tetra import MomentTable, _normalize_case, _read_table, moment_table
+from .tetra import MomentTable, _digest, _normalize_case, _read_table, moment_table
 
 __all__ = ["main", "build_parser"]
 
@@ -135,11 +134,8 @@ def _jsonable(value):
 
 
 def _digest_file(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return "sha256:" + digest.hexdigest()
+        return _digest(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +149,19 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError("not a rational number: %r" % text)
 
 
-def _parse_eps_list(text: str) -> List[Fraction]:
+def _parse_float(text: str, option: str) -> float:
+    """A rational or decimal number that float64 holds as a finite value."""
+    try:
+        return float(_parse_fraction(text))
+    except OverflowError:
+        raise UsageError("%s: %s lies outside the float64 range" % (option, text.strip()))
+
+
+def _parse_list(text: str, option: str, parse) -> list:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
-        raise UsageError("--eps needs a comma separated list, e.g. 1/2,1/8,1/32")
-    return [_parse_fraction(p) for p in parts]
+        raise UsageError("%s needs a comma separated list of numbers" % option)
+    return [parse(p) for p in parts]
 
 
 def _parse_triangle(text: str) -> TriangleSpec:
@@ -171,8 +175,7 @@ def _parse_triangle(text: str) -> TriangleSpec:
         raise UsageError(
             "--triangle must be 'T2' or three side lengths 'a,b,c', got %r" % text
         )
-    a, b, c = (float(_parse_fraction(p)) for p in parts)
-    return TriangleSpec.from_sides(a, b, c)
+    return TriangleSpec.from_sides(*(_parse_float(p, "--triangle") for p in parts))
 
 
 def _rotate_longest_to_c(spec: TriangleSpec) -> TriangleSpec:
@@ -213,13 +216,6 @@ def _parse_body(text: str):
         "unknown body %r; choose T2, T3, cube:D, ball:D, halfball:D or simplex:D"
         % text
     )
-
-
-def _parse_point(text: str) -> Tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise UsageError("--fixed needs comma separated coordinates")
-    return tuple(float(_parse_fraction(p)) for p in parts)
 
 
 def _parse_nodes(text: str) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
@@ -273,7 +269,8 @@ def _obtain_table(
     as a checkpoint, so existing entries are reused and new ones appended.
     Without either, the table is computed from scratch in memory.  A table
     that is too short, when it may not be computed, is a CapacityError.
-    Every file is read once, by ``_read_table``.
+    Every file is read once, by ``_read_table``, which also digests the
+    bytes it parsed for the manifest.
     """
     key = _normalize_case(case)
     # refused before any table is computed, not by the first write into it
@@ -286,13 +283,10 @@ def _obtain_table(
     path = table_file or (_table_path(tables_dir, key) if tables_dir else None)
     stored = None
     if table_file or (path and os.path.exists(path)):
-        stored = _read_table(path, key)
-        ctx.input_digests.setdefault(path, _digest_file(path))
-        try:
-            stored.upto(k_max)
+        stored, digest = _read_table(path, key)
+        ctx.input_digests.setdefault(path, digest)
+        if stored.k_max >= k_max:
             return stored
-        except CapacityError:
-            pass
     if table_file or not compute:
         have = "absent" if stored is None else "k_max=%d" % stored.k_max
         raise CapacityError("%s needs k_max>=%d (%s)" % (path, k_max, have))
@@ -322,7 +316,7 @@ def _cmd_chords(args, ctx: _RunContext) -> dict:
         value = vertex_moment(spec, args.fixed.split(":", 1)[1], k)
     elif args.fixed.startswith("edge:"):
         formula = "edge-pinned"
-        c1 = float(_parse_fraction(args.fixed.split(":", 1)[1]))
+        c1 = _parse_float(args.fixed.split(":", 1)[1], "--fixed")
         value = edgepoint_moment(spec, c1, k)
     else:
         raise UsageError(
@@ -449,7 +443,9 @@ def _cmd_mc(args, ctx: _RunContext) -> dict:
     from .mc import RNG_ALGORITHM, estimate_moment
 
     body = _parse_body(args.body)
-    fixed = _parse_point(args.fixed) if args.fixed else None
+    fixed = None
+    if args.fixed:
+        fixed = _parse_list(args.fixed, "--fixed", lambda p: _parse_float(p, "--fixed"))
     ctx.seeds.append(args.seed)
     est = estimate_moment(
         body,
@@ -491,8 +487,8 @@ def _cmd_lift_sweep(args, ctx: _RunContext) -> dict:
     from .mc import RNG_ALGORITHM
 
     body = _parse_body(args.body)
-    eps_list = _parse_eps_list(args.eps)
-    reference = _parse_fraction(args.reference) if args.reference else None
+    eps_list = _parse_list(args.eps, "--eps", _parse_fraction)
+    reference = _parse_float(args.reference, "--reference") if args.reference else None
     ctx.seeds.append(args.seed)
     sweep = interior_convergence_sweep if args.mode == "interior" else boundary_convergence_sweep
     outcome = sweep(

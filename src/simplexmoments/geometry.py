@@ -3,9 +3,9 @@
 The catalog is the fixed menagerie used throughout the package: the standard
 simplex in any dimension (with the planar triangle T2 and the tetrahedron T3
 as named members), the unit cube, the unit ball, the closed upper half of the
-unit ball, and right prisms base x [0, h].  Descriptors are immutable; a
-pinned vertex is not part of a body but an argument of the estimator
-(``estimate_moment(..., fixed=...)``).
+unit ball, and right prisms base x [0, h] with an exact height h.
+Descriptors are immutable; a pinned vertex is not part of a body but an
+argument of the estimator (``estimate_moment(..., fixed=...)``).
 
 All membership tests on polytopes are exact when given exact coordinates
 (floats are converted to their exact binary rationals first); curved bodies
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import UsageError, _count
 
@@ -52,13 +52,13 @@ class Body:
     """Immutable descriptor of one catalog body.
 
     kind is one of "simplex", "cube", "ball", "halfball", "product".
-    Products carry the base body and a positive height.
+    Products carry the base body and a positive height, an exact Fraction.
     """
 
     kind: str
     dim: int
     base: Optional["Body"] = None
-    height: Union[Fraction, float, None] = None
+    height: Optional[Fraction] = None
 
 
 def is_polytopal(body: Body) -> bool:
@@ -98,13 +98,15 @@ def tetrahedron_T3() -> Body:
 
 
 def product(base: Body, height) -> Body:
-    """Right prism base x [0, height]."""
-    if isinstance(height, float):
-        h: Union[Fraction, float] = height
-    else:
+    """Right prism base x [0, height], the height kept as an exact Fraction
+    (a float converts exactly); it must be positive and finite in float64."""
+    try:
         h = _to_fraction(height)
-    if not float(h) > 0:
-        raise UsageError("prism height must be positive")
+        valid = float(h) > 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise UsageError("prism height must be a positive number within the float64 range")
     return Body("product", base.dim + 1, base=base, height=h)
 
 
@@ -120,7 +122,7 @@ def _contains_exact(body: Body, pt: Sequence[Fraction]) -> bool:
         return all(0 <= v <= 1 for v in pt)
     if k == "product":
         z = pt[-1]
-        return 0 <= z <= _to_fraction(body.height) and _contains_exact(
+        return 0 <= z <= body.height and _contains_exact(
             body.base, pt[:-1]
         )
     raise UsageError("exact membership is only defined for polytopes")

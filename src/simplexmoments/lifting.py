@@ -1,7 +1,7 @@
 """Dimension lifting: prisms K x [0, eps] and convergence experiments.
 
-Lifting a convex body K to the thin prism K x [0, eps] raises its
-dimension by one while perturbing random-simplex moments only slightly:
+Lifting a convex body K to the thin prism K x [0, eps], which is
+``geometry.product(K, eps)``, raises its dimension by one while perturbing random-simplex moments only slightly:
 as eps shrinks, E V^k over the prism converges to E V^k over K, and the
 same holds when the vertices are drawn uniformly from the prism boundary
 (the two flat faces dominate as eps -> 0).  These facts let a
@@ -32,27 +32,17 @@ from .mc import (
 )
 
 __all__ = [
-    "lift_body",
     "interior_convergence_sweep",
     "boundary_convergence_sweep",
 ]
 
 
-def lift_body(body: Body, eps) -> Body:
-    """The prism body x [0, eps]."""
-    return product(body, eps)
-
-
-def _check_eps_list(eps_list) -> list:
-    eps = [e for e in eps_list]
-    if not eps:
+def _check_eps_list(prisms) -> None:
+    if not prisms:
         raise UsageError("eps_list must be nonempty")
-    values = [float(e) for e in eps]
-    if any(v <= 0 for v in values):
-        raise UsageError("eps values must be positive")
-    if any(b >= a for a, b in zip(values, values[1:])):
+    heights = [float(prism.height) for prism in prisms]
+    if any(b >= a for a, b in zip(heights, heights[1:])):
         raise UsageError("eps values must be strictly decreasing")
-    return eps
 
 
 def _sweep_verdict(rows) -> str:
@@ -74,13 +64,16 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
 
     The reference is the supplied exact value, or a Monte Carlo estimate on
     the base body (exactly zero in the degenerate case n = dim + 2).
-    ``estimate_at(lifted, eps, seed)`` estimates E V^k on one prism and
+    ``estimate_at(prism, seed)`` estimates E V^k on one prism and
     returns ``(estimate, extra row fields)``.
     """
     # the prisms have dimension dim + 1, so n <= dim + 2
     _check_common(product(body, 1), n, samples)
     _count(k, "moment order k")
-    eps_values = _check_eps_list(eps_list)
+    eps_values = list(eps_list)
+    # product refuses a height that is not positive and finite in float64
+    prisms = [product(body, eps) for eps in eps_values]
+    _check_eps_list(prisms)
     if reference is not None:
         ref = {"value": float(reference), "std_error": 0.0, "source": "exact"}
     elif n == body.dim + 2:
@@ -93,8 +86,8 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
         )
         ref = {"value": est.mean, "std_error": est.std_error, "source": "monte-carlo"}
     rows = []
-    for i, eps in enumerate(eps_values):
-        est, extra = estimate_at(lift_body(body, eps), eps, seed + i + 1)
+    for i, (eps, prism) in enumerate(zip(eps_values, prisms)):
+        est, extra = estimate_at(prism, seed + i + 1)
         rows.append({
             "epsilon": eps,
             "estimate": est,
@@ -131,9 +124,9 @@ def interior_convergence_sweep(
     """
     lifted_fixed = None if fixed is None else tuple(fixed) + (0,)
 
-    def estimate_at(lifted, eps, row_seed):
+    def estimate_at(prism, row_seed):
         est = estimate_moment(
-            lifted, n, k, fixed=lifted_fixed, samples=samples, seed=row_seed, threads=threads
+            prism, n, k, fixed=lifted_fixed, samples=samples, seed=row_seed, threads=threads
         )
         return est, {}
 
@@ -165,18 +158,16 @@ def boundary_convergence_sweep(
     measures = body_measures(body)
     vol2 = 2.0 * measures["volume"]
 
-    def estimate_at(lifted, eps, row_seed):
+    def estimate_at(prism, row_seed):
         def worker(chunk_index: int, size: int):
             gen = RngStream(row_seed, chunk_index).generator()
-            pts, flat = sample_boundary_uniform(
-                lifted, gen, size=size * n, return_face_mask=True
-            )
-            volumes = _simplex_volumes(pts.reshape(size, n, lifted.dim)) ** k
+            pts, flat = sample_boundary_uniform(prism, gen, size * n)
+            volumes = _simplex_volumes(pts.reshape(size, n, prism.dim)) ** k
             return volumes, int(flat.reshape(size, n).all(axis=1).sum())
 
         est, all_flat = _run_chunks(worker, samples, row_seed, threads)
         flat_frac = all_flat / samples
-        weight = (vol2 / (vol2 + measures["surface"] * float(eps))) ** n
+        weight = (vol2 / (vol2 + measures["surface"] * float(prism.height))) ** n
         wsigma = math.sqrt(max(weight * (1.0 - weight), 1e-300) / samples)
         return est, {
             "flat_probability": flat_frac,

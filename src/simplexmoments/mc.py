@@ -86,14 +86,6 @@ class EstimateWithError:
     seed: int
 
 
-def _resolve_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise UsageError("rng must be an RngStream or numpy Generator")
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -128,13 +120,10 @@ def _sample_interior(body: Body, gen: np.random.Generator, m: int) -> np.ndarray
     raise UsageError("no interior sampler for body kind %r" % (kind,))
 
 
-def sample_uniform(body: Body, rng, size: Optional[int] = None) -> np.ndarray:
-    """Uniform point(s) in a catalog body; shape (d,) or (size, d)."""
-    gen = _resolve_generator(rng)
-    m = 1 if size is None else _count(size, "size")
-    pts = _sample_interior(body, gen, m)
-    if size is None:
-        pts = pts[0]
+def sample_uniform(body: Body, gen: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform points in a catalog body, shape (size, d), drawn
+    from ``gen``, e.g. ``RngStream(seed).generator()``."""
+    pts = _sample_interior(body, gen, _count(size, "size"))
     # the simplex sampler returns a strided view of a wider buffer
     return pts if pts.flags.c_contiguous and pts.flags.owndata else pts.copy()
 
@@ -159,21 +148,15 @@ def _boundary_faces(body: Body):
     return faces, h
 
 
-def sample_boundary_uniform(
-    body: Body,
-    rng,
-    size: Optional[int] = None,
-    return_face_mask: bool = False,
-):
-    """Uniform point(s) on the boundary of a prism K x [0, h].
+def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
+    """``size`` uniform points on the boundary of a prism K x [0, h].
 
     The boundary splits into two flat copies of K and one rectangle per
     edge of K; a face is chosen with probability proportional to its area,
-    then the point is uniform on the face.  With ``return_face_mask`` a
-    boolean array marking flat-face points is returned alongside the points.
+    then the point is uniform on the face.  Returns the (size, d) points and
+    a boolean array marking the points on the two flat faces.
     """
-    gen = _resolve_generator(rng)
-    m = 1 if size is None else _count(size, "size")
+    m = _count(size, "size")
     face_list, h = _boundary_faces(body)
     weights = np.array([f[2] for f in face_list])
     choice = gen.choice(len(face_list), size=m, p=weights / weights.sum())
@@ -195,12 +178,7 @@ def sample_boundary_uniform(
             pts[mask, 0] = sx + s * (ex - sx)
             pts[mask, 1] = sy + s * (ey - sy)
             pts[mask, -1] = gen.random(count) * h
-    if size is None:
-        pts = pts[0]
-        flat_mask = bool(flat_mask[0])
-    if return_face_mask:
-        return pts, flat_mask
-    return pts
+    return pts, flat_mask
 
 
 # ---------------------------------------------------------------------------

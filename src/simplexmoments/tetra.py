@@ -280,8 +280,18 @@ class MomentTable(NamedTuple):
         return cls(case, tuple(values[k] for k in range(len(values))))
 
 
-def _read_table(path: str, case: str) -> MomentTable:
-    """The checked table stored at ``path``, which must hold ``case``.
+def _digest(data: bytes) -> str:
+    """The report form of a file's digest."""
+    # imported here: hashlib loads OpenSSL, about 4 ms, which importing
+    # the tables alone need not pay
+    import hashlib
+
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _read_table(path: str, case: str) -> Tuple[MomentTable, str]:
+    """The checked table stored at ``path``, which must hold ``case``, and
+    the digest of the bytes it was parsed from.
 
     A file that cannot be read or parsed as a moment table is a UsageError,
     and one with a gap in its orders or failing ``check`` a
@@ -289,8 +299,9 @@ def _read_table(path: str, case: str) -> MomentTable:
     """
     try:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                table = MomentTable.from_json(json.load(fh))
+            with open(path, "rb") as fh:
+                data = fh.read()
+            table = MomentTable.from_json(json.loads(data.decode("utf-8")))
         except (OSError, ValueError, LookupError, TypeError, UsageError) as exc:
             raise UsageError(
                 "cannot read moment table %s: %s: %s" % (path, type(exc).__name__, exc)
@@ -300,7 +311,7 @@ def _read_table(path: str, case: str) -> MomentTable:
         table.check()
     except VerificationError as exc:
         raise VerificationError("moment table %s: %s" % (path, exc)) from None
-    return table
+    return table, _digest(data)
 
 
 def _write_checkpoint(path: str, table: MomentTable) -> None:
@@ -329,7 +340,7 @@ def moment_table(
     _count(k_max, "k_max", 0)
     case = _normalize_case(case)
     if stored is None and checkpoint and os.path.exists(checkpoint):
-        stored = _read_table(checkpoint, case)
+        stored, _ = _read_table(checkpoint, case)
     if stored is not None and stored.case != case:
         raise UsageError("stored table holds case %r, expected %r" % (stored.case, case))
     values = stored.values if stored else ()

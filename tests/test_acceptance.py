@@ -330,7 +330,7 @@ class TestPublicNames:
         "csc_power_antiderivative", "cube", "edgepoint_moment", "error_polynomial",
         "estimate_moment", "even_moment", "format_rational", "halfball",
         "hermite_interpolate", "interior_convergence_sweep", "is_polytopal",
-        "lift_body", "moment_table", "node_search", "parse_rational", "polygon_edges",
+        "moment_table", "node_search", "parse_rational", "polygon_edges",
         "product", "ratio_r", "rationalize", "sample_boundary_uniform",
         "sample_uniform", "standard_simplex", "sturm_nonneg_on_interval",
         "tetrahedron_T3", "triangle_T2", "uni_eval", "upper_sqrt_rational",

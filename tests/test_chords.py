@@ -154,6 +154,50 @@ def test_triangle_spec_rejects_degenerate():
         TriangleSpec.from_vertices((0, 0), (1, 1), (2, 2))
 
 
+@pytest.mark.parametrize(
+    "sides",
+    [
+        (math.nan, 1.0, 1.0),
+        (1.0, math.nan, 1.0),
+        (math.inf, 1.0, 1.0),
+        (1e-200, 1e-200, 1e-200),
+        (1e308, 1e308, 1e308),
+        (1.34e154, 2e153, 1.3e154),
+    ],
+    ids=["nan-a", "nan-b", "inf", "1e-200", "1e308", "sum-overflow"],
+)
+def test_triangle_spec_refuses_sides_outside_float64(sides):
+    # nan gave nan angles, 1e-200 a ZeroDivisionError, 1e308 nan angles
+    # refused later as "angle must lie strictly between 0 and pi", and the
+    # last a math domain ValueError
+    with pytest.raises(DomainError) as err:
+        TriangleSpec.from_sides(*sides)
+    assert repr(float(sides[0])) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "sides, angles, moments",
+    [
+        ((1.0, 1.0, SQRT2),
+         ("0x1.921fb54442d16p-1", "0x1.921fb54442d16p-1", "0x1.921fb54442d19p+0"),
+         ("0x1.a83c80e663d7ep-2", "0x1.c71c71c71c723p-3", "0x1.c6209d151100ap-3",
+          "0x1.5555555555557p-3")),
+        ((3.0, 4.0, 5.0),
+         ("0x1.4978fa3269ee0p-1", "0x1.dac670561bb50p-1", "0x1.921fb54442d18p+0"),
+         ("0x1.754b9695b88e8p+0", "0x1.638e38e38e38fp+1", "0x1.3fe215f987383p+3",
+          "0x1.0aaaaaaaaaaa8p+1")),
+    ],
+    ids=["T2", "3-4-5"],
+)
+def test_triangle_spec_angles_and_moments_are_pinned(sides, angles, moments):
+    # bit for bit, as float.hex
+    t = TriangleSpec.from_sides(*sides)
+    assert tuple(x.hex() for x in (t.alpha, t.beta, t.gamma)) == angles
+    got = (chord_moment(t, 1), chord_moment(t, 2), vertex_moment(t, "C", 3),
+           edgepoint_moment(t, t.c / 2, 2))
+    assert tuple(x.hex() for x in got) == moments
+
+
 def test_edge_point_spec_geometry():
     # the closed edge [0, c] is accepted, endpoints included
     for c1 in (0.0, 0.1, SQRT2 / 2, T2_HYP.c):

@@ -198,6 +198,27 @@ class TestRefusedBeforeWork:
                              "--format", "csv"]),
     ]
 
+    # (argv, what the one-line message names); each exited 1 with a traceback
+    OUT_OF_RANGE = [
+        (["chords", "--triangle", "3,4,5", "--k", "2", "--fixed", "edge:1e400"],
+         "--fixed: 1e400 lies outside the float64 range"),
+        (["chords", "--triangle", "1e400,1e400,1e400", "--k", "2"],
+         "--triangle: 1e400 lies outside the float64 range"),
+        (["mc", "--body", "T3", "--n", "3", "--k", "1", "--fixed", "1e400,0,0",
+          "--samples", "10", "--seed", "1"],
+         "--fixed: 1e400 lies outside the float64 range"),
+        (["lift-sweep", "--mode", "boundary", "--body", "T2", "--n", "2", "--k", "1",
+          "--eps", "1/2", "--samples", "10", "--reference", "1e400"],
+         "--reference: 1e400 lies outside the float64 range"),
+        (["lift-sweep", "--mode", "interior", "--body", "T2", "--n", "2", "--k", "1",
+          "--eps", "1e400", "--samples", "10"],
+         "prism height must be a positive number within the float64 range"),
+        (["chords", "--triangle", "1e-200,1e-200,1e-200", "--k", "2"],
+         "side lengths 1e-200, 1e-200, 1e-200"),
+        (["chords", "--triangle", "1e308,1e308,1e308", "--k", "2"],
+         "side lengths 1e+308, 1e+308, 1e+308"),
+    ]
+
     @pytest.fixture
     def no_tables(self, monkeypatch):
         import simplexmoments.cli as cli
@@ -215,6 +236,27 @@ class TestRefusedBeforeWork:
         monkeypatch.setattr(cli, request.getfixturevalue("handler"),
                             lambda args, ctx: calls.append(args))
         return calls
+
+    @pytest.mark.parametrize(
+        "argv, message", OUT_OF_RANGE,
+        ids=["edge", "triangle", "mc-fixed", "reference", "eps", "tiny-sides", "huge-sides"],
+    )
+    def test_number_outside_float64(self, tmp_path, monkeypatch, capsys, argv, message):
+        import simplexmoments.lifting as lifting
+        import simplexmoments.mc as mc
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the refusal")
+
+        for module, name in ((mc, "_run_chunks"), (lifting, "_run_chunks"),
+                             (lifting, "estimate_moment")):
+            monkeypatch.setattr(module, name, no_sampling)
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", TABLE_COMMANDS)
     def test_tables_path_that_is_a_file(self, tmp_path, no_tables, capsys, argv):
@@ -885,6 +927,34 @@ class TestTablesReadOnce:
         assert from_json_calls == ["free", "fixed-centroid"]
         with open(fixed, "rb") as a, open(os.path.join(tables_dir, "fixed_moments.json"), "rb") as b:
             assert a.read() == b.read()
+
+
+class TestTableFilesOpenedOnce:
+    def test_verify_counterexample_digests_the_bytes_it_parsed(
+        self, tmp_path, tables_dir, monkeypatch
+    ):
+        # the input digest comes from the one read that was parsed and
+        # checked, not from opening the file a second time
+        import builtins
+
+        path = copy_tables(tables_dir, tmp_path / "tables")
+        files = [os.path.join(path, name) for name in ("free_moments.json", "fixed_moments.json")]
+        real_open = builtins.open
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        code, report = run_cli(["verify-counterexample", "--tables", path], tmp_path / "r.json")
+        monkeypatch.undo()
+        assert code == 0
+        assert sorted(p for p in opened if p in files) == sorted(files)
+        for table_file in files:
+            with open(table_file, "rb") as fh:
+                expected = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+            assert report["manifest"]["input_digests"][table_file] == expected
 
 
 class TestFailedTableCheck:

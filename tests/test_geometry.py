@@ -299,6 +299,18 @@ def test_product_dimension_and_height_guard():
         product(triangle_T2(), F(-1, 2))
 
 
+@pytest.mark.parametrize(
+    "height",
+    [math.inf, math.nan, F(10**400), F(1, 10**400), "1/2", None],
+    ids=["inf", "nan", "10**400", "10**-400", "string", "None"],
+)
+def test_product_refuses_heights_outside_float64(height):
+    # inf was accepted and sampled to nan; 10**400 overflowed and "1/2"
+    # raised ValueError, both bare
+    with pytest.raises(UsageError, match="prism height"):
+        product(triangle_T2(), height)
+
+
 def test_is_polytopal():
     assert is_polytopal(triangle_T2())
     assert is_polytopal(cube(4))

@@ -19,36 +19,32 @@ from simplexmoments.geometry import (
     tetrahedron_T3,
     triangle_T2,
 )
-from simplexmoments.lifting import (
-    boundary_convergence_sweep,
-    interior_convergence_sweep,
-    lift_body,
-)
+from simplexmoments.lifting import boundary_convergence_sweep, interior_convergence_sweep
 from simplexmoments.mc import RngStream, estimate_moment, sample_boundary_uniform, sample_uniform
 
 
 class TestLiftBody:
     def test_prism_volume(self):
-        lifted = lift_body(triangle_T2(), F(1, 10))
+        lifted = product(triangle_T2(), F(1, 10))
         assert lifted.kind == "product"
         assert lifted.dim == 3
         assert abs(body_measures(lifted)["volume"] - 1 / 20) < 1e-15
 
     def test_double_lift(self):
-        lifted = lift_body(lift_body(triangle_T2(), F(1, 4)), F(1, 4))
+        lifted = product(product(triangle_T2(), F(1, 4)), F(1, 4))
         assert lifted.dim == 4
         assert lifted.base.dim == 3
 
     def test_containment_preserved_on_samples(self):
-        inner = lift_body(triangle_T2(), F(1, 4))
-        outer = lift_body(cube(2), F(1, 4))
-        pts = sample_uniform(inner, RngStream(5), size=5_000)
+        inner = product(triangle_T2(), F(1, 4))
+        outer = product(cube(2), F(1, 4))
+        pts = sample_uniform(inner, RngStream(5).generator(), size=5_000)
         for row in pts:
             assert contains(outer, tuple(map(float, row)), tol=1e-12)
 
     def test_eps_must_be_positive(self):
         with pytest.raises(UsageError):
-            lift_body(triangle_T2(), 0)
+            product(triangle_T2(), 0)
 
 
 class TestInteriorSweep:
@@ -258,10 +254,10 @@ class TestCrossSweepProperties:
     def test_flat_restricted_sampling_matches_base_estimate(self):
         # conditioned on flat faces, vertices are uniform in two copies of
         # K, so for small eps the moment matches the base-body estimate
-        lifted = lift_body(triangle_T2(), F(1, 64))
+        lifted = product(triangle_T2(), F(1, 64))
         gen = RngStream(4100).generator()
         m = 100_000
-        pts, flat = sample_boundary_uniform(lifted, gen, size=2 * m, return_face_mask=True)
+        pts, flat = sample_boundary_uniform(lifted, gen, size=2 * m)
         # keep the pairs whose two points both landed on a flat face
         pairs = pts.reshape(m, 2, 3)[flat.reshape(m, 2).all(axis=1)]
         assert len(pairs) > 0.85 * m
@@ -285,3 +281,19 @@ class TestCrossSweepProperties:
         b = boundary["rows"][-1]["estimate"]
         sigma = math.hypot(a.std_error, b.std_error)
         assert abs(a.mean - b.mean) < 3 * sigma + 2e-3
+
+    @pytest.mark.parametrize("sweep", [interior_convergence_sweep, boundary_convergence_sweep])
+    @pytest.mark.parametrize(
+        "eps_list", [["1/2"], [math.inf], [F(1, 2), F(10**400)]], ids=["string", "inf", "10**400"]
+    )
+    def test_heights_outside_float64_refused_before_sampling(self, sweep, eps_list, monkeypatch):
+        # unchecked, "1/2" raised a bare ValueError, inf sampled a nan
+        # interior row or failed the boundary face choice, and 10**400
+        # raised a bare OverflowError
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the heights were checked")
+
+        monkeypatch.setattr(lifting, "estimate_moment", no_sampling)
+        monkeypatch.setattr(lifting, "_run_chunks", no_sampling)
+        with pytest.raises(UsageError, match="prism height"):
+            sweep(triangle_T2(), 2, 1, eps_list, samples=10, seed=1)

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo samplers and moment estimators."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from simplexmoments.errors import DomainError, UsageError
 from simplexmoments.geometry import (
     Body,
     ball,
+    body_measures,
     contains,
     cube,
     halfball,
@@ -81,13 +83,13 @@ class TestRngStream:
 
 class TestSampleUniform:
     def test_cube_mean(self):
-        pts = sample_uniform(cube(2), RngStream(7), size=1_000_000)
+        pts = sample_uniform(cube(2), RngStream(7).generator(), size=1_000_000)
         sigma = math.sqrt(1.0 / 12.0 / 1_000_000)
         assert abs(pts[:, 0].mean() - 0.5) < 3 * sigma
         assert abs(pts[:, 1].mean() - 0.5) < 3 * sigma
 
     def test_t3_mean_is_centroid(self):
-        pts = sample_uniform(tetrahedron_T3(), RngStream(11), size=400_000)
+        pts = sample_uniform(tetrahedron_T3(), RngStream(11).generator(), size=400_000)
         # coordinates are Dirichlet(1,1,1,1) marginals: var = 3/80
         sigma = math.sqrt(3.0 / 80.0 / 400_000)
         for j in range(3):
@@ -96,12 +98,12 @@ class TestSampleUniform:
         assert np.all(pts.sum(axis=1) <= 1)
 
     def test_halfball_membership(self):
-        pts = sample_uniform(halfball(3), RngStream(13), size=50_000)
+        pts = sample_uniform(halfball(3), RngStream(13).generator(), size=50_000)
         assert np.all(pts[:, 2] >= 0)
         assert np.all(np.linalg.norm(pts, axis=1) <= 1 + 1e-12)
 
     def test_ball_radial_law(self):
-        pts = sample_uniform(ball(2), RngStream(17), size=400_000)
+        pts = sample_uniform(ball(2), RngStream(17).generator(), size=400_000)
         r2 = (pts**2).sum(axis=1)
         # E r^2 = 1/2 and Var r^2 = 1/12 for the uniform disk
         sigma = math.sqrt(1.0 / 12.0 / 400_000)
@@ -109,7 +111,7 @@ class TestSampleUniform:
 
     def test_product_membership(self):
         body = product(triangle_T2(), F(1, 10))
-        pts = sample_uniform(body, RngStream(19), size=20_000)
+        pts = sample_uniform(body, RngStream(19).generator(), size=20_000)
         assert np.all(pts[:, 2] >= 0)
         assert np.all(pts[:, 2] <= 0.1)
         assert np.all(pts[:, 0] + pts[:, 1] <= 1)
@@ -123,7 +125,7 @@ class TestSampleUniform:
                 stream = RngStream(109 + d, m)
                 spacings = stream.generator().standard_exponential((m, d + 1))
                 expected = spacings[:, :d] / spacings.sum(axis=1, keepdims=True)
-                got = sample_uniform(standard_simplex(d), stream, size=m)
+                got = sample_uniform(standard_simplex(d), stream.generator(), size=m)
                 assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
@@ -133,24 +135,40 @@ class TestSampleUniform:
     )
     def test_points_are_contiguous_and_own_their_data(self, body):
         # the simplex sampler normalizes in place and returns a strided view
-        for size in (None, 1, 5):
-            pts = sample_uniform(body, RngStream(29), size=size)
+        for size in (1, 5):
+            pts = sample_uniform(body, RngStream(29).generator(), size=size)
             assert pts.flags.c_contiguous and pts.flags.owndata
 
     def test_single_point_shape(self):
-        pt = sample_uniform(cube(3), RngStream(23))
-        assert pt.shape == (3,)
+        pts = sample_uniform(cube(3), RngStream(23).generator(), size=1)
+        assert pts.shape == (1, 3)
+
+    @pytest.mark.parametrize("height", [0.1, 0.3, 1e-3, 2.0**-1074, 1e300])
+    def test_float_height_is_its_exact_fraction(self, height):
+        as_float = product(triangle_T2(), height)
+        exact = product(triangle_T2(), F(height))
+        assert as_float == exact and type(as_float.height) is F
+        assert float(as_float.height) == height
+        assert body_measures(as_float) == body_measures(exact)
+        interior = [sample_uniform(body, RngStream(43).generator(), size=100)
+                    for body in (as_float, exact)]
+        assert np.array_equal(*interior)
+        (pts_a, flat_a), (pts_b, flat_b) = (
+            sample_boundary_uniform(body, RngStream(47).generator(), size=100)
+            for body in (as_float, exact)
+        )
+        assert np.array_equal(pts_a, pts_b) and np.array_equal(flat_a, flat_b)
 
     def test_unsupported_kind(self):
         bogus = Body("torus", 3)
         with pytest.raises(UsageError):
-            sample_uniform(bogus, RngStream(1), size=4)
+            sample_uniform(bogus, RngStream(1).generator(), size=4)
 
 
 class TestSampleBoundaryUniform:
     def test_points_lie_on_boundary(self):
         body = product(triangle_T2(), F(1, 4))
-        pts = sample_boundary_uniform(body, RngStream(29), size=5_000)
+        pts, _ = sample_boundary_uniform(body, RngStream(29).generator(), size=5_000)
         for row in pts[:500]:
             assert boundary_residual(body, tuple(map(float, row))) < 1e-12
 
@@ -158,7 +176,7 @@ class TestSampleBoundaryUniform:
         eps = 0.25
         body = product(triangle_T2(), F(1, 4))
         pts, flat = sample_boundary_uniform(
-            body, RngStream(31), size=200_000, return_face_mask=True
+            body, RngStream(31).generator(), size=200_000
         )
         # P(flat) = 2 vol / (2 vol + S eps) with vol = 1/2, S = 2 + sqrt(2)
         weight = 1.0 / (1.0 + (2.0 + math.sqrt(2.0)) * eps)
@@ -168,14 +186,14 @@ class TestSampleBoundaryUniform:
     def test_tiny_height_is_almost_all_flat(self):
         body = product(triangle_T2(), F(1, 10000))
         _, flat = sample_boundary_uniform(
-            body, RngStream(37), size=50_000, return_face_mask=True
+            body, RngStream(37).generator(), size=50_000
         )
         assert flat.mean() > 0.999
 
     def test_flat_restriction(self):
         body = product(triangle_T2(), F(1, 4))
         pts, flat = sample_boundary_uniform(
-            body, RngStream(41), size=10_000, return_face_mask=True
+            body, RngStream(41).generator(), size=10_000
         )
         z = pts[flat, 2]
         assert np.all((z == 0.0) | (np.abs(z - 0.25) < 1e-15))
@@ -184,11 +202,11 @@ class TestSampleBoundaryUniform:
 
     def test_unsupported_bodies(self):
         with pytest.raises(UsageError):
-            sample_boundary_uniform(triangle_T2(), RngStream(1), size=4)
+            sample_boundary_uniform(triangle_T2(), RngStream(1).generator(), size=4)
         with pytest.raises(UsageError):
-            sample_boundary_uniform(product(ball(2), 1), RngStream(1), size=4)
+            sample_boundary_uniform(product(ball(2), 1), RngStream(1).generator(), size=4)
         with pytest.raises(UsageError):
-            sample_boundary_uniform(product(cube(1), 1), RngStream(1), size=4)
+            sample_boundary_uniform(product(cube(1), 1), RngStream(1).generator(), size=4)
 
 
 class TestSimplexVolumes:
@@ -457,3 +475,38 @@ def test_multi_block_estimates_match_golden_file(case, threads):
     assert golden["samples"] == BLOCK_SAMPLES
     assert sorted(golden["cases"]) == sorted(BLOCK_GOLDEN_CASES)
     assert BLOCK_GOLDEN_CASES[case](threads) == golden["cases"][case]
+
+
+SAMPLER_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "sampler_golden.json")
+SAMPLER_BODIES = {
+    "simplex:3": standard_simplex(3),
+    "cube:2": cube(2),
+    "ball:2": ball(2),
+    "halfball:3": halfball(3),
+    "T2 x [0, 1/4]": product(triangle_T2(), F(1, 4)),
+    "T2 x [0, 0.1]": product(triangle_T2(), 0.1),
+    "cube:2 x [0, 0.3]": product(cube(2), 0.3),
+}
+
+
+def _sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "boundary"])
+def test_sampler_draws_match_golden_file(sampler):
+    # frozen from the samplers before they took only a Generator and a size:
+    # sha256 of the float64 point bytes and of the flat-face mask
+    with open(SAMPLER_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert set(golden["uniform"]) | set(golden["boundary"]) == set(SAMPLER_BODIES)
+    for name, case in golden[sampler].items():
+        body = SAMPLER_BODIES[name]
+        gen = RngStream(case["seed"]).generator()
+        if sampler == "uniform":
+            pts = sample_uniform(body, gen, golden["size"])
+        else:
+            pts, flat = sample_boundary_uniform(body, gen, golden["size"])
+            assert _sha256(flat) == case["flat_mask"], name
+        assert pts.shape == (golden["size"], body.dim) and pts.dtype == np.float64
+        assert _sha256(pts) == case["points"], name
