@@ -132,16 +132,14 @@ class TriangleSpec:
                               % (a, b, c))
         if a + b <= c or b + c <= a or a + c <= b:
             raise DomainError("degenerate triangle: inequality must be strict")
-        try:
-            cosines = (
-                (b * b + c * c - a * a) / (2.0 * b * c),
-                (a * a + c * c - b * b) / (2.0 * a * c),
-                (a * a + b * b - c * c) / (2.0 * a * b),
-            )
-        except ZeroDivisionError:
-            cosines = (math.nan,)
-        # an overflowing square makes a cosine nan or infinite, and
-        # underflowing squares make a divisor zero
+        shortest = min(a, b, c)
+        # a subnormal square has lost digits, and an overflowing square
+        # makes a cosine nan or infinite
+        cosines = (math.nan,) if shortest * shortest < sys.float_info.min else (
+            (b * b + c * c - a * a) / (2.0 * b * c),
+            (a * a + c * c - b * b) / (2.0 * a * c),
+            (a * a + b * b - c * c) / (2.0 * a * b),
+        )
         if not all(-1.0 <= cosine <= 1.0 for cosine in cosines):
             raise DomainError("side lengths %r, %r, %r: their squares leave the float64 range"
                               % (a, b, c))

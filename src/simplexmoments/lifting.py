@@ -25,6 +25,7 @@ from .mc import (
     RngStream,
     _boundary_faces,
     _check_common,
+    _check_float_range,
     _run_chunks,
     _simplex_volumes,
     estimate_moment,
@@ -70,12 +71,22 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
     # the prisms have dimension dim + 1, so n <= dim + 2
     _check_common(product(body, 1), n, samples)
     _count(k, "moment order k")
+    if reference is not None:
+        try:
+            value = float(reference)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise UsageError("reference must be a finite number within the float64 "
+                             "range, got %r" % (reference,))
     eps_values = list(eps_list)
     # product refuses a height that is not positive and finite in float64
     prisms = [product(body, eps) for eps in eps_values]
     _check_eps_list(prisms)
+    for prism in prisms:
+        _check_float_range(prism, n, k, samples)
     if reference is not None:
-        ref = {"value": float(reference), "std_error": 0.0, "source": "exact"}
+        ref = {"value": value, "std_error": 0.0, "source": "exact"}
     elif n == body.dim + 2:
         # n points in a d-body span at most a d-simplex, so the
         # (n-1 = d+1)-volume vanishes almost surely before lifting
@@ -162,7 +173,8 @@ def boundary_convergence_sweep(
         def worker(chunk_index: int, size: int):
             gen = RngStream(row_seed, chunk_index).generator()
             pts, flat = sample_boundary_uniform(prism, gen, size * n)
-            volumes = _simplex_volumes(pts.reshape(size, n, prism.dim)) ** k
+            volumes = _simplex_volumes(pts.reshape(size, n, prism.dim))
+            volumes **= k
             return volumes, int(flat.reshape(size, n).all(axis=1).sum())
 
         est, all_flat = _run_chunks(worker, samples, row_seed, threads)

@@ -18,26 +18,34 @@ on the edge vectors, whose squared residual norms multiply to the Gram
 determinant, so ambient dimension is arbitrary.  Its numpy calls release
 the interpreter lock, which lets worker threads run chunks in parallel.
 
-Memory is bounded per chunk, not per run.  The simplex sampler normalizes
-its exponential spacings in place, a pinned vertex enters the kernel as
-the origin of every simplex rather than as a copied column, and the kernel
-runs over blocks of 2**13 rows written into one output array, so its
-temporaries are block-sized.  A chunk's working set is its exponential
-draw plus at most half that again: for a T3 triangle chunk the draw is
-6 MiB (4 MiB pinned) and the tracemalloc peak 7.7 MiB (5.4 MiB pinned).
-Each worker thread holds one chunk at a time.
+Memory is bounded per chunk, not per run.  The simplex and cube samplers
+take their points one after another from the stream, so a chunk of those
+bodies is drawn and measured a block of 2**13 rows at a time, through one
+refilled draw buffer into one volume array: a T3 triangle chunk peaks at
+2.1 MiB in tracemalloc (1.8 MiB pinned), where a whole-chunk draw takes
+6 MiB (4 MiB).  Ball, half-ball and prism samplers draw every base point
+before any radius or height, so their chunks are drawn whole.  A prism
+over a simplex writes its heights into the spare last column of the
+base's spacings, and the boundary sampler fills its points face by face
+a block at a time, so a prism chunk of n = 2 peaks at 4.1-4.2 MiB, its
+3 MiB point array and a third more.  Each worker thread holds one chunk
+at a time, and the threads live from run to run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError, _count
+from .errors import CapacityError, DomainError, UsageError, _count
 from .geometry import Body, body_measures, contains, is_polytopal, polygon_edges
 
 __all__ = [
@@ -90,21 +98,36 @@ class EstimateWithError:
 # samplers
 
 
-def _sample_interior(body: Body, gen: np.random.Generator, m: int) -> np.ndarray:
+def _draw(body: Body, gen: np.random.Generator, m: int,
+          buf: Optional[np.ndarray] = None) -> np.ndarray:
+    """``m`` uniform points in ``body``: the first ``body.dim`` columns of the
+    returned (m, w) array, w >= ``body.dim``.
+
+    A simplex returns its exponential spacings, normalized in place, so one
+    spare column follows its points; a prism over it writes its heights
+    there.  The simplex and cube samplers take their points one after
+    another from ``gen``, so m points drawn in pieces equal one draw of m,
+    and ``buf``, an earlier draw of theirs, is refilled when it has at
+    least m rows instead of a new array being made.
+    """
     d = body.dim
     kind = body.kind
+    if buf is not None and len(buf) < m:
+        buf = None
     if kind == "simplex":
-        spacings = gen.standard_exponential((m, d + 1))
-        # column by column: faster than a row reduction, and it adds in the
-        # same order as numpy's row sum of up to 7 terms
-        total = spacings[:, 0] + spacings[:, 1]
-        for j in range(2, d + 1):
-            total += spacings[:, j]
-        # normalized in place: the points are a strided view of the spacings
-        pts = spacings[:, :d]
-        return np.divide(pts, total[:, None], out=pts)
+        spacings = (gen.standard_exponential((m, d + 1)) if buf is None
+                    else gen.standard_exponential(out=buf[:m]))
+        for start in range(0, m, _BLOCK_ROWS):
+            block = spacings[start : start + _BLOCK_ROWS]
+            # column by column: faster than a row reduction, and it adds in
+            # the same order as numpy's row sum of up to 7 terms
+            total = block[:, 0] + block[:, 1]
+            for j in range(2, d + 1):
+                total += block[:, j]
+            np.divide(block[:, :d], total[:, None], out=block[:, :d])
+        return spacings
     if kind == "cube":
-        return gen.random((m, d))
+        return gen.random((m, d)) if buf is None else gen.random(out=buf[:m])
     if kind in ("ball", "halfball"):
         direction = gen.standard_normal((m, d))
         norms = np.linalg.norm(direction, axis=1, keepdims=True)
@@ -114,18 +137,25 @@ def _sample_interior(body: Body, gen: np.random.Generator, m: int) -> np.ndarray
             pts[:, -1] = np.abs(pts[:, -1])
         return pts
     if kind == "product":
-        base_pts = _sample_interior(body.base, gen, m)
-        heights = gen.random((m, 1)) * float(body.height)
-        return np.concatenate([base_pts, heights], axis=1)
+        pts = _draw(body.base, gen, m)
+        if pts.shape[1] < d:
+            # only a simplex base leaves a spare column
+            pts = np.concatenate([pts, np.empty((m, 1))], axis=1)
+        heights = pts[:, -1]
+        # all m heights follow all m base points in the stream
+        for start in range(0, m, _BLOCK_ROWS):
+            heights[start : start + _BLOCK_ROWS] = gen.random(min(_BLOCK_ROWS, m - start))
+        heights *= float(body.height)
+        return pts
     raise UsageError("no interior sampler for body kind %r" % (kind,))
 
 
 def sample_uniform(body: Body, gen: np.random.Generator, size: int) -> np.ndarray:
     """``size`` uniform points in a catalog body, shape (size, d), drawn
     from ``gen``, e.g. ``RngStream(seed).generator()``."""
-    pts = _sample_interior(body, gen, _count(size, "size"))
-    # the simplex sampler returns a strided view of a wider buffer
-    return pts if pts.flags.c_contiguous and pts.flags.owndata else pts.copy()
+    pts = _draw(body, gen, _count(size, "size"))
+    # a simplex's points are followed by its spare column
+    return pts if pts.shape[1] == body.dim else pts[:, : body.dim].copy()
 
 
 def _boundary_faces(body: Body):
@@ -159,33 +189,43 @@ def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
     m = _count(size, "size")
     face_list, h = _boundary_faces(body)
     weights = np.array([f[2] for f in face_list])
-    choice = gen.choice(len(face_list), size=m, p=weights / weights.sum())
+    # one face index a point, in a byte: a prism over a polygon has few faces
+    choice = gen.choice(len(face_list), size=m, p=weights / weights.sum()).astype(np.uint8)
     pts = np.empty((m, body.dim))
-    flat_mask = np.zeros(m, dtype=bool)
+
+    def blocks(idx):
+        # the rows on face idx, a block at a time: a face draws for its rows
+        # in row order, so block by block equals one draw for all of them
+        for start in range(0, m, _BLOCK_ROWS):
+            sel = choice[start : start + _BLOCK_ROWS] == idx
+            count = int(np.count_nonzero(sel))
+            if count:
+                yield pts[start : start + _BLOCK_ROWS], sel, count
+
     for idx, (tag, payload, _area) in enumerate(face_list):
-        mask = choice == idx
-        count = int(mask.sum())
-        if not count:
-            continue
         if tag == "flat":
-            base_pts = _sample_interior(body.base, gen, count)
-            pts[mask, :-1] = base_pts
-            pts[mask, -1] = payload
-            flat_mask[mask] = True
+            for rows, sel, count in blocks(idx):
+                rows[sel, :-1] = _draw(body.base, gen, count)[:, : body.dim - 1]
+                rows[sel, -1] = payload
         else:
             (sx, sy), (ex, ey) = payload
-            s = gen.random(count)
-            pts[mask, 0] = sx + s * (ex - sx)
-            pts[mask, 1] = sy + s * (ey - sy)
-            pts[mask, -1] = gen.random(count) * h
-    return pts, flat_mask
+            for rows, sel, count in blocks(idx):
+                s = gen.random(count)
+                rows[sel, 0] = sx + s * (ex - sx)
+                rows[sel, 1] = sy + s * (ey - sy)
+            # all of a side face's heights follow all of its edge parameters
+            for rows, sel, count in blocks(idx):
+                rows[sel, -1] = gen.random(count) * h
+    # faces 0 and 1 are the flat copies of K
+    return pts, choice < 2
 
 
 # ---------------------------------------------------------------------------
 # estimators
 
 
-def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None) -> np.ndarray:
+def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """(n-1)-volumes of simplices given as an (m, n, d) vertex array.
 
     With ``origin``, a point of shape (d,), the array holds n-1 vertices per
@@ -196,12 +236,12 @@ def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None) -> np
     multiply to the Gram determinant.  A zero residual divides by 1
     instead, so degenerate simplices (a repeated vertex gives coefficient
     exactly 1) have volume exactly 0.  The rows run in blocks of
-    ``_BLOCK_ROWS``, each written into the one output array, so the
-    temporaries are block-sized whatever m is; every row's arithmetic is
-    the same in any block.
+    ``_BLOCK_ROWS``, each written into the one output array (``out`` when
+    given), so the temporaries are block-sized whatever m is; every row's
+    arithmetic is the same in any block.
     """
     n = pts.shape[1] + (origin is not None)
-    volumes = np.empty(pts.shape[0])
+    volumes = np.empty(pts.shape[0]) if out is None else out
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         block = pts[start : start + _BLOCK_ROWS]
         # the edges run from the first vertex to each of the others
@@ -255,11 +295,26 @@ def _chunk_layout(samples: int):
     return sizes
 
 
+@functools.lru_cache(maxsize=1)
+def _pool(threads: int, pid: int) -> ThreadPoolExecutor:
+    """The worker threads, kept from run to run while the thread count and
+    the process (a forked child has none of its parent's threads) stay.
+
+    Each thread of a new pool takes a malloc arena, and an arena whose
+    thread is still exiting is not handed on; a pool per run therefore
+    sometimes made one more arena, holding freed chunk buffers: about 4 MB
+    more peak RSS.
+    """
+    return ThreadPoolExecutor(max_workers=threads)
+
+
 def _run_chunks(worker, samples: int, seed: int, threads: int):
     """Run ``worker(chunk_index, size) -> (values, tally)`` over the chunks.
 
     Returns the estimate of the mean of ``values`` and the sum of the
-    integer tallies; chunk statistics are taken in the worker threads.
+    integer tallies.  Chunk statistics are taken in the worker threads,
+    before a thread's next chunk, so a worker may refill one ``values``
+    array in every chunk it runs.
     """
     _count(threads, "threads")
 
@@ -269,8 +324,7 @@ def _run_chunks(worker, samples: int, seed: int, threads: int):
 
     jobs = list(enumerate(_chunk_layout(samples)))
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, jobs))
+        partials = list(_pool(threads, os.getpid()).map(run, jobs))
     else:
         partials = [run(job) for job in jobs]
     estimate = _combine_chunks([p[0] for p in partials], seed)
@@ -285,6 +339,34 @@ def _check_common(body: Body, n: int, samples: int) -> None:
             % (n, n - 1, body.dim)
         )
     _count(samples, "samples")
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _diameter_bound(body: Body) -> float:
+    """An upper bound on the diameter of a catalog body: sqrt(2) for a
+    simplex, sqrt(d) for a cube, 2 for a ball or a half-ball."""
+    if body.kind == "product":
+        return math.hypot(_diameter_bound(body.base), float(body.height))
+    return {"simplex": math.sqrt(2.0), "cube": math.sqrt(body.dim)}.get(body.kind, 2.0)
+
+
+def _check_float_range(body: Body, n: int, k: int, samples: int) -> None:
+    """A CapacityError, before any draw, when an estimate could leave float64.
+
+    In a body of diameter D the volume kernel's Gram determinant is at most
+    D^(2(n-1)), a trial value V^k at most b = (D^(n-1)/(n-1)!)^k, and the
+    sum of squared deviations at most samples * b^2.  A prism's face areas,
+    by which the boundary sampler picks faces, are then each at most 2D.
+    """
+    log_d = math.log(_diameter_bound(body))
+    log_b = k * ((n - 1) * log_d - math.lgamma(n))
+    if max(2 * (n - 1) * log_d, 2 * log_b + math.log(samples)) >= _LOG_FLOAT_MAX:
+        raise CapacityError(
+            "E V^%d of %d points over %d samples in a body of diameter up to %.3g "
+            "can leave the float64 range" % (k, n, samples, _diameter_bound(body))
+        )
 
 
 def estimate_moment(
@@ -305,6 +387,7 @@ def estimate_moment(
     """
     _check_common(body, n, samples)
     _count(k, "moment order k")
+    _check_float_range(body, n, k, samples)
     anchor = None
     if fixed is not None:
         anchor = np.asarray([float(v) for v in fixed])
@@ -314,11 +397,29 @@ def estimate_moment(
             raise DomainError("fixed point lies outside the body")
     n_random = n if anchor is None else n - 1
 
+    # the simplex and cube samplers take their points one after another
+    # from the stream, so a chunk is drawn and measured a block of rows at
+    # a time; the others draw all base points before any radius or height
+    step = _BLOCK_ROWS if body.kind in ("simplex", "cube") else CHUNK_SIZE
+    # each thread refills its first volume array and block draw buffer:
+    # new ones every chunk would be mapped or trimmed by malloc anew each
+    # time, about 20k more page faults in a first mc-area operation
+    kept = threading.local()
+
     def worker(chunk_index: int, size: int):
         gen = RngStream(seed, chunk_index).generator()
-        pts = _sample_interior(body, gen, size * n_random)
-        pts = pts.reshape(size, n_random, body.dim)
-        return _simplex_volumes(pts, origin=anchor) ** k, 0
+        if getattr(kept, "volumes", np.empty(0)).size < size:
+            kept.volumes, kept.draw = np.empty(size), None
+        volumes = kept.volumes[:size]
+        for start in range(0, size, step):
+            rows = min(step, size - start)
+            draw = _draw(body, gen, rows * n_random, kept.draw)
+            if step < CHUNK_SIZE and kept.draw is None:
+                kept.draw = draw
+            pts = draw[:, : body.dim].reshape(rows, n_random, body.dim)
+            _simplex_volumes(pts, origin=anchor, out=volumes[start : start + rows])
+        volumes **= k
+        return volumes, 0
 
     return _run_chunks(worker, samples, seed, threads)[0]
 

@@ -163,16 +163,25 @@ def test_triangle_spec_rejects_degenerate():
         (1e-200, 1e-200, 1e-200),
         (1e308, 1e308, 1e308),
         (1.34e154, 2e153, 1.3e154),
+        (1e-160, SQRT2 * 1e-160, 1e-160),
     ],
-    ids=["nan-a", "nan-b", "inf", "1e-200", "1e308", "sum-overflow"],
+    ids=["nan-a", "nan-b", "inf", "1e-200", "1e308", "sum-overflow", "subnormal-squares"],
 )
 def test_triangle_spec_refuses_sides_outside_float64(sides):
     # nan gave nan angles, 1e-200 a ZeroDivisionError, 1e308 nan angles
-    # refused later as "angle must lie strictly between 0 and pi", and the
-    # last a math domain ValueError
+    # refused later as "angle must lie strictly between 0 and pi", the
+    # sum-overflow case a math domain ValueError, and squares below the
+    # smallest normal float an alpha of 0.78544 for pi/4
     with pytest.raises(DomainError) as err:
         TriangleSpec.from_sides(*sides)
     assert repr(float(sides[0])) in str(err.value)
+
+
+def test_triangle_spec_keeps_tiny_sides_with_normal_squares():
+    # the refusal of subnormal squares leaves sides of 1e-150 to work
+    t = TriangleSpec.from_sides(1e-150, SQRT2 * 1e-150, 1e-150)
+    assert t.alpha == pytest.approx(math.pi / 4, rel=1e-15)
+    assert t.beta == pytest.approx(math.pi / 2, rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,21 @@ class TestExitCodes:
         assert "k=5000" in err and "the largest k that evaluates is 2043" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, n, k, eps", [("interior", 3, 2, "1e200"), ("boundary", 2, 1, "1e308")]
+    )
+    def test_prism_past_float64_is_capacity(self, tmp_path, capsys, mode, n, k, eps):
+        # each exited 1 with a bare ValueError: a nan mean that JSON
+        # refused, and face weights that did not sum to 1
+        out = tmp_path / "r.json"
+        code = main(["lift-sweep", "--mode", mode, "--body", "T2", "--n", str(n), "--k", str(k),
+                     "--eps", eps, "--samples", "10", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity: ") and err.count("\n") == 1
+        assert "float64" in err
+        assert not out.exists()
+
     def test_moment_capacity_refusal(self, capsys):
         code = main(["tetra-moments", "--case", "free", "--kmax", "10"])
         assert code == 3

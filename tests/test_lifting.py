@@ -8,7 +8,7 @@ import pytest
 
 import simplexmoments.lifting as lifting
 from simplexmoments.chords import TriangleSpec, chord_moment
-from simplexmoments.errors import UsageError
+from simplexmoments.errors import CapacityError, UsageError
 from simplexmoments.geometry import (
     ball,
     body_measures,
@@ -297,3 +297,38 @@ class TestCrossSweepProperties:
         monkeypatch.setattr(lifting, "_run_chunks", no_sampling)
         with pytest.raises(UsageError, match="prism height"):
             sweep(triangle_T2(), 2, 1, eps_list, samples=10, seed=1)
+
+    @pytest.mark.parametrize(
+        "sweep, n, k, height",
+        [(interior_convergence_sweep, 3, 2, 1e200), (boundary_convergence_sweep, 2, 1, 1e308)],
+        ids=["interior", "boundary"],
+    )
+    def test_prisms_past_float64_refused_before_the_reference(
+        self, monkeypatch, sweep, n, k, height
+    ):
+        # unchecked, the interior volumes overflowed to a nan mean, and the
+        # boundary face areas to a failed face choice (both a bare ValueError
+        # from the CLI)
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the refusal")
+
+        monkeypatch.setattr(lifting, "estimate_moment", no_sampling)
+        monkeypatch.setattr(lifting, "_run_chunks", no_sampling)
+        with pytest.raises(CapacityError, match="float64"):
+            sweep(triangle_T2(), n, k, [height, F(1, 2)], samples=10, seed=1)
+
+    @pytest.mark.parametrize("sweep", [interior_convergence_sweep, boundary_convergence_sweep])
+    @pytest.mark.parametrize(
+        "reference", [F(10**400), "x", math.nan, -math.inf, [1]],
+        ids=["10**400", "x", "nan", "-inf", "list"],
+    )
+    def test_reference_outside_float64_refused(self, monkeypatch, sweep, reference):
+        # unchecked, 10**400 raised a bare OverflowError, "x" a bare
+        # ValueError, and nan gave rows with a nan error, "not converged"
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the reference was checked")
+
+        monkeypatch.setattr(lifting, "estimate_moment", no_sampling)
+        monkeypatch.setattr(lifting, "_run_chunks", no_sampling)
+        with pytest.raises(UsageError, match="reference"):
+            sweep(triangle_T2(), 2, 1, [F(1, 2)], samples=10, seed=1, reference=reference)

@@ -6,7 +6,9 @@ import json
 import math
 import os
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,7 +20,7 @@ from simplexmoments.chords import (
     chord_moment,
     edgepoint_moment,
 )
-from simplexmoments.errors import DomainError, UsageError
+from simplexmoments.errors import CapacityError, DomainError, UsageError
 from simplexmoments.geometry import (
     Body,
     ball,
@@ -39,6 +41,7 @@ from simplexmoments.mc import (
     RngStream,
     _chunk_stats,
     _combine_chunks,
+    _draw,
     _run_chunks,
     _simplex_volumes,
     estimate_moment,
@@ -285,22 +288,77 @@ class TestSimplexVolumes:
         assert np.allclose(totals, permuted, atol=1e-12)
 
 
-@pytest.mark.parametrize("fixed", [None, (1 / 3, 1 / 3, 1 / 3)], ids=["free", "pinned"])
-def test_one_chunk_peak_memory(fixed):
-    # one T3 triangle chunk: the exponential draw of its random vertices,
-    # plus at most half that again in the normalization and the volume kernel
-    t3 = tetrahedron_T3()
-    n_random = 3 if fixed is None else 2
-    draw_bytes = CHUNK_SIZE * n_random * (t3.dim + 1) * np.dtype(float).itemsize
-    estimate_moment(t3, 3, 1, fixed=fixed, samples=16, seed=149)
+def _traced_peak(call) -> int:
+    """tracemalloc peak of ``call()`` above what was allocated before it,
+    after one warm-up call."""
+    call()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        estimate_moment(t3, 3, 1, fixed=fixed, samples=CHUNK_SIZE, seed=151)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * draw_bytes
+
+
+@pytest.mark.parametrize("fixed", [None, (1 / 3, 1 / 3, 1 / 3)], ids=["free", "pinned"])
+def test_one_chunk_peak_memory(fixed):
+    # one T3 triangle chunk, drawn a block of rows at a time: the chunk's
+    # volumes plus three times one block's exponential draw (the draw
+    # buffer, and the kernel's temporaries), where the whole chunk's draw
+    # took 6 MiB (4 MiB pinned) and the peak 7.7 MiB (5.4 MiB)
+    t3 = tetrahedron_T3()
+    n_random = 3 if fixed is None else 2
+    itemsize = np.dtype(float).itemsize
+    block_draw_bytes = _BLOCK_ROWS * n_random * (t3.dim + 1) * itemsize
+    peak = _traced_peak(
+        lambda: estimate_moment(t3, 3, 1, fixed=fixed, samples=CHUNK_SIZE, seed=151)
+    )
+    assert peak <= CHUNK_SIZE * itemsize + 3 * block_draw_bytes
+
+
+@pytest.mark.parametrize("eps", [F(1, 2), F(1, 32)], ids=["1/2", "1/32"])
+@pytest.mark.parametrize("mode", ["interior", "boundary"])
+def test_one_prism_chunk_peak_memory(mode, eps):
+    # a prism chunk holds its whole (2 * CHUNK_SIZE, 3) point array: the
+    # heights fill the simplex base's spare column, and the boundary
+    # sampler's other temporaries are block-sized; half the points' size
+    # again covers the volumes and the kernel.  Before, the peaks were
+    # 7.0 MiB (interior) and 5.7 and 7.6 MiB (boundary) for 3 MiB of points.
+    prism = product(triangle_T2(), eps)
+    point_bytes = 2 * CHUNK_SIZE * prism.dim * np.dtype(float).itemsize
+    if mode == "interior":
+        def call():
+            estimate_moment(prism, 2, 2, samples=CHUNK_SIZE, seed=163)
+    else:
+        def call():
+            boundary_convergence_sweep(
+                triangle_T2(), 2, 2, [eps], samples=CHUNK_SIZE, seed=163, reference=F(2, 9)
+            )
+    assert _traced_peak(call) <= 1.5 * point_bytes
+
+
+@pytest.mark.parametrize(
+    "body, n", [(tetrahedron_T3(), 3), (cube(3), 4)], ids=["simplex", "cube"]
+)
+def test_streamed_chunk_equals_one_whole_draw(body, n):
+    # the chunk worker draws and measures these bodies a block of rows at a
+    # time, refilling one buffer; one draw of the whole chunk from the same
+    # stream gives the same estimate, bit for bit
+    size = 2 * _BLOCK_ROWS + 5
+    pts = sample_uniform(body, RngStream(167, 0).generator(), size * n)
+    gen = RngStream(167, 0).generator()
+    buf, blocks = None, []
+    for start in range(0, size, _BLOCK_ROWS):
+        buf = _draw(body, gen, min(_BLOCK_ROWS, size - start) * n, buf)
+        blocks.append(buf[:, : body.dim].copy())
+    assert np.concatenate(blocks).tobytes() == pts.tobytes()
+    # a buffer with fewer rows than the draw is left alone
+    short = _draw(body, RngStream(167, 0).generator(), 7, buf[:3])
+    assert short.shape[0] == 7 and short[:, : body.dim].tobytes() == pts[:7].tobytes()
+    est = estimate_moment(body, n, 1, samples=size, seed=167)
+    whole = _combine_chunks([_chunk_stats(_simplex_volumes(pts.reshape(size, n, body.dim)))], 167)
+    assert est == whole
 
 
 class TestChunkMerge:
@@ -340,7 +398,51 @@ def test_thread_count_bit_identity(case):
     assert one == two == four
 
 
+def test_concurrent_callers_share_the_worker_threads():
+    # estimates from several caller threads at once share the kept worker
+    # threads, with two thread counts in turn replacing the pool, and each
+    # keeps its own chunk buffers: every one equals its serial value
+    samples = CHUNK_SIZE + 3 * _BLOCK_ROWS + 7
+    cases = [(body, seed, threads) for body in (tetrahedron_T3(), cube(2))
+             for seed in (171, 173) for threads in (2, 3)]
+
+    def run(case, threads):
+        body, seed, _ = case
+        return estimate_moment(body, 3, 1, samples=samples, seed=seed, threads=threads)
+
+    serial = [run(case, 1) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            futures = [callers.submit(run, case, case[2]) for case in cases]
+            concurrent = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
+
+
 class TestEstimateMoment:
+    @pytest.mark.parametrize(
+        "height, n, k", [(1e200, 3, 2), (1e154, 2, 1), (1e308, 2, 1)], ids=["1e200", "1e154", "1e308"]
+    )
+    def test_prisms_past_float64_refused_before_any_chunk(self, monkeypatch, height, n, k):
+        # unchecked, 1e200 overflowed the volumes (a numpy warning and a nan
+        # mean) and 1e154 the Gram determinant of a segment's length
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the refusal")
+
+        monkeypatch.setattr("simplexmoments.mc._run_chunks", no_sampling)
+        with pytest.raises(CapacityError, match="float64"):
+            estimate_moment(product(triangle_T2(), height), n, k, samples=10, seed=1)
+
+    def test_largest_accepted_prisms_give_finite_estimates(self):
+        # inside the bound: D^2 and 10 samples times the squared volume fit
+        for sweep in (interior_convergence_sweep, boundary_convergence_sweep):
+            row = sweep(triangle_T2(), 2, 1, [1e153], samples=10, seed=1, reference=0)["rows"][0]
+            assert math.isfinite(row["estimate"].mean) and math.isfinite(row["estimate"].std_error)
+            assert 1e150 < row["estimate"].mean < 1e154
+
     def test_segment_mean_distance(self):
         est = estimate_moment(cube(1), 2, 1, samples=400_000, seed=43)
         # E|x - y| = 1/3 on the unit segment
