@@ -175,7 +175,13 @@ def boundary_convergence_sweep(
             pts, flat = sample_boundary_uniform(prism, gen, size * n)
             volumes = _simplex_volumes(pts.reshape(size, n, prism.dim))
             volumes **= k
-            return volumes, int(flat.reshape(size, n).all(axis=1).sum())
+            # a simplex is all flat when each of its n vertex columns is;
+            # column by column, as a row of n is too short for numpy's loops
+            on_flat = flat.reshape(size, n)
+            all_flat = on_flat[:, 0].copy()
+            for j in range(1, n):
+                all_flat &= on_flat[:, j]
+            return volumes, int(all_flat.sum())
 
         est, all_flat = _run_chunks(worker, samples, row_seed, threads)
         flat_frac = all_flat / samples

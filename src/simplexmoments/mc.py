@@ -18,6 +18,18 @@ on the edge vectors, whose squared residual norms multiply to the Gram
 determinant, so ambient dimension is arbitrary.  Its numpy calls release
 the interpreter lock, which lets worker threads run chunks in parallel.
 
+A point has only d = 2-4 coordinates, and numpy runs its inner loop over
+the axis of smallest stride, so an operation on a (rows, d) array loops d
+times per row.  The hot elementwise passes (the simplex sampler's
+normalization, the kernel's edge differences and projection updates, the
+boundary sampler's face fill) therefore run one coordinate column at a
+time, which gives the same bits 1.4-2.7 times faster.  The kernel's dot
+products stay ``np.einsum("md,md->m", ...)`` over C-contiguous (rows, d)
+residuals: einsum does not add the d products in index order (numpy 2.4
+on x86-64 adds three as (p0 + p2) + p1), so column sums in order would
+change about a quarter of the rows of every dot product, and the frozen
+Monte Carlo goldens pin einsum's bits.
+
 Memory is bounded per chunk, not per run.  The simplex and cube samplers
 take their points one after another from the stream, so a chunk of those
 bodies is drawn and measured a block of 2**13 rows at a time, through one
@@ -119,12 +131,14 @@ def _draw(body: Body, gen: np.random.Generator, m: int,
                     else gen.standard_exponential(out=buf[:m]))
         for start in range(0, m, _BLOCK_ROWS):
             block = spacings[start : start + _BLOCK_ROWS]
-            # column by column: faster than a row reduction, and it adds in
-            # the same order as numpy's row sum of up to 7 terms
+            # column by column, as a row is only d + 1 long: the sum adds in
+            # the order of numpy's row sum of up to 7 terms, and the division
+            # is elementwise, so the bits are those of the 2-D operations
             total = block[:, 0] + block[:, 1]
             for j in range(2, d + 1):
                 total += block[:, j]
-            np.divide(block[:, :d], total[:, None], out=block[:, :d])
+            for j in range(d):
+                block[:, j] /= total
         return spacings
     if kind == "cube":
         return gen.random((m, d)) if buf is None else gen.random(out=buf[:m])
@@ -194,28 +208,32 @@ def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
     pts = np.empty((m, body.dim))
 
     def blocks(idx):
-        # the rows on face idx, a block at a time: a face draws for its rows
-        # in row order, so block by block equals one draw for all of them
+        # the rows on face idx, a block at a time, as the block's columns and
+        # the face's row numbers in it: a face draws for its rows in row
+        # order, so block by block equals one draw for all of them.  Each
+        # column is written through integer indices, which numpy does
+        # several times faster than a 2-D boolean-mask assignment.
         for start in range(0, m, _BLOCK_ROWS):
-            sel = choice[start : start + _BLOCK_ROWS] == idx
-            count = int(np.count_nonzero(sel))
-            if count:
-                yield pts[start : start + _BLOCK_ROWS], sel, count
+            at = np.flatnonzero(choice[start : start + _BLOCK_ROWS] == idx)
+            if at.size:
+                yield pts[start : start + _BLOCK_ROWS].T, at
 
     for idx, (tag, payload, _area) in enumerate(face_list):
         if tag == "flat":
-            for rows, sel, count in blocks(idx):
-                rows[sel, :-1] = _draw(body.base, gen, count)[:, : body.dim - 1]
-                rows[sel, -1] = payload
+            for cols, at in blocks(idx):
+                base = _draw(body.base, gen, at.size)
+                for c in range(body.dim - 1):
+                    cols[c][at] = base[:, c]
+                cols[-1][at] = payload
         else:
             (sx, sy), (ex, ey) = payload
-            for rows, sel, count in blocks(idx):
-                s = gen.random(count)
-                rows[sel, 0] = sx + s * (ex - sx)
-                rows[sel, 1] = sy + s * (ey - sy)
+            for cols, at in blocks(idx):
+                s = gen.random(at.size)
+                cols[0][at] = sx + s * (ex - sx)
+                cols[1][at] = sy + s * (ey - sy)
             # all of a side face's heights follow all of its edge parameters
-            for rows, sel, count in blocks(idx):
-                rows[sel, -1] = gen.random(count) * h
+            for cols, at in blocks(idx):
+                cols[-1][at] = gen.random(at.size) * h
     # faces 0 and 1 are the flat copies of K
     return pts, choice < 2
 
@@ -238,9 +256,10 @@ def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
     exactly 1) have volume exactly 0.  The rows run in blocks of
     ``_BLOCK_ROWS``, each written into the one output array (``out`` when
     given), so the temporaries are block-sized whatever m is; every row's
-    arithmetic is the same in any block.
+    arithmetic is the same in any block and for any strides of ``pts``.
     """
     n = pts.shape[1] + (origin is not None)
+    d = pts.shape[2]
     volumes = np.empty(pts.shape[0]) if out is None else out
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         block = pts[start : start + _BLOCK_ROWS]
@@ -250,9 +269,16 @@ def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
         gram[:] = 1.0
         residuals = []
         for j in range(n - 1):
-            r = others[:, j, :] - first
+            # the elementwise passes run a coordinate column at a time into
+            # a C-contiguous residual, the dot products stay einsum: its
+            # order of adding the d products is what the goldens froze
+            r = np.empty((len(block), d))
+            for c in range(d):
+                np.subtract(others[:, j, c], first[..., c], out=r[:, c])
             for u, uu in residuals:
-                r -= (np.einsum("md,md->m", r, u) / uu)[:, None] * u
+                coef = np.einsum("md,md->m", r, u) / uu
+                for c in range(d):
+                    r[:, c] -= coef * u[:, c]
             rr = np.einsum("md,md->m", r, r)
             gram *= rr
             residuals.append((r, np.where(rr > 0.0, rr, 1.0)))

@@ -17,6 +17,9 @@ two exactly:
 * :func:`simplex_volumes_unblocked` - the Monte Carlo volume kernel over
   all rows at once, the form that froze the Monte Carlo goldens, against
   the row-blocked kernel;
+* :func:`sample_boundary_unblocked` - the prism boundary sampler's draws
+  filled over all points at once through boolean masks, the form that
+  froze the sampler goldens, against the block-wise fill;
 * :func:`monomial_integral_T3` and :func:`boundary_residual` - the
   per-point factorial integral and the distance to a body's boundary;
 * :func:`solve_fraction_free` - an exact Bareiss solve of a square
@@ -41,6 +44,7 @@ import numpy as np
 
 from simplexmoments.errors import UsageError
 from simplexmoments.geometry import Body, _margins
+from simplexmoments.mc import _boundary_faces, sample_uniform
 from simplexmoments.tetra import (
     CASE_FIXED,
     CASE_FREE,
@@ -530,6 +534,35 @@ def simplex_volumes_unblocked(pts: np.ndarray) -> np.ndarray:
         gram *= rr
         residuals.append((r, np.where(rr > 0.0, rr, 1.0)))
     return np.sqrt(gram) / math.factorial(n - 1)
+
+
+def sample_boundary_unblocked(body: Body, gen: np.random.Generator, size: int):
+    """``size`` uniform points on the boundary of a prism K x [0, h], and the
+    mask of those on its flat faces, with whole-array boolean masks.
+
+    The draws, in stream order: one face choice a point; then face by face,
+    for the face's rows in row order, base points (a flat face) or edge
+    parameters followed by heights (a side face).
+    """
+    faces, h = _boundary_faces(body)
+    weights = np.array([area for _tag, _payload, area in faces])
+    choice = gen.choice(len(faces), size=size, p=weights / weights.sum())
+    pts = np.empty((size, body.dim))
+    for idx, (tag, payload, _area) in enumerate(faces):
+        sel = choice == idx
+        count = int(sel.sum())
+        if not count:
+            continue
+        if tag == "flat":
+            pts[sel, :-1] = sample_uniform(body.base, gen, count)
+            pts[sel, -1] = payload
+        else:
+            (sx, sy), (ex, ey) = payload
+            s = gen.random(count)
+            pts[sel, 0] = sx + s * (ex - sx)
+            pts[sel, 1] = sy + s * (ey - sy)
+            pts[sel, -1] = gen.random(count) * h
+    return pts, choice < 2
 
 
 def boundary_residual(body: Body, point) -> float:

@@ -14,7 +14,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import _gram_det_exact, boundary_residual, simplex_volumes_unblocked
+from oracles import (
+    _gram_det_exact,
+    boundary_residual,
+    sample_boundary_unblocked,
+    simplex_volumes_unblocked,
+)
 from simplexmoments.chords import (
     TriangleSpec,
     chord_moment,
@@ -203,6 +208,26 @@ class TestSampleBoundaryUniform:
         # both flat faces get hit
         assert 0.4 < (z == 0.0).mean() < 0.6
 
+    @pytest.mark.parametrize(
+        "body",
+        [product(triangle_T2(), F(1, 4)), product(triangle_T2(), F(1, 20000)),
+         product(cube(2), 0.3)],
+        ids=["T2 x 1/4", "T2 x 1/20000", "cube:2 x 0.3"],
+    )
+    def test_blocks_match_one_whole_array_fill(self, body):
+        # the sampler fills its points a block of rows at a time; over
+        # several blocks, and with a height so small that some blocks hold
+        # no side-face row, it draws exactly what whole-array masks draw
+        size = 3 * _BLOCK_ROWS + 17
+        pts, flat = sample_boundary_uniform(body, RngStream(173).generator(), size)
+        want_pts, want_flat = sample_boundary_unblocked(body, RngStream(173).generator(), size)
+        assert pts.tobytes() == want_pts.tobytes()
+        assert flat.tobytes() == want_flat.tobytes()
+        if body.height == F(1, 20000):
+            sides = [np.count_nonzero(~flat[start : start + _BLOCK_ROWS])
+                     for start in range(0, size, _BLOCK_ROWS)]
+            assert 0 in sides and max(sides) > 0, sides
+
     def test_unsupported_bodies(self):
         with pytest.raises(UsageError):
             sample_boundary_uniform(triangle_T2(), RngStream(1).generator(), size=4)
@@ -260,12 +285,18 @@ class TestSimplexVolumes:
                 # a repeated vertex in the first and the last row
                 pts[0, 1] = pts[0, 0]
                 pts[-1, -1] = pts[-1, 0]
-                if pinned:
-                    got = _simplex_volumes(pts[:, 1:], origin=pts[0, 0])
-                else:
-                    got = _simplex_volumes(pts)
-                assert np.array_equal(got, simplex_volumes_unblocked(pts))
-                assert got[0] == 0.0 and got[-1] == 0.0
+                want = simplex_volumes_unblocked(pts).tobytes()
+                # also the layout the chunk worker passes: the simplex
+                # sampler's draw, whose rows keep a spare column
+                spare = np.empty((m * n, d + 1))[:, :d].reshape(m, n, d)
+                spare[...] = pts
+                for given in (pts, spare):
+                    if pinned:
+                        got = _simplex_volumes(given[:, 1:], origin=given[0, 0])
+                    else:
+                        got = _simplex_volumes(given)
+                    assert got.tobytes() == want, (n, d, given.strides)
+                    assert got[0] == 0.0 and got[-1] == 0.0
 
     def test_degenerate_simplex_has_zero_facets(self):
         pts = np.zeros((4, 3, 3))
