@@ -3,7 +3,7 @@
 The package computes moments of the (n-1)-volume of the convex hull of n
 random points in a convex body (optionally with one vertex pinned to a fixed
 point), proves one-sided polynomial bounds on sqrt exactly (Descartes'
-rule of signs, then Sturm sequences where it cannot decide), searches for
+rule of signs, with Descartes bisection where it cannot decide), searches for
 certificate nodes by an exact exchange on d+1 grid nodes of the dual
 moment problem, and cross-checks everything by deterministic Monte Carlo.
 The flagship use is the machine verification that pinning a vertex to the
@@ -36,7 +36,6 @@ _LAZY_NAMES = {
         "parse_rational",
         "UniPoly",
         "uni_eval",
-        "SturmChain",
         "NonnegResult",
         "sturm_nonneg_on_interval",
     ],

@@ -7,9 +7,9 @@ E p(V^2) = sum_i a_i mu_2i is an exact rational once the even moments
 mu_2i are known.  The reverse inequality gives upper bounds.  This module
 interpolates such polynomials from touch points (Hermite conditions, by
 confluent divided differences in Newton form), proves the one-sided
-inequality exactly (Descartes' rule of signs when the error polynomial
-cannot cross zero, Sturm sequences otherwise), and assembles the bound
-values.
+inequality exactly (Descartes' rule of signs, which shows at once when the
+error polynomial cannot cross zero and otherwise counts its crossings by
+bisection), and assembles the bound values.
 
 The headline application: for triangles with vertices drawn uniformly from
 the tetrahedron T3 = conv{0, e1, e2, e3}, a degree-7 lower bound for the
@@ -18,7 +18,7 @@ one vertex pinned at (1/3, 1/3, 1/3), the centroid of the facet
 x + y + z = 1, straddle the pivot value 23471/500000 = 0.046942.  That
 proves the pinned mean is strictly smaller than the unpinned one, a fact
 the exactly computable even moments cannot settle on their own.  The whole
-chain (moments, interpolation, Sturm check, comparison) is exact rational
+chain (moments, interpolation, sign check, comparison) is exact rational
 arithmetic from end to end.
 
 A Certificate comes into being only as the output of ``build_certificate``,
@@ -70,7 +70,7 @@ PIVOT = Fraction(23471, 500000)
 # T3 = conv{0, e1, e2, e3}: areas lie in [0, sqrt(3)/2], reached by the facet
 # e1 e2 e3; with a vertex pinned at the facet centroid (1/3, 1/3, 1/3), in
 # [0, sqrt(3)/6] (both are vertex maxima, recomputed by the test suite).
-# The Sturm checks run on [0, B'] for a rational B' >= sqrt(B).
+# The sign checks run on [0, B'] for a rational B' >= sqrt(B).
 FREE_B = Fraction(3, 4)
 FREE_BPRIME = Fraction(13, 15)
 FIXED_B = Fraction(1, 12)
@@ -164,8 +164,9 @@ def _checked_nodes(single_nodes: Sequence, double_nodes: Sequence):
 
 
 def _checked_interval(interval_b, bprime=None, case=None):
-    """(B, B') as Fractions with B > 0 and B'^2 >= B; B' defaults to upper_sqrt_rational(B).
-    With a moment ``case``, B must reach its support bound, or the proof misses triangles."""
+    """(B, B') as Fractions with B > 0, B' > 0 and B'^2 >= B; B' defaults to
+    upper_sqrt_rational(B). With a moment ``case``, B must reach its support bound, or
+    the proof misses triangles."""
     b = _as_fraction(interval_b)
     if b <= 0:
         raise UsageError("interval_b must be positive")
@@ -174,6 +175,8 @@ def _checked_interval(interval_b, bprime=None, case=None):
             "interval_b %s is below the %s support bound %s" % (b, case, _SUPPORT[case][0])
         )
     bprime = upper_sqrt_rational(b) if bprime is None else _as_fraction(bprime)
+    if bprime <= 0:
+        raise UsageError("bprime must be positive, got %s" % bprime)
     if bprime * bprime < b:
         raise UsageError("bprime must satisfy bprime^2 >= interval_b")
     return b, bprime
@@ -229,11 +232,11 @@ def verify_bound_polynomial(poly: UniPoly, side: str, interval_b, bprime=None) -
     """Prove (or refute, with a witness) the one-sided sqrt bound.
 
     Checks g(t) >= 0 on [0, bprime] with ``sturm_nonneg_on_interval``
-    (Descartes' rule, then a Sturm sequence if needed), where g is the
+    (Descartes' rule, then Descartes bisection if needed), where g is the
     signed error of ``error_polynomial``.  ``interval_b`` bounds the
     quantity being certified (the support of V^2), and ``bprime`` must be a
-    rational at least sqrt(interval_b); by default the tightest such value
-    with denominator at most 64 is used.
+    positive rational at least sqrt(interval_b); by default the tightest
+    such value with denominator at most 64 is used.
     """
     _b, bprime = _checked_interval(interval_b, bprime)
     return sturm_nonneg_on_interval(error_polynomial(poly, side), 0, bprime)
@@ -257,9 +260,10 @@ def build_certificate(
 
     Malformed nodes, an interval_b below the support bound of the table's
     case, and a table too short for the interpolant's degree are refused
-    before any interpolation.  Raises VerificationError (with the witness
-    point) if the interpolated polynomial fails the inequality on
-    [0, bprime]; a returned Certificate is always verified.
+    before any interpolation.  Raises VerificationError (naming the witness
+    point, not the value there, which may have thousands of digits) if the
+    interpolated polynomial fails the inequality on [0, bprime]; a returned
+    Certificate is always verified.
     """
     singles, doubles = _checked_nodes(single_nodes, double_nodes)
     b, bprime = _checked_interval(interval_b, bprime, table.case)
@@ -268,8 +272,7 @@ def build_certificate(
     result = verify_bound_polynomial(poly, side, b, bprime)
     if not result:
         raise VerificationError(
-            "bound polynomial fails on [0, %s]: g(%s) = %s < 0"
-            % (bprime, result.witness, result.witness_value)
+            "bound polynomial fails on [0, %s]: g < 0 at t = %s" % (bprime, result.witness)
         )
     bound = bound_from_moments(poly, table)
     return Certificate(

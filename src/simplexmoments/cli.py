@@ -143,10 +143,18 @@ def _digest_file(path: str) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """A rational or decimal number whose "p/q" form a report can print."""
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise UsageError("not a rational number: %r" % text)
+    try:
+        format_rational(value)
+    except ValueError:
+        # the interpreter refuses to render ints past its digit limit
+        raise UsageError("%s has more digits than the %d a report can print"
+                         % (text.strip(), sys.get_int_max_str_digits()))
+    return value
 
 
 def _parse_float(text: str, option: str) -> float:

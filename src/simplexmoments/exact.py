@@ -1,4 +1,4 @@
-"""Exact rationals, integer polynomial arithmetic and Sturm-chain sign
+"""Exact rationals, integer polynomial arithmetic and exact sign
 certification.
 
 Everything in this module is exact; no floating point is involved anywhere.
@@ -7,21 +7,20 @@ record is :class:`UniPoly`, a trimmed tuple of `fractions.Fraction`
 coefficients with no arithmetic of its own; the certificates pass it in and
 get it back.
 
-Gcds, squarefree parts, Yun's decomposition and Sturm chains work on
-integer coefficient lists, to which a rational polynomial is converted
-once by clearing denominators. Gcds are heuristic, read from one integer
-gcd of values, and proved by exact division; Sturm chains stay primitive
-polynomial remainder sequences, whose signs are the proof. Every result
-is the unique primitive form of the rational Euclidean one.
+Gcds, Yun's decomposition and root counts work on integer coefficient
+lists, to which a rational polynomial is converted once by clearing
+denominators. Gcds are heuristic, read from one integer gcd of values, and
+proved by exact division; every factor is the unique primitive form of the
+rational Euclidean one.
 
 The central decision procedure is :func:`sturm_nonneg_on_interval`, which
 certifies ``p(t) >= 0`` for every ``t`` in a closed rational interval, or
 returns a rational witness point where ``p`` is negative. Polynomials that
 touch zero (even-multiplicity roots) inside the interval are accepted; the
 test is for sign changes, not for roots. Whether p crosses zero inside the
-interval is first asked of Descartes' rule of signs, on integer
-coefficients; zero sign variations prove that it does not, and only
-otherwise is a Sturm chain built to decide exactly and find the witness.
+interval is asked of Descartes' rule of signs, on integer coefficients;
+zero sign variations prove that it does not, and only otherwise does
+Descartes bisection count the crossings exactly and find the witness.
 """
 
 from __future__ import annotations
@@ -30,12 +29,13 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, NamedTuple
 
+from .errors import UsageError
+
 __all__ = [
     "format_rational",
     "parse_rational",
     "UniPoly",
     "uni_eval",
-    "SturmChain",
     "NonnegResult",
     "sturm_nonneg_on_interval",
 ]
@@ -119,18 +119,14 @@ def uni_eval(p: UniPoly, x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials: heuristic gcds and pseudo-remainders
+# integer polynomials: heuristic gcds and exact division
 # ---------------------------------------------------------------------------
 #
 # Polynomials here are lists of Python ints, lowest degree first, with no
-# trailing zeros ([] is zero). Gcds, and with them squarefree parts and
-# Yun's decomposition, come from the heuristic gcd below, proved by exact
-# division. Sturm chains run as primitive polynomial remainder sequences
-# over the integers (Brown and Traub, JACM 18, 1971): every pseudo-remainder
-# is reduced to its primitive part, so coefficients stay small without any
-# rational normalization. Primitive forms are unique, so each result equals,
-# coefficient for coefficient, the primitive form of the Euclidean result
-# over the rationals.
+# trailing zeros ([] is zero). Gcds, and with them Yun's decomposition, come
+# from the heuristic gcd below, proved by exact division. Primitive forms are
+# unique, so each result equals, coefficient for coefficient, the primitive
+# form of the Euclidean result over the rationals.
 
 def _int_coeffs(p: UniPoly, positive_lead: bool = False) -> list[int]:
     """Primitive integer coefficients of a nonzero rational multiple of p.
@@ -171,34 +167,6 @@ def _sub_ints(a: list[int], b: list[int]) -> list[int]:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """A positive integer multiple of the remainder of a divided by b.
-
-    Each elimination step scales the running remainder by |lc(b)| instead
-    of dividing by lc(b), so the result is a positive multiple of the
-    rational remainder and sign-sensitive users (Sturm chains) may rely on
-    its signs.
-    """
-    r = list(a)
-    db = len(b) - 1
-    lc = b[-1]
-    scale = abs(lc)
-    for i in range(len(r) - 1, db - 1, -1):
-        top = r.pop()
-        if not top:
-            continue
-        if lc < 0:
-            top = -top
-        if scale != 1:
-            r = [scale * c for c in r]
-        k = i - db
-        for j in range(db):
-            r[k + j] -= top * b[j]
-    while r and not r[-1]:
-        r.pop()
-    return r
 
 
 def _exact_quo(a: list[int], b: list[int]) -> list[int]:
@@ -284,13 +252,6 @@ def _gcd_ints(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[in
             xi = 2 * xi + 1
 
 
-def _squarefree_ints(a: list[int]) -> list[int]:
-    """a / gcd(a, a') for a primitive a with positive leading coefficient."""
-    if len(a) < 2:
-        return a
-    return _gcd_ints(a, _derivative_ints(a))[1]
-
-
 def _yun_ints(p: list[int]) -> list[tuple[int, list[int]]]:
     """Yun's squarefree decomposition of a primitive p with positive lc.
 
@@ -330,47 +291,8 @@ def _odd_multiplicity_part(a: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains
+# root counts and the nonnegativity decision
 # ---------------------------------------------------------------------------
-
-class SturmChain:
-    """Sturm chain of the squarefree part of a polynomial.
-
-    ``chain`` holds primitive integer coefficient lists, lowest degree
-    first: the squarefree part with a positive leading coefficient, its
-    derivative, and then the primitive part of each negated
-    pseudo-remainder of the two before it. Pseudo-remainders scale by |lc|
-    only, so every element is a strictly positive multiple of the
-    corresponding element of the rational Euclidean Sturm sequence and all
-    sign counts agree with it, while coefficients stay small integers.
-    """
-
-    def __init__(self, p: UniPoly):
-        chain = [_squarefree_ints(_int_coeffs(p, positive_lead=True))]
-        if len(chain[0]) > 1:
-            chain.append(_primitive(_derivative_ints(chain[0])))
-            while len(chain[-1]) > 1:
-                r = _prem(chain[-2], chain[-1])
-                if not r:
-                    break
-                chain.append(_primitive([-c for c in r]))
-        self.chain = chain
-
-    def count_roots(self, lo, hi) -> int:
-        """Distinct real roots in (lo, hi].
-
-        Zero values are skipped when counting sign changes, so a root at
-        either end is counted as if the end sat just to its right.
-        """
-        lo, hi = _as_fraction(lo), _as_fraction(hi)
-        if hi < lo:
-            raise ValueError("empty interval")
-        changes = []
-        for x in (lo, hi):
-            signs = [v > 0 for v in (_horner(q, x) for q in self.chain) if v]
-            changes.append(sum(1 for a, b in zip(signs, signs[1:]) if a != b))
-        return changes[0] - changes[1]
-
 
 class NonnegResult(NamedTuple):
     """Outcome of a nonnegativity check with an optional counterexample."""
@@ -419,23 +341,49 @@ def _deflate_root(q: list[int], root: Fraction) -> list[int]:
     return q
 
 
-def _negative_witness(p: UniPoly, crossings: SturmChain, lo: Fraction,
+def _root_count(q: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in (lo, hi], lo < hi, of a squarefree integer list q.
+
+    Descartes bisection (Collins and Akritas, SYMSAC 1976): a root at hi
+    counts once; an open interval that shows 0 or 1 variations holds that
+    many roots; any other is halved, and a root at the midpoint counts once.
+    A root at an end of a piece only divides its transform by y, or lowers
+    its degree, so it adds no variation. The halving ends because q is
+    squarefree: a short enough piece sees at most one root of q near it,
+    a simple real one, and then shows 0 or 1 variations (Vincent's theorem,
+    as proved by Alesina and Galuzzi, L'Enseignement Math. 44, 1998).
+    """
+    count = 0 if _horner(q, hi) else 1
+    pending = [(lo, hi)]
+    while pending:
+        a, b = pending.pop()
+        v = _descartes_variations(q, a, b)
+        if v < 2:
+            count += v
+        else:
+            mid = (a + b) / 2
+            count += not _horner(q, mid)
+            pending += [(a, mid), (mid, b)]
+    return count
+
+
+def _negative_witness(p: UniPoly, crossings: list[int], lo: Fraction,
                       hi: Fraction) -> tuple[Fraction, Fraction]:
     """Find a rational point in (lo, hi) with p < 0.
 
-    ``crossings`` is the Sturm chain of the odd-multiplicity part of p with
-    any roots at lo and hi divided out, and it has at least one root in
-    (lo, hi). Bisection with Sturm counts isolates each such root in its
-    own interval (a, b]; the intervals are then halved until open gaps
-    separate them from each other and from lo and hi. p keeps one sign on
-    each gap, apart from at most deg p zeros, and that sign flips across
-    every crossing, so deg p + 1 points of some gap show a negative value.
+    ``crossings`` is the odd-multiplicity part of p with any roots at lo
+    and hi divided out, and it has at least one root in (lo, hi). Bisection
+    with ``_root_count`` isolates each such root in its own interval
+    (a, b]; the intervals are then halved until open gaps separate them
+    from each other and from lo and hi. p keeps one sign on each gap, apart
+    from at most deg p zeros, and that sign flips across every crossing, so
+    deg p + 1 points of some gap show a negative value.
     """
     isolated: list[list[Fraction]] = []
     pending = [(lo, hi)]
     while pending:
         a, b = pending.pop()
-        n = crossings.count_roots(a, b)
+        n = _root_count(crossings, a, b)
         if n == 1:
             isolated.append([a, b])
         elif n > 1:
@@ -450,7 +398,7 @@ def _negative_witness(p: UniPoly, crossings: SturmChain, lo: Fraction,
         for j in shut:
             for iv in isolated[max(j - 1, 0):j + 1]:
                 mid = (iv[0] + iv[1]) / 2
-                if crossings.count_roots(iv[0], mid):
+                if _root_count(crossings, iv[0], mid):
                     iv[1] = mid
                 else:
                     iv[0] = mid
@@ -473,12 +421,13 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     presence of odd-multiplicity roots (sign crossings) strictly inside the
     interval, and the sign of the polynomial at one interior non-root point.
     Crossings are ruled out by Descartes' rule when it shows no sign
-    variation, and counted by a Sturm chain otherwise. Even-multiplicity
-    interior roots are tolerated by construction.
+    variation, and counted by Descartes bisection otherwise: the
+    odd-multiplicity part, deflated at both ends, is squarefree.
+    Even-multiplicity interior roots are tolerated by construction.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if hi < lo:
-        raise ValueError("interval end precedes start")
+        raise UsageError("interval end %s precedes start %s" % (hi, lo))
     if not p.coeffs:
         return NonnegResult(True, "zero-polynomial")
     if lo == hi:
@@ -497,12 +446,11 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     # lo or hi divided out
     crossings = _odd_multiplicity_part(_int_coeffs(p, positive_lead=True))
     crossings = _deflate_root(_deflate_root(crossings, lo), hi)
-    # Descartes' rule settles the common case, no crossing at all, without
-    # a chain; any variation leaves the exact decision to Sturm's theorem
+    # Descartes' rule settles the common case, no crossing at all, with one
+    # transform; any variation leaves the exact decision to the bisection
     if len(crossings) > 1 and _descartes_variations(crossings, lo, hi):
-        chain = SturmChain(UniPoly(crossings))
-        if chain.count_roots(lo, hi) > 0:
-            x, v = _negative_witness(p, chain, lo, hi)
+        if _root_count(crossings, lo, hi) > 0:
+            x, v = _negative_witness(p, crossings, lo, hi)
             return NonnegResult(False, "interior-sign-change", x, v)
 
     # No interior sign change: one interior non-root sample decides the sign.

@@ -175,19 +175,21 @@ def _even_moment(case: str, k: int) -> Fraction:
                   E u^(alpha+2 beta) v^(alpha+2 gamma).
 
     Every joint moment in J has degree 2k in u and in v, so all of them
-    share one denominator; only J depends on the case.
+    share one denominator; only J depends on the case. The prefactor is the
+    uniform density 3! of T3 once for each random point integrated: two when
+    a vertex is pinned, three when all are free.
     """
     if case == CASE_FIXED:
-        joint, pref = _joint_fixed, 36
+        joint, points = _joint_fixed, 2
         den = (3 ** (2 * k) * _fact(2 * k + 3)) ** 2
     else:
-        joint, pref = _joint_free, 216
+        joint, points = _joint_free, 3
         den = _fact(2 * k + 3) ** 2 * _fact(4 * k + 3)
     acc = 0
     for j in range(k + 1):
         inner = sum(c * joint(tuple(sorted(alpha)), k - j) for alpha, c in _multinomials(2 * j))
         acc += (-1) ** j * math.comb(k, j) * inner
-    return Fraction(pref, 4**k) * Fraction(acc, den)
+    return Fraction(_fact(3) ** points, 4**k) * Fraction(acc, den)
 
 
 def _check_capacity(case: str, k: int) -> None:

@@ -14,7 +14,7 @@ and wall-clock budget:
 * dimension-lifting convergence sweeps, and
 * a cross-section of the property suite (serialization round-trips,
   thread-count determinism, exact-versus-sampled agreement, and the
-  agreement of the Sturm verdict with dense evaluation).
+  agreement of the exact sign verdict with dense evaluation).
 """
 
 import math
@@ -323,7 +323,7 @@ class TestPublicNames:
         "EstimateWithError", "FIXED_B", "FIXED_BPRIME", "FIXED_KMAX_LIMIT", "FREE_B",
         "FREE_BPRIME", "FREE_KMAX_LIMIT", "LOWER_DOUBLE_NODES", "LOWER_SINGLE_NODES",
         "MomentTable", "NonnegResult", "PIVOT", "RNG_ALGORITHM", "RngStream",
-        "SturmChain", "TriangleSpec", "UPPER_DOUBLE_NODES", "UPPER_SINGLE_NODES",
+        "TriangleSpec", "UPPER_DOUBLE_NODES", "UPPER_SINGLE_NODES",
         "UniPoly", "UsageError", "VerificationError", "__version__", "ball",
         "body_measures", "bound_from_moments", "boundary_convergence_sweep",
         "build_certificate", "certificate_to_json", "chord_moment", "contains",

@@ -340,8 +340,8 @@ class TestSupportBounds:
 
 
 class TestRefusedBeforeProof:
-    """A short table or an interval below the case's support bound is refused
-    before any interpolation or Sturm proof runs."""
+    """A short table, an interval below the case's support bound or a B' that
+    is not positive is refused before any interpolation or sign proof runs."""
 
     @pytest.fixture
     def proof_calls(self, monkeypatch):
@@ -368,4 +368,15 @@ class TestRefusedBeforeProof:
     def test_interval_below_the_support_bound(self, proof_calls, free_table):
         with pytest.raises(UsageError, match="below the free support bound 3/4"):
             build_certificate("upper", (), (F(1, 20), F(1, 8)), free_table, FIXED_B, FIXED_BPRIME)
+        assert proof_calls == []
+
+    def test_negative_bprime(self, proof_calls, free_table):
+        # (-1)^2 >= 3/4, so only the sign of B' refuses it
+        with pytest.raises(UsageError, match="bprime must be positive, got -1"):
+            build_certificate("lower", LOWER_SINGLE_NODES, LOWER_DOUBLE_NODES, free_table,
+                              FREE_B, -1)
+        with pytest.raises(UsageError, match="bprime must be positive, got -1"):
+            verify_bound_polynomial(UniPoly((0, 1)), "lower", FREE_B, -1)
+        with pytest.raises(UsageError, match="bprime must be positive, got 0"):
+            verify_bound_polynomial(UniPoly((0, 1)), "lower", FREE_B, 0)
         assert proof_calls == []

@@ -338,6 +338,58 @@ class TestRefusedBeforeWork:
         assert not out.exists()
 
 
+class TestCertifyBprime:
+    """A B' that is not positive, or that a report could not print, is a usage
+    error before any table is read or computed; a failed proof at a huge B'
+    names its witness point in one short line."""
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        import simplexmoments.cli as cli
+        import simplexmoments.tetra as tetra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was read or computed before the refusal")
+
+        monkeypatch.delenv("SIMPLEXMOMENTS_TABLES", raising=False)
+        monkeypatch.setattr(tetra, "_even_moment", refuse)
+        monkeypatch.setattr(cli, "_read_table", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # (-1)^2 >= 3/4 and (-2)^2 >= 1: only the sign refuses these
+            (["certify", "--side", "lower", "--bprime", "-1"], "bprime must be positive, got -1"),
+            (["certify", "--side", "upper", "--interval-b", "1", "--bprime", "-2"],
+             "bprime must be positive, got -2"),
+            # proved, then unprintable in the report
+            (["certify", "--side", "upper", "--table", "{fixture}/fixed_moments.json",
+              "--bprime", "1e5000"], "1e5000 has more digits than the"),
+        ],
+        ids=["lower-negative", "upper-negative", "unprintable"],
+    )
+    def test_refused_before_any_table(self, tmp_path, no_tables, capsys, argv, message):
+        out = tmp_path / "r.json"
+        argv = [arg.replace("{fixture}", FIXTURE_TABLES) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_failed_proof_names_the_witness_point(self, tmp_path, capsys):
+        # g at the witness has thousands of digits; the message leaves it out
+        out = tmp_path / "r.json"
+        argv = ["certify", "--side", "lower", "--table",
+                os.path.join(FIXTURE_TABLES, "free_moments.json"), "--bprime", "1e309"]
+        assert main(argv + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: bound polynomial fails on [0, 1000")
+        assert "g < 0 at t = " in err
+        assert err.count("\n") == 1 and len(err) < 1000
+        assert not out.exists()
+
+
 class TestChords:
     def test_midpoint_hypotenuse_example(self, tmp_path):
         code, report = run_cli(

@@ -1,4 +1,4 @@
-"""Tests for exact rational polynomials and Sturm certification."""
+"""Tests for exact rational polynomials, root counts and sign certification."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import pytest
 
 from oracles import MVPoly, _trim, mv_mul, mv_pow, ref_derivative, ref_divmod, ref_mul
 from simplexmoments import certificates, exact
+from simplexmoments.errors import UsageError
 from simplexmoments.exact import (
-    SturmChain,
     UniPoly,
     _deflate_root,
     _derivative_ints,
@@ -21,7 +21,7 @@ from simplexmoments.exact import (
     _gcd_ints,
     _int_coeffs,
     _odd_multiplicity_part,
-    _squarefree_ints,
+    _root_count,
     _yun_ints,
     format_rational,
     parse_rational,
@@ -212,8 +212,10 @@ def test_yun_reconstructs_multiplicities():
 
 
 def test_squarefree_part_has_no_repeated_roots():
+    # the squarefree part is the gcd cofactor a / gcd(a, a')
     p = UniPoly(ref_mul(*[[-1, 1]] * 3, *[[2, 1]] * 2, [-F(1, 2), 1]))
-    sf = _squarefree_ints(_int_coeffs(p, positive_lead=True))
+    a = _int_coeffs(p, positive_lead=True)
+    sf = _gcd_ints(a, _derivative_ints(a))[1]
     assert len(sf) == 4
     assert _gcd_ints(sf, _derivative_ints(sf))[0] == [1]
 
@@ -228,46 +230,30 @@ def test_odd_multiplicity_part_keeps_only_crossings():
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains
+# root counts by Descartes bisection
 # ---------------------------------------------------------------------------
 
-def test_sturm_chain_root_count_known_roots():
-    p = UniPoly(ref_mul([-1, 1], [-2, 1], [-3, 1]))
-    chain = SturmChain(p)
-    assert chain.count_roots(0, 4) == 3
-    assert chain.count_roots(F(3, 2), F(5, 2)) == 1
-    assert chain.count_roots(4, 10) == 0
-    # multiplicities are collapsed by the squarefree reduction
-    chain2 = SturmChain(UniPoly(ref_mul(*[[-1, 1]] * 4, [-2, 1])))
-    assert chain2.count_roots(0, 3) == 2
+def int_roots(*roots) -> list[int]:
+    """Primitive integer list with these simple rational roots."""
+    return _int_coeffs(UniPoly(ref_mul(*([-F(r), 1] for r in roots))))
 
 
-def test_sturm_chain_remainder_relation_up_to_positive_scale():
-    rng = random.Random(41)
-    for _ in range(10):
-        p = random_unipoly(rng, max_degree=8)
-        if p.degree < 2:
-            continue
-        chain = SturmChain(p).chain
-        for i in range(2, len(chain)):
-            r = ref_divmod([F(c) for c in chain[i - 2]], chain[i - 1])[1]
-            # chain[i] is a strictly positive multiple of -r
-            neg = [-c for c in r]
-            ratio = None
-            for a, b in zip(chain[i], neg):
-                if b:
-                    ratio = a / b
-                    break
-            assert ratio is not None and ratio > 0
-            assert all(a == ratio * b for a, b in zip(chain[i], neg))
+def test_root_count_known_roots():
+    q = int_roots(1, 2, 3)
+    assert _root_count(q, F(0), F(4)) == 3
+    assert _root_count(q, F(3, 2), F(5, 2)) == 1
+    assert _root_count(q, F(4), F(10)) == 0
+    # (lo, hi]: a root at hi counts, a root at lo does not
+    assert _root_count(q, F(1), F(3)) == 2
+    assert _root_count(q, F(0), F(1)) == 1
+    # 1/2, 1/4 and 3/4 are the first bisection midpoints of (0, 1]
+    assert _root_count(int_roots(F(1, 4), F(1, 2), F(3, 4), F(7, 8)), F(0), F(1)) == 4
 
 
 def test_sturm_no_phantom_roots_for_positive_definite_quadratic():
-    # leading-coefficient sign handling: the final chain element here is a
-    # negative constant and must stay negative after rescaling
+    # a negative discriminant: no real root to count
     p = UniPoly((1, F(-1, 2), F(4, 3)))
-    chain = SturmChain(p)
-    assert chain.count_roots(-1, 2) == 0
+    assert _root_count(_int_coeffs(p), F(-1), F(2)) == 0
     assert sturm_nonneg_on_interval(p, -1, 2)
 
 
@@ -304,6 +290,11 @@ def test_nonneg_single_point_and_bad_interval():
     assert not sturm_nonneg_on_interval(t, -F(1, 2), -F(1, 2))
     with pytest.raises(ValueError):
         sturm_nonneg_on_interval(t, 1, 0)
+
+
+def test_nonneg_reversed_interval_is_a_usage_error():
+    with pytest.raises(UsageError, match="interval end -1 precedes start 0"):
+        sturm_nonneg_on_interval(UniPoly((0, 1)), 0, -1)
 
 
 def test_nonneg_negative_only_in_interior():
@@ -542,21 +533,46 @@ def test_yun_and_odd_part_match_rational_reference():
             if m % 2:
                 odd = ref_mul(odd, f)
         assert is_positive_multiple(UniPoly(_odd_multiplicity_part(ints)), odd)
-        squarefree = UniPoly(_squarefree_ints(ints))
-        assert is_positive_multiple(squarefree, ref_sturm(p)[0])
     assert _yun_ints(_int_coeffs(UniPoly((F(-3, 2),)), positive_lead=True)) == []
 
 
-def test_sturm_chain_matches_rational_reference():
+def sturm_count(chain, lo, hi) -> int:
+    """Distinct roots in (lo, hi] of chain[0], from a Sturm sequence given as
+    coefficient lists: sign changes at lo minus those at hi, zero values
+    skipped, so a root at either end counts as if the end sat just to its
+    right."""
+    def changes(x):
+        signs = [v > 0 for v in (uni_eval(UniPoly(q), x) for q in chain) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return changes(lo) - changes(hi)
+
+
+def test_root_count_matches_rational_sturm():
+    # squarefree polynomials with roots planted at lo, at hi, at bisection
+    # midpoints of (lo, hi], off them, and outside, with complex pairs
+    # within 10^-12 of the real axis
     rng = random.Random(59)
-    for _ in range(40):
-        p = random_factored(rng)
-        chain = [UniPoly(q) for q in SturmChain(UniPoly(p)).chain]
-        ref = ref_sturm(p)
-        assert len(chain) == len(ref)
-        for q, r in zip(chain, ref):
-            assert is_integer_primitive(q)
-            assert is_positive_multiple(q, r)
+    for _ in range(120):
+        lo = F(rng.randint(-9, 9), rng.randint(1, 6))
+        width = F(rng.randint(1, 12), rng.randint(1, 6))
+        hi = lo + width
+        midpoints = [lo + width * F(j, 2 ** m) for m in (1, 2, 3) for j in range(1, 2 ** m, 2)]
+        pool = [lo, hi] + midpoints + [lo + width * F(rng.randint(1, 99), 100),
+                                      hi + width * F(rng.randint(1, 99), 100),
+                                      lo - width * F(rng.randint(1, 99), 100)]
+        roots = set(rng.sample(pool, rng.randint(1, 6)))
+        p = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))]
+        for r in roots:
+            p = ref_mul(p, [-r, 1])
+        for centre in set(rng.sample(midpoints + [lo, hi], rng.randint(0, 2))):
+            # the pair centre +- i 10^-e, not a root of p
+            p = ref_mul(p, [centre * centre + F(1, 10 ** (2 * rng.randint(1, 12))),
+                            -2 * centre, 1])
+        q = _int_coeffs(UniPoly(p))
+        count = _root_count(q, lo, hi)
+        assert count == sum(1 for r in roots if lo < r <= hi), (p, lo, hi)
+        assert count == sturm_count(ref_sturm(p), lo, hi)
 
 
 def test_canonical_error_polynomials_match_golden_file():
@@ -584,22 +600,44 @@ def test_canonical_error_polynomials_match_golden_file():
         ints = _int_coeffs(g, positive_lead=True)
         assert [{"multiplicity": m, "factor": text(UniPoly(f))} for m, f in _yun_ints(ints)] \
             == entry["yun"]
-        assert text(UniPoly(_squarefree_ints(ints))) == entry["squarefree_part"]
         odd = _odd_multiplicity_part(ints)
         assert text(UniPoly(odd)) == entry["odd_part"]
+        # the frozen chain starts with the crossings the proof counts
         crossings = _deflate_root(_deflate_root(odd, F(0)), bprime)
-        assert [text(UniPoly(q)) for q in SturmChain(UniPoly(crossings)).chain] == entry["chain"]
+        assert text(UniPoly(crossings)) == entry["chain"][0]
+
+
+def test_root_count_matches_the_golden_chains():
+    # the frozen Sturm chains of the canonical crossings count their roots
+    with open(os.path.join(DATA, "sturm_golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)["polynomials"]
+    lower_single = certificates.LOWER_SINGLE_NODES[1]
+    seen = set()
+    for entry in golden:
+        chain = [[parse_rational(c) for c in q] for q in entry["chain"]]
+        crossings = _int_coeffs(UniPoly(chain[0]))
+        for lo, hi in ((F(0), parse_rational(entry["interval"][1])), (F(-2), F(2)),
+                       (F(-1), F(0)), (F(0), F(1)), (F(1, 2), lower_single),
+                       (lower_single, F(1)), (F(-1, 3), F(1, 3)), (F(1), F(4))):
+            count = _root_count(crossings, lo, hi)
+            assert count == sturm_count(chain, lo, hi), (entry["side"], lo, hi)
+            seen.add((entry["side"], count))
+    # the lower crossings hold its single node 47/54, past B' = 13/15
+    assert ("lower", 1) in seen and ("lower", 0) in seen
 
 
 # ---------------------------------------------------------------------------
-# Descartes' rule before the Sturm chain
+# Descartes' rule before the root count
 # ---------------------------------------------------------------------------
 
 def assert_descartes_bounds_sturm(q: UniPoly, lo, hi) -> int:
-    """V >= the Sturm root count in (lo, hi), with equal parity, for a
-    squarefree q that does not vanish at hi; returns V."""
-    v = _descartes_variations(_int_coeffs(q), F(lo), F(hi))
-    roots = SturmChain(q).count_roots(lo, hi)
+    """V >= the root count in (lo, hi), with equal parity, for a squarefree
+    q that does not vanish at hi; returns V. The count comes from the
+    rational Sturm sequence, and ``exact._root_count`` must agree with it."""
+    ints = _int_coeffs(q)
+    v = _descartes_variations(ints, F(lo), F(hi))
+    roots = sturm_count(ref_sturm(list(q.coeffs)), F(lo), F(hi))
+    assert _root_count(ints, F(lo), F(hi)) == roots, (q.coeffs, lo, hi)
     assert v >= roots and (v - roots) % 2 == 0, (q.coeffs, lo, hi, v, roots)
     return v
 
@@ -611,7 +649,7 @@ def test_descartes_bounds_the_golden_crossings():
         lo, hi = (parse_rational(x) for x in entry["interval"])
         odd = _int_coeffs(UniPoly(parse_rational(c) for c in entry["odd_part"]))
         crossings = _deflate_root(_deflate_root(odd, lo), hi)
-        # both canonical proofs finish without a Sturm chain
+        # both canonical proofs finish without a root count
         assert assert_descartes_bounds_sturm(UniPoly(crossings), lo, hi) == 0
 
 
@@ -637,24 +675,24 @@ def test_descartes_bounds_sturm_on_planted_roots():
 
 
 def test_descartes_variations_without_a_root_go_to_sturm(monkeypatch):
-    built = []
+    counted = []
+    root_count = exact._root_count
 
-    class CountingChain(SturmChain):
-        def __init__(self, p):
-            built.append(p)
-            super().__init__(p)
+    def counting(q, lo, hi):
+        counted.append((q, lo, hi))
+        return root_count(q, lo, hi)
 
-    monkeypatch.setattr(exact, "SturmChain", CountingChain)
+    monkeypatch.setattr(exact, "_root_count", counting)
     # a complex pair near 1/2: two variations, no real root
     p = ref_mul(*[[-F(1, 2), 1]] * 2)
     p[0] += F(1, 1000)
     p = UniPoly(p)
     assert _descartes_variations(_int_coeffs(p), F(0), F(1)) == 2
-    assert SturmChain(p).count_roots(0, 1) == 0
+    assert root_count(_int_coeffs(p), F(0), F(1)) == 0
     assert sturm_nonneg_on_interval(p, 0, 1).reason == "no-interior-sign-change"
-    assert built == [UniPoly(_int_coeffs(p, positive_lead=True))]
-    # the canonical certificates take the Descartes branch and build no chain
-    del built[:]
+    assert counted == [(_int_coeffs(p, positive_lead=True), F(0), F(1))]
+    # the canonical certificates take the Descartes branch and count no roots
+    del counted[:]
     for side, singles, doubles, bprime in (
         ("lower", certificates.LOWER_SINGLE_NODES, certificates.LOWER_DOUBLE_NODES,
          certificates.FREE_BPRIME),
@@ -664,7 +702,7 @@ def test_descartes_variations_without_a_root_go_to_sturm(monkeypatch):
         poly = certificates.hermite_interpolate(singles, doubles)
         result = certificates.verify_bound_polynomial(poly, side, bprime * bprime, bprime)
         assert result.reason == "no-interior-sign-change"
-    assert built == []
+    assert counted == []
 
 
 def test_nonneg_matches_golden_outcomes():
