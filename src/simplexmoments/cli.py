@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -142,18 +143,32 @@ def _digest_file(path: str) -> str:
 # argument parsing helpers
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+
 def _parse_fraction(text: str) -> Fraction:
     """A rational or decimal number whose "p/q" form a report can print."""
+    stripped = text.strip()
+    limit = sys.get_int_max_str_digits()
+    unprintable = UsageError("%s has more digits than the %d a report can print"
+                             % (stripped, limit))
+    exponent = _EXPONENT.search(stripped)
+    if exponent and limit and stripped[: exponent.start()].strip("+-0._"):
+        # Fraction expands 10^|E| before any digit check.  A nonzero mantissa
+        # has fewer digits than the text, so past this bound p or q would
+        # have more than `limit` of them; int() refuses a longer E itself.
+        digits = exponent.group(1)
+        if len(digits) > limit or abs(int(digits)) > limit + 2 * len(stripped):
+            raise unprintable
     try:
-        value = Fraction(text.strip())
+        value = Fraction(stripped)
     except (ValueError, ZeroDivisionError):
         raise UsageError("not a rational number: %r" % text)
     try:
         format_rational(value)
     except ValueError:
         # the interpreter refuses to render ints past its digit limit
-        raise UsageError("%s has more digits than the %d a report can print"
-                         % (text.strip(), sys.get_int_max_str_digits()))
+        raise unprintable
     return value
 
 

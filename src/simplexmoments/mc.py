@@ -349,8 +349,10 @@ def _run_chunks(worker, samples: int, seed: int, threads: int):
         return _chunk_stats(values), tally
 
     jobs = list(enumerate(_chunk_layout(samples)))
-    if threads > 1:
-        partials = list(_pool(threads, os.getpid()).map(run, jobs))
+    # a worker past the chunk count or the CPU count would only sit idle
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        partials = list(_pool(workers, os.getpid()).map(run, jobs))
     else:
         partials = [run(job) for job in jobs]
     estimate = _combine_chunks([p[0] for p in partials], seed)

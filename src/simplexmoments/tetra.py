@@ -17,9 +17,11 @@ Both cases expand D^k the same way (binomially in D, multinomially in
 |e| = |f| = 2k, summed in integers over one common denominator.  Only the
 joint moment depends on the case: with the centroid pinned, u and v are
 independent; in the free case the coupled triple integral factors by
-coordinate up to a two-variable generating polynomial.  The test suite
-keeps the full expansion of D^k and the older six-slot decomposition as
-oracles.
+coordinate up to a two-variable generating polynomial.  Both integrals are
+products of integer coefficient lists: of falling-factorial rows when
+pinned, and of the generating polynomials flattened to one variable when
+free.  The test suite keeps the full expansion of D^k, the older six-slot
+decomposition and direct loops for both integrals as oracles.
 
 Moment tables are checkpointed to JSON, so a table is computed once and
 then shared and extended.
@@ -35,7 +37,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import CapacityError, UsageError, VerificationError, _count
-from .exact import format_rational, parse_rational
+from .exact import _mul_ints, format_rational, parse_rational
 
 __all__ = [
     "FREE_KMAX_LIMIT",
@@ -68,7 +70,7 @@ def _normalize_case(case: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# factorial-convolution integrals
+# Dirichlet integrals as products of integer coefficient lists
 
 
 @lru_cache(maxsize=None)
@@ -76,28 +78,20 @@ def _centered_integral_num(e: Tuple[int, int, int]) -> int:
     """Numerator of the tetrahedron integral of prod_a (w_a - 1/3)^e_a.
 
     The value of the integral is the returned integer divided by
-    3^|e| (|e|+3)!.  Symmetric in the entries of e, so callers should pass
-    a sorted tuple to share cache entries.
+    3^|e| (|e|+3)!.  Expanding (3 w_a - 1)^e_a binomially and integrating
+    w^s by Dirichlet's formula gives
+    sum_s (-1)^(|e|-s) 3^s (|e|+3)!/(s+3)! [z^s] prod_a F_(e_a)(z), with the
+    falling-factorial rows F_n(z) = sum_j n!/(n-j)! z^j.  Symmetric in the
+    entries of e, so callers should pass a sorted tuple to share cache
+    entries.
     """
     d = sum(e)
-    total = 0
-    for s0 in range(e[0] + 1):
-        for s1 in range(e[1] + 1):
-            for s2 in range(e[2] + 1):
-                ds = s0 + s1 + s2
-                sign = -1 if (d - ds) % 2 else 1
-                total += (
-                    sign
-                    * math.comb(e[0], s0)
-                    * math.comb(e[1], s1)
-                    * math.comb(e[2], s2)
-                    * 3**ds
-                    * _fact(s0)
-                    * _fact(s1)
-                    * _fact(s2)
-                    * (_fact(d + 3) // _fact(ds + 3))
-                )
-    return total
+    rows = [[_fact(n) // _fact(n - j) for j in range(n + 1)] for n in e]
+    coeffs = _mul_ints(_mul_ints(rows[0], rows[1]), rows[2])
+    return sum(
+        (-1) ** (d - s) * 3**s * (_fact(d + 3) // _fact(s + 3)) * c
+        for s, c in enumerate(coeffs)
+    )
 
 
 def _multinomials(n: int):
@@ -121,21 +115,25 @@ def _pair_integral_num(cols: Tuple[Tuple[int, int], ...]) -> int:
     e! f! sum_(m,n) (-1)^(m+n) T(m,n) / ((|e|-m+3)! (|f|-n+3)! (m+n+3)!),
     where T(m,n) is the x^m y^n coefficient of prod_a P_(e_a,f_a)(x, y)
     and P_(p,q) = sum_(r<=p, s<=q) C(r+s, r) x^r y^s.
+
+    The product runs on flat integer lists by the substitution
+    x^m y^n -> z^(m w + n) with w = |f| + 1: the product has y-degree |f| < w,
+    so no two of its monomials land on one power of z, and
+    (m, n) = divmod(i, w) reads the coefficient of z^i back.
     """
-    t = {(0, 0): 1}
-    for p, q in cols:
-        nxt: dict = {}
-        for (m, n), c in t.items():
-            for r in range(p + 1):
-                for s in range(q + 1):
-                    key = (m + r, n + s)
-                    nxt[key] = nxt.get(key, 0) + c * math.comb(r + s, r)
-        t = nxt
     de, df = (sum(c) for c in zip(*cols))
+    w = df + 1
+    rows = [[0] * (p * w + q + 1) for p, q in cols]
+    for row, (p, q) in zip(rows, cols):
+        for r in range(p + 1):
+            for s in range(q + 1):
+                row[r * w + s] = math.comb(r + s, r)
     total = 0
-    for (m, n), c in t.items():
-        c *= (_fact(de + 3) // _fact(de - m + 3)) * (_fact(df + 3) // _fact(df - n + 3))
-        total += (-1) ** (m + n) * c * (_fact(de + df + 3) // _fact(m + n + 3))
+    for i, c in enumerate(_mul_ints(_mul_ints(rows[0], rows[1]), rows[2])):
+        if c:
+            m, n = divmod(i, w)
+            c *= (_fact(de + 3) // _fact(de - m + 3)) * (_fact(df + 3) // _fact(df - n + 3))
+            total += (-1) ** (m + n) * c * (_fact(de + df + 3) // _fact(m + n + 3))
     for p, q in cols:
         total *= _fact(p) * _fact(q)
     return total

@@ -9,6 +9,10 @@ two exactly:
 * :func:`even_moment_by_expansion` - E V^(2k) in T3 from the full sparse
   expansion of D^k, against the Lagrange-identity expansion of
   ``simplexmoments.tetra``;
+* :func:`centered_integral_by_loop` and :func:`pair_integral_by_dict` -
+  the two integrals of ``simplexmoments.tetra`` by a triple binomial loop
+  and a dict-keyed bivariate product, against the engine's products of
+  integer coefficient lists;
 * :func:`even_moment_by_slots` - the same moments by the six-slot
   decomposition of D and a six-deep binomial loop for the free case's
   coupled integral, the engine that wrote the frozen tables;
@@ -45,13 +49,7 @@ import numpy as np
 from simplexmoments.errors import UsageError
 from simplexmoments.geometry import Body, _margins
 from simplexmoments.mc import _boundary_faces, sample_uniform
-from simplexmoments.tetra import (
-    CASE_FIXED,
-    CASE_FREE,
-    _centered_integral_num,
-    _fact,
-    _normalize_case,
-)
+from simplexmoments.tetra import CASE_FIXED, CASE_FREE, _fact, _normalize_case
 
 
 def _exact(value):
@@ -289,6 +287,71 @@ def even_moment_by_expansion(case: str, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the engine's two integrals by direct loops
+
+
+@lru_cache(maxsize=None)
+def centered_integral_by_loop(e: Tuple[int, int, int]) -> int:
+    """Numerator of the tetrahedron integral of prod_a (w_a - 1/3)^e_a.
+
+    The value of the integral is the returned integer divided by
+    3^|e| (|e|+3)!.  Symmetric in the entries of e, so callers should pass
+    a sorted tuple to share cache entries.
+    """
+    d = sum(e)
+    total = 0
+    for s0 in range(e[0] + 1):
+        for s1 in range(e[1] + 1):
+            for s2 in range(e[2] + 1):
+                ds = s0 + s1 + s2
+                sign = -1 if (d - ds) % 2 else 1
+                total += (
+                    sign
+                    * math.comb(e[0], s0)
+                    * math.comb(e[1], s1)
+                    * math.comb(e[2], s2)
+                    * 3**ds
+                    * _fact(s0)
+                    * _fact(s1)
+                    * _fact(s2)
+                    * (_fact(d + 3) // _fact(ds + 3))
+                )
+    return total
+
+
+def pair_integral_by_dict(cols: Tuple[Tuple[int, int], ...]) -> int:
+    """Numerator of the triple-tetrahedron integral of
+    prod_a (X1 - X0)_a^e_a (X2 - X0)_a^f_a, for cols = ((e_a, f_a))_a.
+
+    The value is the returned integer divided by
+    (|e|+3)! (|f|+3)! (|e|+|f|+3)!.  Expand both differences binomially and
+    let r and s be the powers of X0 taken from the first and the second;
+    integrating X1 and X2 leaves X0^(r+s) weighted by
+    prod_a e_a!/r_a! f_a!/s_a!, so the integral is
+    e! f! sum_(m,n) (-1)^(m+n) T(m,n) / ((|e|-m+3)! (|f|-n+3)! (m+n+3)!),
+    where T(m,n) is the x^m y^n coefficient of prod_a P_(e_a,f_a)(x, y)
+    and P_(p,q) = sum_(r<=p, s<=q) C(r+s, r) x^r y^s.
+    """
+    t = {(0, 0): 1}
+    for p, q in cols:
+        nxt: dict = {}
+        for (m, n), c in t.items():
+            for r in range(p + 1):
+                for s in range(q + 1):
+                    key = (m + r, n + s)
+                    nxt[key] = nxt.get(key, 0) + c * math.comb(r + s, r)
+        t = nxt
+    de, df = (sum(c) for c in zip(*cols))
+    total = 0
+    for (m, n), c in t.items():
+        c *= (_fact(de + 3) // _fact(de - m + 3)) * (_fact(df + 3) // _fact(df - n + 3))
+        total += (-1) ** (m + n) * c * (_fact(de + df + 3) // _fact(m + n + 3))
+    for p, q in cols:
+        total *= _fact(p) * _fact(q)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # even moments of the triangle area in T3 by the six-slot decomposition
 #
 # D = sum_a u_a^2 (|v|^2 - v_a^2) - 2 sum_{a<b} (u_a v_a)(u_b v_b), and the
@@ -366,7 +429,7 @@ def _edge_pair_num(e: Tuple[int, int, int], f: Tuple[int, int, int]) -> int:
 
 
 def _centered_num(e: Tuple[int, int, int]) -> int:
-    return _centered_integral_num(tuple(sorted(e)))
+    return centered_integral_by_loop(tuple(sorted(e)))
 
 
 def _compositions(total: int, parts: int):

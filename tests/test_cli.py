@@ -377,6 +377,35 @@ class TestCertifyBprime:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bprime", ["1e10000000", "1e-10000000"])
+    def test_huge_exponent_refused_before_the_fraction(self, tmp_path, no_tables, monkeypatch,
+                                                       capsys, bprime):
+        # Fraction would expand 10^10000000 before its digit check
+        import simplexmoments.cli as cli
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return F(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "Fraction", spy)
+        out = tmp_path / "r.json"
+        assert main(["certify", "--side", "lower", "--bprime", bprime, "--out", str(out)]) == 2
+        assert bprime + " has more digits than the" in capsys.readouterr().err
+        assert all(bprime not in args for args in seen)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bprime, code", [("1e4299", 4), ("1e4300", 2), ("0.001e4302", 4), ("1e-4300", 2)]
+    )
+    def test_exponents_near_the_digit_limit(self, tmp_path, capsys, bprime, code):
+        # 10^4299 prints in 4300 digits and fails the proof; 10^4300 and
+        # 10^-4300 need 4301 and are refused
+        argv = ["certify", "--side", "lower", "--table",
+                os.path.join(FIXTURE_TABLES, "free_moments.json"), "--bprime", bprime]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == code
+
     def test_failed_proof_names_the_witness_point(self, tmp_path, capsys):
         # g at the witness has thousands of digits; the message leaves it out
         out = tmp_path / "r.json"

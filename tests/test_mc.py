@@ -544,6 +544,29 @@ class TestEstimateMoment:
         with pytest.raises(DomainError):
             estimate_moment(t3, 3, 1, fixed=(2.0, 2.0, 2.0), samples=10, seed=1)
 
+    @pytest.mark.parametrize(
+        "cpus, asked", [(10**6, [3]), (2, [2]), (1, [])], ids=["chunks", "cpus", "serial"]
+    )
+    def test_worker_threads_bounded_by_chunks_and_cpus(self, monkeypatch, cpus, asked):
+        # a fake pool maps in this thread, so no worker thread starts
+        requests = []
+
+        class InlinePool:
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        def fake_pool(max_workers, pid):
+            requests.append(max_workers)
+            return InlinePool()
+
+        samples = 2 * CHUNK_SIZE + 5
+        serial = estimate_moment(tetrahedron_T3(), 3, 1, samples=samples, seed=7)
+        monkeypatch.setattr("simplexmoments.mc._pool", fake_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        wide = estimate_moment(tetrahedron_T3(), 3, 1, samples=samples, seed=7, threads=10**6)
+        assert requests == asked
+        assert wide == serial
+
     def test_threads_below_one_refused_before_any_chunk(self):
         chunks = []
 

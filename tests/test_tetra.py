@@ -13,9 +13,11 @@ import simplexmoments.tetra as tetra_mod
 from oracles import (
     _edge_pair_integral_num,
     build_gram_poly,
+    centered_integral_by_loop,
     even_moment_by_expansion,
     even_moment_by_slots,
     monomial_integral_T3,
+    pair_integral_by_dict,
 )
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
 from simplexmoments.tetra import (
@@ -213,6 +215,38 @@ def test_pair_integral_matches_the_binomial_loop():
     for e in vectors:
         for f in vectors:
             assert _pair_num(e, f) == _edge_pair_integral_num(e, f), (e, f)
+
+
+def _check_integrals_against_the_loops(monkeypatch, free_kmax, fixed_kmax):
+    # record every key the engine asks its two integrals for, then compare
+    # the coefficient-list products with the direct loops on each key
+    pair, centered = tetra_mod._pair_integral_num, tetra_mod._centered_integral_num
+    keys = {pair: set(), centered: set()}
+    for name, fn in (("_pair_integral_num", pair), ("_centered_integral_num", centered)):
+        def spy(key, fn=fn):
+            keys[fn].add(key)
+            return fn(key)
+        monkeypatch.setattr(tetra_mod, name, spy)
+    # the joint sums are cached too; cleared, they ask for every key again
+    tetra_mod._joint_free.cache_clear()
+    tetra_mod._joint_fixed.cache_clear()
+    for case, k_max in ((CASE_FREE, free_kmax), (CASE_FIXED, fixed_kmax)):
+        for k in range(k_max + 1):
+            even_moment(case, k)
+    assert keys[pair] and keys[centered]
+    for key in keys[pair]:
+        assert pair(key) == pair_integral_by_dict(key), key
+    for key in keys[centered]:
+        assert centered(key) == centered_integral_by_loop(key), key
+
+
+def test_integrals_match_the_loops_on_every_engine_key(monkeypatch):
+    _check_integrals_against_the_loops(monkeypatch, 5, 10)
+
+
+@pytest.mark.slow
+def test_integrals_match_the_loops_on_every_priced_key(monkeypatch):
+    _check_integrals_against_the_loops(monkeypatch, 7, 15)
 
 
 def test_slot_route_agrees_with_engine():
