@@ -8,7 +8,7 @@ mu_2i are known.  The reverse inequality gives upper bounds.  This module
 interpolates such polynomials from touch points (Hermite conditions, by
 confluent divided differences in Newton form), proves the one-sided
 inequality exactly (Descartes' rule of signs, which shows at once when the
-error polynomial cannot cross zero and otherwise counts its crossings by
+error polynomial cannot cross zero and otherwise isolates its crossings by
 bisection), and assembles the bound values.
 
 The headline application: for triangles with vertices drawn uniformly from

@@ -7,7 +7,7 @@ record is :class:`UniPoly`, a trimmed tuple of `fractions.Fraction`
 coefficients with no arithmetic of its own; the certificates pass it in and
 get it back.
 
-Gcds, Yun's decomposition and root counts work on integer coefficient
+Gcds, Yun's decomposition and root isolation work on integer coefficient
 lists, to which a rational polynomial is converted once by clearing
 denominators. Gcds are heuristic, read from one integer gcd of values, and
 proved by exact division; every factor is the unique primitive form of the
@@ -17,14 +17,15 @@ The central decision procedure is :func:`sturm_nonneg_on_interval`, which
 certifies ``p(t) >= 0`` for every ``t`` in a closed rational interval, or
 returns a rational witness point where ``p`` is negative. Polynomials that
 touch zero (even-multiplicity roots) inside the interval are accepted; the
-test is for sign changes, not for roots. Whether p crosses zero inside the
-interval is asked of Descartes' rule of signs, on integer coefficients;
-zero sign variations prove that it does not, and only otherwise does
-Descartes bisection count the crossings exactly and find the witness.
+test is for sign changes, not for roots. One Descartes bisection on integer
+coefficients isolates the crossings inside the interval, transforming each
+piece once, so a proof with no sign variation costs one transform; a
+failed proof finds its witness from the isolated pieces by sign tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, NamedTuple
@@ -291,7 +292,7 @@ def _odd_multiplicity_part(a: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# root counts and the nonnegativity decision
+# root isolation and the nonnegativity decision
 # ---------------------------------------------------------------------------
 
 class NonnegResult(NamedTuple):
@@ -341,64 +342,67 @@ def _deflate_root(q: list[int], root: Fraction) -> list[int]:
     return q
 
 
-def _root_count(q: list[int], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi], lo < hi, of a squarefree integer list q.
+def _isolate(q: list[int], lo: Fraction, hi: Fraction) -> list[list[Fraction]]:
+    """The pieces [a, b] of (lo, hi], lo < hi, each holding one root of a
+    squarefree integer list q in (a, b], in increasing order: a piece is
+    halved while it holds two or more roots.
 
-    Descartes bisection (Collins and Akritas, SYMSAC 1976): a root at hi
-    counts once; an open interval that shows 0 or 1 variations holds that
-    many roots; any other is halved, and a root at the midpoint counts once.
-    A root at an end of a piece only divides its transform by y, or lowers
-    its degree, so it adds no variation. The halving ends because q is
-    squarefree: a short enough piece sees at most one root of q near it,
-    a simple real one, and then shows 0 or 1 variations (Vincent's theorem,
-    as proved by Alesina and Galuzzi, L'Enseignement Math. 44, 1998).
+    One Descartes bisection (Collins and Akritas, SYMSAC 1976) transforms
+    each piece once: (a, b] holds V + [q(b) = 0] roots when that is 0 or 1,
+    and is halved otherwise. A root at an end of a piece only divides its
+    transform by y, or lowers its degree, so it adds no variation. The
+    halving ends as q is squarefree: a short enough piece sees at most one
+    root of q near it, a simple real one, and shows 0 or 1 variations
+    (Vincent's theorem; Alesina and Galuzzi, L'Enseignement Math. 44,
+    1998). A piece with two roots was halved, so the leaves give the pieces.
     """
-    count = 0 if _horner(q, hi) else 1
+    leaves = []
     pending = [(lo, hi)]
     while pending:
         a, b = pending.pop()
-        v = _descartes_variations(q, a, b)
-        if v < 2:
-            count += v
-        else:
-            mid = (a + b) / 2
-            count += not _horner(q, mid)
-            pending += [(a, mid), (mid, b)]
-    return count
-
-
-def _negative_witness(p: UniPoly, crossings: list[int], lo: Fraction,
-                      hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Find a rational point in (lo, hi) with p < 0.
-
-    ``crossings`` is the odd-multiplicity part of p with any roots at lo
-    and hi divided out, and it has at least one root in (lo, hi). Bisection
-    with ``_root_count`` isolates each such root in its own interval
-    (a, b]; the intervals are then halved until open gaps separate them
-    from each other and from lo and hi. p keeps one sign on each gap, apart
-    from at most deg p zeros, and that sign flips across every crossing, so
-    deg p + 1 points of some gap show a negative value.
-    """
-    isolated: list[list[Fraction]] = []
-    pending = [(lo, hi)]
-    while pending:
-        a, b = pending.pop()
-        n = _root_count(crossings, a, b)
+        n = _descartes_variations(q, a, b) + (not _horner(q, b))
         if n == 1:
-            isolated.append([a, b])
+            leaves.append(b)
         elif n > 1:
             mid = (a + b) / 2
             pending += [(mid, b), (a, mid)]
+    # leaves[i:j] are the right ends of the leaves inside (a, b]
+    pieces = []
+    pending = [(lo, hi, 0, len(leaves))]
+    while pending:
+        a, b, i, j = pending.pop()
+        if j - i == 1:
+            pieces.append([a, b])
+        elif j - i > 1:
+            mid = (a + b) / 2
+            k = bisect_right(leaves, mid, i, j)
+            pending += [(mid, b, k, j), (a, mid, i, k)]
+    return pieces
+
+
+def _negative_witness(p: UniPoly, crossings: list[int], pieces: list[list[Fraction]],
+                      lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Find a rational point in (lo, hi) with p < 0.
+
+    ``crossings`` (c) is the odd-multiplicity part of p with any roots at
+    lo and hi divided out. Its roots in (lo, hi], the ``_isolate`` pieces,
+    are halved in place until open gaps separate them from each other and
+    from lo and hi: the simple root of (a, b] lies in (a, mid] iff
+    c(b) != 0 and c(mid) c(b) >= 0. p keeps one sign on each gap, apart
+    from at most deg p zeros, and that sign flips across every crossing,
+    so deg p + 1 points of some gap show a negative value.
+    """
     while True:
-        ends = [lo] + [x for iv in isolated for x in iv] + [hi]
+        ends = [lo] + [x for iv in pieces for x in iv] + [hi]
         gaps = list(zip(ends[::2], ends[1::2]))
         shut = [j for j, (a, b) in enumerate(gaps) if a == b]
         if not shut:
             break
         for j in shut:
-            for iv in isolated[max(j - 1, 0):j + 1]:
+            for iv in pieces[max(j - 1, 0):j + 1]:
                 mid = (iv[0] + iv[1]) / 2
-                if _root_count(crossings, iv[0], mid):
+                at_b = _horner(crossings, iv[1])
+                if at_b and _horner(crossings, mid) * at_b >= 0:
                     iv[1] = mid
                 else:
                     iv[0] = mid
@@ -420,10 +424,9 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     The decision composes three exact facts: the endpoint values, the
     presence of odd-multiplicity roots (sign crossings) strictly inside the
     interval, and the sign of the polynomial at one interior non-root point.
-    Crossings are ruled out by Descartes' rule when it shows no sign
-    variation, and counted by Descartes bisection otherwise: the
-    odd-multiplicity part, deflated at both ends, is squarefree.
-    Even-multiplicity interior roots are tolerated by construction.
+    Crossings are isolated by ``_isolate`` on the odd-multiplicity part,
+    which is squarefree once deflated at both ends. Even-multiplicity
+    interior roots are tolerated by construction.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     if hi < lo:
@@ -442,16 +445,13 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
     if v_hi < 0:
         return NonnegResult(False, "endpoint-negative", hi, v_hi)
 
-    # the sign crossings, on the primitive integer form of p, with any at
-    # lo or hi divided out
+    # the sign crossings of p, with any at lo or hi divided out
     crossings = _odd_multiplicity_part(_int_coeffs(p, positive_lead=True))
     crossings = _deflate_root(_deflate_root(crossings, lo), hi)
-    # Descartes' rule settles the common case, no crossing at all, with one
-    # transform; any variation leaves the exact decision to the bisection
-    if len(crossings) > 1 and _descartes_variations(crossings, lo, hi):
-        if _root_count(crossings, lo, hi) > 0:
-            x, v = _negative_witness(p, crossings, lo, hi)
-            return NonnegResult(False, "interior-sign-change", x, v)
+    # the common case, no crossing at all, costs one transform
+    if pieces := _isolate(crossings, lo, hi):
+        x, v = _negative_witness(p, crossings, pieces, lo, hi)
+        return NonnegResult(False, "interior-sign-change", x, v)
 
     # No interior sign change: one interior non-root sample decides the sign.
     width = hi - lo

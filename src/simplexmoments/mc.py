@@ -71,9 +71,15 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 16
+# a run lists its chunks before the first one runs: 2**24 chunks are about
+# 1.1e12 samples, hours of sampling on any host
+_MAX_CHUNKS = 1 << 24
 # rows per block of the volume kernel: its temporaries stay a few hundred
 # KiB, and every block size gives the same volumes
 _BLOCK_ROWS = 1 << 13
+# one step of a chunk draws at most this many float64s (64 MiB), so memory
+# stays bounded per chunk in a body of any dimension
+_MAX_STEP_FLOATS = 1 << 23
 RNG_ALGORITHM = "numpy-philox4x64"
 
 
@@ -359,7 +365,17 @@ def _run_chunks(worker, samples: int, seed: int, threads: int):
     return estimate, sum(p[1] for p in partials)
 
 
+def _step_rows(body: Body) -> int:
+    """Simplices per draw: the simplex and cube samplers take their points
+    one after another from the stream, so a chunk is drawn and measured a
+    block of rows at a time; the others draw all base points before any
+    radius or height."""
+    return _BLOCK_ROWS if body.kind in ("simplex", "cube") else CHUNK_SIZE
+
+
 def _check_common(body: Body, n: int, samples: int) -> None:
+    """The checks every estimate shares, with the CapacityErrors for runs
+    that would list too many chunks or draw too much at once."""
     _count(n, "vertex count n", 2)
     if n > body.dim + 1:
         raise UsageError(
@@ -367,6 +383,19 @@ def _check_common(body: Body, n: int, samples: int) -> None:
             % (n, n - 1, body.dim)
         )
     _count(samples, "samples")
+    chunks = -(-samples // CHUNK_SIZE)
+    if chunks > _MAX_CHUNKS:
+        raise CapacityError(
+            "%d samples make %d chunks of %d; a run takes at most %d chunks"
+            % (samples, chunks, CHUNK_SIZE, _MAX_CHUNKS)
+        )
+    # a point takes at most dim + 1 floats: a simplex's spare column
+    floats = min(samples, _step_rows(body)) * n * (body.dim + 1)
+    if floats > _MAX_STEP_FLOATS:
+        raise CapacityError(
+            "%d-point simplices in dimension %d draw %d float64s at a time; "
+            "at most %d may be drawn at once" % (n, body.dim, floats, _MAX_STEP_FLOATS)
+        )
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -425,10 +454,7 @@ def estimate_moment(
             raise DomainError("fixed point lies outside the body")
     n_random = n if anchor is None else n - 1
 
-    # the simplex and cube samplers take their points one after another
-    # from the stream, so a chunk is drawn and measured a block of rows at
-    # a time; the others draw all base points before any radius or height
-    step = _BLOCK_ROWS if body.kind in ("simplex", "cube") else CHUNK_SIZE
+    step = _step_rows(body)
     # each thread refills its first volume array and block draw buffer:
     # new ones every chunk would be mapped or trimmed by malloc anew each
     # time, about 20k more page faults in a first mc-area operation

@@ -159,6 +159,19 @@ class TestExitCodes:
         assert code == 4
         assert "verification failed" in capsys.readouterr().err
 
+    def test_crossings_10_to_the_minus_200_apart(self, tmp_path, capsys):
+        # single nodes at 1/5 and 1/5 + 10^-200: g < 0 only between them,
+        # where 1/5 + 2^-666 is the witness the failed proof names
+        out = tmp_path / "r.json"
+        code = main(["certify", "--side", "upper", "--case", "fixed", "--nodes",
+                     "1/5,%s" % (F(1, 5) + F(1, 10 ** 200)), "--tables",
+                     str(tmp_path / "tables"), "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "verification failed: bound polynomial fails on [0, 3/10]: g < 0 at t = %s\n"
+            % (F(1, 5) + F(1, 2 ** 666)))
+        assert not out.exists()
+
     def test_exit_codes_through_a_real_process(self, tmp_path):
         proc = subprocess.run(
             [
@@ -234,6 +247,24 @@ class TestRefusedBeforeWork:
          "side lengths 1e+308, 1e+308, 1e+308"),
     ]
 
+    # (argv, what the one-line message names); each exited 1, with a bare
+    # OverflowError from the chunk list or numpy's memory error for a draw
+    # of 14.9 GiB
+    TOO_LARGE = [
+        (["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", str(10 ** 30),
+          "--seed", "1"], "a run takes at most 16777216 chunks"),
+        (["mc", "--body", "cube:100000000", "--n", "2", "--k", "1", "--samples", "10",
+          "--seed", "1"], "draw 2000000020 float64s at a time"),
+        (["lift-sweep", "--mode", "interior", "--body", "T2", "--n", "2", "--k", "1",
+          "--eps", "1/2", "--samples", str(10 ** 18)], "a run takes at most 16777216 chunks"),
+        (["lift-sweep", "--mode", "boundary", "--body", "T2", "--n", "2", "--k", "1",
+          "--eps", "1/2", "--samples", str(10 ** 18)], "a run takes at most 16777216 chunks"),
+        (["lift-sweep", "--mode", "interior", "--body", "cube:100000000", "--n", "2",
+          "--k", "1", "--eps", "1/2", "--samples", "10"], "at most 8388608 may be drawn"),
+        (["reproduce", "fast", "--samples", str(10 ** 30), "--tables", "{tables}"],
+         "a run takes at most 16777216 chunks"),
+    ]
+
     @pytest.fixture
     def no_tables(self, monkeypatch):
         import simplexmoments.cli as cli
@@ -270,6 +301,29 @@ class TestRefusedBeforeWork:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message", TOO_LARGE,
+        ids=["mc-samples", "mc-dimension", "interior-samples", "boundary-samples",
+             "interior-dimension", "reproduce-samples"],
+    )
+    def test_monte_carlo_too_large(self, tmp_path, monkeypatch, capsys, tables_dir, argv,
+                                   message):
+        import simplexmoments.lifting as lifting
+        import simplexmoments.mc as mc
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the refusal")
+
+        for module, name in ((mc, "_run_chunks"), (mc, "_draw"), (lifting, "_run_chunks")):
+            monkeypatch.setattr(module, name, no_sampling)
+        out = tmp_path / "r.json"
+        argv = [arg.replace("{tables}", tables_dir) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
 

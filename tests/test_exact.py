@@ -20,8 +20,8 @@ from simplexmoments.exact import (
     _descartes_variations,
     _gcd_ints,
     _int_coeffs,
+    _isolate,
     _odd_multiplicity_part,
-    _root_count,
     _yun_ints,
     format_rational,
     parse_rational,
@@ -238,22 +238,39 @@ def int_roots(*roots) -> list[int]:
     return _int_coeffs(UniPoly(ref_mul(*([-F(r), 1] for r in roots))))
 
 
+def isolated_count(q, lo, hi, roots_in) -> int:
+    """The number of pieces ``_isolate(q, lo, hi)`` returns, after checking
+    that they are increasing, disjoint and inside (lo, hi], and that each
+    holds exactly one root by the reference count ``roots_in(a, b)`` of the
+    roots in (a, b]."""
+    pieces = _isolate(q, lo, hi)
+    ends = [lo] + [x for piece in pieces for x in piece] + [hi]
+    assert all(a <= b for a, b in zip(ends, ends[1:])), (pieces, lo, hi)
+    assert all(a < b and roots_in(a, b) == 1 for a, b in pieces), (pieces, lo, hi)
+    return len(pieces)
+
+
+def planted_count(q, lo, hi, roots) -> int:
+    return isolated_count(q, lo, hi, lambda a, b: sum(1 for r in roots if a < r <= b))
+
+
 def test_root_count_known_roots():
     q = int_roots(1, 2, 3)
-    assert _root_count(q, F(0), F(4)) == 3
-    assert _root_count(q, F(3, 2), F(5, 2)) == 1
-    assert _root_count(q, F(4), F(10)) == 0
+    assert planted_count(q, F(0), F(4), (1, 2, 3)) == 3
+    assert planted_count(q, F(3, 2), F(5, 2), (1, 2, 3)) == 1
+    assert planted_count(q, F(4), F(10), (1, 2, 3)) == 0
     # (lo, hi]: a root at hi counts, a root at lo does not
-    assert _root_count(q, F(1), F(3)) == 2
-    assert _root_count(q, F(0), F(1)) == 1
+    assert planted_count(q, F(1), F(3), (1, 2, 3)) == 2
+    assert planted_count(q, F(0), F(1), (1, 2, 3)) == 1
     # 1/2, 1/4 and 3/4 are the first bisection midpoints of (0, 1]
-    assert _root_count(int_roots(F(1, 4), F(1, 2), F(3, 4), F(7, 8)), F(0), F(1)) == 4
+    roots = (F(1, 4), F(1, 2), F(3, 4), F(7, 8))
+    assert planted_count(int_roots(*roots), F(0), F(1), roots) == 4
 
 
 def test_sturm_no_phantom_roots_for_positive_definite_quadratic():
     # a negative discriminant: no real root to count
     p = UniPoly((1, F(-1, 2), F(4, 3)))
-    assert _root_count(_int_coeffs(p), F(-1), F(2)) == 0
+    assert _isolate(_int_coeffs(p), F(-1), F(2)) == []
     assert sturm_nonneg_on_interval(p, -1, 2)
 
 
@@ -570,7 +587,7 @@ def test_root_count_matches_rational_sturm():
             p = ref_mul(p, [centre * centre + F(1, 10 ** (2 * rng.randint(1, 12))),
                             -2 * centre, 1])
         q = _int_coeffs(UniPoly(p))
-        count = _root_count(q, lo, hi)
+        count = planted_count(q, lo, hi, roots)
         assert count == sum(1 for r in roots if lo < r <= hi), (p, lo, hi)
         assert count == sturm_count(ref_sturm(p), lo, hi)
 
@@ -619,7 +636,7 @@ def test_root_count_matches_the_golden_chains():
         for lo, hi in ((F(0), parse_rational(entry["interval"][1])), (F(-2), F(2)),
                        (F(-1), F(0)), (F(0), F(1)), (F(1, 2), lower_single),
                        (lower_single, F(1)), (F(-1, 3), F(1, 3)), (F(1), F(4))):
-            count = _root_count(crossings, lo, hi)
+            count = isolated_count(crossings, lo, hi, lambda a, b: sturm_count(chain, a, b))
             assert count == sturm_count(chain, lo, hi), (entry["side"], lo, hi)
             seen.add((entry["side"], count))
     # the lower crossings hold its single node 47/54, past B' = 13/15
@@ -633,11 +650,13 @@ def test_root_count_matches_the_golden_chains():
 def assert_descartes_bounds_sturm(q: UniPoly, lo, hi) -> int:
     """V >= the root count in (lo, hi), with equal parity, for a squarefree
     q that does not vanish at hi; returns V. The count comes from the
-    rational Sturm sequence, and ``exact._root_count`` must agree with it."""
+    rational Sturm sequence, and ``exact._isolate`` must agree with it."""
     ints = _int_coeffs(q)
     v = _descartes_variations(ints, F(lo), F(hi))
-    roots = sturm_count(ref_sturm(list(q.coeffs)), F(lo), F(hi))
-    assert _root_count(ints, F(lo), F(hi)) == roots, (q.coeffs, lo, hi)
+    chain = ref_sturm(list(q.coeffs))
+    roots = sturm_count(chain, F(lo), F(hi))
+    assert isolated_count(ints, F(lo), F(hi), lambda a, b: sturm_count(chain, a, b)) == roots, \
+        (q.coeffs, lo, hi)
     assert v >= roots and (v - roots) % 2 == 0, (q.coeffs, lo, hi, v, roots)
     return v
 
@@ -674,25 +693,34 @@ def test_descartes_bounds_sturm_on_planted_roots():
         assert_descartes_bounds_sturm(UniPoly(q), lo, hi)
 
 
-def test_descartes_variations_without_a_root_go_to_sturm(monkeypatch):
-    counted = []
-    root_count = exact._root_count
+@pytest.fixture
+def transforms(monkeypatch):
+    """Every (q, lo, hi) that ``exact._descartes_variations`` transforms."""
+    seen = []
+    variations = exact._descartes_variations
 
-    def counting(q, lo, hi):
-        counted.append((q, lo, hi))
-        return root_count(q, lo, hi)
+    def spy(q, lo, hi):
+        seen.append((tuple(q), lo, hi))
+        return variations(q, lo, hi)
 
-    monkeypatch.setattr(exact, "_root_count", counting)
-    # a complex pair near 1/2: two variations, no real root
+    monkeypatch.setattr(exact, "_descartes_variations", spy)
+    return seen
+
+
+def test_descartes_variations_without_a_root_go_to_sturm(transforms):
+    # a complex pair near 1/2: two variations, no real root, so the
+    # bisection halves (0, 1] and isolates nothing
     p = ref_mul(*[[-F(1, 2), 1]] * 2)
     p[0] += F(1, 1000)
     p = UniPoly(p)
-    assert _descartes_variations(_int_coeffs(p), F(0), F(1)) == 2
-    assert root_count(_int_coeffs(p), F(0), F(1)) == 0
+    q = _int_coeffs(p, positive_lead=True)
+    assert _descartes_variations(q, F(0), F(1)) == 2
+    assert _isolate(q, F(0), F(1)) == []
+    del transforms[:]
     assert sturm_nonneg_on_interval(p, 0, 1).reason == "no-interior-sign-change"
-    assert counted == [(_int_coeffs(p, positive_lead=True), F(0), F(1))]
-    # the canonical certificates take the Descartes branch and count no roots
-    del counted[:]
+    assert transforms[0] == (tuple(q), F(0), F(1)) and len(transforms) > 1
+    # the canonical certificates show no variation: one transform each
+    del transforms[:]
     for side, singles, doubles, bprime in (
         ("lower", certificates.LOWER_SINGLE_NODES, certificates.LOWER_DOUBLE_NODES,
          certificates.FREE_BPRIME),
@@ -702,7 +730,34 @@ def test_descartes_variations_without_a_root_go_to_sturm(monkeypatch):
         poly = certificates.hermite_interpolate(singles, doubles)
         result = certificates.verify_bound_polynomial(poly, side, bprime * bprime, bprime)
         assert result.reason == "no-interior-sign-change"
-    assert counted == []
+    assert [t[1:] for t in transforms] == [(F(0), certificates.FREE_BPRIME),
+                                          (F(0), certificates.FIXED_BPRIME)]
+
+
+def test_each_piece_is_transformed_once_per_decision(transforms):
+    # the failed proofs of the golden cases isolate their crossings and
+    # open the witness gaps without transforming any piece again
+    with open(os.path.join(DATA, "nonneg_golden.json"), encoding="utf-8") as fh:
+        cases = [case for case in json.load(fh)["cases"]
+                 if case["reason"] == "interior-sign-change"]
+    assert len(cases) == 81
+    for case in cases:
+        del transforms[:]
+        p = UniPoly(parse_rational(c) for c in case["coefficients"])
+        res = sturm_nonneg_on_interval(p, *(parse_rational(x) for x in case["interval"]))
+        assert res.reason == "interior-sign-change"
+        assert len(set(transforms)) == len(transforms), case
+
+
+def test_crossings_10_to_the_minus_400_apart(transforms):
+    # p < 0 only between its two roots; their isolation halves (0, 1] about
+    # 1330 times, each piece transformed once
+    r = F(1, 3)
+    s = r + F(1, 10 ** 400)
+    res = sturm_nonneg_on_interval(UniPoly(ref_mul([-r, 1], [-s, 1])), 0, 1)
+    assert res.reason == "interior-sign-change"
+    assert r < res.witness < s and res.witness_value < 0
+    assert len(transforms) < 3000
 
 
 def test_nonneg_matches_golden_outcomes():

@@ -20,6 +20,7 @@ from oracles import (
     sample_boundary_unblocked,
     simplex_volumes_unblocked,
 )
+from simplexmoments import mc
 from simplexmoments.chords import (
     TriangleSpec,
     chord_moment,
@@ -429,13 +430,24 @@ def test_thread_count_bit_identity(case):
     assert one == two == four
 
 
-def test_concurrent_callers_share_the_worker_threads():
+def test_concurrent_callers_share_the_worker_threads(monkeypatch):
     # estimates from several caller threads at once share the kept worker
     # threads, with two thread counts in turn replacing the pool, and each
-    # keeps its own chunk buffers: every one equals its serial value
-    samples = CHUNK_SIZE + 3 * _BLOCK_ROWS + 7
+    # keeps its own chunk buffers: every one equals its serial value.  Three
+    # chunks and three CPUs let the counts 2 and 3 ask for pools of their
+    # own size.
+    samples = 2 * CHUNK_SIZE + 3 * _BLOCK_ROWS + 7
     cases = [(body, seed, threads) for body in (tetrahedron_T3(), cube(2))
              for seed in (171, 173) for threads in (2, 3)]
+    requested = []
+    pool = mc._pool
+
+    def spy(max_workers, pid):
+        requested.append(max_workers)
+        return pool(max_workers, pid)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(mc, "_pool", spy)
 
     def run(case, threads):
         body, seed, _ = case
@@ -451,6 +463,7 @@ def test_concurrent_callers_share_the_worker_threads():
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == serial
+    assert sorted(set(requested)) == [2, 3]
 
 
 class TestEstimateMoment:
@@ -466,6 +479,20 @@ class TestEstimateMoment:
         monkeypatch.setattr("simplexmoments.mc._run_chunks", no_sampling)
         with pytest.raises(CapacityError, match="float64"):
             estimate_moment(product(triangle_T2(), height), n, k, samples=10, seed=1)
+
+    def test_run_size_bounds_at_their_edges(self):
+        # checked only, nothing drawn: 10^11 samples stay accepted, and each
+        # bound refuses one step past its largest accepted size
+        t3 = tetrahedron_T3()
+        mc._check_common(t3, 3, 10 ** 11)
+        mc._check_common(t3, 3, mc._MAX_CHUNKS * CHUNK_SIZE)
+        with pytest.raises(CapacityError, match="at most 16777216 chunks"):
+            mc._check_common(t3, 3, mc._MAX_CHUNKS * CHUNK_SIZE + 1)
+        # a cube step draws 2 points of at most dim + 1 floats per row
+        dim = mc._MAX_STEP_FLOATS // (2 * _BLOCK_ROWS) - 1
+        mc._check_common(cube(dim), 2, 10 ** 6)
+        with pytest.raises(CapacityError, match="at most 8388608 may be drawn"):
+            mc._check_common(cube(dim + 1), 2, 10 ** 6)
 
     def test_largest_accepted_prisms_give_finite_estimates(self):
         # inside the bound: D^2 and 10 samples times the squared volume fit
