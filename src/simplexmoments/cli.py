@@ -707,6 +707,12 @@ def _reproduce_counterexample(free: MomentTable, fixed: MomentTable) -> dict:
 
 
 def _cmd_reproduce(args, ctx: _RunContext) -> dict:
+    from .geometry import tetrahedron_T3
+    from .mc import _check_common, _check_float_range
+
+    # the spot check's run size is refused here, before any table work
+    _check_common(tetrahedron_T3(), 3, args.samples)
+    _check_float_range(tetrahedron_T3(), 3, 1, args.samples)
     ctx.seeds.append(args.seed)
     full = args.level == "full"
     # each table once, at the largest order this level needs: the canonical

@@ -20,15 +20,19 @@ the interpreter lock, which lets worker threads run chunks in parallel.
 
 A point has only d = 2-4 coordinates, and numpy runs its inner loop over
 the axis of smallest stride, so an operation on a (rows, d) array loops d
-times per row.  The hot elementwise passes (the simplex sampler's
-normalization, the kernel's edge differences and projection updates, the
-boundary sampler's face fill) therefore run one coordinate column at a
-time, which gives the same bits 1.4-2.7 times faster.  The kernel's dot
-products stay ``np.einsum("md,md->m", ...)`` over C-contiguous (rows, d)
-residuals: einsum does not add the d products in index order (numpy 2.4
-on x86-64 adds three as (p0 + p2) + p1), so column sums in order would
-change about a quarter of the rows of every dot product, and the frozen
-Monte Carlo goldens pin einsum's bits.
+times per row.  The simplex sampler's normalization and the boundary
+sampler's face fill therefore run one coordinate column at a time, and
+the kernel keeps each residual as d contiguous coordinate planes, a
+(d, rows) array, so that every elementwise pass runs over a whole block.
+Its dot products add the d products in the order of numpy 2.4's
+``np.einsum("md,md->m", ...)`` on x86-64, the kernel that froze the
+Monte Carlo goldens: the even coordinates in order, the odd ones in
+order, then the two sums (groups of 8 coordinates nest, see ``_row_dot``).
+Adding them in index order would change about a quarter of the rows.
+
+The boundary sampler picks every point's face at once by the inverse CDF
+of ``Generator.choice``, with its bits, and finds each face's rows with
+one stable sort of the face indices.
 
 Memory is bounded per chunk, not per run.  The simplex and cube samplers
 take their points one after another from the stream, so a chunk of those
@@ -198,6 +202,21 @@ def _boundary_faces(body: Body):
     return faces, h
 
 
+def _face_choice(weights: np.ndarray, gen: np.random.Generator, m: int) -> np.ndarray:
+    """``gen.choice(len(weights), m, p=weights / weights.sum())`` as uint8,
+    with its bits and its draws: one uniform a point, whose index is the
+    number of steps of the normalized CDF at or below it (the searchsorted
+    of ``Generator.choice``).  One comparison a step, as a prism over a
+    polygon has few faces, replaces the binary search."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = gen.random(m)
+    choice = np.zeros(m, dtype=np.uint8)
+    for step in cdf[:-1]:
+        choice += u >= step
+    return choice
+
+
 def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
     """``size`` uniform points on the boundary of a prism K x [0, h].
 
@@ -208,37 +227,39 @@ def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
     """
     m = _count(size, "size")
     face_list, h = _boundary_faces(body)
-    weights = np.array([f[2] for f in face_list])
-    # one face index a point, in a byte: a prism over a polygon has few faces
-    choice = gen.choice(len(face_list), size=m, p=weights / weights.sum()).astype(np.uint8)
+    choice = _face_choice(np.array([f[2] for f in face_list]), gen, m)
+    # each face's rows in row order, after one stable sort; the point array
+    # is made only once the sort's int64 index is gone
+    order = np.argsort(choice, kind="stable").astype(np.int32)
+    ends = np.cumsum([np.count_nonzero(choice == idx) for idx in range(len(face_list))])
     pts = np.empty((m, body.dim))
+    cols = pts.T
+    base_buf = None
 
-    def blocks(idx):
-        # the rows on face idx, a block at a time, as the block's columns and
-        # the face's row numbers in it: a face draws for its rows in row
-        # order, so block by block equals one draw for all of them.  Each
-        # column is written through integer indices, which numpy does
-        # several times faster than a 2-D boolean-mask assignment.
-        for start in range(0, m, _BLOCK_ROWS):
-            at = np.flatnonzero(choice[start : start + _BLOCK_ROWS] == idx)
-            if at.size:
-                yield pts[start : start + _BLOCK_ROWS].T, at
+    def pieces(idx):
+        # face idx's rows a block at a time: a face draws for its rows in
+        # row order, so piece by piece equals one draw for all of them.  A
+        # piece is cast to intp once, where numpy would cast int32 row
+        # numbers again for every column written through them.
+        rows = order[(ends[idx - 1] if idx else 0) : ends[idx]]
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            yield rows[start : start + _BLOCK_ROWS].astype(np.intp)
 
     for idx, (tag, payload, _area) in enumerate(face_list):
         if tag == "flat":
-            for cols, at in blocks(idx):
-                base = _draw(body.base, gen, at.size)
+            for at in pieces(idx):
+                base_buf = _draw(body.base, gen, at.size, base_buf)
                 for c in range(body.dim - 1):
-                    cols[c][at] = base[:, c]
+                    cols[c][at] = base_buf[:, c]
                 cols[-1][at] = payload
         else:
             (sx, sy), (ex, ey) = payload
-            for cols, at in blocks(idx):
+            for at in pieces(idx):
                 s = gen.random(at.size)
                 cols[0][at] = sx + s * (ex - sx)
                 cols[1][at] = sy + s * (ey - sy)
             # all of a side face's heights follow all of its edge parameters
-            for cols, at in blocks(idx):
+            for at in pieces(idx):
                 cols[-1][at] = gen.random(at.size) * h
     # faces 0 and 1 are the flat copies of K
     return pts, choice < 2
@@ -246,6 +267,36 @@ def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
 
 # ---------------------------------------------------------------------------
 # estimators
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The row dot products of two (d, rows) coordinate planes, added in
+    the order of ``np.einsum("md,md->m", ...)`` on (rows, d) arrays.
+
+    numpy 2.4's einsum on x86-64 keeps two lanes, one for the even and one
+    for the odd coordinates, and adds them at the end; below 8 coordinates
+    each lane adds its products in order, and each whole group of 8 adds
+    coordinates 6, 4, 2, 0 (7, 5, 3, 1) to its lane.  So a volume's bits
+    are those of the einsum kernel that froze the Monte Carlo goldens,
+    where the products added in index order differ in about a quarter of
+    the rows.
+    """
+    d = len(a)
+    whole = d - d % 8
+    order = [g + c for g in range(0, whole, 8) for c in (6, 4, 2, 0, 7, 5, 3, 1)]
+    order += range(whole, d)
+    lanes = [None, None]
+    for c in order:
+        term = a[c] * b[c]
+        lane = lanes[c % 2]
+        if lane is None:
+            lanes[c % 2] = term
+        else:
+            lane += term
+    even, odd = lanes
+    if odd is not None:
+        even += odd
+    return even
 
 
 def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
@@ -272,22 +323,25 @@ def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
         # the edges run from the first vertex to each of the others
         first, others = (block[:, 0, :], block[:, 1:, :]) if origin is None else (origin, block)
         gram = volumes[start : start + _BLOCK_ROWS]
-        gram[:] = 1.0
         residuals = []
         for j in range(n - 1):
-            # the elementwise passes run a coordinate column at a time into
-            # a C-contiguous residual, the dot products stay einsum: its
-            # order of adding the d products is what the goldens froze
-            r = np.empty((len(block), d))
+            # each residual is a C-contiguous (d, rows) array, one plane a
+            # coordinate, so every elementwise pass runs contiguously
+            r = np.empty((d, len(block)))
             for c in range(d):
-                np.subtract(others[:, j, c], first[..., c], out=r[:, c])
+                np.subtract(others[:, j, c], first[..., c], out=r[c])
             for u, uu in residuals:
-                coef = np.einsum("md,md->m", r, u) / uu
+                coef = _row_dot(r, u)
+                coef /= uu
                 for c in range(d):
-                    r[:, c] -= coef * u[:, c]
-            rr = np.einsum("md,md->m", r, r)
-            gram *= rr
-            residuals.append((r, np.where(rr > 0.0, rr, 1.0)))
+                    r[c] -= coef * u[c]
+            rr = _row_dot(r, r)
+            if j:
+                gram *= rr
+            else:
+                gram[:] = rr
+            if j < n - 2:  # only a later edge projects onto this residual
+                residuals.append((r, np.where(rr > 0.0, rr, 1.0)))
         np.sqrt(gram, out=gram)
     volumes /= math.factorial(n - 1)
     return volumes

@@ -327,6 +327,27 @@ class TestRefusedBeforeWork:
         assert message in err
         assert not out.exists()
 
+    def test_reproduce_samples_refused_before_any_table(self, tmp_path, monkeypatch, capsys):
+        # with no table to read, the spot check's run size is still refused
+        # before a table is computed or written
+        import simplexmoments.tetra as tetra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was computed before the refusal")
+
+        monkeypatch.setattr(tetra, "_even_moment", refuse)
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        out = tmp_path / "r.json"
+        argv = ["reproduce", "fast", "--samples", str(10 ** 30), "--tables", str(tables),
+                "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity: ") and err.count("\n") == 1
+        assert "a run takes at most 16777216 chunks" in err
+        assert list(tables.iterdir()) == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", TABLE_COMMANDS)
     def test_tables_path_that_is_a_file(self, tmp_path, no_tables, capsys, argv):
         blocker = tmp_path / "tables"

@@ -45,9 +45,12 @@ from simplexmoments.mc import (
     CHUNK_SIZE,
     EstimateWithError,
     RngStream,
+    _boundary_faces,
     _chunk_stats,
     _combine_chunks,
     _draw,
+    _face_choice,
+    _row_dot,
     _run_chunks,
     _simplex_volumes,
     estimate_moment,
@@ -210,24 +213,49 @@ class TestSampleBoundaryUniform:
         assert 0.4 < (z == 0.0).mean() < 0.6
 
     @pytest.mark.parametrize(
-        "body",
-        [product(triangle_T2(), F(1, 4)), product(triangle_T2(), F(1, 20000)),
-         product(cube(2), 0.3)],
-        ids=["T2 x 1/4", "T2 x 1/20000", "cube:2 x 0.3"],
+        "body, size",
+        [(body, size) for size in (3 * _BLOCK_ROWS + 17, 1)
+         for body in (product(triangle_T2(), F(1, 4)), product(triangle_T2(), F(1, 20000)),
+                      product(cube(2), 0.3))],
+        ids=["T2 x 1/4", "T2 x 1/20000", "cube:2 x 0.3",
+             "T2 x 1/4, one point", "T2 x 1/20000, one point", "cube:2 x 0.3, one point"],
     )
-    def test_blocks_match_one_whole_array_fill(self, body):
-        # the sampler fills its points a block of rows at a time; over
-        # several blocks, and with a height so small that some blocks hold
-        # no side-face row, it draws exactly what whole-array masks draw
-        size = 3 * _BLOCK_ROWS + 17
+    def test_blocks_match_one_whole_array_fill(self, body, size):
+        # the sampler fills each face's rows a block at a time; over several
+        # blocks, for a single point, and with a height so small that some
+        # blocks hold no side-face row and one side face no row at all, it
+        # draws exactly what whole-array masks draw
         pts, flat = sample_boundary_uniform(body, RngStream(173).generator(), size)
         want_pts, want_flat = sample_boundary_unblocked(body, RngStream(173).generator(), size)
         assert pts.tobytes() == want_pts.tobytes()
         assert flat.tobytes() == want_flat.tobytes()
-        if body.height == F(1, 20000):
+        if body.height == F(1, 20000) and size > 1:
             sides = [np.count_nonzero(~flat[start : start + _BLOCK_ROWS])
                      for start in range(0, size, _BLOCK_ROWS)]
             assert 0 in sides and max(sides) > 0, sides
+            faces, _h = _boundary_faces(body)
+            weights = np.array([area for _tag, _payload, area in faces])
+            per_face = np.bincount(_face_choice(weights, RngStream(173).generator(), size),
+                                   minlength=len(faces))
+            assert 0 in per_face[2:] and per_face[2:].any(), per_face
+
+    @pytest.mark.parametrize("size", [1, 5, 3 * _BLOCK_ROWS + 17])
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, 1.0], [0.5, 0.5, 0.25, 0.25, 0.3535], [0.5, 0.5, 5e-5, 5e-5, 7e-5],
+         [1.0, 0.0, 2.0, 0.0], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7], [3.0]],
+        ids=["two", "T2 prism", "thin prism", "zero weights", "seven", "one"],
+    )
+    def test_face_choice_equals_generator_choice(self, weights, size):
+        # the inverse-CDF face choice gives Generator.choice's faces and
+        # leaves the stream where choice leaves it
+        weights = np.array(weights)
+        gen, want_gen = RngStream(181, size).generator(), RngStream(181, size).generator()
+        got = _face_choice(weights, gen, size)
+        want = want_gen.choice(len(weights), size, p=weights / weights.sum())
+        assert got.dtype == np.uint8
+        assert got.astype(np.int64).tobytes() == want.tobytes()
+        assert gen.random(3).tobytes() == want_gen.random(3).tobytes()
 
     def test_unsupported_bodies(self):
         with pytest.raises(UsageError):
@@ -298,6 +326,19 @@ class TestSimplexVolumes:
                         got = _simplex_volumes(given)
                     assert got.tobytes() == want, (n, d, given.strides)
                     assert got[0] == 0.0 and got[-1] == 0.0
+
+    @pytest.mark.parametrize("rows", [1, 17, _BLOCK_ROWS])
+    def test_row_dot_adds_in_einsum_order(self, rows):
+        # the kernel's dot products on (d, rows) planes give the bits of
+        # einsum on (rows, d) arrays, the kernel that froze the goldens,
+        # also past 8 coordinates, where einsum nests groups of 8
+        gen = RngStream(191, rows).generator()
+        for d in range(1, 20):
+            x, y = gen.standard_normal((2, rows, d))
+            for a, b in ((x, y), (x, x)):
+                want = np.einsum("md,md->m", a, b)
+                got = _row_dot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+                assert got.tobytes() == want.tobytes(), d
 
     def test_degenerate_simplex_has_zero_facets(self):
         pts = np.zeros((4, 3, 3))
