@@ -77,7 +77,9 @@ def _in_range(k: int, moment) -> float:
     sides in the formulas leave the float64 range: a power underflows to 0
     and is divided by, or overflows, or the moment itself underflows.  Such
     a k is a CapacityError naming the largest order that still evaluates,
-    found by bisection.
+    found by doubling the order from 1 and then bisecting.  An order's cost
+    grows with the order, and a refusal evaluates no order above twice the
+    largest that evaluates, however large k is.
     """
 
     def value(order: int):
@@ -90,10 +92,15 @@ def _in_range(k: int, moment) -> float:
             return None
         return v if sys.float_info.min <= v <= sys.float_info.max else None
 
-    v = value(k)
-    if v is not None:
-        return v
-    lo, hi = 0, k  # lo evaluates (0: no order does), hi does not
+    lo, hi = 0, 1  # lo evaluates (0: no order does)
+    while hi < k and value(hi) is not None:
+        lo, hi = hi, 2 * hi
+    if hi >= k:
+        v = value(k)
+        if v is not None:
+            return v
+        hi = k
+    # hi does not evaluate
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if value(mid) is None:
@@ -125,7 +132,8 @@ class TriangleSpec:
     @classmethod
     def from_sides(cls, a, b, c) -> "TriangleSpec":
         """The triangle with these sides; a DomainError names sides that are
-        not positive and finite, or whose law of cosines leaves float64."""
+        not positive and finite, or whose law of cosines leaves float64 or
+        gives an angle of 0 or pi."""
         a, b, c = float(a), float(b), float(c)
         if not all(0.0 < side < math.inf for side in (a, b, c)):
             raise DomainError("side lengths must be positive and finite, got %r, %r, %r"
@@ -133,16 +141,17 @@ class TriangleSpec:
         if a + b <= c or b + c <= a or a + c <= b:
             raise DomainError("degenerate triangle: inequality must be strict")
         shortest = min(a, b, c)
-        # a subnormal square has lost digits, and an overflowing square
-        # makes a cosine nan or infinite
+        # a subnormal square has lost digits, an overflowing square makes a
+        # cosine nan or infinite, and a side far shorter than the others
+        # rounds a cosine to 1, an angle of 0
         cosines = (math.nan,) if shortest * shortest < sys.float_info.min else (
             (b * b + c * c - a * a) / (2.0 * b * c),
             (a * a + c * c - b * b) / (2.0 * a * c),
             (a * a + b * b - c * c) / (2.0 * a * b),
         )
-        if not all(-1.0 <= cosine <= 1.0 for cosine in cosines):
-            raise DomainError("side lengths %r, %r, %r: their squares leave the float64 range"
-                              % (a, b, c))
+        if not all(-1.0 < cosine < 1.0 for cosine in cosines):
+            raise DomainError("side lengths %r, %r, %r: their squares leave the float64 range, "
+                              "or an angle rounds to 0 or pi" % (a, b, c))
         alpha, beta, gamma = (math.acos(cosine) for cosine in cosines)
         return cls(a, b, c, alpha, beta, gamma)
 
@@ -206,7 +215,11 @@ def edgepoint_moment(t: TriangleSpec, c1: float, k: int) -> float:
         return vertex_moment(t, "A", k)
     if c1 == t.c:
         return vertex_moment(t, "B", k)
-    return _in_range(k, lambda order: _edgepoint_moment(t, c1, order))
+    try:
+        return _in_range(k, lambda order: _edgepoint_moment(t, c1, order))
+    except DomainError as exc:
+        # a point about 1e-8 from a vertex splits off a sliver in float64
+        raise DomainError("edge point c1=%r: %s" % (c1, exc))
 
 
 def _edgepoint_moment(t: TriangleSpec, c1: float, k: int) -> float:

@@ -201,13 +201,15 @@ def _parse_triangle(text: str) -> TriangleSpec:
     return TriangleSpec.from_sides(*(_parse_float(p, "--triangle") for p in parts))
 
 
-def _rotate_longest_to_c(spec: TriangleSpec) -> TriangleSpec:
-    from .chords import TriangleSpec
+def _midpoint_moment(spec: TriangleSpec, k: int) -> float:
+    """The k-th moment about the midpoint of the longest side, relabeled
+    as the edge AB (side c) that edgepoint_moment measures along."""
+    from .chords import TriangleSpec, edgepoint_moment
 
     sides = (spec.a, spec.b, spec.c)
     longest = max(range(3), key=lambda i: sides[i])
-    rotated = tuple(sides[(longest + 1 + i) % 3] for i in range(3))
-    return TriangleSpec.from_sides(*rotated)
+    rotated = TriangleSpec.from_sides(*(sides[(longest + 1 + i) % 3] for i in range(3)))
+    return edgepoint_moment(rotated, rotated.c / 2.0, k)
 
 
 def _parse_body(text: str):
@@ -274,10 +276,6 @@ def _positive_int(text: str) -> int:
 # moment table files
 
 
-def _table_path(tables_dir: str, case_key: str) -> str:
-    return os.path.join(tables_dir, _TABLE_FILES[case_key])
-
-
 def _obtain_table(
     case: str,
     k_max: int,
@@ -303,7 +301,7 @@ def _obtain_table(
             ancestor = os.path.dirname(ancestor)
         if not os.path.isdir(ancestor):
             raise UsageError("tables path %r: %r is not a directory" % (tables_dir, ancestor))
-    path = table_file or (_table_path(tables_dir, key) if tables_dir else None)
+    path = table_file or (os.path.join(tables_dir, _TABLE_FILES[key]) if tables_dir else None)
     stored = None
     if table_file or (path and os.path.exists(path)):
         stored, digest = _read_table(path, key)
@@ -316,6 +314,27 @@ def _obtain_table(
     if tables_dir:
         ctx.output_files.append(path)
     return moment_table(key, k_max, checkpoint=path, stored=stored)
+
+
+def _canonical_tables(
+    tables_dir: Optional[str], ctx: _RunContext, full: bool = True, compute: bool = True
+) -> List[MomentTable]:
+    """The free and the pinned table, each obtained once: up to the degree of
+    its canonical certificate, or, when not ``full``, up to the last order of
+    the frozen reference list.  Every short table is named in one refusal."""
+    tables, short = [], []
+    for case, singles, doubles in _CANONICAL.values():
+        k_max = _degree(singles, doubles) if full else len(_EXPECTED_EVEN_MOMENTS[case])
+        try:
+            tables.append(_obtain_table(case, k_max, tables_dir, ctx, compute=compute))
+        except CapacityError as exc:
+            short.append(str(exc))
+    if short:
+        raise CapacityError(
+            "insufficient moment tables: %s; rerun with --compute-missing or "
+            "build them with tetra-moments" % "; ".join(short)
+        )
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +351,7 @@ def _cmd_chords(args, ctx: _RunContext) -> dict:
         value = chord_moment(spec, k)
     elif args.fixed == "midpoint-hypotenuse":
         formula = "edge-pinned"
-        rotated = _rotate_longest_to_c(spec)
-        value = edgepoint_moment(rotated, rotated.c / 2.0, k)
+        value = _midpoint_moment(spec, k)
     elif args.fixed.startswith("vertex:"):
         formula = "vertex-pinned"
         value = vertex_moment(spec, args.fixed.split(":", 1)[1], k)
@@ -375,10 +393,11 @@ _CASE_GRIDS = {
 
 
 def _cmd_nodes(args, ctx: _RunContext) -> dict:
-    from .lp import node_search, rationalize
+    from .lp import _check_grid, node_search, rationalize
 
     key = _normalize_case(args.case)
     interval_end, sense = _CASE_GRIDS[key]
+    _check_grid(args.grid)
     table = _obtain_table(key, args.degree, args.tables, ctx)
     found = node_search(table, args.degree, args.grid, interval_end, sense)
     result = {
@@ -443,20 +462,8 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
             "a tables directory is required (--tables or the %s environment "
             "variable)" % TABLES_ENV
         )
-    tables, short = {}, []
-    for key, singles, doubles in _CANONICAL.values():
-        try:
-            tables[key] = _obtain_table(
-                key, _degree(singles, doubles), args.tables, ctx, compute=args.compute_missing
-            )
-        except CapacityError as exc:
-            short.append(str(exc))
-    if short:
-        raise CapacityError(
-            "insufficient moment tables: %s; rerun with --compute-missing or "
-            "build them with tetra-moments" % "; ".join(short)
-        )
-    report = verify_counterexample(tables["free"], tables["fixed-centroid"])
+    free, fixed = _canonical_tables(args.tables, ctx, compute=args.compute_missing)
+    report = verify_counterexample(free, fixed)
     if not report["confirmed"]:
         raise VerificationError("counterexample checks did not all pass")
     return report
@@ -484,10 +491,7 @@ def _cmd_mc(args, ctx: _RunContext) -> dict:
         "n": args.n,
         "k": args.k,
         "fixed": args.fixed,
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "seed": est.seed,
+        **vars(est),
         "rng": RNG_ALGORITHM,
     }
 
@@ -550,23 +554,18 @@ def _check_close(label: str, value: float, target, tolerance: float) -> dict:
 
 
 def _reproduce_chords() -> dict:
-    from .chords import TriangleSpec, chord_moment, edgepoint_moment
+    from .chords import chord_moment
 
-    spec = TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
-    mid = math.sqrt(2.0) / 2.0
+    spec = _parse_triangle("T2")
     entries = [
         _check_close("two-point k=2", chord_moment(spec, 2), Fraction(2, 9), 1e-10),
         _check_close("two-point k=4", chord_moment(spec, 4), Fraction(1, 10), 1e-10),
-        _check_close(
-            "midpoint k=2", edgepoint_moment(spec, mid, 2), Fraction(1, 6), 1e-10
-        ),
-        _check_close(
-            "midpoint k=4", edgepoint_moment(spec, mid, 4), Fraction(7, 180), 1e-10
-        ),
+        _check_close("midpoint k=2", _midpoint_moment(spec, 2), Fraction(1, 6), 1e-10),
+        _check_close("midpoint k=4", _midpoint_moment(spec, 4), Fraction(7, 180), 1e-10),
         _check_close("two-point k=1", chord_moment(spec, 1), 0.4142, 1e-4),
         _check_close("two-point k=3", chord_moment(spec, 3), 0.1405, 1e-4),
-        _check_close("midpoint k=1", edgepoint_moment(spec, mid, 1), 0.3825, 1e-4),
-        _check_close("midpoint k=3", edgepoint_moment(spec, mid, 3), 0.0783, 1e-4),
+        _check_close("midpoint k=1", _midpoint_moment(spec, 1), 0.3825, 1e-4),
+        _check_close("midpoint k=3", _midpoint_moment(spec, 3), 0.0783, 1e-4),
     ]
     return {
         "name": "chord-closed-forms",
@@ -576,12 +575,11 @@ def _reproduce_chords() -> dict:
 
 
 def _reproduce_ratio_law() -> dict:
-    from .chords import TriangleSpec, chord_moment, edgepoint_moment, ratio_r
+    from .chords import chord_moment, ratio_r
 
-    spec = TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
-    mid = math.sqrt(2.0) / 2.0
+    spec = _parse_triangle("T2")
     deviations = [
-        abs(ratio_r(k) - edgepoint_moment(spec, mid, k) / chord_moment(spec, k))
+        abs(ratio_r(k) - _midpoint_moment(spec, k) / chord_moment(spec, k))
         for k in range(1, 13)
     ]
     ratios = [ratio_r(k) for k in range(1, 51)]
@@ -626,11 +624,9 @@ def _reproduce_second_moment(free: MomentTable, fixed: MomentTable) -> dict:
     }
 
 
-def _reproduce_mc(args, ctx: _RunContext) -> dict:
-    from .geometry import tetrahedron_T3
+def _reproduce_mc(args, ctx: _RunContext, t3) -> dict:
     from .mc import RNG_ALGORITHM, estimate_moment
 
-    body = tetrahedron_T3()
     centroid = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     entries = []
     for label, fixed, target, seed in (
@@ -639,7 +635,7 @@ def _reproduce_mc(args, ctx: _RunContext) -> dict:
     ):
         ctx.seeds.append(seed)
         est = estimate_moment(
-            body,
+            t3,
             3,
             1,
             fixed=fixed,
@@ -651,10 +647,7 @@ def _reproduce_mc(args, ctx: _RunContext) -> dict:
         entries.append(
             {
                 "label": label,
-                "mean": est.mean,
-                "std_error": est.std_error,
-                "samples": est.samples,
-                "seed": seed,
+                **vars(est),
                 "target": target,
                 "passed": abs(est.mean - target) <= 3.0 * est.std_error + 5e-5,
             }
@@ -708,30 +701,23 @@ def _reproduce_counterexample(free: MomentTable, fixed: MomentTable) -> dict:
 
 def _cmd_reproduce(args, ctx: _RunContext) -> dict:
     from .geometry import tetrahedron_T3
+    from .lp import _check_grid
     from .mc import _check_common, _check_float_range
 
-    # the spot check's run size is refused here, before any table work
-    _check_common(tetrahedron_T3(), 3, args.samples)
-    _check_float_range(tetrahedron_T3(), 3, 1, args.samples)
+    t3 = tetrahedron_T3()
+    # the spot check's run size and the LP grid are refused before any table work
+    _check_common(t3, 3, args.samples)
+    _check_float_range(t3, 3, 1, args.samples)
+    _check_grid(args.grid)
     ctx.seeds.append(args.seed)
     full = args.level == "full"
-    # each table once, at the largest order this level needs: the canonical
-    # certificate's degree for the full level, the frozen list for the fast one
-    free, fixed = (
-        _obtain_table(
-            case,
-            _degree(singles, doubles) if full else len(_EXPECTED_EVEN_MOMENTS[case]),
-            args.tables,
-            ctx,
-        )
-        for case, singles, doubles in _CANONICAL.values()
-    )
+    free, fixed = _canonical_tables(args.tables, ctx, full)
     checks = [
         _reproduce_chords(),
         _reproduce_ratio_law(),
         _reproduce_tables(free, fixed),
         _reproduce_second_moment(free, fixed),
-        _reproduce_mc(args, ctx),
+        _reproduce_mc(args, ctx, t3),
     ]
     if full:
         if args.grid >= 200:
@@ -767,18 +753,32 @@ def build_parser() -> argparse.ArgumentParser:
         "and prism-lifting experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tables_default = os.environ.get(TABLES_ENV)
+    # options that several subcommands take, each declared once
+    shared = {
+        "--tables": dict(default=os.environ.get(TABLES_ENV), help="moment table directory"),
+        "--threads": dict(type=_positive_int, default=1),
+        "--body": dict(required=True, help="T2, T3, cube:D, ball:D, halfball:D or simplex:D"),
+        "--n": dict(required=True, type=int, help="number of vertices"),
+        "--k": dict(required=True, type=int, help="moment order"),
+        "--samples": dict(required=True, type=int),
+        "--out": dict(help="write the report here instead of stdout"),
+    }
+    sampling = ("--body", "--n", "--k", "--samples", "--threads")
+
+    def finish(p, handler, *takes):
+        for flag in takes + ("--out",):
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser(
         "chords", help="closed-form distance moments on a triangle"
     )
     p.add_argument("--triangle", required=True, help="'T2' or side lengths 'a,b,c'")
-    p.add_argument("--k", required=True, type=int, help="moment order")
     p.add_argument(
         "--fixed",
         help="pin one point: 'midpoint-hypotenuse', 'vertex:A|B|C' or 'edge:C1'",
     )
-    p.set_defaults(handler=_cmd_chords)
+    finish(p, _cmd_chords, "--k")
 
     p = sub.add_parser(
         "tetra-moments",
@@ -786,8 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--case", required=True, help="'free' or 'fixed'")
     p.add_argument("--kmax", required=True, type=_positive_int, help="largest k (power 2k)")
-    p.add_argument("--tables", default=tables_default, help="checkpoint directory")
-    p.set_defaults(handler=_cmd_tetra_moments)
+    finish(p, _cmd_tetra_moments, "--tables")
 
     p = sub.add_parser(
         "nodes", help="exact LP search for certificate interpolation nodes"
@@ -795,14 +794,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, help="'free' or 'fixed'")
     p.add_argument("--degree", required=True, type=_positive_int, help="polynomial degree")
     p.add_argument("--grid", required=True, type=_positive_int, help="number of grid cells")
-    p.add_argument("--tables", default=tables_default, help="checkpoint directory")
     p.add_argument(
         "--rationalize-den",
         type=_positive_int,
         default=64,
         help="denominator bound for suggested nodes (default 64)",
     )
-    p.set_defaults(handler=_cmd_nodes)
+    finish(p, _cmd_nodes, "--tables")
 
     p = sub.add_parser(
         "certify", help="build and verify one polynomial bound certificate"
@@ -817,45 +815,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval-b", help="verify on [0, B] (rational B)")
     p.add_argument("--bprime", help="rational B' >= sqrt(B) to verify through")
     p.add_argument("--table", help="explicit moment table JSON file")
-    p.add_argument("--tables", default=tables_default, help="checkpoint directory")
-    p.set_defaults(handler=_cmd_certify)
+    finish(p, _cmd_certify, "--tables")
 
     p = sub.add_parser(
         "verify-counterexample",
         help="full exact verdict: pinning at the centroid shrinks the mean",
     )
-    p.add_argument("--tables", default=tables_default, help="moment table directory")
     p.add_argument(
         "--compute-missing",
         action="store_true",
         help="build absent or short tables instead of refusing",
     )
-    p.set_defaults(handler=_cmd_verify_counterexample)
+    finish(p, _cmd_verify_counterexample, "--tables")
 
     p = sub.add_parser("mc", help="Monte Carlo simplex volume moment")
-    p.add_argument("--body", required=True, help="T2, T3, cube:D, ball:D, ...")
-    p.add_argument("--n", required=True, type=int, help="number of vertices")
-    p.add_argument("--k", required=True, type=int, help="moment order")
     p.add_argument("--fixed", help="pin one vertex at these coordinates 'x,y,...'")
-    p.add_argument("--samples", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.set_defaults(handler=_cmd_mc)
+    finish(p, _cmd_mc, *sampling)
 
     p = sub.add_parser(
         "lift-sweep", help="prism lifting convergence experiment"
     )
     p.add_argument("--mode", required=True, choices=("interior", "boundary"))
-    p.add_argument("--body", required=True, help="base body, e.g. T2")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
     p.add_argument("--eps", required=True, help="heights, e.g. '1/2,1/8,1/32'")
-    p.add_argument("--samples", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--reference", help="exact limit value 'p/q' if known")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=_cmd_lift_sweep)
+    finish(p, _cmd_lift_sweep, *sampling)
 
     p = sub.add_parser(
         "reproduce",
@@ -870,12 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", type=_positive_int, default=200, help="LP grid size for the full level"
     )
-    p.add_argument("--tables", default=tables_default, help="checkpoint directory")
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.set_defaults(handler=_cmd_reproduce)
-
-    for name, sp in sub.choices.items():
-        sp.add_argument("--out", help="write the report here instead of stdout")
+    finish(p, _cmd_reproduce, "--tables", "--threads")
 
     return parser
 
@@ -911,9 +892,8 @@ def _emit(report: dict, args) -> None:
         text = _sweep_csv(report)
     else:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

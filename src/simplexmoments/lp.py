@@ -35,7 +35,7 @@ from itertools import groupby
 from math import lcm
 
 from .certificates import hermite_interpolate
-from .errors import UsageError, VerificationError, _count
+from .errors import CapacityError, UsageError, VerificationError, _count
 from .exact import _as_fraction, _horner
 
 __all__ = ["node_search", "rationalize"]
@@ -153,6 +153,26 @@ def _check_certificate(grid, moments, sense: str, coefficients, weights) -> list
     return active
 
 
+# The exchange makes about one step per grid point it moves a node, each of
+# O(grid) Fraction operations, so node_search's time grows about 4x per
+# doubling of the grid.  Degree 6 and degree 14 took 1.1 and 1.4 s at 400
+# points, 4.9 and 4.5 s at 800, and 18 and 20 s at 1600 (2-CPU Xeon, Python
+# 3.11), so a run at this bound takes a minute or two.
+_MAX_GRID = 3200
+
+
+def _check_grid(grid_size) -> None:
+    """A grid size from 1 to _MAX_GRID; a larger one is a CapacityError,
+    raised before any grid point or moment is touched."""
+    _count(grid_size, "grid_size")
+    if grid_size > _MAX_GRID:
+        raise CapacityError(
+            "a grid of %d cells exceeds the limit of %d; the node search's time grows "
+            "about 4x per doubling of the grid, to about 20 s at 1600 cells"
+            % (grid_size, _MAX_GRID)
+        )
+
+
 def node_search(table, degree: int, grid_size: int, interval_end, sense: str) -> dict:
     """Best polynomial bound for sqrt on a rational grid, plus touch points.
 
@@ -162,12 +182,13 @@ def node_search(table, degree: int, grid_size: int, interval_end, sense: str) ->
     ``table``.  Returns the exact objective, the coefficients, and candidate
     interpolation nodes: grid t-values with an active constraint, adjacent
     ones merged to their midpoint, t = 0 excluded.  The status is "unbounded"
-    when no polynomial bound has a finite optimum.
+    when no polynomial bound has a finite optimum.  Grids above _MAX_GRID
+    cells are refused with a CapacityError.
     """
     if sense not in ("lower", "upper"):
         raise UsageError("sense must be 'lower' or 'upper'")
     _count(degree, "degree")
-    _count(grid_size, "grid_size")
+    _check_grid(grid_size)
     end = _as_fraction(interval_end)
     if end <= 0:
         raise UsageError("interval_end must be positive")

@@ -164,14 +164,17 @@ def test_triangle_spec_rejects_degenerate():
         (1e308, 1e308, 1e308),
         (1.34e154, 2e153, 1.3e154),
         (1e-160, SQRT2 * 1e-160, 1e-160),
+        (1.0, 1.0, 1e-8),
     ],
-    ids=["nan-a", "nan-b", "inf", "1e-200", "1e308", "sum-overflow", "subnormal-squares"],
+    ids=["nan-a", "nan-b", "inf", "1e-200", "1e308", "sum-overflow", "subnormal-squares",
+         "sliver"],
 )
 def test_triangle_spec_refuses_sides_outside_float64(sides):
     # nan gave nan angles, 1e-200 a ZeroDivisionError, 1e308 nan angles
     # refused later as "angle must lie strictly between 0 and pi", the
     # sum-overflow case a math domain ValueError, and squares below the
-    # smallest normal float an alpha of 0.78544 for pi/4
+    # smallest normal float an alpha of 0.78544 for pi/4; the sliver's
+    # cosine rounded to 1, and its angle of 0 was refused only later
     with pytest.raises(DomainError) as err:
         TriangleSpec.from_sides(*sides)
     assert repr(float(sides[0])) in str(err.value)
@@ -214,6 +217,15 @@ def test_edge_point_spec_geometry():
     for c1 in (-0.2, T2_HYP.c + 1e-9):
         with pytest.raises(DomainError):
             edgepoint_moment(T2_HYP, c1, 2)
+
+
+@pytest.mark.parametrize("c1", [1e-8, 1e-9, T2_HYP.c - 1e-9], ids=["1e-8", "1e-9", "c-1e-9"])
+def test_edge_point_next_to_a_vertex_is_refused_by_name(c1):
+    # the split leaves a sub-triangle with an angle of 0 in float64; the
+    # refusal names the edge point, not only sides the caller never gave
+    with pytest.raises(DomainError) as err:
+        edgepoint_moment(T2_HYP, c1, 2)
+    assert str(err.value).startswith("edge point c1=%r: " % c1)
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +433,7 @@ def test_orders_past_the_float_range_are_refused(moment, largest):
     # the largest order that evaluates is a finite positive float; the next
     # one, and any far beyond it, is refused with that order named
     assert 0.0 < moment(largest) < math.inf
-    for k in (largest + 1, 5000):
+    for k in (largest + 1, 5000, 10 ** 30):
         with pytest.raises(CapacityError) as err:
             moment(k)
         assert "k=%d" % k in str(err.value)
@@ -438,7 +450,7 @@ def test_ratio_r_values():
 
 def test_ratio_r_past_the_float_range_is_refused():
     assert 0.0 < ratio_r(1020) < math.inf
-    for k in (1021, 5000):
+    for k in (1021, 5000, 10 ** 30):
         with pytest.raises(CapacityError) as err:
             ratio_r(k)
         assert "k=%d" % k in str(err.value)

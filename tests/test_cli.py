@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface and its reports."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -245,6 +246,8 @@ class TestRefusedBeforeWork:
          "side lengths 1e-200, 1e-200, 1e-200"),
         (["chords", "--triangle", "1e308,1e308,1e308", "--k", "2"],
          "side lengths 1e+308, 1e+308, 1e+308"),
+        (["chords", "--triangle", "1,1,1e-8", "--k", "2"],
+         "side lengths 1.0, 1.0, 1e-08"),
     ]
 
     # (argv, what the one-line message names); each exited 1, with a bare
@@ -285,7 +288,8 @@ class TestRefusedBeforeWork:
 
     @pytest.mark.parametrize(
         "argv, message", OUT_OF_RANGE,
-        ids=["edge", "triangle", "mc-fixed", "reference", "eps", "tiny-sides", "huge-sides"],
+        ids=["edge", "triangle", "mc-fixed", "reference", "eps", "tiny-sides", "huge-sides",
+             "sliver-sides"],
     )
     def test_number_outside_float64(self, tmp_path, monkeypatch, capsys, argv, message):
         import simplexmoments.lifting as lifting
@@ -346,6 +350,48 @@ class TestRefusedBeforeWork:
         assert err.startswith("capacity: ") and err.count("\n") == 1
         assert "a run takes at most 16777216 chunks" in err
         assert list(tables.iterdir()) == []
+        assert not out.exists()
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was read or computed before the refusal")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tetra-moments", "--case", "fixed", "--kmax", str(10 ** 30)],
+         ["nodes", "--case", "free", "--degree", str(10 ** 30), "--grid", "10"]],
+        ids=["kmax", "degree"],
+    )
+    def test_huge_order_creates_no_tables_directory(self, tmp_path, monkeypatch, capsys, argv):
+        # the refusal's message summed a term for every order up to k: 10**6
+        # took 0.5 s and 10**30 never returned
+        import simplexmoments.tetra as tetra
+
+        monkeypatch.setattr(tetra, "_even_moment", self.refuse)
+        target = tmp_path / "new" / "sub"
+        assert main(argv + ["--tables", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity: even moment of order 2k=%d" % (2 * 10 ** 30))
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nodes", "--case", "free", "--degree", "6", "--grid", str(10 ** 30)],
+         ["reproduce", "full", "--grid", str(10 ** 30)]],
+        ids=["nodes", "reproduce"],
+    )
+    def test_huge_grid_refused_before_any_table(self, tmp_path, monkeypatch, capsys, tables_dir,
+                                                argv):
+        # node_search built every grid point after the table was computed
+        import simplexmoments.cli as cli
+        import simplexmoments.tetra as tetra
+
+        monkeypatch.setattr(tetra, "_even_moment", self.refuse)
+        monkeypatch.setattr(cli, "_read_table", self.refuse)
+        out = tmp_path / "r.json"
+        assert main(argv + ["--tables", tables_dir, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity: a grid of %d cells exceeds the limit" % 10 ** 30)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", TABLE_COMMANDS)
@@ -1466,3 +1512,84 @@ class TestNumpyOnlyForSampling:
         exec("from simplexmoments import *", namespace)
         assert set(simplexmoments.__all__) <= set(namespace)
         assert namespace["estimate_moment"] is mc.estimate_moment
+
+
+# ---------------------------------------------------------------------------
+# every option that takes a value, at each boundary value
+
+# a quick valid run of each subcommand; "{tables}" is a copy of prebuilt tables
+SWEEP_RUNS = {
+    "chords": ["--triangle", "T2", "--k", "2"],
+    "tetra-moments": ["--case", "free", "--kmax", "2", "--tables", "{tables}"],
+    "nodes": ["--case", "free", "--degree", "3", "--grid", "12", "--tables", "{tables}"],
+    "certify": ["--side", "lower", "--tables", "{tables}"],
+    "verify-counterexample": ["--tables", "{tables}"],
+    "mc": ["--body", "T3", "--n", "3", "--k", "1", "--samples", "20", "--seed", "1"],
+    "lift-sweep": ["--mode", "interior", "--body", "T2", "--n", "2", "--k", "1", "--eps",
+                   "1/2", "--samples", "20"],
+    "reproduce": ["fast", "--samples", "20", "--tables", "{tables}"],
+}
+SWEEP_VALUES = ["0", "-1", "nan", "inf", "1e309", str(10 ** 30), ""]
+
+
+def value_options(command):
+    """Each option of the subcommand that takes a value; None stands for its
+    positional argument."""
+    from simplexmoments.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(a.option_strings or [None])[0] for a in sub.choices[command]._actions if a.nargs != 0]
+
+
+def with_value(argv, option, value):
+    """argv with the option (or, for None, the positional) set to value."""
+    if option is None:
+        return [value] + argv[1:]
+    if option in argv:
+        i = argv.index(option)
+        return argv[: i + 1] + [value] + argv[i + 2:]
+    return argv + [option, value]
+
+
+class TestBoundaryValueSweep:
+    """Every subcommand, every option that takes a value, every boundary
+    value: a typed exit code, never a traceback, and no refusal computes a
+    moment table."""
+
+    @pytest.mark.parametrize("command", sorted(SWEEP_RUNS))
+    def test_exit_codes_and_no_table_before_a_refusal(
+        self, command, tmp_path, monkeypatch, capsys, tables_dir
+    ):
+        import simplexmoments.tetra as tetra
+
+        computed = []
+        even_moment = tetra._even_moment
+
+        def recorded(case, k):
+            # valid runs without a tables directory compute in memory
+            computed.append((case, k))
+            return even_moment(case, k)
+
+        monkeypatch.setattr(tetra, "_even_moment", recorded)
+        monkeypatch.chdir(tmp_path)  # --tables, --table and --out take paths
+        tables = tmp_path / "tables"
+        shutil.copytree(tables_dir, tables)
+        base = [arg.replace("{tables}", str(tables)) for arg in SWEEP_RUNS[command]]
+        failures = []
+        for option in value_options(command):
+            for value in SWEEP_VALUES:
+                argv = [command] + with_value(base, option, value)
+                computed.clear()
+                try:
+                    code = main(argv)
+                except Exception as exc:  # the console script would exit 1
+                    failures.append((argv, repr(exc)))
+                    continue
+                capsys.readouterr()
+                if code not in (0, 2, 3, 4):
+                    failures.append((argv, code))
+                elif code in (2, 3) and computed:
+                    failures.append((argv, "refused after computing %s" % computed))
+        assert failures == []
+        assert main([command] + base) == 0

@@ -145,6 +145,14 @@ class TestNodeSearch:
         with pytest.raises(UsageError):
             node_search(free_table, 1, 20, F(0), "lower")
 
+    def test_grid_above_the_bound_is_refused_before_any_work(self):
+        # no table is read and no grid point built: a grid of 10**30 never returned
+        for grid in (lp._MAX_GRID + 1, 10 ** 30):
+            with pytest.raises(CapacityError) as err:
+                node_search(None, 6, grid, F(7, 8), "lower")
+            assert "exceeds the limit of %d" % lp._MAX_GRID in str(err.value)
+        lp._check_grid(lp._MAX_GRID)
+
 
 def highs_objective(table, degree, grid_size, end, sense):
     """Floating-point reference optimum via scipy's HiGHS backend.
