@@ -19,7 +19,11 @@ The root imports none of its modules: each one loads the first time one
 of its names (or the module itself) is read from the root.  mc and
 lifting are the only modules that import numpy, so the exact layers never
 load it, and ``verify-counterexample`` loads only the modules the verdict
-runs: errors, exact, tetra and certificates, which the CLI imports.
+runs: errors, exact, tetra and certificates, which the CLI imports.  Two
+private modules load on first use as well: ``_commands``, the handlers of
+every other subcommand, when the CLI dispatches one of them, and
+``_expansion``, the engine behind ``even_moment``, when an order is
+computed rather than read from a stored table.
 """
 
 __version__ = "0.1.0"

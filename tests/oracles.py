@@ -46,10 +46,11 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
+from simplexmoments._expansion import _fact
 from simplexmoments.errors import UsageError
 from simplexmoments.geometry import Body, _margins
 from simplexmoments.mc import _boundary_faces, sample_uniform
-from simplexmoments.tetra import CASE_FIXED, CASE_FREE, _fact, _normalize_case
+from simplexmoments.tetra import CASE_FIXED, CASE_FREE, _normalize_case
 
 
 def _exact(value):

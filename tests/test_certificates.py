@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import build_gram_poly, ref_derivative, solve_fraction_free
-from simplexmoments import certificates, cli
+from simplexmoments import _commands, certificates
 from simplexmoments.certificates import (
     _SUPPORT,
     FIXED_B,
@@ -335,7 +335,7 @@ class TestSupportBounds:
         # in t = area, so both ends must reach sqrt(B)
         b, bprime = _SUPPORT[case]
         assert bprime * bprime >= b
-        end, _sense = cli._CASE_GRIDS[case]
+        end, _sense = _commands._CASE_GRIDS[case]
         assert end * end >= b
 
 

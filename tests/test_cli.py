@@ -279,10 +279,10 @@ class TestRefusedBeforeWork:
 
     @pytest.fixture
     def handler_calls(self, monkeypatch, request):
-        import simplexmoments.cli as cli
+        import simplexmoments._commands as commands
 
         calls = []
-        monkeypatch.setattr(cli, request.getfixturevalue("handler"),
+        monkeypatch.setattr(commands, request.getfixturevalue("handler"),
                             lambda args, ctx: calls.append(args))
         return calls
 
@@ -394,6 +394,49 @@ class TestRefusedBeforeWork:
         assert err.startswith("capacity: a grid of %d cells exceeds the limit" % 10 ** 30)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["long-name", "nested-long-name", "dangling-link"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["tetra-moments", "--case", "free", "--kmax", "2"],
+         ["verify-counterexample", "--compute-missing"]],
+        ids=["tetra-moments", "verify-counterexample"],
+    )
+    def test_unusable_tables_path(self, tmp_path, monkeypatch, capsys, argv, kind):
+        # os.path.exists is False for both, so the table was computed and its
+        # write then failed in os.makedirs with a bare OSError
+        import simplexmoments.tetra as tetra
+
+        monkeypatch.setattr(tetra, "_even_moment", self.refuse)
+        if kind == "long-name":
+            tables = tmp_path / ("a" * 300)  # past the 255-byte name limit
+        elif kind == "nested-long-name":
+            tables = tmp_path / "new" / ("a" * 300)
+        else:
+            tables = tmp_path / "link"
+            os.symlink(str(tmp_path / "gone"), str(tables))
+        before = sorted(os.listdir(str(tmp_path)))
+        out = tmp_path / "r.json"
+        assert main(argv + ["--tables", str(tables), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tables) in err
+        assert sorted(os.listdir(str(tmp_path))) == before
+
+    def test_report_name_too_long(self, tmp_path, monkeypatch, capsys):
+        # the whole verdict ran, then writing the report failed with a bare OSError
+        import simplexmoments.cli as cli
+        import simplexmoments.tetra as tetra
+
+        monkeypatch.setattr(tetra, "_even_moment", self.refuse)
+        monkeypatch.setattr(cli, "verify_counterexample", self.refuse)
+        tables = copy_tables(FIXTURE_TABLES, tmp_path / "tables")
+        out = tmp_path / ("a" * 300 + ".json")
+        assert main(["verify-counterexample", "--tables", tables, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert str(out) in err
+        assert sorted(os.listdir(str(tmp_path))) == ["tables"]
+
     @pytest.mark.parametrize("argv", TABLE_COMMANDS)
     def test_tables_path_that_is_a_file(self, tmp_path, no_tables, capsys, argv):
         blocker = tmp_path / "tables"
@@ -459,6 +502,29 @@ class TestRefusedBeforeWork:
         assert not out.exists()
 
 
+class TestWriteFailures:
+    """A report or checkpoint that cannot be written ends in one error line
+    naming the file, exit 2, instead of a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_report_on_a_full_device(self, capsys):
+        assert main(["chords", "--triangle", "T2", "--k", "2", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write the report to /dev/full: No space left on device\n")
+
+    def test_checkpoint_that_cannot_be_written(self, tmp_path, capsys):
+        tables = tmp_path / "tables"
+        (tables / "free_moments.json.tmp").mkdir(parents=True)
+        out = tmp_path / "r.json"
+        argv = ["tetra-moments", "--case", "free", "--kmax", "1", "--tables", str(tables)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write moment table %s: " % (tables / "free_moments.json"))
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert os.listdir(str(tables)) == ["free_moments.json.tmp"]
+
+
 class TestCertifyBprime:
     """A B' that is not positive, or that a report could not print, is a usage
     error before any table is read or computed; a failed proof at a huge B'
@@ -502,7 +568,7 @@ class TestCertifyBprime:
     def test_huge_exponent_refused_before_the_fraction(self, tmp_path, no_tables, monkeypatch,
                                                        capsys, bprime):
         # Fraction would expand 10^10000000 before its digit check
-        import simplexmoments.cli as cli
+        import simplexmoments._commands as commands
 
         seen = []
 
@@ -510,7 +576,7 @@ class TestCertifyBprime:
             seen.append(args)
             return F(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "Fraction", spy)
+        monkeypatch.setattr(commands, "Fraction", spy)
         out = tmp_path / "r.json"
         assert main(["certify", "--side", "lower", "--bprime", bprime, "--out", str(out)]) == 2
         assert bprime + " has more digits than the" in capsys.readouterr().err
@@ -1358,9 +1424,9 @@ def fresh_python(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# the verdict in a fresh interpreter; prints the exit code and the modules
+# one CLI run in a fresh interpreter; prints the exit code and the modules
 # that importing the CLI and running it added to sys.modules
-_VERDICT_RUN = """
+_LOADING_RUN = """
 import json, sys
 before = set(sys.modules)
 from simplexmoments.cli import main
@@ -1371,7 +1437,9 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 
 class TestVerdictLoadsOnlyWhatItRuns:
     """verify-counterexample imports the package root and the four modules
-    its proof runs, and none of the modules it never calls."""
+    its proof runs, and none of the modules it never calls; every other
+    subcommand loads its handler module, and the expansion engine, when it
+    is dispatched."""
 
     def test_fresh_verdict_run(self, tmp_path):
         import platform
@@ -1380,7 +1448,7 @@ class TestVerdictLoadsOnlyWhatItRuns:
         shutil.copytree(FIXTURE_TABLES, tables)
         out = tmp_path / "r.json"
         status = fresh_python(
-            _VERDICT_RUN, "verify-counterexample", "--tables", tables, "--out", str(out)
+            _LOADING_RUN, "verify-counterexample", "--tables", tables, "--out", str(out)
         )
         assert status["code"] == 0
         loaded = set(status["loaded"])
@@ -1392,12 +1460,41 @@ class TestVerdictLoadsOnlyWhatItRuns:
             "simplexmoments.tetra",
             "simplexmoments.certificates",
         }
-        unused = {"simplexmoments." + name for name in ("geometry", "chords", "lp", "mc", "lifting")}
+        unused = {
+            "simplexmoments." + name
+            for name in ("geometry", "chords", "lp", "mc", "lifting", "_commands", "_expansion")
+        }
         assert not loaded & (unused | {"numpy", "dataclasses", "platform"})
         with open(str(out), encoding="utf-8") as fh:
             report = json.load(fh)
         assert report["result"]["confirmed"] is True
         assert report["manifest"]["versions"]["python"] == platform.python_version()
+
+    @pytest.mark.parametrize(
+        "argv, computes",
+        [
+            (["tetra-moments", "--case", "free", "--kmax", "1", "--tables", "{new}"], True),
+            (["certify", "--side", "lower", "--tables", "{tables}"], False),
+            (["chords", "--triangle", "T2", "--k", "2"], False),
+            (["mc", "--body", "T3", "--n", "3", "--k", "1", "--samples", "100", "--seed", "1"],
+             False),
+        ],
+        ids=["tetra-moments", "certify", "chords", "mc"],
+    )
+    def test_other_subcommands_from_cold(self, tmp_path, argv, computes):
+        tables = str(tmp_path / "tables")
+        shutil.copytree(FIXTURE_TABLES, tables)
+        argv = [arg.replace("{tables}", tables).replace("{new}", str(tmp_path / "new"))
+                for arg in argv]
+        out = tmp_path / "r.json"
+        status = fresh_python(_LOADING_RUN, *argv, "--out", str(out))
+        assert status["code"] == 0
+        loaded = set(status["loaded"])
+        assert "simplexmoments._commands" in loaded
+        # only an order that is computed, not read, loads the engine
+        assert ("simplexmoments._expansion" in loaded) is computes
+        with open(str(out), encoding="utf-8") as fh:
+            assert json.load(fh)["command"] == argv[0]
 
 
 class TestNumpyOnlyForSampling:
@@ -1593,3 +1690,41 @@ class TestBoundaryValueSweep:
                     failures.append((argv, "refused after computing %s" % computed))
         assert failures == []
         assert main([command] + base) == 0
+
+
+# ---------------------------------------------------------------------------
+# the command line surface, pinned
+
+PARSER_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "parser_golden.json")
+
+
+def parser_surface(parser):
+    """Per subcommand, in order, every argument as the parser declares it:
+    option strings, dest, type name, default, required and choices."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [
+            {
+                "options": a.option_strings,
+                "dest": a.dest,
+                "type": getattr(a.type, "__name__", None),
+                "default": a.default,
+                "required": a.required,
+                "choices": list(a.choices) if a.choices else None,
+            }
+            for a in p._actions
+        ]
+        for command, p in sub.choices.items()
+    }
+
+
+def test_parser_matches_the_golden(monkeypatch):
+    # --tables defaults to this variable, which was unset when the golden was written
+    monkeypatch.delenv("SIMPLEXMOMENTS_TABLES", raising=False)
+    from simplexmoments.cli import build_parser
+
+    with open(PARSER_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    surface = parser_surface(build_parser())
+    assert list(surface) == list(golden)
+    assert surface == golden

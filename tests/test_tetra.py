@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import simplexmoments._expansion as expansion
 import simplexmoments.tetra as tetra_mod
 from oracles import (
     _edge_pair_integral_num,
@@ -19,13 +20,13 @@ from oracles import (
     monomial_integral_T3,
     pair_integral_by_dict,
 )
+from simplexmoments._expansion import _pair_num
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
 from simplexmoments.tetra import (
     CASE_FIXED,
     CASE_FREE,
     FREE_KMAX_LIMIT,
     MomentTable,
-    _pair_num,
     even_moment,
     moment_table,
 )
@@ -220,16 +221,16 @@ def test_pair_integral_matches_the_binomial_loop():
 def _check_integrals_against_the_loops(monkeypatch, free_kmax, fixed_kmax):
     # record every key the engine asks its two integrals for, then compare
     # the coefficient-list products with the direct loops on each key
-    pair, centered = tetra_mod._pair_integral_num, tetra_mod._centered_integral_num
+    pair, centered = expansion._pair_integral_num, expansion._centered_integral_num
     keys = {pair: set(), centered: set()}
     for name, fn in (("_pair_integral_num", pair), ("_centered_integral_num", centered)):
         def spy(key, fn=fn):
             keys[fn].add(key)
             return fn(key)
-        monkeypatch.setattr(tetra_mod, name, spy)
+        monkeypatch.setattr(expansion, name, spy)
     # the joint sums are cached too; cleared, they ask for every key again
-    tetra_mod._joint_free.cache_clear()
-    tetra_mod._joint_fixed.cache_clear()
+    expansion._joint_free.cache_clear()
+    expansion._joint_fixed.cache_clear()
     for case, k_max in ((CASE_FREE, free_kmax), (CASE_FIXED, fixed_kmax)):
         for k in range(k_max + 1):
             even_moment(case, k)
