@@ -51,7 +51,7 @@ from .certificates import (
 )
 from .errors import CapacityError, DomainError, UsageError, VerificationError, _count
 from .exact import format_rational
-from .tetra import MomentTable, _digest, _normalize_case, _read_table, moment_table
+from .tetra import MomentTable, _digest, _lstat, _normalize_case, _read_table, moment_table
 
 __all__ = ["main", "build_parser"]
 
@@ -128,18 +128,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
     return value
-
-
-def _lstat(path: str, label: str) -> Optional[os.stat_result]:
-    """``os.lstat(path)``, or None when nothing is there.  Any other failure,
-    such as a name too long or a loop of links, is a UsageError headed by
-    ``label``, where ``os.path.exists`` would only have answered False."""
-    try:
-        return os.lstat(path)
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    except OSError as exc:
-        raise UsageError("%s: %s" % (label, exc.strerror)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -431,4 +419,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # run as ``python -m simplexmoments.cli``: _commands imports this module
+    # by name, which would otherwise compile and run it a second time
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

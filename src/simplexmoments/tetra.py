@@ -152,11 +152,31 @@ class MomentTable(NamedTuple):
 
 def _digest(data: bytes) -> str:
     """The report form of a file's digest."""
-    # imported here: hashlib loads OpenSSL, 3-5 ms and about 3.5 MB of peak
-    # RSS (Python 3.11, x86-64), which importing the tables alone need not pay
-    import hashlib
+    # CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before), the
+    # module hashlib itself falls back to: importing hashlib loads and
+    # initialises OpenSSL's libcrypto, about 3.4 MB of peak RSS and 4 ms
+    # (Python 3.11, x86-64), only to hash table files of about a kilobyte
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + sha256(data).hexdigest()
+
+
+def _lstat(path: str, label: str) -> Optional[os.stat_result]:
+    """``os.lstat(path)``, or None when nothing is there.  Any other failure,
+    such as a name too long or a loop of links, is a UsageError headed by
+    ``label``, where ``os.path.exists`` would only have answered False."""
+    try:
+        return os.lstat(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except OSError as exc:
+        raise UsageError("%s: %s" % (label, exc.strerror)) from None
 
 
 def _read_table(path: str, case: str) -> Tuple[MomentTable, str]:
@@ -211,9 +231,13 @@ def moment_table(
     written back once, after the last order is computed.  A caller that has
     already read the file passes its table as ``stored``, so the file is not
     parsed twice.  A stored table holds every order up to its end, so only later ones are added.
+    A checkpoint path the file system refuses, such as a name too long, is a
+    UsageError before the first order is computed, not at the write.
     """
     _count(k_max, "k_max", 0)
     case = _normalize_case(case)
+    if checkpoint:
+        _lstat(checkpoint, "checkpoint %s" % checkpoint)
     if stored is None and checkpoint and os.path.exists(checkpoint):
         stored, _ = _read_table(checkpoint, case)
     if stored is not None and stored.case != case:

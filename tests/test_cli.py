@@ -1464,7 +1464,8 @@ class TestVerdictLoadsOnlyWhatItRuns:
             "simplexmoments." + name
             for name in ("geometry", "chords", "lp", "mc", "lifting", "_commands", "_expansion")
         }
-        assert not loaded & (unused | {"numpy", "dataclasses", "platform"})
+        # hashlib loads OpenSSL's libcrypto; the digests use CPython's own SHA-256
+        assert not loaded & (unused | {"numpy", "dataclasses", "platform", "hashlib", "_hashlib"})
         with open(str(out), encoding="utf-8") as fh:
             report = json.load(fh)
         assert report["result"]["confirmed"] is True
@@ -1495,6 +1496,23 @@ class TestVerdictLoadsOnlyWhatItRuns:
         assert ("simplexmoments._expansion" in loaded) is computes
         with open(str(out), encoding="utf-8") as fh:
             assert json.load(fh)["command"] == argv[0]
+
+    def test_cli_module_run_compiles_itself_once(self):
+        # _commands imports simplexmoments.cli by name, which imported the
+        # module again beside the running __main__
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "simplexmoments.cli",
+             "chords", "--triangle", "T2", "--k", "2"],
+            capture_output=True,
+            text=True,
+            env=source_env(),
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["command"] == "chords"
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "simplexmoments._commands" in imported
+        assert "simplexmoments.cli" not in imported
 
 
 class TestNumpyOnlyForSampling:

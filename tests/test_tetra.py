@@ -1,10 +1,12 @@
 """Tests for the exact tetrahedron triangle-area moment engine."""
 
+import hashlib
 import itertools
 import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -380,6 +382,25 @@ def test_checkpoint_bytes_are_frozen(tmp_path):
     assert not os.path.exists(str(path) + ".tmp")
 
 
+def test_checkpoint_path_refused_before_any_order(tmp_path, monkeypatch):
+    # os.path.exists answered False, so k <= 6 was computed and the write failed
+    def forbidden(case, k):
+        raise AssertionError("even_moment called for k=%d" % k)
+
+    monkeypatch.setattr(tetra_mod, "even_moment", forbidden)
+    path = str(tmp_path / ("a" * 300) / "free_moments.json")  # past the 255-byte name limit
+    with pytest.raises(UsageError) as err:
+        moment_table(CASE_FREE, 6, checkpoint=path)
+    assert str(err.value).startswith("checkpoint %s: " % path)
+    assert os.listdir(str(tmp_path)) == []
+    # an absent checkpoint in a directory still to be made is computed and written
+    monkeypatch.undo()
+    path = str(tmp_path / "new" / "free_moments.json")
+    assert moment_table(CASE_FREE, 2, checkpoint=path).values == (F(1), *FREE_MOMENTS[:2])
+    with open(path) as fh:
+        assert [item["k"] for item in json.load(fh)["entries"]] == [0, 1, 2]
+
+
 def test_checkpoint_without_case_is_usage_error(tmp_path):
     path = tmp_path / "free.json"
     path.write_text(json.dumps({"entries": [{"k": 0, "value": "1"}]}), encoding="utf-8")
@@ -419,3 +440,33 @@ def test_moment_table_refuses_a_stored_table_of_the_other_case():
     # extending free orders with pinned ones would mix the two cases
     with pytest.raises(UsageError, match="holds case 'free'"):
         moment_table(CASE_FIXED, 3, stored=moment_table(CASE_FREE, 2))
+
+
+# --------------------------------------------------------------------------
+# file digests
+
+
+def _fixture_bytes(name):
+    with open(os.path.join(FIXTURE_TABLES, name), "rb") as fh:
+        return fh.read()
+
+
+# the padding edges of a 64-byte SHA-256 block, both fixture tables, 1 MiB
+DIGEST_INPUTS = [
+    b"",
+    b"a" * 55,
+    b"b" * 56,
+    b"c" * 64,
+    _fixture_bytes("free_moments.json"),
+    _fixture_bytes("fixed_moments.json"),
+    bytes(range(256)) * 4096,
+]
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")], ids=["built-in", "hashlib"])
+def test_digest_is_sha256(monkeypatch, blocked):
+    # with both built-in modules blocked, _digest falls back to hashlib
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    for data in DIGEST_INPUTS:
+        assert tetra_mod._digest(data) == "sha256:" + hashlib.sha256(data).hexdigest()
