@@ -51,7 +51,9 @@ from .certificates import (
 )
 from .errors import CapacityError, DomainError, UsageError, VerificationError, _count
 from .exact import format_rational
-from .tetra import MomentTable, _digest, _lstat, _normalize_case, _read_table, moment_table
+from .tetra import (
+    MomentTable, _digest, _lstat, _normalize_case, _probe_file, _read_table, moment_table,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -152,23 +154,10 @@ def _obtain_table(
     bytes it parsed for the manifest.
     """
     key = _normalize_case(case)
-    # refused before any table is computed, not by the first write into it;
-    # a dangling link stops the walk and is not a directory
-    if not table_file and tables_dir:
-        label = "tables path %r" % tables_dir
-        ancestor, missing = os.path.abspath(tables_dir), []
-        while _lstat(ancestor, label) is None:
-            ancestor, name = os.path.split(ancestor)
-            missing.append(name)
-        if not os.path.isdir(ancestor):
-            raise UsageError("%s: %r is not a directory" % (label, ancestor))
-        # a directory still to be made needs a name the file system takes;
-        # looked up beside the existing ancestor, a name too long is refused
-        for name in missing:
-            _lstat(os.path.join(ancestor, name), label)
     path = table_file or (os.path.join(tables_dir, _TABLE_FILES[key]) if tables_dir else None)
     stored = None
-    if table_file or (path and os.path.exists(path)):
+    # a tables path that cannot hold the file is refused before any table is computed
+    if table_file or (path and _probe_file(path, "tables path %r" % tables_dir)):
         stored, digest = _read_table(path, key)
         ctx.input_digests.setdefault(path, digest)
         if stored.k_max >= k_max:

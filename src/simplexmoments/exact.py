@@ -7,11 +7,11 @@ record is :class:`UniPoly`, a trimmed tuple of `fractions.Fraction`
 coefficients with no arithmetic of its own; the certificates pass it in and
 get it back.
 
-Gcds, Yun's decomposition and root isolation work on integer coefficient
-lists, to which a rational polynomial is converted once by clearing
-denominators. Gcds are heuristic, read from one integer gcd of values, and
-proved by exact division; every factor is the unique primitive form of the
-rational Euclidean one.
+Gcds, the odd-multiplicity part and root isolation work on integer
+coefficient lists, to which a rational polynomial is converted once by
+clearing denominators. Gcds are heuristic, read from one integer gcd of
+values, and proved by exact division; every factor is the unique primitive
+form of the rational Euclidean one.
 
 The central decision procedure is :func:`sturm_nonneg_on_interval`, which
 certifies ``p(t) >= 0`` for every ``t`` in a closed rational interval, or
@@ -124,27 +124,23 @@ def uni_eval(p: UniPoly, x) -> Fraction:
 # ---------------------------------------------------------------------------
 #
 # Polynomials here are lists of Python ints, lowest degree first, with no
-# trailing zeros ([] is zero). Gcds, and with them Yun's decomposition, come
-# from the heuristic gcd below, proved by exact division. Primitive forms are
-# unique, so each result equals, coefficient for coefficient, the primitive
-# form of the Euclidean result over the rationals.
+# trailing zeros ([] is zero). Gcds, and with them the odd-multiplicity part,
+# come from the heuristic gcd below, proved by exact division. The one integer
+# normal form is primitive with a positive leading coefficient; it is unique,
+# so each result equals, coefficient for coefficient, the normal form of the
+# Euclidean result over the rationals.
 
-def _int_coeffs(p: UniPoly, positive_lead: bool = False) -> list[int]:
-    """Primitive integer coefficients of a nonzero rational multiple of p.
-
-    The multiple is positive unless ``positive_lead`` asks for a positive
-    leading coefficient.
-    """
+def _int_coeffs(p: UniPoly) -> list[int]:
+    """The normal form of a nonzero p: the primitive integer multiple with a
+    positive leading coefficient."""
     den = _int_lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs], positive_lead)
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
-def _primitive(a: list[int], positive_lead: bool = False) -> list[int]:
-    """a divided by its content (negated too if ``positive_lead`` and lc < 0)."""
-    if not a:
-        return a
+def _primitive(a: list[int]) -> list[int]:
+    """A nonzero a divided by its content, negated too if its lc is negative."""
     g = _int_gcd(*a)
-    if positive_lead and a[-1] < 0:
+    if a[-1] < 0:
         g = -g
     return a if g == 1 else [c // g for c in a]
 
@@ -159,14 +155,6 @@ def _mul_ints(a: list[int], b: list[int]) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return out
-
-
-def _sub_ints(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    while out and not out[-1]:
-        out.pop()
     return out
 
 
@@ -218,7 +206,7 @@ def _balanced_digits(v: int, xi: int) -> list[int]:
 
 
 def _gcd_ints(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Primitive gcd g (positive lc) of a and b, with the cofactors a/g, b/g.
+    """Primitive gcd g (positive lc) of nonzero a and b, with the cofactors a/g, b/g.
 
     Heuristic gcd (GCDHEU: Char, Geddes and Gonnet, J. Symbolic Comput. 7,
     1989). Below, a and b stand for their primitive parts. With M the
@@ -239,56 +227,37 @@ def _gcd_ints(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[in
     resultant R of the coprime primitive parts of a/g and b/g, and once
     xi > 2 |R| max-norm(g) the digits are exactly c g.
     """
-    if not a or not b:
-        g = _primitive(a or b, True)
-        return g, a and _exact_quo(a, g), b and _exact_quo(b, g)
     pa, pb = _primitive(a), _primitive(b)
     xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
     while True:
         gamma = _int_gcd(_horner(pa, xi), _horner(pb, xi))
-        g = _primitive(_balanced_digits(gamma, xi), True)
+        g = _primitive(_balanced_digits(gamma, xi))
         try:
             return g, _exact_quo(a, g), _exact_quo(b, g)
         except ArithmeticError:
             xi = 2 * xi + 1
 
 
-def _yun_ints(p: list[int]) -> list[tuple[int, list[int]]]:
-    """Yun's squarefree decomposition of a primitive p with positive lc.
-
-    Every gcd comes with its exact integral cofactors, so w, y and z stay
-    integral and equal to the rational quantities of the textbook algorithm.
-    """
-    if len(p) < 2:
-        return []
-    _, w, y = _gcd_ints(p, _derivative_ints(p))
-    out: list[tuple[int, list[int]]] = []
-    i = 1
-    while len(w) > 1:
-        z = _sub_ints(y, _derivative_ints(w))
-        if not z:
-            # everything left has multiplicity exactly i
-            out.append((i, w))
-            break
-        f, w, y = _gcd_ints(w, z)
-        if len(f) > 1:
-            out.append((i, f))
-        i += 1
-    return out
-
-
 def _odd_multiplicity_part(a: list[int]) -> list[int]:
-    """Product of the factors of odd multiplicity in Yun's decomposition of
-    a primitive a with positive lc.
+    """The product O(a), in the same normal form, of the factors of odd
+    multiplicity of a primitive a with positive lc: its real roots are
+    exactly the points where a changes sign.
 
-    Its real roots are exactly the points where a changes sign; touch
-    points of even multiplicity are excluded.
+    With a = prod f_i^i for squarefree, pairwise coprime f_i,
+        g = gcd(a, a') = prod f_i^(i-1)   and   a/g = prod f_i,
+    and the odd-multiplicity factors of g are those of even i in a, so
+    O(a) = (a/g) / O(g). One gcd per level runs down to a constant and the
+    quotients run back up from O(1) = 1, so multiplicity m costs m gcds;
+    the canonical error polynomials have simple and double roots only.
     """
-    result = [1]
-    for mult, factor in _yun_ints(a):
-        if mult % 2:
-            result = _mul_ints(result, factor)
-    return result
+    levels = []
+    while len(a) > 1:
+        a, squarefree, _ = _gcd_ints(a, _derivative_ints(a))
+        levels.append(squarefree)
+    odd = [1]
+    for squarefree in reversed(levels):
+        odd = _exact_quo(squarefree, odd)
+    return odd
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +415,7 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
         return NonnegResult(False, "endpoint-negative", hi, v_hi)
 
     # the sign crossings of p, with any at lo or hi divided out
-    crossings = _odd_multiplicity_part(_int_coeffs(p, positive_lead=True))
+    crossings = _odd_multiplicity_part(_int_coeffs(p))
     crossings = _deflate_root(_deflate_root(crossings, lo), hi)
     # the common case, no crossing at all, costs one transform
     if pieces := _isolate(crossings, lo, hi):

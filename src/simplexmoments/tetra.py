@@ -179,6 +179,24 @@ def _lstat(path: str, label: str) -> Optional[os.stat_result]:
         raise UsageError("%s: %s" % (label, exc.strerror)) from None
 
 
+def _probe_file(path: str, label: str) -> bool:
+    """Whether a file is at ``path`` (a link to nothing is not one).  A path
+    no file could be written to is a UsageError headed by ``label``: the
+    nearest existing ancestor must be a directory, and each name still to be
+    made one the file system takes, looked up beside that ancestor."""
+    ancestor, missing = os.path.abspath(path), []
+    while _lstat(ancestor, label) is None:
+        ancestor, name = os.path.split(ancestor)
+        missing.append(name)
+    if not missing:
+        return os.path.exists(path)
+    if not os.path.isdir(ancestor):
+        raise UsageError("%s: %r is not a directory" % (label, ancestor))
+    for name in missing:
+        _lstat(os.path.join(ancestor, name), label)
+    return False
+
+
 def _read_table(path: str, case: str) -> Tuple[MomentTable, str]:
     """The checked table stored at ``path``, which must hold ``case``, and
     the digest of the bytes it was parsed from.
@@ -231,14 +249,13 @@ def moment_table(
     written back once, after the last order is computed.  A caller that has
     already read the file passes its table as ``stored``, so the file is not
     parsed twice.  A stored table holds every order up to its end, so only later ones are added.
-    A checkpoint path the file system refuses, such as a name too long, is a
-    UsageError before the first order is computed, not at the write.
+    A checkpoint path no file could be written to is a UsageError before the
+    first order is computed, not at the write.
     """
     _count(k_max, "k_max", 0)
     case = _normalize_case(case)
-    if checkpoint:
-        _lstat(checkpoint, "checkpoint %s" % checkpoint)
-    if stored is None and checkpoint and os.path.exists(checkpoint):
+    exists = checkpoint and _probe_file(checkpoint, "checkpoint %s" % checkpoint)
+    if stored is None and exists:
         stored, _ = _read_table(checkpoint, case)
     if stored is not None and stored.case != case:
         raise UsageError("stored table holds case %r, expected %r" % (stored.case, case))

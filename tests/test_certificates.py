@@ -29,7 +29,7 @@ from simplexmoments.certificates import (
     verify_counterexample,
 )
 from simplexmoments.errors import CapacityError, UsageError, VerificationError
-from simplexmoments.exact import UniPoly, _int_coeffs, _yun_ints, uni_eval
+from simplexmoments.exact import UniPoly, _int_coeffs, _odd_multiplicity_part, uni_eval
 from simplexmoments.tetra import moment_table
 
 
@@ -206,16 +206,13 @@ class TestCanonicalCertificates:
         for t in LOWER_SINGLE_NODES:
             assert uni_eval(g, t) == 0
             assert uni_eval(g1, t) != 0
-        # the multiplicity structure is visible in the squarefree split
-        multiplicity = {}
-        for mult, factor in _yun_ints(_int_coeffs(g, positive_lead=True)):
-            for t in LOWER_SINGLE_NODES + LOWER_DOUBLE_NODES:
-                if uni_eval(UniPoly(factor), t) == 0:
-                    multiplicity[t] = mult
+        # the sign crosses zero at the single nodes and only touches it at
+        # the double ones
+        odd = UniPoly(_odd_multiplicity_part(_int_coeffs(g)))
         for t in LOWER_SINGLE_NODES:
-            assert multiplicity[t] == 1
+            assert uni_eval(odd, t) == 0
         for t in LOWER_DOUBLE_NODES:
-            assert multiplicity[t] == 2
+            assert uni_eval(odd, t) != 0
 
     def test_lower_bound_fails_beyond_last_touch_point(self, report):
         # the error changes sign at the simple node t = 47/54, so widening

@@ -22,7 +22,6 @@ from simplexmoments.exact import (
     _int_coeffs,
     _isolate,
     _odd_multiplicity_part,
-    _yun_ints,
     format_rational,
     parse_rational,
     sturm_nonneg_on_interval,
@@ -175,15 +174,13 @@ def test_unipoly_degree_sentinel_and_trim():
 
 def test_primitive_is_positive_integer_primitive():
     p = UniPoly((F(-2, 3), F(4, 9), F(-8, 3)))
-    prim = _int_coeffs(p, positive_lead=True)
+    prim = _int_coeffs(p)
     assert prim[-1] > 0
     assert all(type(c) is int for c in prim) and math.gcd(*prim) == 1
     # same roots: primitive is a nonzero scalar multiple
     ratio = p.coeffs[0] / prim[0]
     assert all(a == ratio * b for a, b in zip(p.coeffs, prim))
     assert ratio < 0
-    # without positive_lead the multiple is positive
-    assert _int_coeffs(p) == [-c for c in prim]
 
 
 def test_gcd_contains_common_factor():
@@ -200,21 +197,25 @@ def test_gcd_contains_common_factor():
         assert not r
 
 
-def test_yun_reconstructs_multiplicities():
+def test_odd_part_of_planted_multiplicities():
+    # every multiplicity 1-6 is planted: the odd part keeps the factors of
+    # multiplicity 1, 3 and 5, each once
     rng = random.Random(37)
+    seen = set()
     for _ in range(15):
         roots = rng.sample(range(-6, 7), 3)
-        mults = [rng.randint(1, 3) for _ in range(3)]
+        mults = rng.sample(range(1, 7), 3)
+        seen.update(mults)
         p = UniPoly(ref_mul(*([-r, 1] for r, m in zip(roots, mults) for _ in range(m))))
-        rebuilt = UniPoly(ref_mul(*(f for m, f in _yun_ints(_int_coeffs(p, positive_lead=True))
-                                    for _ in range(m))))
-        assert _int_coeffs(rebuilt, positive_lead=True) == _int_coeffs(p, positive_lead=True)
+        odd = UniPoly(ref_mul(*([-r, 1] for r, m in zip(roots, mults) if m % 2)))
+        assert _odd_multiplicity_part(_int_coeffs(p)) == _int_coeffs(odd)
+    assert seen == set(range(1, 7))
 
 
 def test_squarefree_part_has_no_repeated_roots():
     # the squarefree part is the gcd cofactor a / gcd(a, a')
     p = UniPoly(ref_mul(*[[-1, 1]] * 3, *[[2, 1]] * 2, [-F(1, 2), 1]))
-    a = _int_coeffs(p, positive_lead=True)
+    a = _int_coeffs(p)
     sf = _gcd_ints(a, _derivative_ints(a))[1]
     assert len(sf) == 4
     assert _gcd_ints(sf, _derivative_ints(sf))[0] == [1]
@@ -222,11 +223,24 @@ def test_squarefree_part_has_no_repeated_roots():
 
 def test_odd_multiplicity_part_keeps_only_crossings():
     p = UniPoly(ref_mul(*[[-1, 1]] * 2, *[[1, 1]] * 3, [-3, 1]))
-    odd = UniPoly(_odd_multiplicity_part(_int_coeffs(p, positive_lead=True)))
+    odd = UniPoly(_odd_multiplicity_part(_int_coeffs(p)))
     assert uni_eval(odd, 1) != 0
     assert uni_eval(odd, -1) == 0
     assert uni_eval(odd, 3) == 0
     assert odd.degree == 2
+
+
+def test_deep_multiplicities_are_decided():
+    # roots of multiplicity 12-14 take one gcd per level; both ends of
+    # [0, 1] are nonnegative, so each proof isolates the crossings
+    third, half = [-F(1, 3), 1], [-F(1, 2), 1]
+    cross = UniPoly(ref_mul(*[third] * 13, *[[-F(2, 3), 1]] * 13, *[half] * 12, [1, 0, 1]))
+    assert _odd_multiplicity_part(_int_coeffs(cross)) == [2, -9, 11, -9, 9]
+    assert sturm_nonneg_on_interval(cross, 0, 1) == (
+        False, "interior-sign-change", F(8, 21), uni_eval(cross, F(8, 21)))
+    touch = UniPoly(ref_mul(*[third] * 14, *[half] * 12, *[[2, -1]] * 13, [1, 0, 1]))
+    assert _odd_multiplicity_part(_int_coeffs(touch)) == [-2, 1, -2, 1]
+    assert sturm_nonneg_on_interval(touch, 0, 1) == (True, "no-interior-sign-change", None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +475,6 @@ def test_gcd_matches_rational_euclid():
         g = UniPoly(_gcd_ints(_int_coeffs(UniPoly(a)), _int_coeffs(UniPoly(b)))[0])
         assert is_integer_primitive(g)
         assert is_positive_multiple(g, ref_gcd(a, b))
-    assert _gcd_ints([], []) == ([], [], [])
-    assert _gcd_ints([], _int_coeffs(UniPoly((1, -2))))[0] == [-1, 2]
 
 
 def test_heuristic_gcd_retries_after_a_failed_candidate(monkeypatch):
@@ -526,7 +538,7 @@ def test_heuristic_gcd_on_large_coefficients():
                   for _ in range(2))
         assert 200 <= max(abs(c).bit_length() for c in ai + bi) <= 400
         g, qa, qb = exact._gcd_ints(ai, bi)
-        assert g == _int_coeffs(UniPoly(f), positive_lead=True)
+        assert g == _int_coeffs(UniPoly(f))
         assert ref_mul(g, qa) == ai and ref_mul(g, qb) == bi
         assert coprime_mod(qa, qb)
     ai, bi = random_int_poly(rng, 25, 2000), random_int_poly(rng, 24, 2000)
@@ -538,19 +550,14 @@ def test_yun_and_odd_part_match_rational_reference():
     rng = random.Random(53)
     for _ in range(40):
         p = random_factored(rng)
-        ints = _int_coeffs(UniPoly(p), positive_lead=True)
-        got = [(m, UniPoly(f)) for m, f in _yun_ints(ints)]
-        ref = ref_yun(p)
-        assert [m for m, _ in got] == [m for m, _ in ref]
-        for (_, factor), (_, ref_factor) in zip(got, ref):
-            assert is_integer_primitive(factor)
-            assert is_positive_multiple(factor, ref_factor)
         odd = [F(1)]
-        for m, f in ref:
+        for m, f in ref_yun(p):
             if m % 2:
                 odd = ref_mul(odd, f)
-        assert is_positive_multiple(UniPoly(_odd_multiplicity_part(ints)), odd)
-    assert _yun_ints(_int_coeffs(UniPoly((F(-3, 2),)), positive_lead=True)) == []
+        got = UniPoly(_odd_multiplicity_part(_int_coeffs(UniPoly(p))))
+        assert is_integer_primitive(got)
+        assert is_positive_multiple(got, odd)
+    assert _odd_multiplicity_part(_int_coeffs(UniPoly((F(-3, 2),)))) == [1]
 
 
 def sturm_count(chain, lo, hi) -> int:
@@ -614,10 +621,11 @@ def test_canonical_error_polynomials_match_golden_file():
         g = certificates.error_polynomial(
             certificates.hermite_interpolate(singles, doubles), entry["side"])
         assert text(g) == entry["error_polynomial"]
-        ints = _int_coeffs(g, positive_lead=True)
-        assert [{"multiplicity": m, "factor": text(UniPoly(f))} for m, f in _yun_ints(ints)] \
-            == entry["yun"]
-        odd = _odd_multiplicity_part(ints)
+        # the odd part is the product of the frozen odd-multiplicity factors
+        odd = _odd_multiplicity_part(_int_coeffs(g))
+        assert odd == _int_coeffs(UniPoly(ref_mul(
+            *([parse_rational(c) for c in item["factor"]]
+              for item in entry["yun"] if item["multiplicity"] % 2))))
         assert text(UniPoly(odd)) == entry["odd_part"]
         # the frozen chain starts with the crossings the proof counts
         crossings = _deflate_root(_deflate_root(odd, F(0)), bprime)
@@ -713,7 +721,7 @@ def test_descartes_variations_without_a_root_go_to_sturm(transforms):
     p = ref_mul(*[[-F(1, 2), 1]] * 2)
     p[0] += F(1, 1000)
     p = UniPoly(p)
-    q = _int_coeffs(p, positive_lead=True)
+    q = _int_coeffs(p)
     assert _descartes_variations(q, F(0), F(1)) == 2
     assert _isolate(q, F(0), F(1)) == []
     del transforms[:]

@@ -401,6 +401,29 @@ def test_checkpoint_path_refused_before_any_order(tmp_path, monkeypatch):
         assert [item["k"] for item in json.load(fh)["entries"]] == [0, 1, 2]
 
 
+def test_checkpoint_under_a_file_refused_before_any_order(tmp_path, monkeypatch):
+    # F is a regular file, so no file can be made under it: the path is
+    # refused before any order is computed or the engine is loaded
+    calls = []
+
+    def forbidden(case, k):
+        calls.append(k)
+        raise AssertionError("even_moment called for k=%d" % k)
+
+    monkeypatch.setattr(tetra_mod, "even_moment", forbidden)
+    monkeypatch.delitem(sys.modules, "simplexmoments._expansion")
+    monkeypatch.delattr("simplexmoments._expansion")
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory", encoding="utf-8")
+    path = str(blocker / "sub" / "free_moments.json")
+    with pytest.raises(UsageError) as err:
+        moment_table(CASE_FREE, 6, checkpoint=path)
+    assert str(err.value) == "checkpoint %s: %r is not a directory" % (path, str(blocker))
+    assert calls == []
+    assert "simplexmoments._expansion" not in sys.modules
+    assert os.listdir(str(tmp_path)) == ["F"]
+
+
 def test_checkpoint_without_case_is_usage_error(tmp_path):
     path = tmp_path / "free.json"
     path.write_text(json.dumps({"entries": [{"k": 0, "value": "1"}]}), encoding="utf-8")
