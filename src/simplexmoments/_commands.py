@@ -4,7 +4,10 @@ Their handlers, the parsers of their option values, the ``reproduce``
 checks with their frozen targets and the CSV form of a lift sweep.
 ``cli.main`` imports this module the first time it dispatches one of these
 subcommands, so the verdict never loads or compiles it; the parser in
-``cli.build_parser`` names each handler here by its function name.
+``cli.build_parser`` names each handler here by its function name.  A
+handler takes the parsed arguments and the run context, whose ``table``
+and ``canonical_tables`` obtain and record its moment tables, so this
+module imports nothing from ``cli``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .certificates import (
     certificate_to_json,
     verify_counterexample,
 )
-from .cli import _canonical_tables, _obtain_table, _RunContext
 from .errors import UsageError
 from .exact import format_rational
 from .tetra import MomentTable, _normalize_case
@@ -183,7 +185,7 @@ def _parse_nodes(text: str) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
 # subcommand handlers
 
 
-def _cmd_chords(args, ctx: _RunContext) -> dict:
+def _cmd_chords(args, ctx) -> dict:
     from .chords import chord_moment, edgepoint_moment, vertex_moment
 
     spec = _parse_triangle(args.triangle)
@@ -216,8 +218,8 @@ def _cmd_chords(args, ctx: _RunContext) -> dict:
     }
 
 
-def _cmd_tetra_moments(args, ctx: _RunContext) -> dict:
-    table = _obtain_table(args.case, args.kmax, args.tables, ctx)
+def _cmd_tetra_moments(args, ctx) -> dict:
+    table = ctx.table(args.case, args.kmax)
     return {
         "case": table.case,
         "k_max": args.kmax,
@@ -234,13 +236,13 @@ _CASE_GRIDS = {
 }
 
 
-def _cmd_nodes(args, ctx: _RunContext) -> dict:
+def _cmd_nodes(args, ctx) -> dict:
     from .lp import _check_grid, node_search, rationalize
 
     key = _normalize_case(args.case)
     interval_end, sense = _CASE_GRIDS[key]
     _check_grid(args.grid)
-    table = _obtain_table(key, args.degree, args.tables, ctx)
+    table = ctx.table(key, args.degree)
     found = node_search(table, args.degree, args.grid, interval_end, sense)
     result = {
         "case": key,
@@ -266,7 +268,7 @@ def _cmd_nodes(args, ctx: _RunContext) -> dict:
     return result
 
 
-def _cmd_certify(args, ctx: _RunContext) -> dict:
+def _cmd_certify(args, ctx) -> dict:
     if args.side not in _CANONICAL:
         raise UsageError("--side must be 'lower' or 'upper'")
     case, singles, doubles = _CANONICAL[args.side]
@@ -285,7 +287,7 @@ def _cmd_certify(args, ctx: _RunContext) -> dict:
     _checked_nodes(singles, doubles)
     _checked_interval(interval_b, bprime, case)
     degree = _degree(singles, doubles)
-    table = _obtain_table(case, degree, args.tables, ctx, table_file=args.table)
+    table = ctx.table(case, degree, table_file=args.table)
     cert = build_certificate(args.side, singles, doubles, table, interval_b, bprime)
     result = certificate_to_json(cert)
     result["case"] = case
@@ -298,14 +300,13 @@ def _cmd_certify(args, ctx: _RunContext) -> dict:
     return result
 
 
-def _cmd_mc(args, ctx: _RunContext) -> dict:
+def _cmd_mc(args, ctx) -> dict:
     from .mc import RNG_ALGORITHM, estimate_moment
 
     body = _parse_body(args.body)
     fixed = None
     if args.fixed:
         fixed = _parse_list(args.fixed, "--fixed", lambda p: _parse_float(p, "--fixed"))
-    ctx.seeds.append(args.seed)
     est = estimate_moment(
         body,
         args.n,
@@ -338,14 +339,13 @@ def _sweep_row_json(row: dict) -> dict:
     return out
 
 
-def _cmd_lift_sweep(args, ctx: _RunContext) -> dict:
+def _cmd_lift_sweep(args, ctx) -> dict:
     from .lifting import boundary_convergence_sweep, interior_convergence_sweep
     from .mc import RNG_ALGORITHM
 
     body = _parse_body(args.body)
     eps_list = _parse_list(args.eps, "--eps", _parse_fraction)
     reference = _parse_float(args.reference, "--reference") if args.reference else None
-    ctx.seeds.append(args.seed)
     sweep = interior_convergence_sweep if args.mode == "interior" else boundary_convergence_sweep
     outcome = sweep(
         body,
@@ -453,7 +453,7 @@ def _reproduce_second_moment(free: MomentTable, fixed: MomentTable) -> dict:
     }
 
 
-def _reproduce_mc(args, ctx: _RunContext, t3) -> dict:
+def _reproduce_mc(args, ctx, t3) -> dict:
     from .mc import RNG_ALGORITHM, estimate_moment
 
     centroid = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -528,20 +528,18 @@ def _reproduce_counterexample(free: MomentTable, fixed: MomentTable) -> dict:
     }
 
 
-def _cmd_reproduce(args, ctx: _RunContext) -> dict:
+def _cmd_reproduce(args, ctx) -> dict:
     from .geometry import tetrahedron_T3
     from .lp import _check_grid
-    from .mc import _check_common, _check_float_range
+    from .mc import _check_run
 
     t3 = tetrahedron_T3()
     # the spot check's run size and the LP grid are refused before any table work
-    _check_common(t3, 3, args.samples)
-    _check_float_range(t3, 3, 1, args.samples)
+    _check_run(t3, 3, 1, args.samples)
     _check_grid(args.grid)
-    ctx.seeds.append(args.seed)
     full = args.level == "full"
     orders = None if full else {case: len(mus) for case, mus in _EXPECTED_EVEN_MOMENTS.items()}
-    free, fixed = _canonical_tables(args.tables, ctx, orders)
+    free, fixed = ctx.canonical_tables(orders)
     checks = [
         _reproduce_chords(),
         _reproduce_ratio_law(),

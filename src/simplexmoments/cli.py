@@ -21,11 +21,12 @@ double precision).  Wall time lives in the manifest, which is measurement
 metadata rather than a result.
 
 This module holds what ``verify-counterexample`` runs: the parser, which
-declares every subcommand and option, report assembly, the moment table
-files and the verdict's handler.  The other subcommands' handlers live in
-``_commands``, which ``main`` imports when it dispatches one of them, so
-the verdict loads only errors, exact, tetra and certificates besides this
-module.
+declares every subcommand and option, the run context, through which
+every handler obtains its moment tables and records them in the manifest,
+report assembly and the verdict's handler.  The other subcommands'
+handlers live in ``_commands``, which imports nothing from this module and
+which ``main`` imports when it dispatches one of them, so the verdict
+loads only errors, exact, tetra and certificates besides this module.
 
 Exit codes: 0 success, 2 usage or domain errors, 3 capacity refusals,
 4 verification failures.
@@ -64,16 +65,19 @@ _TABLE_FILES = {"free": "free_moments.json", "fixed-centroid": "fixed_moments.js
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# the run context and report assembly
 
 
 class _RunContext:
-    """Mutable scratch space the handlers fill while a command runs."""
+    """Mutable scratch space the handlers fill while a command runs, and the
+    one way a handler obtains a moment table and records it."""
 
-    def __init__(self, argv: Sequence[str], threads: int):
+    def __init__(self, argv: Sequence[str], args: argparse.Namespace):
         self.argv = list(argv)
-        self.threads = threads
-        self.seeds: List[int] = []
+        self.threads = getattr(args, "threads", 1)
+        self.tables_dir: Optional[str] = getattr(args, "tables", None)
+        # the command's own seed first; reproduce appends the ones it derives
+        self.seeds: List[int] = [args.seed] if hasattr(args, "seed") else []
         # path -> digest of the bytes first read, before any checkpoint rewrite
         self.input_digests: Dict[str, str] = {}
         self.output_files: List[str] = []
@@ -96,6 +100,54 @@ class _RunContext:
             "threads": self.threads,
             "wall_time_seconds": wall_time,
         }
+
+    def table(self, case: str, k_max: int, table_file: Optional[str] = None,
+              compute: bool = True) -> MomentTable:
+        """A validated moment table with k_max at least the requested order.
+
+        An explicit file must already be large enough; a tables directory acts
+        as a checkpoint, so existing entries are reused and new ones appended.
+        Without either, the table is computed from scratch in memory.  A table
+        that is too short, when it may not be computed, is a CapacityError.
+        Every file is read once, by ``_read_table``, which also digests the
+        bytes it parsed for the manifest.
+        """
+        tables_dir = self.tables_dir
+        key = _normalize_case(case)
+        path = table_file or (os.path.join(tables_dir, _TABLE_FILES[key]) if tables_dir else None)
+        stored = None
+        # a tables path that cannot hold the file is refused before any table is computed
+        if table_file or (path and _probe_file(path, "tables path %r" % tables_dir)):
+            stored, digest = _read_table(path, key)
+            self.input_digests.setdefault(path, digest)
+            if stored.k_max >= k_max:
+                return stored
+        if table_file or not compute:
+            have = "absent" if stored is None else "k_max=%d" % stored.k_max
+            raise CapacityError("%s needs k_max>=%d (%s)" % (path, k_max, have))
+        if tables_dir:
+            self.output_files.append(path)
+        return moment_table(key, k_max, checkpoint=path, stored=stored)
+
+    def canonical_tables(
+        self, orders: Optional[Dict[str, int]] = None, compute: bool = True
+    ) -> List[MomentTable]:
+        """The free and the pinned table, each obtained once: up to the degree of
+        its canonical certificate, or up to ``orders[case]`` when orders are
+        given.  Every short table is named in one refusal."""
+        tables, short = [], []
+        for case, singles, doubles in _CANONICAL.values():
+            k_max = orders[case] if orders else _degree(singles, doubles)
+            try:
+                tables.append(self.table(case, k_max, compute=compute))
+            except CapacityError as exc:
+                short.append(str(exc))
+        if short:
+            raise CapacityError(
+                "insufficient moment tables: %s; rerun with --compute-missing or "
+                "build them with tetra-moments" % "; ".join(short)
+            )
+        return tables
 
 
 def _jsonable(value):
@@ -133,68 +185,6 @@ def _positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# moment table files
-
-
-def _obtain_table(
-    case: str,
-    k_max: int,
-    tables_dir: Optional[str],
-    ctx: _RunContext,
-    table_file: Optional[str] = None,
-    compute: bool = True,
-) -> MomentTable:
-    """A validated moment table with k_max at least the requested order.
-
-    An explicit file must already be large enough; a tables directory acts
-    as a checkpoint, so existing entries are reused and new ones appended.
-    Without either, the table is computed from scratch in memory.  A table
-    that is too short, when it may not be computed, is a CapacityError.
-    Every file is read once, by ``_read_table``, which also digests the
-    bytes it parsed for the manifest.
-    """
-    key = _normalize_case(case)
-    path = table_file or (os.path.join(tables_dir, _TABLE_FILES[key]) if tables_dir else None)
-    stored = None
-    # a tables path that cannot hold the file is refused before any table is computed
-    if table_file or (path and _probe_file(path, "tables path %r" % tables_dir)):
-        stored, digest = _read_table(path, key)
-        ctx.input_digests.setdefault(path, digest)
-        if stored.k_max >= k_max:
-            return stored
-    if table_file or not compute:
-        have = "absent" if stored is None else "k_max=%d" % stored.k_max
-        raise CapacityError("%s needs k_max>=%d (%s)" % (path, k_max, have))
-    if tables_dir:
-        ctx.output_files.append(path)
-    return moment_table(key, k_max, checkpoint=path, stored=stored)
-
-
-def _canonical_tables(
-    tables_dir: Optional[str],
-    ctx: _RunContext,
-    orders: Optional[Dict[str, int]] = None,
-    compute: bool = True,
-) -> List[MomentTable]:
-    """The free and the pinned table, each obtained once: up to the degree of
-    its canonical certificate, or up to ``orders[case]`` when orders are
-    given.  Every short table is named in one refusal."""
-    tables, short = [], []
-    for case, singles, doubles in _CANONICAL.values():
-        k_max = orders[case] if orders else _degree(singles, doubles)
-        try:
-            tables.append(_obtain_table(case, k_max, tables_dir, ctx, compute=compute))
-        except CapacityError as exc:
-            short.append(str(exc))
-    if short:
-        raise CapacityError(
-            "insufficient moment tables: %s; rerun with --compute-missing or "
-            "build them with tetra-moments" % "; ".join(short)
-        )
-    return tables
-
-
-# ---------------------------------------------------------------------------
 # the verdict's handler; the other handlers live in _commands
 
 
@@ -204,7 +194,7 @@ def _cmd_verify_counterexample(args, ctx: _RunContext) -> dict:
             "a tables directory is required (--tables or the %s environment "
             "variable)" % TABLES_ENV
         )
-    free, fixed = _canonical_tables(args.tables, ctx, compute=args.compute_missing)
+    free, fixed = ctx.canonical_tables(compute=args.compute_missing)
     report = verify_counterexample(free, fixed)
     if not report["confirmed"]:
         raise VerificationError("counterexample checks did not all pass")
@@ -374,7 +364,7 @@ def main(argv=None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    ctx = _RunContext(argv=[parser.prog] + argv, threads=getattr(args, "threads", 1))
+    ctx = _RunContext([parser.prog] + argv, args)
     start = time.perf_counter()
     try:
         if args.out:
@@ -408,7 +398,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # run as ``python -m simplexmoments.cli``: _commands imports this module
-    # by name, which would otherwise compile and run it a second time
-    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

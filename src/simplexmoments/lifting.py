@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import UsageError, _count
+from .errors import UsageError
 from .geometry import Body, body_measures, product
 from .mc import (
     RngStream,
     _boundary_faces,
-    _check_common,
-    _check_float_range,
+    _check_run,
     _run_chunks,
     _simplex_volumes,
     estimate_moment,
@@ -68,9 +67,6 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
     ``estimate_at(prism, seed)`` estimates E V^k on one prism and
     returns ``(estimate, extra row fields)``.
     """
-    # the prisms have dimension dim + 1, so n <= dim + 2
-    _check_common(product(body, 1), n, samples)
-    _count(k, "moment order k")
     if reference is not None:
         try:
             value = float(reference)
@@ -83,8 +79,9 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
     # product refuses a height that is not positive and finite in float64
     prisms = [product(body, eps) for eps in eps_values]
     _check_eps_list(prisms)
+    # the prisms have dimension dim + 1, so n <= dim + 2
     for prism in prisms:
-        _check_float_range(prism, n, k, samples)
+        _check_run(prism, n, k, samples)
     if reference is not None:
         ref = {"value": value, "std_error": 0.0, "source": "exact"}
     elif n == body.dim + 2:

@@ -427,9 +427,28 @@ def _step_rows(body: Body) -> int:
     return _BLOCK_ROWS if body.kind in ("simplex", "cube") else CHUNK_SIZE
 
 
-def _check_common(body: Body, n: int, samples: int) -> None:
-    """The checks every estimate shares, with the CapacityErrors for runs
-    that would list too many chunks or draw too much at once."""
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _diameter_bound(body: Body) -> float:
+    """An upper bound on the diameter of a catalog body: sqrt(2) for a
+    simplex, sqrt(d) for a cube, 2 for a ball or a half-ball."""
+    if body.kind == "product":
+        return math.hypot(_diameter_bound(body.base), float(body.height))
+    return {"simplex": math.sqrt(2.0), "cube": math.sqrt(body.dim)}.get(body.kind, 2.0)
+
+
+def _check_run(body: Body, n: int, k: int, samples: int) -> None:
+    """Every refusal of an estimate of E V^k, made before any draw: a
+    UsageError for malformed n, k or samples, and a CapacityError for a
+    run that would list too many chunks, draw too much at once, or could
+    leave float64.
+
+    In a body of diameter D the volume kernel's Gram determinant is at most
+    D^(2(n-1)), a trial value V^k at most b = (D^(n-1)/(n-1)!)^k, and the
+    sum of squared deviations at most samples * b^2.  A prism's face areas,
+    by which the boundary sampler picks faces, are then each at most 2D.
+    """
     _count(n, "vertex count n", 2)
     if n > body.dim + 1:
         raise UsageError(
@@ -450,27 +469,7 @@ def _check_common(body: Body, n: int, samples: int) -> None:
             "%d-point simplices in dimension %d draw %d float64s at a time; "
             "at most %d may be drawn at once" % (n, body.dim, floats, _MAX_STEP_FLOATS)
         )
-
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _diameter_bound(body: Body) -> float:
-    """An upper bound on the diameter of a catalog body: sqrt(2) for a
-    simplex, sqrt(d) for a cube, 2 for a ball or a half-ball."""
-    if body.kind == "product":
-        return math.hypot(_diameter_bound(body.base), float(body.height))
-    return {"simplex": math.sqrt(2.0), "cube": math.sqrt(body.dim)}.get(body.kind, 2.0)
-
-
-def _check_float_range(body: Body, n: int, k: int, samples: int) -> None:
-    """A CapacityError, before any draw, when an estimate could leave float64.
-
-    In a body of diameter D the volume kernel's Gram determinant is at most
-    D^(2(n-1)), a trial value V^k at most b = (D^(n-1)/(n-1)!)^k, and the
-    sum of squared deviations at most samples * b^2.  A prism's face areas,
-    by which the boundary sampler picks faces, are then each at most 2D.
-    """
+    _count(k, "moment order k")
     log_d = math.log(_diameter_bound(body))
     log_b = k * ((n - 1) * log_d - math.lgamma(n))
     if max(2 * (n - 1) * log_d, 2 * log_b + math.log(samples)) >= _LOG_FLOAT_MAX:
@@ -496,9 +495,7 @@ def estimate_moment(
     vertices (it must lie in the closed body).  Deterministic for a given
     (seed, samples, configuration), independent of ``threads``.
     """
-    _check_common(body, n, samples)
-    _count(k, "moment order k")
-    _check_float_range(body, n, k, samples)
+    _check_run(body, n, k, samples)
     anchor = None
     if fixed is not None:
         anchor = np.asarray([float(v) for v in fixed])

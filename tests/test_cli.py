@@ -1497,9 +1497,19 @@ class TestVerdictLoadsOnlyWhatItRuns:
         with open(str(out), encoding="utf-8") as fh:
             assert json.load(fh)["command"] == argv[0]
 
+    def test_commands_module_stands_alone(self):
+        # the handlers reach the tables through the run context they are
+        # passed, so their module imports nothing from the CLI
+        loaded = fresh_python(
+            "import json, sys\n"
+            "import simplexmoments._commands\n"
+            "print(json.dumps('simplexmoments.cli' in sys.modules))\n"
+        )
+        assert loaded is False
+
     def test_cli_module_run_compiles_itself_once(self):
-        # _commands imports simplexmoments.cli by name, which imported the
-        # module again beside the running __main__
+        # a handler module that imported simplexmoments.cli by name would
+        # import it again beside the running __main__
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "simplexmoments.cli",
              "chords", "--triangle", "T2", "--k", "2"],

@@ -525,15 +525,15 @@ class TestEstimateMoment:
         # checked only, nothing drawn: 10^11 samples stay accepted, and each
         # bound refuses one step past its largest accepted size
         t3 = tetrahedron_T3()
-        mc._check_common(t3, 3, 10 ** 11)
-        mc._check_common(t3, 3, mc._MAX_CHUNKS * CHUNK_SIZE)
+        mc._check_run(t3, 3, 1, 10 ** 11)
+        mc._check_run(t3, 3, 1, mc._MAX_CHUNKS * CHUNK_SIZE)
         with pytest.raises(CapacityError, match="at most 16777216 chunks"):
-            mc._check_common(t3, 3, mc._MAX_CHUNKS * CHUNK_SIZE + 1)
+            mc._check_run(t3, 3, 1, mc._MAX_CHUNKS * CHUNK_SIZE + 1)
         # a cube step draws 2 points of at most dim + 1 floats per row
         dim = mc._MAX_STEP_FLOATS // (2 * _BLOCK_ROWS) - 1
-        mc._check_common(cube(dim), 2, 10 ** 6)
+        mc._check_run(cube(dim), 2, 1, 10 ** 6)
         with pytest.raises(CapacityError, match="at most 8388608 may be drawn"):
-            mc._check_common(cube(dim + 1), 2, 10 ** 6)
+            mc._check_run(cube(dim + 1), 2, 1, 10 ** 6)
 
     def test_largest_accepted_prisms_give_finite_estimates(self):
         # inside the bound: D^2 and 10 samples times the squared volume fit
