@@ -13,7 +13,8 @@ the natural ordering.
 
 The command line tool lives in :mod:`simplexmoments.cli` and is not
 imported here; ``python -m simplexmoments`` runs it.  Every public name is
-listed in its module's ``__all__``, and the root re-exports them all.
+listed once, in the root's ``_LAZY_NAMES`` table: each module's ``__all__``
+is its entry there, and the root re-exports them all.
 
 The root imports none of its modules: each one loads the first time one
 of its names (or the module itself) is read from the root.  mc and
@@ -30,9 +31,9 @@ __version__ = "0.1.0"
 
 from importlib import import_module
 
-# the public names of every module, in the order of __all__, loaded by
-# __getattr__ on first use; a test keeps these lists equal to each
-# module's __all__
+# the public names of every module, loaded by __getattr__ on first use;
+# each module's __all__ is its list here, so this table is defined before
+# anything that could import a module
 _LAZY_NAMES = {
     "errors": ["CapacityError", "DomainError", "UsageError", "VerificationError"],
     "exact": [

@@ -107,7 +107,7 @@ def _parse_list(text: str, option: str, parse) -> list:
     return [parse(p) for p in parts]
 
 
-def _parse_triangle(text: str) -> TriangleSpec:
+def _parse_triangle(text: str):
     from .chords import TriangleSpec
 
     if text == "T2":
@@ -121,7 +121,7 @@ def _parse_triangle(text: str) -> TriangleSpec:
     return TriangleSpec.from_sides(*(_parse_float(p, "--triangle") for p in parts))
 
 
-def _midpoint_moment(spec: TriangleSpec, k: int) -> float:
+def _midpoint_moment(spec, k: int) -> float:
     """The k-th moment about the midpoint of the longest side, relabeled
     as the edge AB (side c) that edgepoint_moment measures along."""
     from .chords import TriangleSpec, edgepoint_moment

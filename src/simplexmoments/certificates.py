@@ -33,6 +33,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
+from . import _LAZY_NAMES
 from .errors import UsageError, VerificationError, _count
 from .exact import (
     NonnegResult,
@@ -42,26 +43,7 @@ from .exact import (
     sturm_nonneg_on_interval,
 )
 
-__all__ = [
-    "PIVOT",
-    "FREE_B",
-    "FREE_BPRIME",
-    "FIXED_B",
-    "FIXED_BPRIME",
-    "LOWER_SINGLE_NODES",
-    "LOWER_DOUBLE_NODES",
-    "UPPER_SINGLE_NODES",
-    "UPPER_DOUBLE_NODES",
-    "Certificate",
-    "hermite_interpolate",
-    "verify_bound_polynomial",
-    "bound_from_moments",
-    "build_certificate",
-    "verify_counterexample",
-    "certificate_to_json",
-    "error_polynomial",
-    "upper_sqrt_rational",
-]
+__all__ = _LAZY_NAMES["certificates"]
 
 # the value separating the two certified bounds
 PIVOT = Fraction(23471, 500000)

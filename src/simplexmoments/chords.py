@@ -25,16 +25,10 @@ import math
 import sys
 from dataclasses import dataclass
 
+from . import _LAZY_NAMES
 from .errors import CapacityError, DomainError, UsageError, _count
 
-__all__ = [
-    "TriangleSpec",
-    "csc_power_antiderivative",
-    "vertex_moment",
-    "edgepoint_moment",
-    "chord_moment",
-    "ratio_r",
-]
+__all__ = _LAZY_NAMES["chords"]
 
 
 def csc_power_antiderivative(m: int, phi: float) -> float:

@@ -4,7 +4,9 @@ Exit-code mapping used by the CLI: usage/domain problems exit 2, capacity
 refusals exit 3, verification failures exit 4.
 """
 
-__all__ = ["CapacityError", "DomainError", "UsageError", "VerificationError"]
+from . import _LAZY_NAMES
+
+__all__ = _LAZY_NAMES["errors"]
 
 
 class UsageError(ValueError):

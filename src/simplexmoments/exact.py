@@ -30,16 +30,10 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, NamedTuple
 
+from . import _LAZY_NAMES
 from .errors import UsageError
 
-__all__ = [
-    "format_rational",
-    "parse_rational",
-    "UniPoly",
-    "uni_eval",
-    "NonnegResult",
-    "sturm_nonneg_on_interval",
-]
+__all__ = _LAZY_NAMES["exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -432,5 +426,5 @@ def sturm_nonneg_on_interval(p: UniPoly, lo, hi) -> NonnegResult:
             return NonnegResult(True, "no-interior-sign-change")
         if v < 0:
             return NonnegResult(False, "interior-negative", x, v)
-    # More interior zeros than the degree allows would force p == 0.
-    return NonnegResult(True, "identically-zero-on-samples")
+    # a nonzero p has at most deg p roots, fewer than the points tried
+    raise ArithmeticError("no interior sample of a nonzero polynomial is nonzero")

@@ -20,22 +20,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence
 
+from . import _LAZY_NAMES
 from .errors import UsageError, _count
 
-__all__ = [
-    "Body",
-    "ball",
-    "body_measures",
-    "contains",
-    "cube",
-    "halfball",
-    "is_polytopal",
-    "polygon_edges",
-    "product",
-    "standard_simplex",
-    "tetrahedron_T3",
-    "triangle_T2",
-]
+__all__ = _LAZY_NAMES["geometry"]
 
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Rational):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from . import _LAZY_NAMES
 from .errors import UsageError
 from .geometry import Body, body_measures, product
 from .mc import (
@@ -31,10 +32,7 @@ from .mc import (
     sample_boundary_uniform,
 )
 
-__all__ = [
-    "interior_convergence_sweep",
-    "boundary_convergence_sweep",
-]
+__all__ = _LAZY_NAMES["lifting"]
 
 
 def _check_eps_list(prisms) -> None:
@@ -82,6 +80,8 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
     # the prisms have dimension dim + 1, so n <= dim + 2
     for prism in prisms:
         _check_run(prism, n, k, samples)
+    # a seed that is not an integer is refused before row seeds derive from it
+    RngStream(seed)
     if reference is not None:
         ref = {"value": value, "std_error": 0.0, "source": "exact"}
     elif n == body.dim + 2:

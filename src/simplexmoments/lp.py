@@ -34,11 +34,12 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
+from . import _LAZY_NAMES
 from .certificates import hermite_interpolate
 from .errors import CapacityError, UsageError, VerificationError, _count
 from .exact import _as_fraction, _horner
 
-__all__ = ["node_search", "rationalize"]
+__all__ = _LAZY_NAMES["lp"]
 
 
 def rationalize(x, max_den: int) -> Fraction:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import sys
 import threading
@@ -61,18 +62,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _LAZY_NAMES
 from .errors import CapacityError, DomainError, UsageError, _count
 from .geometry import Body, body_measures, contains, is_polytopal, polygon_edges
 
-__all__ = [
-    "CHUNK_SIZE",
-    "RNG_ALGORITHM",
-    "RngStream",
-    "EstimateWithError",
-    "sample_uniform",
-    "sample_boundary_uniform",
-    "estimate_moment",
-]
+__all__ = _LAZY_NAMES["mc"]
 
 CHUNK_SIZE = 1 << 16
 # a run lists its chunks before the first one runs: 2**24 chunks are about
@@ -99,10 +93,19 @@ class RngStream:
     seed: int
     stream_index: int = 0
 
+    def __post_init__(self):
+        try:
+            operator.index(self.seed)
+        except TypeError:
+            raise UsageError("seed must be an integer, got %r" % (self.seed,)) from None
+        if _count(self.stream_index, "stream_index", 0) >= 2**64:
+            raise UsageError("stream_index must be below 2**64, got %d" % self.stream_index)
+
     def generator(self) -> np.random.Generator:
         # an explicit uint64 key: from a tuple, numpy would go through
         # float64 for words of 2**63 and above, merging or breaking seeds
-        key = np.array([self.seed & (2**64 - 1), self.stream_index], dtype=np.uint64)
+        key = np.array([operator.index(self.seed) & (2**64 - 1), self.stream_index],
+                       dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

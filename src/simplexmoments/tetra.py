@@ -21,16 +21,11 @@ import os
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
+from . import _LAZY_NAMES
 from .errors import CapacityError, UsageError, VerificationError, _count
 from .exact import format_rational, parse_rational
 
-__all__ = [
-    "FREE_KMAX_LIMIT",
-    "FIXED_KMAX_LIMIT",
-    "MomentTable",
-    "even_moment",
-    "moment_table",
-]
+__all__ = _LAZY_NAMES["tetra"]
 
 CASE_FREE = "free"
 CASE_FIXED = "fixed-centroid"

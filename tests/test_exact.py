@@ -782,3 +782,17 @@ def test_nonneg_matches_golden_outcomes():
         got = [None if q is None else format_rational(q) for q in res[2:]]
         assert [res.nonnegative, res.reason] + got == [
             case["nonnegative"], case["reason"], case["witness"], case["witness_value"]], case
+
+
+def test_nonneg_without_a_positive_sample_is_an_error(monkeypatch):
+    # no nonzero p vanishes at every sample tried; if one seemed to, the
+    # proof must not answer "nonnegative" without a positive value
+    p = UniPoly((F(1, 4), -1, 1))  # (t - 1/2)**2
+    horner = exact._horner
+
+    def vanishing_on_p(coeffs, x):
+        return 0 if coeffs == p.coeffs else horner(coeffs, x)
+
+    monkeypatch.setattr(exact, "_horner", vanishing_on_p)
+    with pytest.raises(ArithmeticError):
+        sturm_nonneg_on_interval(p, 0, 1)

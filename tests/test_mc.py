@@ -20,7 +20,7 @@ from oracles import (
     sample_boundary_unblocked,
     simplex_volumes_unblocked,
 )
-from simplexmoments import mc
+from simplexmoments import lifting, mc
 from simplexmoments.chords import (
     TriangleSpec,
     chord_moment,
@@ -91,6 +91,32 @@ class TestRngStream:
         a = RngStream(2**63).generator().random(8)
         b = RngStream(2**63 + 1).generator().random(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [1.5, "1"])
+    def test_seed_that_is_not_an_integer_refused_before_any_draw(self, monkeypatch, seed):
+        # unchecked, these raised a bare TypeError from the key's "&"
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the seed was checked")
+
+        monkeypatch.setattr(mc, "_draw", no_draw)
+        monkeypatch.setattr(lifting, "estimate_moment", no_draw)
+        monkeypatch.setattr(lifting, "_run_chunks", no_draw)
+        with pytest.raises(UsageError, match="seed must be an integer"):
+            estimate_moment(tetrahedron_T3(), 3, 1, samples=10, seed=seed)
+        for sweep in (interior_convergence_sweep, boundary_convergence_sweep):
+            with pytest.raises(UsageError, match="seed must be an integer"):
+                sweep(triangle_T2(), 3, 1, [F(1, 2)], samples=10, seed=seed)
+        with pytest.raises(UsageError, match="seed must be an integer"):
+            RngStream(seed)
+
+    def test_stream_index_outside_uint64_refused_and_numpy_seeds_kept(self):
+        # unchecked, both indexes and np.int64 seeds raised a bare OverflowError
+        for index in (-1, 2**64):
+            with pytest.raises(UsageError, match="stream_index"):
+                RngStream(1, index)
+        a = RngStream(np.int64(5), 2).generator().random(8)
+        b = RngStream(5, 2).generator().random(8)
+        assert np.array_equal(a, b)
 
 
 class TestSampleUniform:
