@@ -3,8 +3,8 @@
 Their handlers, the parsers of their option values, the ``reproduce``
 checks with their frozen targets and the CSV form of a lift sweep.
 ``cli.main`` imports this module the first time it dispatches one of these
-subcommands, so the verdict never loads or compiles it; the parser in
-``cli.build_parser`` names each handler here by its function name.  A
+subcommands, so the verdict never loads or compiles it; ``cli._handler``
+finds each handler here by the name of its subcommand.  A
 handler takes the parsed arguments and the run context, whose ``table``
 and ``canonical_tables`` obtain and record its moment tables, so this
 module imports nothing from ``cli``.
@@ -166,19 +166,9 @@ def _parse_body(text: str):
 def _parse_nodes(text: str) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
     """Node list syntax: comma separated rationals, '*2' marks a tangency
     (value and derivative) node: '0,2/19*2,4/15*2,8/17*2,47/54'."""
-    singles = []
-    doubles = []
-    for raw in text.split(","):
-        raw = raw.strip()
-        if not raw:
-            continue
-        if raw.endswith("*2"):
-            doubles.append(_parse_fraction(raw[:-2]))
-        else:
-            singles.append(_parse_fraction(raw))
-    if not singles and not doubles:
-        raise UsageError("--nodes lists at least one node")
-    return tuple(singles), tuple(doubles)
+    nodes = _parse_list(text, "--nodes", str.strip)
+    return (tuple(_parse_fraction(p) for p in nodes if not p.endswith("*2")),
+            tuple(_parse_fraction(p[:-2]) for p in nodes if p.endswith("*2")))
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +528,8 @@ def _cmd_reproduce(args, ctx) -> dict:
     _check_run(t3, 3, 1, args.samples)
     _check_grid(args.grid)
     full = args.level == "full"
-    orders = None if full else {case: len(mus) for case, mus in _EXPECTED_EVEN_MOMENTS.items()}
-    free, fixed = ctx.canonical_tables(orders)
+    free, fixed = ctx.canonical_tables() if full else (
+        ctx.table(case, len(mus)) for case, mus in _EXPECTED_EVEN_MOMENTS.items())
     checks = [
         _reproduce_chords(),
         _reproduce_ratio_law(),

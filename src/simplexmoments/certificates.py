@@ -199,12 +199,16 @@ def hermite_interpolate(single_nodes: Sequence, double_nodes: Sequence) -> UniPo
     return UniPoly(coeffs)
 
 
-def error_polynomial(poly: UniPoly, side: str) -> UniPoly:
-    """g(t) = t - p(t^2) for lower bounds, p(t^2) - t for upper bounds."""
+def _checked_side(side: str) -> str:
     if side not in ("lower", "upper"):
         raise UsageError("side must be 'lower' or 'upper'")
+    return side
+
+
+def error_polynomial(poly: UniPoly, side: str) -> UniPoly:
+    """g(t) = t - p(t^2) for lower bounds, p(t^2) - t for upper bounds."""
     # p(t^2) spreads the coefficients of p onto the even powers of t
-    sign = 1 if side == "upper" else -1
+    sign = 1 if _checked_side(side) == "upper" else -1
     coeffs = [x for c in poly.coeffs or [0] for x in (sign * c, 0)]
     coeffs[1] -= sign
     return UniPoly(coeffs)
@@ -240,13 +244,14 @@ def build_certificate(
 ) -> Certificate:
     """Interpolate, verify exactly, and price a one-sided bound.
 
-    Malformed nodes, an interval_b below the support bound of the table's
-    case, and a table too short for the interpolant's degree are refused
-    before any interpolation.  Raises VerificationError (naming the witness
-    point, not the value there, which may have thousands of digits) if the
-    interpolated polynomial fails the inequality on [0, bprime]; a returned
-    Certificate is always verified.
+    A side other than "lower" or "upper", malformed nodes, an interval_b
+    below the support bound of the table's case, and a table too short for
+    the interpolant's degree are refused before any interpolation.  Raises
+    VerificationError (naming the witness point, not the value there, which
+    may have thousands of digits) if the interpolated polynomial fails the
+    inequality on [0, bprime]; a returned Certificate is always verified.
     """
+    _checked_side(side)
     singles, doubles = _checked_nodes(single_nodes, double_nodes)
     b, bprime = _checked_interval(interval_b, bprime, table.case)
     table.upto(_degree(singles, doubles))

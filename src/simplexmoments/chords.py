@@ -107,6 +107,16 @@ def _in_range(k: int, moment) -> float:
     )
 
 
+def _float(value, name: str) -> float:
+    """``float(value)``; a UsageError when it is not a number or lies past
+    the float64 range.  NaN and infinities pass, for the caller to refuse."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError("%s must be a number within the float64 range, got %r"
+                         % (name, value)) from None
+
+
 @dataclass(frozen=True)
 class TriangleSpec:
     """Side lengths and derived angles of a nondegenerate triangle.
@@ -128,7 +138,7 @@ class TriangleSpec:
         """The triangle with these sides; a DomainError names sides that are
         not positive and finite, or whose law of cosines leaves float64 or
         gives an angle of 0 or pi."""
-        a, b, c = float(a), float(b), float(c)
+        a, b, c = (_float(side, "side length") for side in (a, b, c))
         if not all(0.0 < side < math.inf for side in (a, b, c)):
             raise DomainError("side lengths must be positive and finite, got %r, %r, %r"
                               % (a, b, c))
@@ -202,7 +212,7 @@ def edgepoint_moment(t: TriangleSpec, c1: float, k: int) -> float:
     B, where the vertex formula is used.
     """
     _count(k, "moment order k")
-    c1 = float(c1)
+    c1 = _float(c1, "edge point c1")
     if not 0.0 <= c1 <= t.c:
         raise DomainError("edge point must satisfy 0 <= c1 <= c")
     if c1 == 0.0:

@@ -129,17 +129,14 @@ class _RunContext:
             self.output_files.append(path)
         return moment_table(key, k_max, checkpoint=path, stored=stored)
 
-    def canonical_tables(
-        self, orders: Optional[Dict[str, int]] = None, compute: bool = True
-    ) -> List[MomentTable]:
-        """The free and the pinned table, each obtained once: up to the degree of
-        its canonical certificate, or up to ``orders[case]`` when orders are
-        given.  Every short table is named in one refusal."""
+    def canonical_tables(self, compute: bool = True) -> List[MomentTable]:
+        """The free and the pinned table, each obtained once, up to the degree
+        of its canonical certificate.  Every short table is named in one
+        refusal."""
         tables, short = [], []
         for case, singles, doubles in _CANONICAL.values():
-            k_max = orders[case] if orders else _degree(singles, doubles)
             try:
-                tables.append(self.table(case, k_max, compute=compute))
+                tables.append(self.table(case, _degree(singles, doubles), compute=compute))
             except CapacityError as exc:
                 short.append(str(exc))
         if short:
@@ -225,12 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     sampling = ("--body", "--n", "--k", "--samples", "--threads")
 
-    # handlers are named, not referenced, so that building the parser loads
-    # no handler module; main resolves the name when it dispatches
-    def finish(p, handler, *takes):
+    def finish(p, *takes):
         for flag in takes + ("--out",):
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(handler=handler)
 
     p = sub.add_parser(
         "chords", help="closed-form distance moments on a triangle"
@@ -240,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixed",
         help="pin one point: 'midpoint-hypotenuse', 'vertex:A|B|C' or 'edge:C1'",
     )
-    finish(p, "_cmd_chords", "--k")
+    finish(p, "--k")
 
     p = sub.add_parser(
         "tetra-moments",
@@ -248,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--case", required=True, help="'free' or 'fixed'")
     p.add_argument("--kmax", required=True, type=_positive_int, help="largest k (power 2k)")
-    finish(p, "_cmd_tetra_moments", "--tables")
+    finish(p, "--tables")
 
     p = sub.add_parser(
         "nodes", help="exact LP search for certificate interpolation nodes"
@@ -262,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="denominator bound for suggested nodes (default 64)",
     )
-    finish(p, "_cmd_nodes", "--tables")
+    finish(p, "--tables")
 
     p = sub.add_parser(
         "certify", help="build and verify one polynomial bound certificate"
@@ -277,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval-b", help="verify on [0, B] (rational B)")
     p.add_argument("--bprime", help="rational B' >= sqrt(B) to verify through")
     p.add_argument("--table", help="explicit moment table JSON file")
-    finish(p, "_cmd_certify", "--tables")
+    finish(p, "--tables")
 
     p = sub.add_parser(
         "verify-counterexample",
@@ -288,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="build absent or short tables instead of refusing",
     )
-    finish(p, "_cmd_verify_counterexample", "--tables")
+    finish(p, "--tables")
 
     p = sub.add_parser("mc", help="Monte Carlo simplex volume moment")
     p.add_argument("--fixed", help="pin one vertex at these coordinates 'x,y,...'")
     p.add_argument("--seed", required=True, type=int)
-    finish(p, "_cmd_mc", *sampling)
+    finish(p, *sampling)
 
     p = sub.add_parser(
         "lift-sweep", help="prism lifting convergence experiment"
@@ -303,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reference", help="exact limit value 'p/q' if known")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    finish(p, "_cmd_lift_sweep", *sampling)
+    finish(p, *sampling)
 
     p = sub.add_parser(
         "reproduce",
@@ -318,14 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", type=_positive_int, default=200, help="LP grid size for the full level"
     )
-    finish(p, "_cmd_reproduce", "--tables", "--threads")
+    finish(p, "--tables", "--threads")
 
     return parser
 
 
-def _handler(name: str):
-    """The handler function called ``name``: the verdict's is here, every
-    other one in ``_commands``, which is imported on its first dispatch."""
+def _handler(command: str):
+    """The handler ``_cmd_<command>``, dashes as underscores.  The verdict's is
+    here; the others are in ``_commands``, imported on first dispatch, so
+    that building the parser loads no handler module."""
+    name = "_cmd_" + command.replace("-", "_")
     if name in globals():
         return globals()[name]
     from . import _commands
@@ -377,7 +373,7 @@ def main(argv=None) -> int:
         if hasattr(args, "samples"):
             # one sample has an infinite standard error, which strict JSON cannot carry
             _count(args.samples, "--samples", 2)
-        result = _handler(args.handler)(args, ctx)
+        result = _handler(args.command)(args, ctx)
         report = {
             "schema": SCHEMA,
             "command": args.command,

@@ -49,15 +49,16 @@ def format_rational(q: Fraction | int) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a Fraction.
 
-    Raises ValueError on anything else, including floats, non-strings and a
-    zero denominator; exact values must round-trip exactly.
+    Raises UsageError, a ValueError, on anything else, including floats,
+    non-strings and a zero denominator; exact values must round-trip exactly.
     """
-    if not isinstance(text, str):
-        raise ValueError("expected a 'p' or 'p/q' string, got %r" % (text,))
-    num, slash, den = text.strip().partition("/")
-    if slash and int(den) == 0:
-        raise ValueError("zero denominator in %r" % text)
-    return Fraction(int(num), int(den) if slash else 1)
+    if isinstance(text, str):
+        num, slash, den = text.strip().partition("/")
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError("expected a 'p' or 'p/q' string with q nonzero, got %r" % (text,))
 
 
 def _as_fraction(value) -> Fraction:
@@ -67,7 +68,7 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"expected exact rational, got {type(value).__name__}")
+    raise UsageError(f"expected exact rational, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -141,13 +141,25 @@ def _margins(body: Body, pt) -> list:
 
 
 def contains(body: Body, point, tol: float = 0.0) -> bool:
-    """Whether the point lies in the closed body (within tol for tol > 0)."""
+    """Whether the point lies in the closed body (within tol for tol > 0).
+
+    A coordinate that is NaN, infinite or past the float64 range lies
+    outside; one that is not a number is a UsageError.
+    """
     pt = tuple(point)
     if len(pt) != body.dim:
         raise UsageError(
             "point has dimension %d, body has dimension %d"
             % (len(pt), body.dim)
         )
+    try:
+        x = [float(v) for v in pt]
+    except OverflowError:
+        return False
+    except (TypeError, ValueError):
+        raise UsageError("point coordinates must be numbers, got %r" % (pt,)) from None
+    if not all(map(math.isfinite, x)):
+        return False
     if tol == 0.0 and is_polytopal(body):
         return _contains_exact(body, [_to_fraction(v) for v in pt])
     return min(_margins(body, pt)) >= -tol

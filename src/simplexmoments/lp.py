@@ -45,7 +45,11 @@ __all__ = _LAZY_NAMES["lp"]
 def rationalize(x, max_den: int) -> Fraction:
     """Best rational approximation with denominator at most max_den."""
     _count(max_den, "max_den")
-    return Fraction(x).limit_denominator(max_den)
+    try:
+        value = Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise UsageError("cannot rationalize %r: not a finite number" % (x,)) from None
+    return value.limit_denominator(max_den)
 
 
 def _poly_from_roots(roots) -> list:

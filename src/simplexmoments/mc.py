@@ -501,11 +501,10 @@ def estimate_moment(
     _check_run(body, n, k, samples)
     anchor = None
     if fixed is not None:
-        anchor = np.asarray([float(v) for v in fixed])
-        if anchor.shape != (body.dim,):
-            raise UsageError("fixed point has wrong dimension")
-        if not contains(body, tuple(float(v) for v in anchor), tol=1e-12):
+        fixed = tuple(fixed)
+        if not contains(body, fixed, tol=1e-12):
             raise DomainError("fixed point lies outside the body")
+        anchor = np.array(fixed, dtype=float)
     n_random = n if anchor is None else n - 1
 
     step = _step_rows(body)

@@ -367,6 +367,16 @@ class TestRefusedBeforeProof:
             build_certificate("upper", (), (F(1, 20), F(1, 8)), free_table, FIXED_B, FIXED_BPRIME)
         assert proof_calls == []
 
+    def test_side_checked_before_interpolation(self, monkeypatch, free_table):
+        # the side was checked only by error_polynomial, after interpolating
+        def no_interpolation(*args):
+            raise AssertionError("interpolated before the side was checked")
+
+        monkeypatch.setattr(certificates, "hermite_interpolate", no_interpolation)
+        with pytest.raises(UsageError, match="side must be 'lower' or 'upper'"):
+            build_certificate("middle", LOWER_SINGLE_NODES, LOWER_DOUBLE_NODES, free_table,
+                              FREE_B, FREE_BPRIME)
+
     def test_negative_bprime(self, proof_calls, free_table):
         # (-1)^2 >= 3/4, so only the sign of B' refuses it
         with pytest.raises(UsageError, match="bprime must be positive, got -1"):

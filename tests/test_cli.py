@@ -904,12 +904,15 @@ class TestMonteCarlo:
         )
         assert code == 2
 
-    def test_unknown_body(self):
-        code = main(
-            ["mc", "--body", "torus:3", "--n", "2", "--k", "1", "--samples",
-             "100", "--seed", "1"]
-        )
-        assert code == 2
+    def test_unknown_body(self, capsys):
+        for body, message in (("torus:3", "unknown body"), ("T3:3", "does not take a dimension"),
+                              ("cube", "needs a dimension"), ("cube:x", "must be an integer")):
+            code = main(
+                ["mc", "--body", body, "--n", "2", "--k", "1", "--samples",
+                 "100", "--seed", "1"]
+            )
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_negative_seed(self, tmp_path):
@@ -1496,6 +1499,22 @@ class TestVerdictLoadsOnlyWhatItRuns:
         assert ("simplexmoments._expansion" in loaded) is computes
         with open(str(out), encoding="utf-8") as fh:
             assert json.load(fh)["command"] == argv[0]
+
+    def test_every_subcommand_resolves_to_its_handler(self):
+        # the parser names no handler; cli._handler derives each one from its
+        # subcommand, and building the parser imports no handler module
+        loaded, handlers = fresh_python(
+            "import argparse, json, sys\n"
+            "from simplexmoments import cli\n"
+            "parser = cli.build_parser()\n"
+            "loaded = 'simplexmoments._commands' in sys.modules\n"
+            "sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))\n"
+            "handlers = {c: callable(cli._handler(c)) and cli._handler(c).__name__\n"
+            "            for c in sub.choices}\n"
+            "print(json.dumps([loaded, handlers]))\n"
+        )
+        assert loaded is False
+        assert handlers == {c: "_cmd_" + c.replace("-", "_") for c in SWEEP_RUNS}
 
     def test_commands_module_stands_alone(self):
         # the handlers reach the tables through the run context they are

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import MVPoly, _trim, mv_mul, mv_pow, ref_derivative, ref_divmod, ref_mul
-from simplexmoments import certificates, exact
+from simplexmoments import certificates, chords, exact, lp
 from simplexmoments.errors import UsageError
 from simplexmoments.exact import (
     UniPoly,
@@ -97,6 +97,43 @@ def test_parse_rejects_floats():
 def test_parse_rejects_zero_denominators_and_non_strings(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+# the library's numeric entries, each applied to one bad value
+NUMERIC_ENTRIES = {
+    "UniPoly": lambda v: UniPoly((1, v)),
+    "uni_eval": lambda v: uni_eval(UniPoly((1,)), v),
+    "sturm_nonneg_on_interval": lambda v: sturm_nonneg_on_interval(UniPoly((1,)), 0, v),
+    "hermite_interpolate": lambda v: certificates.hermite_interpolate((v,), ()),
+    "build_certificate": lambda v: certificates.build_certificate("lower", (v,), (), None, 1),
+    "verify_bound_polynomial": lambda v: certificates.verify_bound_polynomial(
+        UniPoly((0, 1)), "lower", v),
+    "upper_sqrt_rational": lambda v: certificates.upper_sqrt_rational(v),
+    "node_search": lambda v: lp.node_search(None, 1, 4, v, "lower"),
+    "parse_rational": lambda v: parse_rational(v),
+    "from_sides": lambda v: chords.TriangleSpec.from_sides(v, 1.0, 1.0),
+    "edgepoint_moment": lambda v: chords.edgepoint_moment(
+        chords.TriangleSpec.from_sides(1.0, 1.0, 1.0), v, 2),
+    "rationalize": lambda v: lp.rationalize(v, 64),
+}
+_EXACT_ENTRIES = ("UniPoly", "uni_eval", "sturm_nonneg_on_interval", "hermite_interpolate",
+                  "build_certificate", "verify_bound_polynomial", "upper_sqrt_rational",
+                  "node_search")
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [(entry, bad) for entry in _EXACT_ENTRIES for bad in (0.5, None, "x")]
+    + [("parse_rational", bad) for bad in ("x", "1/0", None)]
+    + [(entry, bad) for entry in ("from_sides", "edgepoint_moment")
+       for bad in ("x", None, F(10**400))]
+    + [("rationalize", bad) for bad in (math.nan, math.inf, None)],
+    ids=lambda v: "10**400" if isinstance(v, F) else None,
+)
+def test_numeric_entries_refuse_bad_values_with_usage_errors(entry, bad):
+    # these leaked a bare TypeError, ValueError or OverflowError
+    with pytest.raises(UsageError):
+        NUMERIC_ENTRIES[entry](bad)
 
 
 # ---------------------------------------------------------------------------

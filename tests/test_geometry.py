@@ -248,6 +248,30 @@ def test_contains_catalog():
         contains(prism, (0.1, 0.1))
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, F(10**400), -10**400],
+    ids=["nan", "inf", "-inf", "10**400", "-10**400"],
+)
+def test_contains_puts_non_finite_coordinates_outside(value, tol):
+    # the tolerance path's min() skipped a NaN margin after the first, so
+    # (0.2, nan, 0.2) lay in T3; the exact path raised a bare ValueError
+    # for NaN and OverflowError for inf, and the tolerance path for 10**400
+    inside = (0.2, 0.2, 0.2)
+    for body in (tetrahedron_T3(), cube(3), ball(3), halfball(3), product(triangle_T2(), 1)):
+        assert contains(body, inside, tol=tol)
+        for i in range(3):
+            assert not contains(body, inside[:i] + (value,) + inside[i + 1:], tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+@pytest.mark.parametrize("value", ["x", None])
+def test_contains_refuses_coordinates_that_are_not_numbers(value, tol):
+    for body in (tetrahedron_T3(), ball(3)):
+        with pytest.raises(UsageError, match="coordinates must be numbers"):
+            contains(body, (0.2, value, 0.2), tol=tol)
+
+
 def test_boundary_residual_small_on_boundary_points():
     assert boundary_residual(triangle_T2(), (0.5, 0.5)) < 1e-15
     assert boundary_residual(ball(3), (1.0, 0.0, 0.0)) < 1e-15

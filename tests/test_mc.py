@@ -156,6 +156,18 @@ class TestSampleUniform:
         for row in pts[:50]:
             assert contains(body, tuple(map(float, row)), tol=1e-12)
 
+    @pytest.mark.parametrize("base", [cube(2), ball(2), halfball(2)], ids=lambda b: b.kind)
+    def test_prism_over_a_base_without_a_spare_column(self, base):
+        # only a simplex base leaves a column for the heights; the others
+        # have one appended
+        prism = product(base, F(1, 2))
+        pts = sample_uniform(prism, RngStream(31).generator(), size=1000)
+        assert pts.shape == (1000, 3)
+        assert all(contains(prism, row, tol=1e-12) for row in pts.tolist())
+        one, two = (estimate_moment(prism, 3, 1, samples=CHUNK_SIZE + 99, seed=37, threads=t)
+                    for t in (1, 2))
+        assert one == two and math.isfinite(one.mean)
+
     def test_simplex_points_match_row_sum_normalization(self):
         # reference: the row-sum form the sampler replaced, for <= 7 columns
         for d in range(1, 7):
@@ -637,6 +649,19 @@ class TestEstimateMoment:
             estimate_moment(t3, 3, 1, fixed=(0.5, 0.5), samples=10, seed=1)
         with pytest.raises(DomainError):
             estimate_moment(t3, 3, 1, fixed=(2.0, 2.0, 2.0), samples=10, seed=1)
+
+    def test_pin_with_a_nan_coordinate_refused_before_any_draw(self, monkeypatch):
+        # contains put (0.2, nan, 0.2) inside T3, and the estimate was nan
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the pin was checked")
+
+        monkeypatch.setattr(mc, "_draw", no_draw)
+        with pytest.raises(DomainError, match="outside the body"):
+            estimate_moment(tetrahedron_T3(), 3, 1, fixed=(0.2, math.nan, 0.2), samples=10,
+                            seed=1)
+        with pytest.raises(DomainError, match="outside the body"):
+            interior_convergence_sweep(triangle_T2(), 2, 1, [F(1, 2)], samples=4, seed=1,
+                                       fixed=(0.2, math.nan))
 
     @pytest.mark.parametrize(
         "cpus, asked", [(10**6, [3]), (2, [2]), (1, [])], ids=["chunks", "cpus", "serial"]

@@ -295,6 +295,8 @@ def test_moment_table_detects_bad_entries():
         bad.check()
     with pytest.raises(VerificationError):
         MomentTable(good.case, (F(2), F(1, 10))).check()
+    with pytest.raises(VerificationError, match="mu_4 is not positive"):
+        MomentTable(good.case, (F(1), F(1, 10), F(0))).check()
 
 
 def test_moment_table_json_roundtrip():
