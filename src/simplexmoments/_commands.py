@@ -316,19 +316,6 @@ def _cmd_mc(args, ctx) -> dict:
     }
 
 
-def _sweep_row_json(row: dict) -> dict:
-    est = row["estimate"]
-    out = {
-        "epsilon": row["epsilon"],
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "samples": est.samples,
-    }
-    # abs_error, sigma and whatever diagnostics the sweep mode adds
-    out.update((key, row[key]) for key in row if key not in ("epsilon", "estimate"))
-    return out
-
-
 def _cmd_lift_sweep(args, ctx) -> dict:
     from .lifting import boundary_convergence_sweep, interior_convergence_sweep
     from .mc import RNG_ALGORITHM
@@ -353,8 +340,8 @@ def _cmd_lift_sweep(args, ctx) -> dict:
         "n": args.n,
         "k": args.k,
         "rng": RNG_ALGORITHM,
-        "reference": dict(outcome["reference"]),
-        "rows": [_sweep_row_json(row) for row in outcome["rows"]],
+        "reference": outcome["reference"],
+        "rows": outcome["rows"],
         "verdict": outcome["verdict"],
     }
 

@@ -63,7 +63,9 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
     The reference is the supplied exact value, or a Monte Carlo estimate on
     the base body (exactly zero in the degenerate case n = dim + 2).
     ``estimate_at(prism, seed)`` estimates E V^k on one prism and
-    returns ``(estimate, extra row fields)``.
+    returns ``(estimate, extra row fields)``.  Each row holds the mean,
+    standard error and sample count, then ``abs_error``, ``sigma`` and the
+    extra fields, as ``lift-sweep`` prints them.
     """
     if reference is not None:
         try:
@@ -98,7 +100,9 @@ def _run_sweep(mode, body, n, k, eps_list, samples, seed, threads, reference, fi
         est, extra = estimate_at(prism, seed + i + 1)
         rows.append({
             "epsilon": eps,
-            "estimate": est,
+            "mean": est.mean,
+            "std_error": est.std_error,
+            "samples": est.samples,
             "abs_error": abs(est.mean - ref["value"]),
             "sigma": math.hypot(est.std_error, ref["std_error"]),
             **extra,
@@ -123,12 +127,12 @@ def interior_convergence_sweep(
 ) -> dict:
     """Estimate E V^k over K x [0, eps] for shrinking eps, with a verdict.
 
-    Each row holds the estimate for one eps, against a reference for the
-    limit on the base body.  With ``fixed`` = p, one vertex is pinned at p
-    in the base body and at (p, 0) in every prism.  The verdict is
-    "converged" when the deviations shrink (up to 6 sigma of slack per
-    step), "converged within noise" when every deviation is already below
-    3 sigma, and "not converged" otherwise.
+    Each row holds the mean, standard error and sample count for one eps,
+    against a reference for the limit on the base body.  With ``fixed`` =
+    p, one vertex is pinned at p in the base body and at (p, 0) in every
+    prism.  The verdict is "converged" when the deviations shrink (up to 6
+    sigma of slack per step), "converged within noise" when every
+    deviation is already below 3 sigma, and "not converged" otherwise.
     """
     lifted_fixed = None if fixed is None else tuple(fixed) + (0,)
 

@@ -376,14 +376,6 @@ def _combine_chunks(stats, seed: int) -> EstimateWithError:
     return EstimateWithError(mean, std_error, count, seed)
 
 
-def _chunk_layout(samples: int):
-    full, rest = divmod(samples, CHUNK_SIZE)
-    sizes = [CHUNK_SIZE] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
-
-
 @functools.lru_cache(maxsize=1)
 def _pool(threads: int, pid: int) -> ThreadPoolExecutor:
     """The worker threads, kept from run to run while the thread count and
@@ -411,7 +403,8 @@ def _run_chunks(worker, samples: int, seed: int, threads: int):
         values, tally = worker(*job)
         return _chunk_stats(values), tally
 
-    jobs = list(enumerate(_chunk_layout(samples)))
+    jobs = [(i, min(CHUNK_SIZE, samples - start))
+            for i, start in enumerate(range(0, samples, CHUNK_SIZE))]
     # a worker past the chunk count or the CPU count would only sit idle
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:

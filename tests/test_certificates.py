@@ -169,6 +169,8 @@ class TestVerifyBoundPolynomial:
             bp = upper_sqrt_rational(b)
             assert bp * bp >= b
             assert bp.denominator <= 64
+        with pytest.raises(UsageError, match="square root of a negative number"):
+            upper_sqrt_rational(-1)
 
 
 class TestCanonicalCertificates:

@@ -1019,6 +1019,29 @@ class TestLiftSweep:
         assert len(data) == 3
         assert data[1].startswith("1/2,")
 
+    @pytest.mark.parametrize("mode", ["interior", "boundary"])
+    def test_report_prints_the_library_rows(self, tmp_path, mode):
+        # one row form: the report's rows are the library's, serialized
+        from simplexmoments.cli import _jsonable
+        from simplexmoments.geometry import triangle_T2
+        from simplexmoments.lifting import boundary_convergence_sweep, interior_convergence_sweep
+
+        argv = ["lift-sweep", "--mode", mode, "--body", "T2", "--n", "2", "--k", "2",
+                "--eps", "1/2,1/8", "--samples", "2000", "--seed", "9"]
+        code, report = run_cli(argv, tmp_path / "r.json")
+        assert code == 0
+        sweep = interior_convergence_sweep if mode == "interior" else boundary_convergence_sweep
+        outcome = sweep(triangle_T2(), 2, 2, [F(1, 2), F(1, 8)], samples=2000, seed=9)
+        expected = json.loads(json.dumps(_jsonable(outcome)))
+        for key in ("reference", "rows", "verdict"):
+            assert report["result"][key] == expected[key]
+        out = tmp_path / "r.csv"
+        code, _ = run_cli(argv + ["--format", "csv"], out)
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        header = next(line for line in lines if not line.startswith("#"))
+        assert header.split(",") == list(outcome["rows"][0])
+
     def test_increasing_eps_is_usage(self):
         code = main(
             ["lift-sweep", "--mode", "interior", "--body", "T2", "--n", "2",
@@ -1255,6 +1278,25 @@ class TestFailedTableCheck:
         assert "missing k=3" in err
         assert not out.exists()
 
+    def test_entry_that_passes_check_can_still_fail_the_verdict(self, tmp_path, capsys):
+        # a free k = 1 entry off by a relative 1e-5 is a well-formed table,
+        # but the lower certificate's bound no longer clears the pivot
+        path = copy_tables(FIXTURE_TABLES, tmp_path / "tables")
+        free = os.path.join(path, "free_moments.json")
+
+        def shrink_k1(data):
+            entry = next(e for e in data["entries"] if e["k"] == 1)
+            entry["value"] = str(F(entry["value"]) * F(99999, 100000))
+
+        edit_table(free, shrink_k1)
+        with open(free, encoding="utf-8") as fh:
+            MomentTable.from_json(json.load(fh)).check()
+        out = tmp_path / "r.json"
+        assert main(["verify-counterexample", "--tables", path, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "verification failed: counterexample checks did not all pass\n"
+        assert not out.exists()
+
 
 class TestShortTables:
     """verify-counterexample lists every short table, exits 3 and creates
@@ -1333,6 +1375,31 @@ class TestReproduce:
         assert by_name["lp-node-searches"]["passed"] is False
         assert by_name["counterexample-verdict"]["passed"] is True
         assert "lower > 0.046942 > upper" in result["headlines"]
+
+    @pytest.mark.parametrize("grid", [199, 200])
+    def test_full_level_notes_a_large_grid(self, tmp_path, tables_dir, monkeypatch, capsys,
+                                           grid):
+        from simplexmoments import lp
+
+        grids = []
+
+        def no_search(table, degree, grid_size, *interval):
+            grids.append(grid_size)
+            return {"status": "infeasible", "objective": None}
+
+        monkeypatch.setattr(lp, "node_search", no_search)
+        code, report = run_cli(
+            ["reproduce", "full", "--samples", "3000", "--grid", str(grid),
+             "--tables", tables_dir],
+            tmp_path / "r.json",
+        )
+        assert code == 4
+        assert grids == [grid, grid]
+        by_name = {c["name"]: c for c in report["result"]["checks"]}
+        assert by_name["lp-node-searches"]["passed"] is False
+        note = ("note: the full level solves two exact rational LPs on a 200-point "
+                "grid; at 200 points they take about 1 s\n")
+        assert capsys.readouterr().err == (note if grid >= 200 else "")
 
     @pytest.mark.slow
     def test_full_level_passes_at_stated_grid(self, tmp_path, tables_dir):
@@ -1617,12 +1684,18 @@ class TestNumpyOnlyForSampling:
         assert probe == [False, False, True, "simplexmoments.lifting", True]
 
     def test_root_import_loads_no_module(self):
-        loaded = fresh_python(
+        # dir() lists every lazy name and module without loading one
+        loaded, listed = fresh_python(
             "import json, sys\n"
             "import simplexmoments\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('simplexmoments'))))\n"
+            "listed = dir(simplexmoments)\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('simplexmoments'))\n"
+            "print(json.dumps([loaded, listed]))\n"
         )
         assert loaded == ["simplexmoments"]
+        lazy = simplexmoments._LAZY_NAMES
+        assert set(lazy) | {name for names in lazy.values() for name in names} <= set(listed)
+        assert listed == sorted(listed)
 
     def test_lazy_name_lists_match_the_modules(self):
         from simplexmoments import (

@@ -207,6 +207,11 @@ def test_unipoly_degree_sentinel_and_trim():
     assert UniPoly(()).degree == -1
     assert UniPoly((0, 0)).degree == -1
     assert UniPoly((1, 0)).degree == 0
+    # equal after trimming, hashed alike, and never equal to a bare tuple
+    assert UniPoly((1, 2, 0)) == UniPoly((1, 2))
+    assert hash(UniPoly((1, 2, 0))) == hash(UniPoly((1, 2)))
+    assert UniPoly((1, 2)) != (1, 2)
+    assert repr(UniPoly((1, 2, 0))) == "UniPoly(degree=1)"
 
 
 def test_primitive_is_positive_integer_primitive():

@@ -211,6 +211,9 @@ def test_body_measures_catalog():
     assert t3["volume"] == pytest.approx(1 / 6)
     assert t3["surface"] == pytest.approx((3 + math.sqrt(3)) / 2)
 
+    with pytest.raises(UsageError, match="unsupported body kind 'torus'"):
+        body_measures(Body("torus", 2))
+
 
 def test_product_surface_matches_face_enumeration():
     # two flat copies of the base plus one rectangle per base edge
@@ -246,6 +249,9 @@ def test_contains_catalog():
     assert not contains(prism, (F(1, 4), F(1, 4), F(3, 5)))
     with pytest.raises(UsageError):
         contains(prism, (0.1, 0.1))
+    for tol in (0.0, 1e-12):
+        with pytest.raises(UsageError, match="unsupported body kind 'torus'"):
+            contains(Body("torus", 2), (0.1, 0.1), tol=tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-12])
