@@ -4,12 +4,12 @@ Every subcommand emits one report object::
 
     {"schema": ..., "command": ..., "result": ..., "manifest": ...}
 
-The manifest records the argument vector, all random seeds consumed,
-package and interpreter versions, digests of table files read or written,
-the thread count, and the wall time, so a report is enough to rerun the
-job: exact subcommands then reproduce byte-identical results, and Monte
-Carlo subcommands reproduce identical numbers for the same seed at any
-thread count.
+The manifest records the argument vector, the command's seed (every Monte
+Carlo stream derives from it) and the spot-check seeds ``reproduce``
+derives, package and interpreter versions, digests of table files read or
+written, the thread count, and the wall time, so a report is enough to
+rerun the job: exact subcommands then reproduce byte-identical results,
+and Monte Carlo ones identical numbers for the same seed at any thread count.
 
 Number policy inside ``result``: quantities known exactly are "p/q"
 strings, never floats.  Handlers return exact values (``Fraction``,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import Optional, Sequence
 
 from . import _LAZY_NAMES
@@ -113,7 +113,6 @@ def _contains_exact(body: Body, pt: Sequence[Fraction]) -> bool:
         return 0 <= z <= body.height and _contains_exact(
             body.base, pt[:-1]
         )
-    raise UsageError("exact membership is only defined for polytopes")
 
 
 def _margins(body: Body, pt) -> list:
@@ -143,9 +142,11 @@ def _margins(body: Body, pt) -> list:
 def contains(body: Body, point, tol: float = 0.0) -> bool:
     """Whether the point lies in the closed body (within tol for tol > 0).
 
-    A coordinate that is NaN, infinite or past the float64 range lies
-    outside; one that is not a number is a UsageError.
+    A NaN, infinite or past-float64 coordinate lies outside; a coordinate
+    that is not a number, or a tol that is not finite and >= 0, is a UsageError.
     """
+    if not (isinstance(tol, Real) and 0 <= tol < math.inf):
+        raise UsageError("tol must be a finite number >= 0, got %r" % (tol,))
     pt = tuple(point)
     if len(pt) != body.dim:
         raise UsageError(

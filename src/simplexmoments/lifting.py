@@ -171,11 +171,9 @@ def boundary_convergence_sweep(
     vol2 = 2.0 * measures["volume"]
 
     def estimate_at(prism, row_seed):
-        def worker(chunk_index: int, size: int):
-            gen = RngStream(row_seed, chunk_index).generator()
+        def sample(gen, size: int):
             pts, flat = sample_boundary_uniform(prism, gen, size * n)
             volumes = _simplex_volumes(pts.reshape(size, n, prism.dim))
-            volumes **= k
             # a simplex is all flat when each of its n vertex columns is;
             # column by column, as a row of n is too short for numpy's loops
             on_flat = flat.reshape(size, n)
@@ -184,7 +182,7 @@ def boundary_convergence_sweep(
                 all_flat &= on_flat[:, j]
             return volumes, int(all_flat.sum())
 
-        est, all_flat = _run_chunks(worker, samples, row_seed, threads)
+        est, all_flat = _run_chunks(sample, samples, row_seed, k, threads)
         flat_frac = all_flat / samples
         weight = (vol2 / (vol2 + measures["surface"] * float(prism.height))) ** n
         wsigma = math.sqrt(max(weight * (1.0 - weight), 1e-300) / samples)

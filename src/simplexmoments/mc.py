@@ -389,28 +389,26 @@ def _pool(threads: int, pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=threads)
 
 
-def _run_chunks(worker, samples: int, seed: int, threads: int):
-    """Run ``worker(chunk_index, size) -> (values, tally)`` over the chunks.
-
-    Returns the estimate of the mean of ``values`` and the sum of the
-    integer tallies.  Chunk statistics are taken in the worker threads,
-    before a thread's next chunk, so a worker may refill one ``values``
-    array in every chunk it runs.
-    """
+def _run_chunks(draw, samples: int, seed: int, k: int, threads: int):
+    """(E V^k estimate, summed tallies) over the chunks: chunk i calls
+    ``draw(RngStream(seed, i).generator(), size) -> (volumes, tally)``, and
+    its volumes are raised to k in place and reduced in its thread before
+    the thread's next chunk, so ``draw`` may refill one array."""
     _count(threads, "threads")
 
-    def run(job):
-        values, tally = worker(*job)
-        return _chunk_stats(values), tally
+    def run(start):
+        size = min(CHUNK_SIZE, samples - start)
+        volumes, tally = draw(RngStream(seed, start // CHUNK_SIZE).generator(), size)
+        volumes **= k
+        return _chunk_stats(volumes), tally
 
-    jobs = [(i, min(CHUNK_SIZE, samples - start))
-            for i, start in enumerate(range(0, samples, CHUNK_SIZE))]
+    starts = range(0, samples, CHUNK_SIZE)
     # a worker past the chunk count or the CPU count would only sit idle
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(threads, len(starts), os.cpu_count() or 1)
     if workers > 1:
-        partials = list(_pool(workers, os.getpid()).map(run, jobs))
+        partials = list(_pool(workers, os.getpid()).map(run, starts))
     else:
-        partials = [run(job) for job in jobs]
+        partials = [run(start) for start in starts]
     estimate = _combine_chunks([p[0] for p in partials], seed)
     return estimate, sum(p[1] for p in partials)
 
@@ -506,8 +504,7 @@ def estimate_moment(
     # time, about 20k more page faults in a first mc-area operation
     kept = threading.local()
 
-    def worker(chunk_index: int, size: int):
-        gen = RngStream(seed, chunk_index).generator()
+    def sample(gen, size: int):
         if getattr(kept, "volumes", np.empty(0)).size < size:
             kept.volumes, kept.draw = np.empty(size), None
         volumes = kept.volumes[:size]
@@ -518,8 +515,7 @@ def estimate_moment(
                 kept.draw = draw
             pts = draw[:, : body.dim].reshape(rows, n_random, body.dim)
             _simplex_volumes(pts, origin=anchor, out=volumes[start : start + rows])
-        volumes **= k
         return volumes, 0
 
-    return _run_chunks(worker, samples, seed, threads)[0]
+    return _run_chunks(sample, samples, seed, k, threads)[0]
 

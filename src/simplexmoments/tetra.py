@@ -128,17 +128,21 @@ class MomentTable(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentTable":
-        """The table in its stored form: every order k appears at most once,
-        and a gap in the orders 0 .. k_max is a VerificationError."""
-        case = _normalize_case(data["case"])
+        """The table in its stored form: a malformed one, or one listing an
+        order twice, is a UsageError; a gap in 0 .. k_max a VerificationError."""
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+            raise UsageError("a moment table is an object with a list of entries")
+        case = _normalize_case(data.get("case"))
         values = {}
         for item in data["entries"]:
-            k = item["k"]
+            if not isinstance(item, dict):
+                raise UsageError("a table entry is an object, got %r" % (item,))
+            k = item.get("k")
             if type(k) is not int or k < 0:
-                raise ValueError("order k=%r is not a nonnegative integer" % (k,))
+                raise UsageError("order k=%r is not a nonnegative integer" % (k,))
             if k in values:
-                raise ValueError("order k=%d is listed twice" % k)
-            values[k] = parse_rational(item["value"])
+                raise UsageError("order k=%d is listed twice" % k)
+            values[k] = parse_rational(item.get("value"))
         for k in range(len(values)):
             if k not in values:
                 raise VerificationError("moment table is missing k=%d" % k)
@@ -205,7 +209,7 @@ def _read_table(path: str, case: str) -> Tuple[MomentTable, str]:
             with open(path, "rb") as fh:
                 data = fh.read()
             table = MomentTable.from_json(json.loads(data.decode("utf-8")))
-        except (OSError, ValueError, LookupError, TypeError, UsageError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(
                 "cannot read moment table %s: %s: %s" % (path, type(exc).__name__, exc)
             ) from None

@@ -278,6 +278,31 @@ def test_contains_refuses_coordinates_that_are_not_numbers(value, tol):
             contains(body, (0.2, value, 0.2), tol=tol)
 
 
+@pytest.mark.parametrize(
+    "tol", [-1e-12, math.nan, math.inf, "x", None], ids=["negative", "nan", "inf", "string", "None"]
+)
+def test_contains_refuses_a_bad_tol_before_membership(monkeypatch, tol):
+    # a NaN tol put the interior point (0.1, 0.1, 0.1) outside T3, and "x"
+    # raised a bare TypeError
+    import simplexmoments.geometry as geometry
+
+    def no_membership(*args):
+        raise AssertionError("membership tested before the refusal")
+
+    monkeypatch.setattr(geometry, "_margins", no_membership)
+    monkeypatch.setattr(geometry, "_contains_exact", no_membership)
+    for body in (tetrahedron_T3(), ball(3)):
+        with pytest.raises(UsageError, match="tol must be a finite number >= 0"):
+            contains(body, (0.1, 0.1, 0.1), tol=tol)
+
+
+def test_contains_accepts_any_finite_nonnegative_tol():
+    for tol in (0, 0.0, 1e-12, F(1, 10**400), 10**400, np.float64(1e-9)):
+        assert contains(tetrahedron_T3(), (0.1, 0.1, 0.1), tol=tol)
+        assert contains(ball(3), (0.1, 0.1, 0.1), tol=tol)
+    assert not contains(tetrahedron_T3(), (0.5, 0.5, 0.5), tol=1e-12)
+
+
 def test_boundary_residual_small_on_boundary_points():
     assert boundary_residual(triangle_T2(), (0.5, 0.5)) < 1e-15
     assert boundary_residual(ball(3), (1.0, 0.0, 0.0)) < 1e-15

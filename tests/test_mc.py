@@ -489,6 +489,32 @@ class TestChunkMerge:
         assert est.std_error == float("inf")
 
 
+def test_run_chunks_owns_each_chunk_stream_and_power(monkeypatch):
+    # chunk i draws from RngStream(seed, i), its volumes are raised to k in
+    # the runner, the tallies add up, and 1 and 2 threads agree bit for bit
+    samples, seed, k = 2 * CHUNK_SIZE + 5, 41, 3
+    firsts = []
+
+    def constant(gen, size):
+        firsts.append(gen.random())
+        return np.full(size, 2.0), size
+
+    est, tally = _run_chunks(constant, samples, seed, k, 1)
+    assert firsts == [RngStream(seed, i).generator().random() for i in range(3)]
+    assert (est.mean, est.std_error, est.samples) == (2.0 ** k, 0.0, samples)
+    assert tally == samples
+
+    def uniform(gen, size):
+        return gen.random(size), 1
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one, two = (_run_chunks(uniform, samples, seed, k, threads) for threads in (1, 2))
+    assert one == two
+    sizes = (CHUNK_SIZE, CHUNK_SIZE, 5)
+    chunks = [RngStream(seed, i).generator().random(size) ** k for i, size in enumerate(sizes)]
+    assert one == (_combine_chunks([_chunk_stats(c) for c in chunks], seed), 3)
+
+
 THREAD_CASES = {
     "pinned n=3": lambda threads: estimate_moment(
         tetrahedron_T3(), 3, 1, fixed=(1 / 3, 1 / 3, 1 / 3),
@@ -689,15 +715,15 @@ class TestEstimateMoment:
     def test_threads_below_one_refused_before_any_chunk(self):
         chunks = []
 
-        def worker(chunk_index, size):
-            chunks.append(chunk_index)
+        def draw(gen, size):
+            chunks.append(gen)
             return np.zeros(size), 0
 
         for threads in (0, -3):
             with pytest.raises(UsageError):
                 estimate_moment(tetrahedron_T3(), 3, 1, samples=10, seed=1, threads=threads)
             with pytest.raises(UsageError):
-                _run_chunks(worker, 10, 1, threads)
+                _run_chunks(draw, 10, 1, 1, threads)
         assert chunks == []
 
 

@@ -461,6 +461,20 @@ def test_from_json_refuses_a_gap_in_the_orders():
         MomentTable.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [[], {}, {"case": "free"}, {"case": "free", "entries": "ab"},
+     {"case": "free", "entries": [1]}, {"case": "free", "entries": None},
+     {"case": "free", "entries": [{"k": 0}]}],
+    ids=["list", "empty", "no-entries", "string-entries", "int-entry", "null-entries",
+         "entry-without-value"],
+)
+def test_from_json_refuses_malformed_structure_with_usage_errors(data):
+    # each raised a bare TypeError or KeyError
+    with pytest.raises(UsageError):
+        MomentTable.from_json(data)
+
+
 def test_moment_table_refuses_a_stored_table_of_the_other_case():
     # extending free orders with pinned ones would mix the two cases
     with pytest.raises(UsageError, match="holds case 'free'"):
