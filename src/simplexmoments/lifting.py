@@ -25,11 +25,10 @@ from .geometry import Body, body_measures, product
 from .mc import (
     RngStream,
     _boundary_faces,
+    _boundary_volumes,
     _check_run,
     _run_chunks,
-    _simplex_volumes,
     estimate_moment,
-    sample_boundary_uniform,
 )
 
 __all__ = _LAZY_NAMES["lifting"]
@@ -172,8 +171,7 @@ def boundary_convergence_sweep(
 
     def estimate_at(prism, row_seed):
         def sample(gen, size: int):
-            pts, flat = sample_boundary_uniform(prism, gen, size * n)
-            volumes = _simplex_volumes(pts.reshape(size, n, prism.dim))
+            volumes, flat = _boundary_volumes(prism, gen, n, size)
             # a simplex is all flat when each of its n vertex columns is;
             # column by column, as a row of n is too short for numpy's loops
             on_flat = flat.reshape(size, n)

@@ -31,21 +31,24 @@ order, then the two sums (groups of 8 coordinates nest, see ``_row_dot``).
 Adding them in index order would change about a quarter of the rows.
 
 The boundary sampler picks every point's face at once by the inverse CDF
-of ``Generator.choice``, with its bits, and finds each face's rows with
-one stable sort of the face indices.
+of ``Generator.choice``, with its bits, and finds each face's points with
+one ``np.flatnonzero`` of the face indices.
 
 Memory is bounded per chunk, not per run.  The simplex and cube samplers
 take their points one after another from the stream, so a chunk of those
-bodies is drawn and measured a block of 2**13 rows at a time, through one
-refilled draw buffer into one volume array: a T3 triangle chunk peaks at
-2.1 MiB in tracemalloc (1.8 MiB pinned), where a whole-chunk draw takes
-6 MiB (4 MiB).  Ball, half-ball and prism samplers draw every base point
-before any radius or height, so their chunks are drawn whole.  A prism
-over a simplex writes its heights into the spare last column of the
-base's spacings, and the boundary sampler fills its points face by face
-a block at a time, so a prism chunk of n = 2 peaks at 4.1-4.2 MiB, its
-3 MiB point array and a third more.  Each worker thread holds one chunk
-at a time, and the threads live from run to run.
+bodies is drawn and measured a block of 2**13 rows at a time, through
+one refilled draw buffer into one volume array: a T3 triangle chunk
+peaks at 2.0 MiB in tracemalloc (1.75 MiB pinned), where a whole-chunk
+draw takes 6 MiB (4 MiB).  Ball and half-ball samplers draw every point
+before any radius, so their chunks are drawn whole.  A prism's heights
+follow all its base points, so a prism chunk holds its simplices' edges
+p_j - p_0 whole, as (n-1, d, rows) planes, but never its points: a
+simplex or cube base is drawn into the base planes a block at a time,
+and the boundary sampler adds each point into its edges face by face.  A
+prism chunk of n = 2 over T2 thus peaks at 2.8-2.9 MiB, its 1.5 MiB of
+edges with the chunk's volumes and one block's draw, where its 3 MiB
+point array took 3.9-4.1 MiB.  Each worker thread holds one chunk at a
+time, and the threads live from run to run.
 """
 
 from __future__ import annotations
@@ -220,52 +223,62 @@ def _face_choice(weights: np.ndarray, gen: np.random.Generator, m: int) -> np.nd
     return choice
 
 
+def _fill_boundary(body: Body, gen: np.random.Generator, m: int, piece) -> np.ndarray:
+    """Draw ``m`` uniform points on the boundary of a prism K x [0, h].
+
+    The boundary splits into two flat copies of K (faces 0 and 1) and one
+    rectangle per edge of K; a face is chosen with probability proportional
+    to its area, then the point is uniform on the face.  Face by face, a
+    block of its point indices at a time (``at``, ascending), ``piece(at)``
+    returns ``put(c, values)``, which takes coordinate c of those points:
+    an array in the order of ``at``, or one number for all of them.  A
+    side face calls ``piece`` twice for a block, as all its heights follow
+    all its edge parameters.  Returns each point's face index.
+    """
+    face_list, h = _boundary_faces(body)
+    choice = _face_choice(np.array([f[2] for f in face_list]), gen, m)
+    base_buf = None
+    for idx, (tag, payload, _area) in enumerate(face_list):
+        # the face's points in index order: a face draws for its points in
+        # that order, so block by block equals one draw for all of them
+        rows = np.flatnonzero(choice == idx)
+        blocks = [rows[start : start + _BLOCK_ROWS] for start in range(0, rows.size, _BLOCK_ROWS)]
+        if tag == "flat":
+            for at in blocks:
+                base_buf = _draw(body.base, gen, at.size, base_buf)
+                put = piece(at)
+                put(0, base_buf[:, 0])
+                put(1, base_buf[:, 1])
+                put(2, payload)
+        else:
+            (sx, sy), (ex, ey) = payload
+            for at in blocks:
+                s = gen.random(at.size)
+                put = piece(at)
+                put(0, sx + s * (ex - sx))
+                put(1, sy + s * (ey - sy))
+            # all of a side face's heights follow all of its edge parameters
+            for at in blocks:
+                piece(at)(2, gen.random(at.size) * h)
+    return choice
+
+
 def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
     """``size`` uniform points on the boundary of a prism K x [0, h].
 
-    The boundary splits into two flat copies of K and one rectangle per
-    edge of K; a face is chosen with probability proportional to its area,
-    then the point is uniform on the face.  Returns the (size, d) points and
-    a boolean array marking the points on the two flat faces.
+    A face is chosen with probability proportional to its area, then the
+    point is uniform on the face.  Returns the (size, d) points and a
+    boolean array marking the points on the two flat faces.
     """
-    m = _count(size, "size")
-    face_list, h = _boundary_faces(body)
-    choice = _face_choice(np.array([f[2] for f in face_list]), gen, m)
-    # each face's rows in row order, after one stable sort; the point array
-    # is made only once the sort's int64 index is gone
-    order = np.argsort(choice, kind="stable").astype(np.int32)
-    ends = np.cumsum([np.count_nonzero(choice == idx) for idx in range(len(face_list))])
-    pts = np.empty((m, body.dim))
+    pts = np.empty((_count(size, "size"), body.dim))
     cols = pts.T
-    base_buf = None
 
-    def pieces(idx):
-        # face idx's rows a block at a time: a face draws for its rows in
-        # row order, so piece by piece equals one draw for all of them.  A
-        # piece is cast to intp once, where numpy would cast int32 row
-        # numbers again for every column written through them.
-        rows = order[(ends[idx - 1] if idx else 0) : ends[idx]]
-        for start in range(0, rows.size, _BLOCK_ROWS):
-            yield rows[start : start + _BLOCK_ROWS].astype(np.intp)
+    def piece(at):
+        def put(c, values):
+            cols[c][at] = values
+        return put
 
-    for idx, (tag, payload, _area) in enumerate(face_list):
-        if tag == "flat":
-            for at in pieces(idx):
-                base_buf = _draw(body.base, gen, at.size, base_buf)
-                for c in range(body.dim - 1):
-                    cols[c][at] = base_buf[:, c]
-                cols[-1][at] = payload
-        else:
-            (sx, sy), (ex, ey) = payload
-            for at in pieces(idx):
-                s = gen.random(at.size)
-                cols[0][at] = sx + s * (ex - sx)
-                cols[1][at] = sy + s * (ey - sy)
-            # all of a side face's heights follow all of its edge parameters
-            for at in pieces(idx):
-                cols[-1][at] = gen.random(at.size) * h
-    # faces 0 and 1 are the flat copies of K
-    return pts, choice < 2
+    return pts, _fill_boundary(body, gen, len(pts), piece) < 2
 
 
 # ---------------------------------------------------------------------------
@@ -302,41 +315,42 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return even
 
 
-def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(n-1)-volumes of simplices given as an (m, n, d) vertex array.
+def _fill_edges(pts: np.ndarray, origin: Optional[np.ndarray], out: np.ndarray) -> None:
+    """Write the edges p_j - p_0 of an (m, n, d) vertex array into the
+    (n-1, d, m) planes ``out``; with ``origin``, a point of shape (d,), the
+    array holds n-1 vertices per simplex and ``origin`` is the first vertex
+    of every one."""
+    first, others = (pts[:, 0, :], pts[:, 1:, :]) if origin is None else (origin, pts)
+    for j in range(out.shape[0]):
+        for c in range(out.shape[1]):
+            np.subtract(others[:, j, c], first[..., c], out=out[j, c])
 
-    With ``origin``, a point of shape (d,), the array holds n-1 vertices per
-    simplex and ``origin`` is the first vertex of every one.  Modified
-    Gram-Schmidt on the edges p_j - p_0, elementwise over the m simplices:
-    each edge loses its projections onto the earlier residuals u_i, with
-    coefficient (r . u_i) / (u_i . u_i), and the squared residual norms
-    multiply to the Gram determinant.  A zero residual divides by 1
-    instead, so degenerate simplices (a repeated vertex gives coefficient
-    exactly 1) have volume exactly 0.  The rows run in blocks of
-    ``_BLOCK_ROWS``, each written into the one output array (``out`` when
-    given), so the temporaries are block-sized whatever m is; every row's
-    arithmetic is the same in any block and for any strides of ``pts``.
+
+def _edge_volumes(edges: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(n-1)-volumes, written into ``out``, of the m simplices whose edges
+    p_j - p_0 are the (n-1, d, m) planes ``edges``; the planes become the
+    residuals, so their values are lost.
+
+    Modified Gram-Schmidt, elementwise over the m simplices: each edge
+    loses its projections onto the earlier residuals u_i, with coefficient
+    (r . u_i) / (u_i . u_i), and the squared residual norms multiply to the
+    Gram determinant.  A zero residual divides by 1 instead, so degenerate
+    simplices (a repeated vertex gives coefficient exactly 1) have volume
+    exactly 0, and negating an edge keeps every bit (IEEE negation is
+    exact).  The columns run in blocks of ``_BLOCK_ROWS``, so the
+    temporaries are block-sized whatever m is; each plane of a coordinate
+    is contiguous in a block, and every column's arithmetic is the same in
+    any block.
     """
-    n = pts.shape[1] + (origin is not None)
-    d = pts.shape[2]
-    volumes = np.empty(pts.shape[0]) if out is None else out
-    for start in range(0, pts.shape[0], _BLOCK_ROWS):
-        block = pts[start : start + _BLOCK_ROWS]
-        # the edges run from the first vertex to each of the others
-        first, others = (block[:, 0, :], block[:, 1:, :]) if origin is None else (origin, block)
-        gram = volumes[start : start + _BLOCK_ROWS]
+    n = len(edges) + 1
+    for start in range(0, edges.shape[2], _BLOCK_ROWS):
+        gram = out[start : start + _BLOCK_ROWS]
         residuals = []
-        for j in range(n - 1):
-            # each residual is a C-contiguous (d, rows) array, one plane a
-            # coordinate, so every elementwise pass runs contiguously
-            r = np.empty((d, len(block)))
-            for c in range(d):
-                np.subtract(others[:, j, c], first[..., c], out=r[c])
+        for j, r in enumerate(edges[:, :, start : start + _BLOCK_ROWS]):
             for u, uu in residuals:
                 coef = _row_dot(r, u)
                 coef /= uu
-                for c in range(d):
+                for c in range(len(r)):
                     r[c] -= coef * u[c]
             rr = _row_dot(r, r)
             if j:
@@ -346,8 +360,101 @@ def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
             if j < n - 2:  # only a later edge projects onto this residual
                 residuals.append((r, np.where(rr > 0.0, rr, 1.0)))
         np.sqrt(gram, out=gram)
-    volumes /= math.factorial(n - 1)
+        gram /= math.factorial(n - 1)
+    return out
+
+
+def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(n-1)-volumes of simplices given as an (m, n, d) vertex array (n-1
+    vertices after ``origin``, as in ``_fill_edges``), written into ``out``
+    when given: the edges of a block of ``_BLOCK_ROWS`` rows at a time, then
+    their volumes, for any strides of ``pts``."""
+    n = pts.shape[1] + (origin is not None)
+    volumes = np.empty(pts.shape[0]) if out is None else out
+    for start in range(0, pts.shape[0], _BLOCK_ROWS):
+        block = pts[start : start + _BLOCK_ROWS]
+        edges = np.empty((n - 1, pts.shape[2], len(block)))
+        _fill_edges(block, origin, edges)
+        _edge_volumes(edges, volumes[start : start + _BLOCK_ROWS])
     return volumes
+
+
+def _draw_edges(body: Body, gen: np.random.Generator, edges: np.ndarray,
+                origin: Optional[np.ndarray] = None,
+                buf: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """Draw m simplices in ``body`` straight into their (n-1, d, m) edge
+    planes ``edges`` (``origin`` as in ``_fill_edges``), with the draws of
+    ``_draw(body, gen, m * n_random)``.
+
+    A prism fills its base's planes and then its height planes, as all its
+    heights follow all its base points.  A simplex or cube is drawn a block
+    of rows at a time through ``buf``, which is returned for reuse, and a
+    ball or half-ball is drawn whole.
+    """
+    rows = edges.shape[2]
+    n_random = len(edges) + (origin is None)
+    if body.kind == "product":
+        base_origin, top = (None, None) if origin is None else (origin[:-1], origin[-1:])
+        buf = _draw_edges(body.base, gen, edges[:, :-1], base_origin, buf)
+        for start in range(0, rows, _BLOCK_ROWS):
+            m = min(_BLOCK_ROWS, rows - start)
+            heights = gen.random(m * n_random)
+            heights *= float(body.height)
+            _fill_edges(heights.reshape(m, n_random, 1), top, edges[:, -1:, start : start + m])
+        return buf
+    step = _step_rows(body)
+    for start in range(0, rows, step):
+        m = min(step, rows - start)
+        pts = _draw(body, gen, m * n_random, buf)
+        if step < CHUNK_SIZE:
+            buf = pts
+        _fill_edges(pts[:, : body.dim].reshape(m, n_random, body.dim), origin,
+                    edges[:, :, start : start + m])
+    return buf
+
+
+def _boundary_volumes(body: Body, gen: np.random.Generator, n: int, size: int):
+    """Volumes of ``size`` simplices of n points uniform on the boundary of
+    a prism, with the draws of ``sample_boundary_uniform(body, gen, size *
+    n)``, and its mask of the points on the flat faces.
+
+    The points go straight into the (n-1, d, size) edge planes, which
+    start at zero: vertex j > 0 adds each coordinate to its slot of edge
+    j - 1, and vertex 0 subtracts it from its slot of every edge.  A slot
+    takes exactly these two terms, so in either order it ends as
+    p_j - p_0 with the bits of the subtraction; ``np.add.at`` adds a
+    block's terms one after another, also where both points of a simplex
+    are in the block.
+    """
+    edges = np.zeros((n - 1, body.dim, size))
+    # edges[e, c, i] is flat_edges[c * size + e * stride + i]
+    flat_edges = edges.reshape(-1)
+    stride = body.dim * size
+    # each vertex's sign, and the offset of its edge (vertex 0's first one)
+    signs = np.array([-1.0] + [1.0] * (n - 1))
+    offsets = np.array([0] + [(j - 1) * stride for j in range(1, n)])
+
+    def piece(at):
+        simplex = at // n
+        vertex = at - simplex * n
+        sign = signs[vertex]
+        slot, more = simplex, []
+        if n > 2:
+            slot = slot + offsets[vertex]
+            # vertex 0's slots of edges 1 ... n - 2, each once in a block
+            starts = np.flatnonzero(vertex == 0)
+            more = [(starts, simplex[starts] + e * stride) for e in range(1, n - 1)]
+
+        def put(c, values):
+            plane = flat_edges[c * size :]
+            np.add.at(plane, slot, values * sign)
+            for starts, slots in more:
+                plane[slots] -= values[starts] if isinstance(values, np.ndarray) else values
+        return put
+
+    flat = _fill_boundary(body, gen, size * n, piece) < 2
+    return _edge_volumes(edges, np.empty(size)), flat
 
 
 def _chunk_stats(values: np.ndarray):
@@ -507,7 +614,15 @@ def estimate_moment(
     def sample(gen, size: int):
         if getattr(kept, "volumes", np.empty(0)).size < size:
             kept.volumes, kept.draw = np.empty(size), None
+            if body.kind == "product":
+                kept.edges = np.empty((n - 1, body.dim, size))
         volumes = kept.volumes[:size]
+        if body.kind == "product":
+            # a prism's heights follow all its base points, so the chunk's
+            # edges are drawn whole, with no point array
+            edges = kept.edges[:, :, :size]
+            kept.draw = _draw_edges(body, gen, edges, anchor, kept.draw)
+            return _edge_volumes(edges, volumes), 0
         for start in range(0, size, step):
             rows = min(step, size - start)
             draw = _draw(body, gen, rows * n_random, kept.draw)

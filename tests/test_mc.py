@@ -49,7 +49,9 @@ from simplexmoments.mc import (
     _chunk_stats,
     _combine_chunks,
     _draw,
+    _edge_volumes,
     _face_choice,
+    _fill_edges,
     _row_dot,
     _run_chunks,
     _simplex_volumes,
@@ -378,6 +380,26 @@ class TestSimplexVolumes:
                 got = _row_dot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
                 assert got.tobytes() == want.tobytes(), d
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_negated_edges_keep_the_volume_bits(self, n):
+        # IEEE negation is exact, so an edge given as p_0 - p_j only flips
+        # the signs of its dot products and projections: any subset of
+        # negated edges gives the same bytes, also for a repeated vertex
+        # and past 8 coordinates, where _row_dot nests groups of 8
+        gen = RngStream(193, n).generator()
+        rows = 257
+        for d in range(max(2, n - 1), 10):
+            pts = gen.standard_normal((rows, n, d))
+            pts[0, -1] = pts[0, 0]
+            pts[1, 1] = pts[1, -1]
+            edges = np.empty((n - 1, d, rows))
+            _fill_edges(pts, None, edges)
+            want = _simplex_volumes(pts).tobytes()
+            assert _edge_volumes(edges.copy(), np.empty(rows)).tobytes() == want
+            for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+                flipped = edges * np.array(signs)[:, None, None]
+                assert _edge_volumes(flipped, np.empty(rows)).tobytes() == want, (d, signs)
+
     def test_degenerate_simplex_has_zero_facets(self):
         pts = np.zeros((4, 3, 3))
         pts += np.array([0.3, 0.4, 0.1])
@@ -431,31 +453,76 @@ def test_one_chunk_peak_memory(fixed):
 @pytest.mark.parametrize("eps", [F(1, 2), F(1, 32)], ids=["1/2", "1/32"])
 @pytest.mark.parametrize("mode", ["interior", "boundary"])
 def test_one_prism_chunk_peak_memory(mode, eps):
-    # a prism chunk holds its whole (2 * CHUNK_SIZE, 3) point array: the
-    # heights fill the simplex base's spare column, and the boundary
-    # sampler's other temporaries are block-sized; half the points' size
-    # again covers the volumes and the kernel.  Before, the peaks were
-    # 7.0 MiB (interior) and 5.7 and 7.6 MiB (boundary) for 3 MiB of points.
-    prism = product(triangle_T2(), eps)
-    point_bytes = 2 * CHUNK_SIZE * prism.dim * np.dtype(float).itemsize
+    # a prism chunk holds its simplices' (n - 1, d, CHUNK_SIZE) edge planes
+    # and no point array; the chunk's volumes, one block's draw and the
+    # kernel's temporaries stay below the edges' size again.  With the
+    # (2 * CHUNK_SIZE, 3) point array of 3 MiB, the peaks were 3.9 MiB
+    # (interior) and 4.1 MiB (boundary).
+    prism, n = product(triangle_T2(), eps), 2
+    edge_bytes = (n - 1) * prism.dim * CHUNK_SIZE * np.dtype(float).itemsize
     if mode == "interior":
         def call():
-            estimate_moment(prism, 2, 2, samples=CHUNK_SIZE, seed=163)
+            estimate_moment(prism, n, 2, samples=CHUNK_SIZE, seed=163)
     else:
         def call():
             boundary_convergence_sweep(
-                triangle_T2(), 2, 2, [eps], samples=CHUNK_SIZE, seed=163, reference=F(2, 9)
+                triangle_T2(), n, 2, [eps], samples=CHUNK_SIZE, seed=163, reference=F(2, 9)
             )
-    assert _traced_peak(call) <= 1.5 * point_bytes
+    assert _traced_peak(call) <= 2 * edge_bytes
 
 
-@pytest.mark.parametrize(
-    "body, n", [(tetrahedron_T3(), 3), (cube(3), 4)], ids=["simplex", "cube"]
-)
-def test_streamed_chunk_equals_one_whole_draw(body, n):
-    # the chunk worker draws and measures these bodies a block of rows at a
-    # time, refilling one buffer; one draw of the whole chunk from the same
-    # stream gives the same estimate, bit for bit
+def _chunked_oracle(volumes_of, samples: int, seed: int, k: int) -> EstimateWithError:
+    """E V^k merged from chunk i's ``volumes_of(RngStream(seed, i).generator(),
+    size)``, as the chunk runner splits and merges a run."""
+    stats = []
+    for i, start in enumerate(range(0, samples, CHUNK_SIZE)):
+        size = min(CHUNK_SIZE, samples - start)
+        stats.append(_chunk_stats(volumes_of(RngStream(seed, i).generator(), size) ** k))
+    return _combine_chunks(stats, seed)
+
+
+# two chunks, the second of several row blocks
+STREAMED_SAMPLES = CHUNK_SIZE + 2 * _BLOCK_ROWS + 5
+# (body, n, pinned vertex): each prism's pin is a base point lifted to height 0
+STREAMED = {
+    "simplex": (tetrahedron_T3(), 3, None),
+    "cube": (cube(3), 4, None),
+    **{
+        "%s prism%s" % (name, " pinned" if pinned else ""):
+            (product(base, F(1, 4)), 3, point + (0.0,) if pinned else None)
+        for name, base, point in (
+            ("T2", triangle_T2(), (1 / 3, 1 / 3)),
+            ("cube:2", cube(2), (0.5, 0.25)),
+            ("ball:2", ball(2), (0.1, -0.2)),
+            ("T2 x 1/3", product(triangle_T2(), F(1, 3)), (1 / 3, 1 / 3, 0.1)),
+        )
+        for pinned in (False, True)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(STREAMED))
+def test_streamed_chunk_equals_one_whole_draw(monkeypatch, case):
+    # simplex and cube chunks are drawn and measured a block of rows at a
+    # time through one refilled buffer, and prism chunks straight into their
+    # edge planes; each chunk's draw of all its points at once from the same
+    # stream gives the same estimate, bit for bit, at 1 and 2 threads
+    body, n, fixed = STREAMED[case]
+    origin = None if fixed is None else np.array(fixed)
+    n_random = n - (fixed is not None)
+
+    def volumes_of(gen, size):
+        pts = sample_uniform(body, gen, size * n_random)
+        return _simplex_volumes(pts.reshape(size, n_random, body.dim), origin=origin)
+
+    want = _chunked_oracle(volumes_of, STREAMED_SAMPLES, 167, 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for threads in (1, 2):
+        got = estimate_moment(body, n, 2, fixed=fixed, samples=STREAMED_SAMPLES, seed=167,
+                              threads=threads)
+        assert got == want, threads
+    if body.kind == "product":
+        return
     size = 2 * _BLOCK_ROWS + 5
     pts = sample_uniform(body, RngStream(167, 0).generator(), size * n)
     gen = RngStream(167, 0).generator()
@@ -467,9 +534,38 @@ def test_streamed_chunk_equals_one_whole_draw(body, n):
     # a buffer with fewer rows than the draw is left alone
     short = _draw(body, RngStream(167, 0).generator(), 7, buf[:3])
     assert short.shape[0] == 7 and short[:, : body.dim].tobytes() == pts[:7].tobytes()
-    est = estimate_moment(body, n, 1, samples=size, seed=167)
-    whole = _combine_chunks([_chunk_stats(_simplex_volumes(pts.reshape(size, n, body.dim)))], 167)
-    assert est == whole
+
+
+@pytest.mark.parametrize("height", [F(1, 4), F(1, 20000)], ids=["1/4", "1/20000"])
+@pytest.mark.parametrize("base", ["T2", "cube:2"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_streamed_boundary_chunk_equals_one_whole_draw(monkeypatch, n, base, height):
+    # a boundary chunk's points go straight into its edge planes, face by
+    # face; the point sampler's draw of the chunk, measured by the kernel,
+    # gives the same row bit for bit, at 1 and 2 threads.  At the height
+    # 1/20000 some blocks of a chunk's points hold no side-face point.
+    body = {"T2": triangle_T2(), "cube:2": cube(2)}[base]
+    prism = product(body, height)
+    side_counts, all_flat = [], []
+
+    def volumes_of(gen, size):
+        pts, flat = sample_boundary_uniform(prism, gen, size * n)
+        side_counts.extend(np.count_nonzero(~flat[start : start + _BLOCK_ROWS])
+                           for start in range(0, flat.size, _BLOCK_ROWS))
+        all_flat.append(np.count_nonzero(flat.reshape(size, n).all(axis=1)))
+        return _simplex_volumes(pts.reshape(size, n, prism.dim))
+
+    # the sweep's one row draws from seed + 1
+    want = _chunked_oracle(volumes_of, STREAMED_SAMPLES, 180, 2)
+    if height == F(1, 20000):
+        assert 0 in side_counts and max(side_counts) > 0, side_counts
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for threads in (1, 2):
+        row = boundary_convergence_sweep(body, n, 2, [height], samples=STREAMED_SAMPLES,
+                                         seed=179, threads=threads, reference=0)["rows"][0]
+        assert (row["mean"], row["std_error"], row["samples"]) == (
+            want.mean, want.std_error, want.samples), threads
+        assert row["flat_probability"] == sum(all_flat) / STREAMED_SAMPLES
 
 
 class TestChunkMerge:
