@@ -12,11 +12,15 @@ Estimators cover the catalog bodies of :mod:`simplexmoments.geometry`:
 uniform interior sampling (simplices by normalized exponential spacings,
 balls by direction times U^(1/d), half-balls by reflection, prisms by
 base sample plus uniform height) and boundary-uniform sampling of prisms
-over planar polytopes (faces picked with area weights).  Simplex volumes
-come from one kernel, elementwise over the batch: modified Gram-Schmidt
-on the edge vectors, whose squared residual norms multiply to the Gram
-determinant, so ambient dimension is arbitrary.  Its numpy calls release
-the interpreter lock, which lets worker threads run chunks in parallel.
+over planar polytopes (faces picked with area weights).  Every draw goes
+one way: its points are written straight into their simplices' edges
+p_j - p_0, as (n-1, d, rows) coordinate planes, and one kernel measures
+the edges elementwise over the batch: modified Gram-Schmidt, whose
+squared residual norms multiply to the Gram determinant, so ambient
+dimension is arbitrary.  ``sample_uniform`` takes that way too, each
+point the one edge of a segment from the origin.  The kernel's numpy
+calls release the interpreter lock, which lets worker threads run chunks
+in parallel.
 
 A point has only d = 2-4 coordinates, and numpy runs its inner loop over
 the axis of smallest stride, so an operation on a (rows, d) array loops d
@@ -36,19 +40,19 @@ one ``np.flatnonzero`` of the face indices.
 
 Memory is bounded per chunk, not per run.  The simplex and cube samplers
 take their points one after another from the stream, so a chunk of those
-bodies is drawn and measured a block of 2**13 rows at a time, through
-one refilled draw buffer into one volume array: a T3 triangle chunk
-peaks at 2.0 MiB in tracemalloc (1.75 MiB pinned), where a whole-chunk
-draw takes 6 MiB (4 MiB).  Ball and half-ball samplers draw every point
-before any radius, so their chunks are drawn whole.  A prism's heights
-follow all its base points, so a prism chunk holds its simplices' edges
-p_j - p_0 whole, as (n-1, d, rows) planes, but never its points: a
-simplex or cube base is drawn into the base planes a block at a time,
-and the boundary sampler adds each point into its edges face by face.  A
-prism chunk of n = 2 over T2 thus peaks at 2.8-2.9 MiB, its 1.5 MiB of
-edges with the chunk's volumes and one block's draw, where its 3 MiB
-point array took 3.9-4.1 MiB.  Each worker thread holds one chunk at a
-time, and the threads live from run to run.
+bodies is drawn and measured a block of 2**13 simplices at a time,
+through one refilled draw buffer and one block of edge planes into one
+volume array: a T3 triangle chunk peaks at 2.0 MiB in tracemalloc
+(1.75 MiB pinned), where a whole-chunk draw takes 6 MiB (4 MiB).  Ball
+and half-ball samplers draw every point before any radius, and a prism's
+heights follow all its base points, so those chunks hold their edge
+planes whole, but never a prism's points: a simplex or cube base is drawn
+into the base planes a block at a time, and the boundary sampler adds
+each point into its edges face by face.  A prism chunk of n = 2 over T2
+thus peaks at 2.6-2.9 MiB, its 1.5 MiB of edges with the chunk's volumes
+and one block's draw.  A chunk's values are centered in place for its
+statistics.  Each worker thread holds one chunk at a time, and the
+threads live from run to run.
 """
 
 from __future__ import annotations
@@ -128,15 +132,15 @@ class EstimateWithError:
 
 def _draw(body: Body, gen: np.random.Generator, m: int,
           buf: Optional[np.ndarray] = None) -> np.ndarray:
-    """``m`` uniform points in ``body``: the first ``body.dim`` columns of the
-    returned (m, w) array, w >= ``body.dim``.
+    """``m`` uniform points in a simplex, cube, ball or half-ball: the first
+    ``body.dim`` columns of the returned (m, w) array, w >= ``body.dim``.
 
     A simplex returns its exponential spacings, normalized in place, so one
-    spare column follows its points; a prism over it writes its heights
-    there.  The simplex and cube samplers take their points one after
-    another from ``gen``, so m points drawn in pieces equal one draw of m,
-    and ``buf``, an earlier draw of theirs, is refilled when it has at
-    least m rows instead of a new array being made.
+    spare column follows its points.  The simplex and cube samplers take
+    their points one after another from ``gen``, so m points drawn in
+    pieces equal one draw of m.  ``buf``, an earlier draw of the same body,
+    is refilled when it has at least m rows instead of a new array being
+    made.
     """
     d = body.dim
     kind = body.kind
@@ -159,23 +163,13 @@ def _draw(body: Body, gen: np.random.Generator, m: int,
     if kind == "cube":
         return gen.random((m, d)) if buf is None else gen.random(out=buf[:m])
     if kind in ("ball", "halfball"):
-        direction = gen.standard_normal((m, d))
-        norms = np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = gen.random((m, 1)) ** (1.0 / d)
-        pts = direction / norms * radii
+        # direction times U^(1/d), each point's radius drawn after every
+        # direction
+        pts = gen.standard_normal((m, d)) if buf is None else gen.standard_normal(out=buf[:m])
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts *= gen.random((m, 1)) ** (1.0 / d)
         if kind == "halfball":
             pts[:, -1] = np.abs(pts[:, -1])
-        return pts
-    if kind == "product":
-        pts = _draw(body.base, gen, m)
-        if pts.shape[1] < d:
-            # only a simplex base leaves a spare column
-            pts = np.concatenate([pts, np.empty((m, 1))], axis=1)
-        heights = pts[:, -1]
-        # all m heights follow all m base points in the stream
-        for start in range(0, m, _BLOCK_ROWS):
-            heights[start : start + _BLOCK_ROWS] = gen.random(min(_BLOCK_ROWS, m - start))
-        heights *= float(body.height)
         return pts
     raise UsageError("no interior sampler for body kind %r" % (kind,))
 
@@ -183,9 +177,11 @@ def _draw(body: Body, gen: np.random.Generator, m: int,
 def sample_uniform(body: Body, gen: np.random.Generator, size: int) -> np.ndarray:
     """``size`` uniform points in a catalog body, shape (size, d), drawn
     from ``gen``, e.g. ``RngStream(seed).generator()``."""
-    pts = _draw(body, gen, _count(size, "size"))
-    # a simplex's points are followed by its spare column
-    return pts if pts.shape[1] == body.dim else pts[:, : body.dim].copy()
+    # each point is the one edge p - 0 of a segment from the origin, which
+    # has the bits of p
+    edges = np.empty((1, body.dim, _count(size, "size")))
+    _draw_edges(body, gen, edges, np.zeros(body.dim))
+    return edges[0].T.copy()
 
 
 def _boundary_faces(body: Body):
@@ -216,10 +212,13 @@ def _face_choice(weights: np.ndarray, gen: np.random.Generator, m: int) -> np.nd
     polygon has few faces, replaces the binary search."""
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
-    u = gen.random(m)
     choice = np.zeros(m, dtype=np.uint8)
-    for step in cdf[:-1]:
-        choice += u >= step
+    # a block of uniforms at a time: they follow one another in the stream
+    for start in range(0, m, _BLOCK_ROWS):
+        u = gen.random(min(_BLOCK_ROWS, m - start))
+        block = choice[start : start + _BLOCK_ROWS]
+        for step in cdf[:-1]:
+            block += u >= step
     return choice
 
 
@@ -364,33 +363,17 @@ def _edge_volumes(edges: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simplex_volumes(pts: np.ndarray, origin: Optional[np.ndarray] = None,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(n-1)-volumes of simplices given as an (m, n, d) vertex array (n-1
-    vertices after ``origin``, as in ``_fill_edges``), written into ``out``
-    when given: the edges of a block of ``_BLOCK_ROWS`` rows at a time, then
-    their volumes, for any strides of ``pts``."""
-    n = pts.shape[1] + (origin is not None)
-    volumes = np.empty(pts.shape[0]) if out is None else out
-    for start in range(0, pts.shape[0], _BLOCK_ROWS):
-        block = pts[start : start + _BLOCK_ROWS]
-        edges = np.empty((n - 1, pts.shape[2], len(block)))
-        _fill_edges(block, origin, edges)
-        _edge_volumes(edges, volumes[start : start + _BLOCK_ROWS])
-    return volumes
-
-
 def _draw_edges(body: Body, gen: np.random.Generator, edges: np.ndarray,
                 origin: Optional[np.ndarray] = None,
                 buf: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Draw m simplices in ``body`` straight into their (n-1, d, m) edge
-    planes ``edges`` (``origin`` as in ``_fill_edges``), with the draws of
-    ``_draw(body, gen, m * n_random)``.
+    planes ``edges`` (``origin`` as in ``_fill_edges``), taking their
+    random points from ``gen`` as one draw of them all would.
 
     A prism fills its base's planes and then its height planes, as all its
-    heights follow all its base points.  A simplex or cube is drawn a block
-    of rows at a time through ``buf``, which is returned for reuse, and a
-    ball or half-ball is drawn whole.
+    heights follow all its base points.  Another body is drawn
+    ``_step_rows`` simplices at a time through ``buf``, an earlier draw of
+    it, which is returned for reuse.
     """
     rows = edges.shape[2]
     n_random = len(edges) + (origin is None)
@@ -403,11 +386,12 @@ def _draw_edges(body: Body, gen: np.random.Generator, edges: np.ndarray,
             heights *= float(body.height)
             _fill_edges(heights.reshape(m, n_random, 1), top, edges[:, -1:, start : start + m])
         return buf
-    step = _step_rows(body)
+    step = _step_rows(body, rows)
     for start in range(0, rows, step):
         m = min(step, rows - start)
         pts = _draw(body, gen, m * n_random, buf)
-        if step < CHUNK_SIZE:
+        # a shorter draw refills the front of the buffer, which stays
+        if buf is None or len(buf) < len(pts):
             buf = pts
         _fill_edges(pts[:, : body.dim].reshape(m, n_random, body.dim), origin,
                     edges[:, :, start : start + m])
@@ -458,12 +442,13 @@ def _boundary_volumes(body: Body, gen: np.random.Generator, n: int, size: int):
 
 
 def _chunk_stats(values: np.ndarray):
-    """(count, mean, M2) of one chunk's trial values."""
+    """(count, mean, M2) of one chunk's trial values, which are centered in
+    place, so their own values are lost."""
     mean = float(values.mean())
-    centered = values - mean
+    values -= mean
     # not np.dot: BLAS would start its own threads, which contend with the
     # chunk threads for the CPUs and hold memory
-    return values.size, mean, float(np.einsum("m,m->", centered, centered))
+    return values.size, mean, float(np.einsum("m,m->", values, values))
 
 
 def _combine_chunks(stats, seed: int) -> EstimateWithError:
@@ -520,12 +505,12 @@ def _run_chunks(draw, samples: int, seed: int, k: int, threads: int):
     return estimate, sum(p[1] for p in partials)
 
 
-def _step_rows(body: Body) -> int:
-    """Simplices per draw: the simplex and cube samplers take their points
-    one after another from the stream, so a chunk is drawn and measured a
-    block of rows at a time; the others draw all base points before any
-    radius or height."""
-    return _BLOCK_ROWS if body.kind in ("simplex", "cube") else CHUNK_SIZE
+def _step_rows(body: Body, rows: int) -> int:
+    """Simplices per draw of ``rows``: the simplex and cube samplers take
+    their points one after another from the stream, so they are drawn and
+    measured a block at a time; the others draw all base points before any
+    radius or height, so all rows at once."""
+    return min(rows, _BLOCK_ROWS) if body.kind in ("simplex", "cube") else rows
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -549,6 +534,9 @@ def _check_run(body: Body, n: int, k: int, samples: int) -> None:
     D^(2(n-1)), a trial value V^k at most b = (D^(n-1)/(n-1)!)^k, and the
     sum of squared deviations at most samples * b^2.  A prism's face areas,
     by which the boundary sampler picks faces, are then each at most 2D.
+    The step bound counts a step's draw, n * (d + 1) floats a simplex at
+    most; it covers the step's edge planes too, whose (n - 1) * d floats a
+    simplex are fewer.
     """
     _count(n, "vertex count n", 2)
     if n > body.dim + 1:
@@ -564,7 +552,7 @@ def _check_run(body: Body, n: int, k: int, samples: int) -> None:
             % (samples, chunks, CHUNK_SIZE, _MAX_CHUNKS)
         )
     # a point takes at most dim + 1 floats: a simplex's spare column
-    floats = min(samples, _step_rows(body)) * n * (body.dim + 1)
+    floats = _step_rows(body, min(samples, CHUNK_SIZE)) * n * (body.dim + 1)
     if floats > _MAX_STEP_FLOATS:
         raise CapacityError(
             "%d-point simplices in dimension %d draw %d float64s at a time; "
@@ -603,34 +591,22 @@ def estimate_moment(
         if not contains(body, fixed, tol=1e-12):
             raise DomainError("fixed point lies outside the body")
         anchor = np.array(fixed, dtype=float)
-    n_random = n if anchor is None else n - 1
 
-    step = _step_rows(body)
-    # each thread refills its first volume array and block draw buffer:
-    # new ones every chunk would be mapped or trimmed by malloc anew each
-    # time, about 20k more page faults in a first mc-area operation
+    # each thread refills its first volume array, edge planes and draw
+    # buffer: new ones every chunk would be mapped or trimmed by malloc anew
+    # each time, about 20k more page faults in a first mc-area operation
     kept = threading.local()
 
     def sample(gen, size: int):
+        step = _step_rows(body, size)
         if getattr(kept, "volumes", np.empty(0)).size < size:
             kept.volumes, kept.draw = np.empty(size), None
-            if body.kind == "product":
-                kept.edges = np.empty((n - 1, body.dim, size))
+            kept.edges = np.empty((n - 1, body.dim, step))
         volumes = kept.volumes[:size]
-        if body.kind == "product":
-            # a prism's heights follow all its base points, so the chunk's
-            # edges are drawn whole, with no point array
-            edges = kept.edges[:, :, :size]
-            kept.draw = _draw_edges(body, gen, edges, anchor, kept.draw)
-            return _edge_volumes(edges, volumes), 0
         for start in range(0, size, step):
-            rows = min(step, size - start)
-            draw = _draw(body, gen, rows * n_random, kept.draw)
-            if step < CHUNK_SIZE and kept.draw is None:
-                kept.draw = draw
-            pts = draw[:, : body.dim].reshape(rows, n_random, body.dim)
-            _simplex_volumes(pts, origin=anchor, out=volumes[start : start + rows])
+            edges = kept.edges[:, :, : min(step, size - start)]
+            kept.draw = _draw_edges(body, gen, edges, anchor, kept.draw)
+            _edge_volumes(edges, volumes[start : start + step])
         return volumes, 0
 
     return _run_chunks(sample, samples, seed, k, threads)[0]
-

@@ -21,6 +21,9 @@ two exactly:
 * :func:`simplex_volumes_unblocked` - the Monte Carlo volume kernel over
   all rows at once, the form that froze the Monte Carlo goldens, against
   the row-blocked kernel;
+* :func:`sample_uniform_points_first` - uniform points in a body, a
+  prism's base points all drawn before its heights into arrays of their
+  own, against the prism draw through edge planes;
 * :func:`sample_boundary_unblocked` - the prism boundary sampler's draws
   filled over all points at once through boolean masks, the form that
   froze the sampler goldens, against the block-wise fill;
@@ -49,7 +52,7 @@ import numpy as np
 from simplexmoments._expansion import _fact
 from simplexmoments.errors import UsageError
 from simplexmoments.geometry import Body, _margins
-from simplexmoments.mc import _boundary_faces, sample_uniform
+from simplexmoments.mc import _boundary_faces, _draw, sample_uniform
 from simplexmoments.tetra import CASE_FIXED, CASE_FREE, _normalize_case
 
 
@@ -598,6 +601,17 @@ def simplex_volumes_unblocked(pts: np.ndarray) -> np.ndarray:
         gram *= rr
         residuals.append((r, np.where(rr > 0.0, rr, 1.0)))
     return np.sqrt(gram) / math.factorial(n - 1)
+
+
+def sample_uniform_points_first(body: Body, gen: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform points in a catalog body, shape (size, d): a prism's
+    base points all drawn first, in one piece (recursing for a prism base),
+    then all its heights; any other body's points by ``mc._draw``."""
+    if body.kind != "product":
+        return _draw(body, gen, size)[:, : body.dim].copy()
+    base = sample_uniform_points_first(body.base, gen, size)
+    heights = gen.random(size) * float(body.height)
+    return np.column_stack([base, heights])
 
 
 def sample_boundary_unblocked(body: Body, gen: np.random.Generator, size: int):

@@ -18,6 +18,7 @@ from oracles import (
     _gram_det_exact,
     boundary_residual,
     sample_boundary_unblocked,
+    sample_uniform_points_first,
     simplex_volumes_unblocked,
 )
 from simplexmoments import lifting, mc
@@ -54,7 +55,6 @@ from simplexmoments.mc import (
     _fill_edges,
     _row_dot,
     _run_chunks,
-    _simplex_volumes,
     estimate_moment,
     sample_boundary_uniform,
     sample_uniform,
@@ -65,6 +65,16 @@ T2_HYP = TriangleSpec.from_sides(1.0, 1.0, math.sqrt(2.0))
 
 def three_sigma(estimate: EstimateWithError, target: float, slack: float = 0.0) -> bool:
     return abs(estimate.mean - target) <= 3.0 * estimate.std_error + slack
+
+
+def kernel_volumes(pts: np.ndarray, origin=None) -> np.ndarray:
+    """The package's volumes of an (m, n, d) vertex array (n - 1 vertices
+    after ``origin``, as in ``_fill_edges``): its edge fill, then its
+    Gram-Schmidt core."""
+    n = pts.shape[1] + (origin is not None)
+    edges = np.empty((n - 1, pts.shape[2], pts.shape[0]))
+    _fill_edges(pts, origin, edges)
+    return _edge_volumes(edges, np.empty(pts.shape[0]))
 
 
 class TestRngStream:
@@ -160,8 +170,8 @@ class TestSampleUniform:
 
     @pytest.mark.parametrize("base", [cube(2), ball(2), halfball(2)], ids=lambda b: b.kind)
     def test_prism_over_a_base_without_a_spare_column(self, base):
-        # only a simplex base leaves a column for the heights; the others
-        # have one appended
+        # the heights fill a plane of their own, whatever columns the
+        # base's draw has
         prism = product(base, F(1, 2))
         pts = sample_uniform(prism, RngStream(31).generator(), size=1000)
         assert pts.shape == (1000, 3)
@@ -169,6 +179,23 @@ class TestSampleUniform:
         one, two = (estimate_moment(prism, 3, 1, samples=CHUNK_SIZE + 99, seed=37, threads=t)
                     for t in (1, 2))
         assert one == two and math.isfinite(one.mean)
+
+    @pytest.mark.parametrize("size", [1, 5, CHUNK_SIZE + 17])
+    @pytest.mark.parametrize(
+        "base",
+        [triangle_T2(), cube(2), ball(2), halfball(2), product(triangle_T2(), F(1, 3))],
+        ids=["T2", "cube:2", "ball:2", "halfball:2", "T2 x 1/3"],
+    )
+    def test_prism_points_match_the_points_first_draw(self, base, size):
+        # a prism is drawn through its edge planes, the estimates' route, as
+        # segments from the origin; all base points drawn at once and then
+        # all heights give the same bytes, also past CHUNK_SIZE points,
+        # where a ball or half-ball base is still drawn in one piece
+        prism = product(base, F(1, 4))
+        got = sample_uniform(prism, RngStream(197, size).generator(), size)
+        want = sample_uniform_points_first(prism, RngStream(197, size).generator(), size)
+        assert got.shape == want.shape == (size, prism.dim)
+        assert got.tobytes() == want.tobytes()
 
     def test_simplex_points_match_row_sum_normalization(self):
         # reference: the row-sum form the sampler replaced, for <= 7 columns
@@ -316,7 +343,7 @@ class TestSimplexVolumes:
                 [[F(rnd.randint(-2**20, 2**20), 2**16) for _ in range(d)] for _ in range(n)]
                 for _ in range(40)
             ]
-            got = _simplex_volumes(np.array(pts, dtype=float))
+            got = kernel_volumes(np.array(pts, dtype=float))
             checked = 0
             for row, vol in zip(pts, got):
                 det = _gram_det_exact(row)
@@ -336,9 +363,9 @@ class TestSimplexVolumes:
             for i, j in itertools.combinations(range(n), 2):
                 pts = gen.random((500, n, 4))
                 pts[:, j] = pts[:, i]
-                assert np.all(_simplex_volumes(pts) == 0)
+                assert np.all(kernel_volumes(pts) == 0)
             same = np.broadcast_to(gen.random(4), (50, n, 4)).copy()
-            assert np.all(_simplex_volumes(same) == 0)
+            assert np.all(kernel_volumes(same) == 0)
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "origin"])
     @pytest.mark.parametrize(
@@ -361,9 +388,9 @@ class TestSimplexVolumes:
                 spare[...] = pts
                 for given in (pts, spare):
                     if pinned:
-                        got = _simplex_volumes(given[:, 1:], origin=given[0, 0])
+                        got = kernel_volumes(given[:, 1:], origin=given[0, 0])
                     else:
-                        got = _simplex_volumes(given)
+                        got = kernel_volumes(given)
                     assert got.tobytes() == want, (n, d, given.strides)
                     assert got[0] == 0.0 and got[-1] == 0.0
 
@@ -394,7 +421,7 @@ class TestSimplexVolumes:
             pts[1, 1] = pts[1, -1]
             edges = np.empty((n - 1, d, rows))
             _fill_edges(pts, None, edges)
-            want = _simplex_volumes(pts).tobytes()
+            want = simplex_volumes_unblocked(pts).tobytes()
             assert _edge_volumes(edges.copy(), np.empty(rows)).tobytes() == want
             for signs in itertools.product((1.0, -1.0), repeat=n - 1):
                 flipped = edges * np.array(signs)[:, None, None]
@@ -406,7 +433,7 @@ class TestSimplexVolumes:
         totals = np.zeros(4)
         for skip in range(3):
             keep = [j for j in range(3) if j != skip]
-            totals += _simplex_volumes(pts[:, keep, :])
+            totals += kernel_volumes(pts[:, keep, :])
         assert np.all(totals == 0)
 
     def test_axis_permutation_invariance(self):
@@ -416,8 +443,8 @@ class TestSimplexVolumes:
         permuted = np.zeros(2_000)
         for skip in range(3):
             keep = [j for j in range(3) if j != skip]
-            totals += _simplex_volumes(pts[:, keep, :])
-            permuted += _simplex_volumes(pts[:, keep, :][:, :, [2, 0, 1]])
+            totals += kernel_volumes(pts[:, keep, :])
+            permuted += kernel_volumes(pts[:, keep, :][:, :, [2, 0, 1]])
         assert np.allclose(totals, permuted, atol=1e-12)
 
 
@@ -512,8 +539,10 @@ def test_streamed_chunk_equals_one_whole_draw(monkeypatch, case):
     n_random = n - (fixed is not None)
 
     def volumes_of(gen, size):
-        pts = sample_uniform(body, gen, size * n_random)
-        return _simplex_volumes(pts.reshape(size, n_random, body.dim), origin=origin)
+        pts = sample_uniform(body, gen, size * n_random).reshape(size, n_random, body.dim)
+        if origin is not None:
+            pts = np.concatenate([np.broadcast_to(origin, (size, 1, body.dim)), pts], axis=1)
+        return simplex_volumes_unblocked(pts)
 
     want = _chunked_oracle(volumes_of, STREAMED_SAMPLES, 167, 2)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -553,7 +582,7 @@ def test_streamed_boundary_chunk_equals_one_whole_draw(monkeypatch, n, base, hei
         side_counts.extend(np.count_nonzero(~flat[start : start + _BLOCK_ROWS])
                            for start in range(0, flat.size, _BLOCK_ROWS))
         all_flat.append(np.count_nonzero(flat.reshape(size, n).all(axis=1)))
-        return _simplex_volumes(pts.reshape(size, n, prism.dim))
+        return simplex_volumes_unblocked(pts.reshape(size, n, prism.dim))
 
     # the sweep's one row draws from seed + 1
     want = _chunked_oracle(volumes_of, STREAMED_SAMPLES, 180, 2)
@@ -573,7 +602,7 @@ class TestChunkMerge:
         gen = RngStream(113).generator()
         values = 1e8 + 1e-3 * gen.standard_normal(6 * 1000 + 37)
         chunks = [values[i : i + 1000] for i in range(0, values.size, 1000)]
-        est = _combine_chunks([_chunk_stats(c) for c in chunks], seed=0)
+        est = _combine_chunks([_chunk_stats(c.copy()) for c in chunks], seed=0)
         expected = np.std(values, ddof=1) / math.sqrt(values.size)
         assert est.samples == values.size
         assert abs(est.std_error - expected) <= 1e-6 * expected
