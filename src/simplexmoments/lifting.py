@@ -171,13 +171,7 @@ def boundary_convergence_sweep(
 
     def estimate_at(prism, row_seed):
         def sample(gen, size: int):
-            volumes, flat = _boundary_volumes(prism, gen, n, size)
-            # a simplex is all flat when each of its n vertex columns is;
-            # column by column, as a row of n is too short for numpy's loops
-            on_flat = flat.reshape(size, n)
-            all_flat = on_flat[:, 0].copy()
-            for j in range(1, n):
-                all_flat &= on_flat[:, j]
+            volumes, all_flat = _boundary_volumes(prism, gen, n, size)
             return volumes, int(all_flat.sum())
 
         est, all_flat = _run_chunks(sample, samples, row_seed, k, threads)

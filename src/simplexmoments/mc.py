@@ -34,9 +34,11 @@ Monte Carlo goldens: the even coordinates in order, the odd ones in
 order, then the two sums (groups of 8 coordinates nest, see ``_row_dot``).
 Adding them in index order would change about a quarter of the rows.
 
-The boundary sampler picks every point's face at once by the inverse CDF
-of ``Generator.choice``, with its bits, and finds each face's points with
-one ``np.flatnonzero`` of the face indices.
+The boundary goes one way too: ``_boundary_edges`` picks every point's
+face by the inverse CDF of ``Generator.choice``, with its bits, finds each
+face's points with one ``np.flatnonzero``, and adds their coordinates into
+the edge planes with ``np.add.at``; ``sample_boundary_uniform`` draws its
+points through it as edges from the origin.
 
 Memory is bounded per chunk, not per run.  The simplex and cube samplers
 take their points one after another from the stream, so a chunk of those
@@ -49,10 +51,11 @@ heights follow all its base points, so those chunks hold their edge
 planes whole, but never a prism's points: a simplex or cube base is drawn
 into the base planes a block at a time, and the boundary sampler adds
 each point into its edges face by face.  A prism chunk of n = 2 over T2
-thus peaks at 2.6-2.9 MiB, its 1.5 MiB of edges with the chunk's volumes
-and one block's draw.  A chunk's values are centered in place for its
-statistics.  Each worker thread holds one chunk at a time, and the
-threads live from run to run.
+thus peaks at 2.5-2.9 MiB, its 1.5 MiB of edges with the chunk's volumes
+and one block's draw.  A ball chunk holds its whole draw too, but its
+norms and radii go a block at a time (ball:3, n = 4: 11.4 MiB).  A
+chunk's values are centered in place for its statistics.  Each worker
+thread holds one chunk at a time, and the threads live from run to run.
 """
 
 from __future__ import annotations
@@ -164,12 +167,14 @@ def _draw(body: Body, gen: np.random.Generator, m: int,
         return gen.random((m, d)) if buf is None else gen.random(out=buf[:m])
     if kind in ("ball", "halfball"):
         # direction times U^(1/d), each point's radius drawn after every
-        # direction
+        # direction; the radii follow one another, so a block at a time
         pts = gen.standard_normal((m, d)) if buf is None else gen.standard_normal(out=buf[:m])
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        pts *= gen.random((m, 1)) ** (1.0 / d)
+        for start in range(0, m, _BLOCK_ROWS):
+            block = pts[start : start + _BLOCK_ROWS]
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
+            block *= gen.random((len(block), 1)) ** (1.0 / d)
         if kind == "halfball":
-            pts[:, -1] = np.abs(pts[:, -1])
+            np.abs(pts[:, -1], out=pts[:, -1])
         return pts
     raise UsageError("no interior sampler for body kind %r" % (kind,))
 
@@ -222,20 +227,56 @@ def _face_choice(weights: np.ndarray, gen: np.random.Generator, m: int) -> np.nd
     return choice
 
 
-def _fill_boundary(body: Body, gen: np.random.Generator, m: int, piece) -> np.ndarray:
-    """Draw ``m`` uniform points on the boundary of a prism K x [0, h].
+def _boundary_edges(body: Body, gen: np.random.Generator, edges: np.ndarray,
+                    origin: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw m simplices with vertices uniform on the boundary of a prism
+    K x [0, h] into their zeroed, C-contiguous (n-1, d, m) edge planes
+    ``edges`` (``origin`` as in ``_fill_edges``); returns the mask of the
+    simplices whose random vertices all lie on the two flat faces.
 
-    The boundary splits into two flat copies of K (faces 0 and 1) and one
-    rectangle per edge of K; a face is chosen with probability proportional
-    to its area, then the point is uniform on the face.  Face by face, a
-    block of its point indices at a time (``at``, ascending), ``piece(at)``
-    returns ``put(c, values)``, which takes coordinate c of those points:
-    an array in the order of ``at``, or one number for all of them.  A
-    side face calls ``piece`` twice for a block, as all its heights follow
-    all its edge parameters.  Returns each point's face index.
+    A face is chosen with probability proportional to its area (faces 0
+    and 1 are the flat copies of K, then one rectangle per edge of K), then
+    the point is uniform on the face.  Point a is vertex a % r of simplex
+    a // r, r the random vertices of a simplex.  Face by face, a block of
+    its points at a time (all of a side face's heights after all its edge
+    parameters), vertex j adds each coordinate to its slot of edge j - 1
+    (edge j after an origin, subtracted first), and a random vertex 0
+    subtracts it from its slot of every edge.  A slot takes just these two
+    terms, so in either order it ends as p_j - p_0 with the bits of the
+    subtraction; ``np.add.at`` adds them one after another, also where two
+    points of a simplex share a block.
     """
+    n_edges, d, m = edges.shape
+    lead = origin is None
+    r = n_edges + lead
+    # edges[e, c, i] is flat_edges[c * m + e * stride + i]
+    flat_edges = edges.reshape(-1)
+    stride = d * m
+    # each vertex's sign, and the offset of its edge (vertex 0's first one)
+    signs = np.array([-1.0] * lead + [1.0] * n_edges)
+    offsets = np.array([0] * lead + [e * stride for e in range(n_edges)])
+
+    def add(at, columns):
+        # columns[c] is coordinate c of the block's points: an array in the
+        # order of ``at``, or one number for all of them
+        simplex = at // r
+        vertex = at - simplex * r
+        slot, sign, more = simplex, signs[vertex], []
+        if n_edges > 1:
+            slot = slot + offsets[vertex]
+            if lead:  # vertex 0's slots of edges 1 ... n - 2, each once in a block
+                starts = np.flatnonzero(vertex == 0)
+                more = [simplex[starts] + e * stride for e in range(1, n_edges)]
+        for c, values in columns.items():
+            plane = flat_edges[c * m :]
+            np.add.at(plane, slot, values * sign)
+            for extra in more:
+                plane[extra] -= values[starts] if isinstance(values, np.ndarray) else values
+
     face_list, h = _boundary_faces(body)
-    choice = _face_choice(np.array([f[2] for f in face_list]), gen, m)
+    choice = _face_choice(np.array([f[2] for f in face_list]), gen, m * r)
+    if origin is not None:
+        edges -= origin[:, None]
     base_buf = None
     for idx, (tag, payload, _area) in enumerate(face_list):
         # the face's points in index order: a face draws for its points in
@@ -245,21 +286,16 @@ def _fill_boundary(body: Body, gen: np.random.Generator, m: int, piece) -> np.nd
         if tag == "flat":
             for at in blocks:
                 base_buf = _draw(body.base, gen, at.size, base_buf)
-                put = piece(at)
-                put(0, base_buf[:, 0])
-                put(1, base_buf[:, 1])
-                put(2, payload)
+                add(at, {0: base_buf[:, 0], 1: base_buf[:, 1], 2: payload})
         else:
             (sx, sy), (ex, ey) = payload
             for at in blocks:
                 s = gen.random(at.size)
-                put = piece(at)
-                put(0, sx + s * (ex - sx))
-                put(1, sy + s * (ey - sy))
-            # all of a side face's heights follow all of its edge parameters
+                add(at, {0: sx + s * (ex - sx), 1: sy + s * (ey - sy)})
             for at in blocks:
-                piece(at)(2, gen.random(at.size) * h)
-    return choice
+                add(at, {2: gen.random(at.size) * h})
+    # over an (r, m) copy, as a row of r vertices is too short for numpy's loops
+    return np.logical_and.reduce((choice < 2).reshape(m, r).T.copy())
 
 
 def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
@@ -269,15 +305,10 @@ def sample_boundary_uniform(body: Body, gen: np.random.Generator, size: int):
     point is uniform on the face.  Returns the (size, d) points and a
     boolean array marking the points on the two flat faces.
     """
-    pts = np.empty((_count(size, "size"), body.dim))
-    cols = pts.T
-
-    def piece(at):
-        def put(c, values):
-            cols[c][at] = values
-        return put
-
-    return pts, _fill_boundary(body, gen, len(pts), piece) < 2
+    # each point is the one edge p - 0 of a segment from the origin
+    edges = np.zeros((1, body.dim, _count(size, "size")))
+    flat = _boundary_edges(body, gen, edges, np.zeros(body.dim))
+    return edges[0].T.copy(), flat
 
 
 # ---------------------------------------------------------------------------
@@ -400,45 +431,12 @@ def _draw_edges(body: Body, gen: np.random.Generator, edges: np.ndarray,
 
 def _boundary_volumes(body: Body, gen: np.random.Generator, n: int, size: int):
     """Volumes of ``size`` simplices of n points uniform on the boundary of
-    a prism, with the draws of ``sample_boundary_uniform(body, gen, size *
-    n)``, and its mask of the points on the flat faces.
-
-    The points go straight into the (n-1, d, size) edge planes, which
-    start at zero: vertex j > 0 adds each coordinate to its slot of edge
-    j - 1, and vertex 0 subtracts it from its slot of every edge.  A slot
-    takes exactly these two terms, so in either order it ends as
-    p_j - p_0 with the bits of the subtraction; ``np.add.at`` adds a
-    block's terms one after another, also where both points of a simplex
-    are in the block.
-    """
+    a prism, and the mask of those whose vertices all lie on its flat faces;
+    the draws are those of ``sample_boundary_uniform(body, gen, size * n)``."""
+    # zeroed by the allocator: a fill pass would only slow the chunk
     edges = np.zeros((n - 1, body.dim, size))
-    # edges[e, c, i] is flat_edges[c * size + e * stride + i]
-    flat_edges = edges.reshape(-1)
-    stride = body.dim * size
-    # each vertex's sign, and the offset of its edge (vertex 0's first one)
-    signs = np.array([-1.0] + [1.0] * (n - 1))
-    offsets = np.array([0] + [(j - 1) * stride for j in range(1, n)])
-
-    def piece(at):
-        simplex = at // n
-        vertex = at - simplex * n
-        sign = signs[vertex]
-        slot, more = simplex, []
-        if n > 2:
-            slot = slot + offsets[vertex]
-            # vertex 0's slots of edges 1 ... n - 2, each once in a block
-            starts = np.flatnonzero(vertex == 0)
-            more = [(starts, simplex[starts] + e * stride) for e in range(1, n - 1)]
-
-        def put(c, values):
-            plane = flat_edges[c * size :]
-            np.add.at(plane, slot, values * sign)
-            for starts, slots in more:
-                plane[slots] -= values[starts] if isinstance(values, np.ndarray) else values
-        return put
-
-    flat = _fill_boundary(body, gen, size * n, piece) < 2
-    return _edge_volumes(edges, np.empty(size)), flat
+    all_flat = _boundary_edges(body, gen, edges)
+    return _edge_volumes(edges, np.empty(size)), all_flat
 
 
 def _chunk_stats(values: np.ndarray):

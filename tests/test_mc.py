@@ -208,14 +208,18 @@ class TestSampleUniform:
                 assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
-        "body",
-        [tetrahedron_T3(), cube(3), ball(3), halfball(3), product(triangle_T2(), F(1, 4))],
-        ids=lambda body: body.kind,
+        "sampler, body",
+        [(sample_uniform, body) for body in (tetrahedron_T3(), cube(3), ball(3), halfball(3),
+                                              product(triangle_T2(), F(1, 4)))]
+        + [(lambda *args: sample_boundary_uniform(*args)[0], body)
+           for body in (product(triangle_T2(), F(1, 4)), product(cube(2), 0.3))],
+        ids=["simplex", "cube", "ball", "halfball", "product", "boundary T2", "boundary cube:2"],
     )
-    def test_points_are_contiguous_and_own_their_data(self, body):
-        # the simplex sampler normalizes in place and returns a strided view
+    def test_points_are_contiguous_and_own_their_data(self, sampler, body):
+        # the simplex sampler normalizes in place and returns a strided view,
+        # and both samplers draw their points as the edges of (d, size) planes
         for size in (1, 5):
-            pts = sample_uniform(body, RngStream(29).generator(), size=size)
+            pts = sampler(body, RngStream(29).generator(), size)
             assert pts.flags.c_contiguous and pts.flags.owndata
 
     def test_single_point_shape(self):
@@ -498,6 +502,26 @@ def test_one_prism_chunk_peak_memory(mode, eps):
     assert _traced_peak(call) <= 2 * edge_bytes
 
 
+@pytest.mark.parametrize(
+    "body, n",
+    [(ball(3), 4), (halfball(2), 3), (product(ball(2), F(1, 4)), 3)],
+    ids=["ball:3", "halfball:2", "ball:2 prism"],
+)
+def test_one_ball_chunk_peak_memory(body, n):
+    # a ball draws every point before any radius, so its chunk holds the
+    # whole draw beside its edge planes and volumes; the norms and radii
+    # are taken a block of rows at a time, so two blocks of edge planes
+    # cover the rest.  With whole-draw norms and radii the peaks were 21.0,
+    # 11.5 and 12.5 MiB.
+    itemsize = np.dtype(float).itemsize
+    drawn = body.base if body.kind == "product" else body
+    draw_bytes = CHUNK_SIZE * n * drawn.dim * itemsize
+    edge_bytes = (n - 1) * body.dim * CHUNK_SIZE * itemsize
+    block_bytes = (n - 1) * body.dim * _BLOCK_ROWS * itemsize
+    peak = _traced_peak(lambda: estimate_moment(body, n, 1, samples=CHUNK_SIZE, seed=191))
+    assert peak <= draw_bytes + edge_bytes + CHUNK_SIZE * itemsize + 2 * block_bytes
+
+
 def _chunked_oracle(volumes_of, samples: int, seed: int, k: int) -> EstimateWithError:
     """E V^k merged from chunk i's ``volumes_of(RngStream(seed, i).generator(),
     size)``, as the chunk runner splits and merges a run."""
@@ -570,15 +594,16 @@ def test_streamed_chunk_equals_one_whole_draw(monkeypatch, case):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_streamed_boundary_chunk_equals_one_whole_draw(monkeypatch, n, base, height):
     # a boundary chunk's points go straight into its edge planes, face by
-    # face; the point sampler's draw of the chunk, measured by the kernel,
-    # gives the same row bit for bit, at 1 and 2 threads.  At the height
+    # face; the oracle's whole-array draw of the chunk's points, measured by
+    # the unblocked kernel, gives the same row bit for bit, at 1 and 2
+    # threads, and the same count of all-flat simplices.  At the height
     # 1/20000 some blocks of a chunk's points hold no side-face point.
     body = {"T2": triangle_T2(), "cube:2": cube(2)}[base]
     prism = product(body, height)
     side_counts, all_flat = [], []
 
     def volumes_of(gen, size):
-        pts, flat = sample_boundary_uniform(prism, gen, size * n)
+        pts, flat = sample_boundary_unblocked(prism, gen, size * n)
         side_counts.extend(np.count_nonzero(~flat[start : start + _BLOCK_ROWS])
                            for start in range(0, flat.size, _BLOCK_ROWS))
         all_flat.append(np.count_nonzero(flat.reshape(size, n).all(axis=1)))
